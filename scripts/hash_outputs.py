@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Fingerprint the toolkit's byte-stable outputs on a small fixed-seed corpus.
+
+Synthesizes train/dev/test splits, then trains every model type (kce in its
+three variants, letor, pagerank) twice through the CLI: once with trainable
+embeddings and once with ``freeze_embeddings``.  Prints a Markdown table of
+the sha256 of each model file and of each kce model's rank JSONL and
+evaluate report.  Two checkouts that should behave identically print the
+same table:
+
+    PYTHONPATH=src python3 scripts/hash_outputs.py
+
+Runs in a few seconds on one core; all files go to a temporary directory.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from salience.cli import main
+
+SYNTH_CFG = {
+    "docs": 40,
+    "dim": 16,
+    "seed": 11,
+    "background_event_pool": 200,
+    "background_entity_pool": 150,
+    "vector_noise": 0.25,
+}
+SPLITS = (("train", 40, 1), ("dev", 15, 2), ("test", 15, 3))
+TRAIN_CFG = {"epochs": 3, "batch_docs": 8, "seed": 5}
+MODELS = ("kce", "kce-e", "kce-ef", "letor", "pagerank")
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"salience {' '.join(argv)} exited {code}")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def hash_outputs(root: Path) -> list[tuple[str, str]]:
+    synth_cfg = root / "synth.json"
+    synth_cfg.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
+    corpora = {}
+    for split, docs, seed in SPLITS:
+        corpora[split] = root / f"{split}.jsonl"
+        argv = ["synth", "--out", str(corpora[split]), "--config", str(synth_cfg),
+                "--docs", str(docs), "--seed", str(seed), "--split", split]
+        if split == "train":
+            argv += ["--event-vectors-out", str(root / "events.vec"),
+                     "--entity-vectors-out", str(root / "entities.vec")]
+        _run(argv)
+
+    rows = []
+    for mode, freeze in (("trainable", False), ("frozen", True)):
+        train_cfg = root / f"train-{mode}.json"
+        train_cfg.write_text(json.dumps({**TRAIN_CFG, "freeze_embeddings": freeze}), encoding="utf-8")
+        for name in MODELS:
+            model = root / f"{name}-{mode}.model.json"
+            _run(["train", "--model", name, "--train", str(corpora["train"]),
+                  "--dev", str(corpora["dev"]), "--out", str(model), "--config", str(train_cfg),
+                  "--dim", str(SYNTH_CFG["dim"]), "--min-count", "1",
+                  "--event-vectors", str(root / "events.vec"),
+                  "--entity-vectors", str(root / "entities.vec")])
+            rows.append((f"{name} ({mode}) model", _sha256(model)))
+            if not name.startswith("kce"):
+                continue
+            ranks = root / f"{name}-{mode}.ranks.jsonl"
+            report = root / f"{name}-{mode}.report.json"
+            _run(["rank", "--model", str(model), "--corpus", str(corpora["test"]), "--out", str(ranks)])
+            _run(["evaluate", "--model", str(model), "--corpus", str(corpora["test"]), "--out", str(report)])
+            rows.append((f"{name} ({mode}) rank JSONL", _sha256(ranks)))
+            rows.append((f"{name} ({mode}) evaluate report", _sha256(report)))
+    return rows
+
+
+def run() -> int:
+    with tempfile.TemporaryDirectory(prefix="salience-hash-") as tmp:
+        rows = hash_outputs(Path(tmp))
+    print("| output | sha256 |")
+    print("|---|---|")
+    for label, digest in rows:
+        print(f"| {label} | `{digest}` |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -4,13 +4,20 @@ The loss for one document sums hinge terms over (salient, non-salient) event
 pairs: max(0, 1 - s_plus + s_minus).  Gradients are computed analytically all
 the way into the embedding tables (through both the kernel pooling and the
 voting features); ``grad_check`` verifies them against central finite
-differences.  Training is serial and fully seeded so identical configurations
-reproduce bitwise-identical models.
+differences.  A document touches only its own embedding rows, so the backward
+passes return each table's gradient row-sparse: the sorted unique rows the
+document references and an ``(r, d)`` block of their summed gradients.
+``train`` scatters those blocks into dense per-batch buffers in document
+order, and Adam updates every parameter densely once per batch.  Training is
+serial and fully seeded so identical configurations reproduce
+bitwise-identical models.
 """
 from __future__ import annotations
 
 import copy
 import csv
+import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,12 +72,41 @@ class TrainConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":
+        if not isinstance(obj, dict):
+            raise DataError("train config must be a JSON object")
         cfg = TrainConfig()
         for key, val in obj.items():
-            if not hasattr(cfg, key):
+            if key not in _CONFIG_RULES:
                 raise DataError(f"unknown train config field {key!r}")
+            valid, expected = _CONFIG_RULES[key]
+            if not valid(val):
+                raise DataError(f"train config field {key!r} must be {expected}, got {val!r}")
             setattr(cfg, key, val)
         return cfg
+
+
+def _is_int(val) -> bool:
+    # bool is an int subclass; reject it where an int is required
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_finite_number(val) -> bool:
+    if _is_int(val):  # JSON integers are unbounded; math.isfinite would overflow
+        return abs(val) <= sys.float_info.max
+    return isinstance(val, float) and math.isfinite(val)
+
+
+_CONFIG_RULES = {
+    "learning_rate": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "batch_docs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "epochs": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "max_pairs_per_doc": (lambda v: v is None or (_is_int(v) and v >= 1), "null or an integer >= 1"),
+    "beta1": (lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "beta2": (lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "eps": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "freeze_embeddings": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -157,7 +193,11 @@ def make_pairs(doc: Document, cfg: TrainConfig) -> list[tuple[int, int]]:
 
 
 class Adam:
-    """Reference Adam with bias-corrected moment estimates."""
+    """Reference Adam with bias-corrected moment estimates.
+
+    The update is the textbook one, operation for operation; it runs in place
+    through two scratch buffers per block so a step allocates no temporaries.
+    """
 
     def __init__(
         self,
@@ -174,26 +214,41 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        m_correction = 1.0 - self.beta1**self.t
+        v_correction = 1.0 - self.beta2**self.t
         for name, p in params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            a, b = self._scratch[name]
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            # v = beta2 * v + (1 - beta2) * g^2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += a
+            # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(v, v_correction, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, m_correction, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
 
 
 # --- parameter blocks -------------------------------------------------------
 
 BIAS_KEY = "bias"
 TEMPERATURE_KEY = "temperature"
+EMBEDDING_KEYS = ("event_emb", "entity_emb")  # gradients come as (rows, block) pairs
 MIN_TEMPERATURE = 1e-3
 
 
@@ -272,6 +327,18 @@ def _cosine_matrix_backward(
     return d_a, d_b
 
 
+def _row_sparse(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum per-mention row gradients per table row: (sorted unique rows, (r, d) block).
+
+    ``np.add.at`` adds the mentions in the same order it would into a full
+    table, so scattering the block reproduces the dense gradient bit for bit.
+    """
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    block = np.zeros((len(uniq), d_rows.shape[1]))
+    np.add.at(block, inverse, d_rows)
+    return uniq, block
+
+
 def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarray) -> np.ndarray:
     """d(weights . phi)/d(cos) for every pooled pair; activations already cached."""
     slopes = acts * (-(sims[..., None] - bank.means) / (bank.sigmas * bank.sigmas))
@@ -280,8 +347,11 @@ def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarr
 
 def kce_backward(
     model: KCEModel, doc: Document, cache: KCECache, dscores: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of the document loss for every trainable block of a KCE model."""
+) -> dict:
+    """Gradients of the document loss for every trainable block of a KCE model.
+
+    The two embedding tables come back row-sparse, as ``(rows, block)`` pairs.
+    """
     if cache.zero_nonfreq:
         raise DataError("backward pass is undefined for feature-zeroed scoring")
     n = len(doc.events)
@@ -299,8 +369,8 @@ def kce_backward(
     if uses_ent_kernels:
         grads["w_e"] = cache.phi_e.T @ g
 
-    d_event = np.zeros_like(model.event_table.vectors)
-    d_entity = np.zeros_like(model.entity_table.vectors)
+    d_rows_v = np.zeros((n, model.event_table.dim))
+    d_rows_e = np.zeros((len(cache.rows_e), model.entity_table.dim))  # no rows unless entities are used
 
     if n:
         # event-event cosine gradients: kernel path plus the event-voting feature
@@ -335,23 +405,21 @@ def kce_backward(
                 False,
             )
             d_rows_v = d_rows_v + d_rows_v2
-            np.add.at(d_entity, cache.rows_e, d_rows_e)
-        np.add.at(d_event, cache.rows_v, d_rows_v)
 
-    grads["event_emb"] = d_event
-    grads["entity_emb"] = d_entity
+    grads["event_emb"] = _row_sparse(cache.rows_v, d_rows_v)
+    grads["entity_emb"] = _row_sparse(cache.rows_e, d_rows_e)
     return grads
 
 
 def pagerank_backward(
     model: PageRankModel, doc: Document, cache, dscores: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients into the walk temperature and event embeddings."""
+) -> dict:
+    """Gradients into the walk temperature and (row-sparse) event embeddings."""
     n = len(doc.events)
     g = np.asarray(dscores, dtype=np.float64)
-    d_event = np.zeros_like(model.event_table.vectors)
     if n <= 1:
-        return {TEMPERATURE_KEY: np.array([0.0]), "event_emb": d_event}
+        d_rows = np.zeros((n, model.event_table.dim))
+        return {TEMPERATURE_KEY: np.array([0.0]), "event_emb": _row_sparse(cache.rows, d_rows)}
     d_walk = (1.0 - model.combine_lambda) * g
     d_trans = np.tile(d_walk / n, (n, 1))
     trans = cache.transitions
@@ -363,8 +431,7 @@ def pagerank_backward(
     d_rows, _ = _cosine_matrix_backward(
         grad_sims, cache.sims, cache.unit, cache.norms, cache.unit, cache.norms, True
     )
-    np.add.at(d_event, cache.rows, d_rows)
-    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": d_event}
+    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(cache.rows, d_rows)}
 
 
 def _doc_pair_indices(doc: Document, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -454,21 +521,31 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     best_snapshot: dict[str, np.ndarray] | None = None
     best_lambda: float | None = None
 
+    # The buffers start at +0.0 and a sum never turns +0.0 into -0.0, so the
+    # rows a document does not touch need no +0.0 added: skipping them keeps
+    # the batch gradient bitwise equal to summing dense per-document tables.
+    grads = {k: np.zeros_like(v) for k, v in arrays.items()}
     docs = corpus.documents
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(docs))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_docs):
             batch = order[start : start + cfg.batch_docs]
-            grads = {k: np.zeros_like(v) for k, v in arrays.items()}
+            for buf in grads.values():
+                buf.fill(0.0)
             for di in batch:
                 loss, doc_grads = _doc_loss_and_grads(model, docs[di], cfg)
                 epoch_loss += loss
                 if doc_grads is None:
                     continue
-                for name in grads:
-                    if name in doc_grads:
-                        grads[name] += doc_grads[name]
+                for name, buf in grads.items():
+                    if name not in doc_grads:
+                        continue
+                    if name in EMBEDDING_KEYS:
+                        rows, block = doc_grads[name]
+                        buf[rows] += block
+                    else:
+                        buf += doc_grads[name]
             adam.step(arrays, grads)
             _sync_scalars(model, arrays, scalars)
         _check_finite_params(arrays)
@@ -536,6 +613,11 @@ def grad_check(
     scores, cache = kce_forward(model, doc)
     _, dscores = document_pair_loss(scores, labels)
     analytic = kce_backward(model, doc, cache, dscores)
+    for name, table in (("event_emb", model.event_table), ("entity_emb", model.entity_table)):
+        rows, block = analytic[name]
+        dense = np.zeros_like(table.vectors)
+        dense[rows] = block
+        analytic[name] = dense
 
     blocks: list[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]] = []
 

@@ -19,7 +19,7 @@ from salience.embeddings import EmbeddingTable, Vocabulary
 from salience.features import fit_scaler
 from salience.kernels import default_bank
 from salience.models import KCEModel, kce_forward
-from salience.training import _labels, document_pair_loss, kce_backward
+from salience.training import EMBEDDING_KEYS, _labels, document_pair_loss, kce_backward
 
 GRAY_BAND = (1e-8, 5e-3)
 MARGIN_TOL = 5e-3
@@ -166,7 +166,9 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     _, dscores = document_pair_loss(scores, labels)
     grads = kce_backward(model, doc, cache, dscores)
     lo, hi = GRAY_BAND
-    for grad in grads.values():
+    for name, grad in grads.items():
+        if name in EMBEDDING_KEYS:
+            _rows, grad = grad  # rows outside the block have zero gradient, never in the band
         mags = np.abs(np.atleast_1d(np.asarray(grad, dtype=np.float64)))
         if np.any((mags > lo) & (mags < hi)):
             return False

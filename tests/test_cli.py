@@ -342,6 +342,31 @@ def test_malformed_corpus_exits_two(tmp_path):
     assert code == 2
 
 
+def test_bad_train_config_exits_two_without_traceback(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"epochs": "3"}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = main(
+        [
+            "train",
+            "--model",
+            "kce",
+            "--train",
+            str(pipeline["train"]),
+            "--dev",
+            str(pipeline["dev"]),
+            "--out",
+            str(out),
+            "--config",
+            str(bad),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "epochs" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     assert "salience" in capsys.readouterr().out

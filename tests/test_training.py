@@ -8,25 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gradcheck_instances, random_corpus, random_document, toy_table
-from salience.corpus import Corpus, Document, EventMention
+from salience import training
+from salience.corpus import Corpus, Document, EntityMention, EventMention
 from salience.embeddings import build_vocab, init_embeddings
 from salience.errors import DataError
 from salience.features import fit_scaler
 from salience.kernels import default_bank
 from salience.models import (
+    KCE_VARIANTS,
     PageRankModel,
+    kce_forward,
     new_kce_model,
     new_letor_model,
+    pagerank_forward,
     pagerank_scores,
     score_kce,
     score_letor,
+    variant_uses_entity_kernels,
+    variant_uses_features,
 )
 from salience.training import (
+    EMBEDDING_KEYS,
     Adam,
     TrainConfig,
     document_pair_loss,
     grad_check,
+    kce_backward,
     make_pairs,
+    pagerank_backward,
     train,
 )
 
@@ -158,12 +167,155 @@ def test_adam_matches_scalar_reference():
     assert params["w"][0] == pytest.approx(want, abs=1e-12)
 
 
+def test_adam_matches_textbook_expression_bitwise():
+    rng = np.random.default_rng(4)
+    shapes = {"table": (7, 5), "vec": (3,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        grads["table"][rng.integers(0, 7)] = 0.0  # a row this batch did not touch
+        opt.step(params, grads)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * (g * g)
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert params[k].tobytes() == want[k].tobytes()
+
+
 def test_adam_zero_grad_leaves_fresh_param_unchanged():
     params = {"a": np.zeros(2), "b": np.zeros(2)}
     opt = Adam(params, lr=0.1)
     opt.step(params, {"a": np.ones(2), "b": np.zeros(2)})
     assert params["a"][0] != 0.0
     assert not params["b"].any()
+
+
+# --- row-sparse embedding gradients -----------------------------------------
+
+
+def repeated_row_docs(rng, n_docs=3):
+    """Docs with a repeated event lemma, a repeated entity key, an unknown
+    token and a zero-norm row ("c" / "z", zeroed by `repeated_row_tables`)."""
+    docs = []
+    for d in range(n_docs):
+        pool = ["a", "b", "a", "c", "d", "a", "oov"]
+        lemmas = pool[d:] + pool[:d]
+        salient = {lemmas[0], lemmas[4]}
+        events = tuple(
+            EventMention(
+                id=f"e{i}",
+                head_lemma=lem,
+                surface=lem,
+                sentence_index=i // 2,
+                salient=lem in salient,
+            )
+            for i, lem in enumerate(lemmas)
+        )
+        entities = tuple(
+            EntityMention(id=f"n{j}", entity_key=key, sentence_index=int(rng.integers(0, 3)))
+            for j, key in enumerate(["x", "y", "x", "z", "x"][: 3 + d])
+        )
+        docs.append(
+            Document(
+                doc_id=f"rep-{d}",
+                num_sentences=3,
+                events=events,
+                entities=entities,
+                abstract_lemmas=frozenset(salient),
+            )
+        )
+    return docs
+
+
+def repeated_row_tables(rng, dim=6):
+    evt = toy_table(["a", "b", "c", "d", "e"], dim, rng)
+    ent = toy_table(["x", "y", "z", "w"], dim, rng)
+    evt.vectors[evt.vocabulary.lookup("c")] = 0.0
+    ent.vectors[ent.vocabulary.lookup("z")] = 0.0
+    return evt, ent
+
+
+def spy_row_sparse(monkeypatch):
+    """Record the per-mention (rows, d_rows) every backward pass hands to the sparse sum."""
+    calls = []
+    real = training._row_sparse
+
+    def spy(rows, d_rows):
+        calls.append((rows.copy(), d_rows.copy()))
+        return real(rows, d_rows)
+
+    monkeypatch.setattr(training, "_row_sparse", spy)
+    return calls
+
+
+def assert_sparse_matches_dense(doc_grads, calls, tables, batch_dense, batch_sparse):
+    """Scattered blocks equal the dense np.add.at tables, per document and summed."""
+    assert len(calls) == len(tables)
+    for (rows, d_rows), (name, table) in zip(calls, tables.items()):
+        dense = np.zeros_like(table.vectors)
+        np.add.at(dense, rows, d_rows)
+        got_rows, block = doc_grads[name]
+        assert np.array_equal(got_rows, np.unique(rows))
+        assert np.all(np.diff(got_rows) > 0)
+        assert block.shape == (len(got_rows), table.dim)
+        scattered = np.zeros_like(table.vectors)
+        scattered[got_rows] += block
+        assert scattered.tobytes() == dense.tobytes()
+        batch_dense[name] += dense
+        batch_sparse[name][got_rows] += block
+
+
+@pytest.mark.parametrize("variant", KCE_VARIANTS)
+def test_kce_backward_sparse_blocks_equal_dense_tables(monkeypatch, variant):
+    rng = np.random.default_rng(21)
+    docs = repeated_row_docs(rng)
+    evt, ent = repeated_row_tables(rng)
+    model = new_kce_model(default_bank(), evt, ent, fit_scaler(Corpus(tuple(docs)), evt, ent), variant=variant)
+    model.w_v = rng.normal(0, 0.5, model.bank.size)
+    if variant_uses_entity_kernels(variant):
+        model.w_e = rng.normal(0, 0.5, model.bank.size)
+    if variant_uses_features(variant):
+        model.w_f = rng.normal(0, 0.5, len(model.w_f))
+    tables = {"event_emb": evt, "entity_emb": ent}
+    batch_dense = {k: np.zeros_like(t.vectors) for k, t in tables.items()}
+    batch_sparse = {k: np.zeros_like(t.vectors) for k, t in tables.items()}
+    calls = spy_row_sparse(monkeypatch)
+    for doc in docs:
+        calls.clear()
+        scores, cache = kce_forward(model, doc)
+        _, dscores = document_pair_loss(scores, training._labels(doc))
+        grads = kce_backward(model, doc, cache, dscores)
+        assert_sparse_matches_dense(grads, calls, tables, batch_dense, batch_sparse)
+    for name in EMBEDDING_KEYS:
+        assert batch_sparse[name].tobytes() == batch_dense[name].tobytes()
+    assert batch_dense["event_emb"].any()
+    assert batch_dense["entity_emb"].any() == (variant != "events_only")
+
+
+def test_pagerank_backward_sparse_block_equals_dense_table(monkeypatch):
+    rng = np.random.default_rng(22)
+    docs = repeated_row_docs(rng)
+    evt, _ = repeated_row_tables(rng)
+    model = PageRankModel(temperature=0.4, combine_lambda=0.3, event_table=evt)
+    tables = {"event_emb": evt}
+    batch_dense = {"event_emb": np.zeros_like(evt.vectors)}
+    batch_sparse = {"event_emb": np.zeros_like(evt.vectors)}
+    calls = spy_row_sparse(monkeypatch)
+    for doc in docs:
+        calls.clear()
+        scores, cache = pagerank_forward(model, doc)
+        _, dscores = document_pair_loss(scores, training._labels(doc))
+        grads = pagerank_backward(model, doc, cache, dscores)
+        assert_sparse_matches_dense(grads, calls, tables, batch_dense, batch_sparse)
+    assert batch_sparse["event_emb"].tobytes() == batch_dense["event_emb"].tobytes()
+    assert batch_dense["event_emb"].any()
 
 
 # --- gradient check ---------------------------------------------------------
@@ -302,6 +454,41 @@ def test_train_config_round_trip():
     cfg = TrainConfig(learning_rate=0.01, epochs=3, max_pairs_per_doc=9, seed=4)
     again = TrainConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"epochs": "3"},
+        {"epochs": True},
+        {"epochs": 2.0},
+        {"epochs": -1},
+        {"batch_docs": 0},
+        {"seed": -1},
+        {"learning_rate": "0.1"},
+        {"learning_rate": float("nan")},
+        {"learning_rate": 0.0},
+        {"learning_rate": 10**400},
+        {"eps": float("inf")},
+        {"beta1": 1.0},
+        {"beta2": -0.1},
+        {"beta1": False},
+        {"max_pairs_per_doc": 0},
+        {"max_pairs_per_doc": 2.5},
+        {"freeze_embeddings": 1},
+        {"momentum": 0.9},
+        [["epochs", 3]],
+    ],
+)
+def test_train_config_rejects_bad_fields(bad):
+    with pytest.raises(DataError):
+        TrainConfig.from_json(bad)
+
+
+def test_train_config_accepts_edge_values():
+    obj = {"learning_rate": 1, "epochs": 0, "beta1": 0.0, "max_pairs_per_doc": None, "freeze_embeddings": True}
+    cfg = TrainConfig.from_json(obj)
+    assert cfg == TrainConfig(learning_rate=1, epochs=0, beta1=0.0, freeze_embeddings=True)
 
 
 def test_history_csv(tmp_path):
