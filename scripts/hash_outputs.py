@@ -5,14 +5,18 @@ Synthesizes train/dev/test splits, then trains every model type (kce in its
 three variants, letor, pagerank) twice through the CLI: once with trainable
 embeddings and once with ``freeze_embeddings``.  Prints a Markdown table of
 the sha256 of each model file and of each kce model's rank JSONL and
-evaluate report.  Two checkouts that should behave identically print the
-same table:
+evaluate report.  Each model also gets a content hash: sha256 over the
+reloaded model's fields (header values, and every array's dtype, shape and
+``tobytes()``), which does not depend on the model file format, so checkouts
+that write different model file versions still agree on it.  Two checkouts
+that should behave identically print the same table:
 
     PYTHONPATH=src python3 scripts/hash_outputs.py
 
 Runs in a few seconds on one core; all files go to a temporary directory.
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,7 +24,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from salience.cli import main
+from salience.models import load_model
 
 SYNTH_CFG = {
     "docs": 40,
@@ -44,6 +51,24 @@ def _run(argv: list[str]) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _content_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+
+    def feed(name, value):
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                feed(f"{name}.{f.name}", getattr(value, f.name))
+        elif isinstance(value, np.ndarray):
+            digest.update(f"{name}:{value.dtype.str}{value.shape}\n".encode())
+            digest.update(value.tobytes())
+        else:
+            digest.update(f"{name}={json.dumps(value, sort_keys=True)}\n".encode())
+
+    model = load_model(path)
+    feed(type(model).__name__, model)
+    return digest.hexdigest()
 
 
 def hash_outputs(root: Path) -> list[tuple[str, str]]:
@@ -71,6 +96,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
                   "--event-vectors", str(root / "events.vec"),
                   "--entity-vectors", str(root / "entities.vec")])
             rows.append((f"{name} ({mode}) model", _sha256(model)))
+            rows.append((f"{name} ({mode}) model content", _content_sha256(model)))
             if not name.startswith("kce"):
                 continue
             ranks = root / f"{name}-{mode}.ranks.jsonl"

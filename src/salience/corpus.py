@@ -9,7 +9,7 @@ return new objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -222,7 +222,3 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         for doc in corpus.documents:
             fh.write(json.dumps(document_to_json(doc), ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
-
-
-def with_events(doc: Document, events: tuple[EventMention, ...]) -> Document:
-    return replace(doc, events=events)

@@ -7,6 +7,7 @@ by ``token v1 .. v<dim>`` rows.
 """
 from __future__ import annotations
 
+import base64
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError
+from .errors import DataError, ModelFormatError, is_number
 
 VOCAB_FIELDS = ("event_lemma", "entity_key")
 
@@ -130,18 +131,23 @@ def normalized_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse text-format word vectors; later duplicates win; ragged rows are errors."""
+    """Parse text-format word vectors; later duplicates win.
+
+    Ragged rows, non-finite entries and a header count that differs from the
+    number of rows are errors naming the line.
+    """
     vectors: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: line 1: expected '<count> <dim>' header")
         try:
-            _count, dim = int(header[0]), int(header[1])
+            count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}: line 1: expected integer header fields") from exc
         if dim < 1:
             raise DataError(f"{path}: line 1: dim must be >= 1")
+        rows = 0
         for line_no, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split()
             if not parts:
@@ -154,7 +160,12 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: non-numeric vector entry") from exc
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}: line {line_no}: non-finite vector entry")
             vectors[parts[0]] = vec
+            rows += 1
+    if rows != count:
+        raise DataError(f"{path}: line 1: header announces {count} rows, the file has {rows}")
     return vectors
 
 
@@ -190,20 +201,40 @@ def vocab_from_json(obj: dict) -> Vocabulary:
 
 
 def table_to_json(table: EmbeddingTable) -> dict:
+    """The vectors travel as base64 of their row-major little-endian float64 bytes."""
+    raw = np.ascontiguousarray(table.vectors, dtype="<f8").tobytes()
     return {
         "vocab": vocab_to_json(table.vocabulary),
         "dim": table.dim,
         "trainable": table.trainable,
-        "vectors": table.vectors.tolist(),
+        "vectors": base64.b64encode(raw).decode("ascii"),
     }
 
 
-def table_from_json(obj: dict) -> EmbeddingTable:
+def table_from_json(obj: dict, version: int = 2) -> EmbeddingTable:
+    """Inverse of ``table_to_json``; model file version 1 stored the vectors as nested lists.
+
+    The vectors come back as a writable, C-contiguous, native float64 array.
+    """
     vocab = vocab_from_json(obj["vocab"])
-    vectors = np.asarray(obj["vectors"], dtype=np.float64)
     dim = int(obj["dim"])
-    if vectors.shape != (vocab.size, dim):
-        raise DataError(
-            f"embedding matrix shape {vectors.shape} does not match vocab size {vocab.size} x dim {dim}"
-        )
-    return EmbeddingTable(vocabulary=vocab, dim=dim, vectors=vectors, trainable=bool(obj["trainable"]))
+    vectors = obj["vectors"]
+    if version == 1:
+        if not (
+            isinstance(vectors, list)
+            and len(vectors) == vocab.size
+            and all(isinstance(row, list) and len(row) == dim and all(map(is_number, row)) for row in vectors)
+        ):
+            raise ModelFormatError(f"vectors must be {vocab.size} lists of {dim} numbers")
+        matrix = np.array(vectors, dtype=np.float64)
+    else:
+        try:
+            raw = base64.b64decode(vectors, validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ModelFormatError("vectors must be a base64 string") from exc
+        if len(raw) != vocab.size * dim * 8:
+            raise ModelFormatError(
+                f"vectors hold {len(raw)} bytes, expected {vocab.size} rows x {dim} x 8"
+            )
+        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(vocab.size, dim)
+    return EmbeddingTable(vocabulary=vocab, dim=dim, vectors=matrix, trainable=bool(obj["trainable"]))

@@ -10,8 +10,14 @@
                     normalized frequency distribution.
 * frequency / location baselines.
 
-Model files are single JSON documents with a version field; embedding tables
-travel inside the file so every model is self-contained for scoring.
+Model files are single JSON documents, so every model is self-contained for
+scoring.  ``save_model`` writes model file version 2: header fields, weights,
+kernel bank, feature scaler, vocabularies and ``meta`` are plain JSON, and each
+embedding table's ``vectors`` is a base64 string of its row-major
+little-endian float64 bytes, which round-trip exactly and decode in one pass.
+``load_model`` also reads version 1, which stored the vectors as nested JSON
+lists.  Both check every field's presence and type before use and raise
+``ModelFormatError`` naming the field.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from .embeddings import (
     table_from_json,
     table_to_json,
 )
-from .errors import DataError, ModelFormatError, NumericError
+from .errors import DataError, ModelFormatError, NumericError, is_int, is_number
 from .features import (
     FeatureScaler,
     N_FEATURES,
@@ -40,7 +46,7 @@ from .features import (
 )
 from .kernels import KernelBank, bank_from_json, bank_to_json, gaussian_pool
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2  # the version save_model writes; load_model also reads 1
 KCE_VARIANTS = ("events_only", "events_features", "full")
 
 
@@ -417,89 +423,137 @@ def _model_to_json(model) -> dict:
 
 
 def save_model(model, path: str | Path) -> None:
-    payload = _model_to_json(model)
+    # one json.dumps call takes the C encoder; json.dump streams through the Python one
+    text = json.dumps(_model_to_json(model), ensure_ascii=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 
-def _table_checked(obj: dict, name: str) -> EmbeddingTable:
-    table = table_from_json(obj[name])
-    if not np.all(np.isfinite(table.vectors)):
-        raise NumericError(f"model field {name} contains non-finite values")
+# A rule is either a nested dict of fields or a (predicate, description) pair.
+_NUMBER = (is_number, "a number")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(is_number, v)), "a list of numbers")
+_TABLE = {
+    "vocab": {
+        "tokens": (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"),
+        "unknown_index": (is_int, "an integer"),
+    },
+    "dim": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "trainable": (lambda v: isinstance(v, bool), "true or false"),
+    "vectors": (lambda v: True, "present"),  # decoded and checked by table_from_json
+}
+_SCALER = {"means": _NUMBERS, "stds": _NUMBERS}
+_FIELDS = {
+    "kce": {
+        "variant": (lambda v: v in KCE_VARIANTS, f"one of {KCE_VARIANTS}"),
+        "bank": {"means": _NUMBERS, "sigmas": _NUMBERS},
+        "w_v": _NUMBERS,
+        "w_e": _NUMBERS,
+        "w_f": _NUMBERS,
+        "bias": _NUMBER,
+        "scaler": _SCALER,
+        "event_table": _TABLE,
+        "entity_table": _TABLE,
+    },
+    "letor": {
+        "w_f": _NUMBERS,
+        "bias": _NUMBER,
+        "scaler": _SCALER,
+        "event_table": _TABLE,
+        "entity_table": _TABLE,
+    },
+    "pagerank": {"temperature": _NUMBER, "combine_lambda": _NUMBER, "event_table": _TABLE},
+}
+
+
+def _check_fields(obj: dict, rules: dict, prefix: str = "") -> None:
+    for key, rule in rules.items():
+        name = prefix + key
+        if key not in obj:
+            raise ModelFormatError(f"missing field {name}")
+        if isinstance(rule, dict):
+            if not isinstance(obj[key], dict):
+                raise ModelFormatError(f"field {name} must be an object")
+            _check_fields(obj[key], rule, name + ".")
+        elif not rule[0](obj[key]):
+            raise ModelFormatError(f"field {name} must be {rule[1]}")
+
+
+def _table_checked(obj: dict, name: str, version: int) -> EmbeddingTable:
+    try:
+        table = table_from_json(obj[name], version)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"field {name}.{exc}") from None
+    _check_finite(name, table.vectors)
     return table
 
 
+def _model_from_json(obj: dict, version: int):
+    model_type = obj["model_type"]
+    _check_fields(obj, _FIELDS[model_type])
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ModelFormatError("field meta must be an object")
+    if model_type == "pagerank":
+        _check_finite("temperature", np.array([obj["temperature"]], dtype=np.float64))
+        _check_finite("combine_lambda", np.array([obj["combine_lambda"]], dtype=np.float64))
+        return PageRankModel(
+            temperature=float(obj["temperature"]),
+            combine_lambda=float(obj["combine_lambda"]),
+            event_table=_table_checked(obj, "event_table", version),
+            meta=meta,
+        )
+    w_f = np.asarray(obj["w_f"], dtype=np.float64)
+    if w_f.shape != (N_FEATURES,):
+        raise ModelFormatError(f"feature weight vector must have length {N_FEATURES}")
+    _check_finite("w_f", w_f)
+    _check_finite("bias", np.array([obj["bias"]], dtype=np.float64))
+    shared = dict(
+        bias=float(obj["bias"]),
+        event_table=_table_checked(obj, "event_table", version),
+        entity_table=_table_checked(obj, "entity_table", version),
+        scaler=scaler_from_json(obj["scaler"]),
+        meta=meta,
+    )
+    if model_type == "letor":
+        return LeToRModel(w_f=w_f, **shared)
+    variant = obj["variant"]
+    bank = bank_from_json(obj["bank"])
+    w_v = np.asarray(obj["w_v"], dtype=np.float64)
+    w_e = np.asarray(obj["w_e"], dtype=np.float64)
+    if w_v.shape != (bank.size,) or w_e.shape != (bank.size,):
+        raise ModelFormatError("kernel weight length does not match the bank")
+    if not variant_uses_entity_kernels(variant) and np.any(w_e != 0.0):
+        raise ModelFormatError(f"variant {variant} requires zero w_e (entity-kernel) weights")
+    if not variant_uses_features(variant) and np.any(w_f != 0.0):
+        raise ModelFormatError(f"variant {variant} requires zero w_f (feature) weights")
+    _check_finite("w_v", w_v)
+    _check_finite("w_e", w_e)
+    return KCEModel(bank=bank, w_v=w_v, w_e=w_e, w_f=w_f, variant=variant, **shared)
+
+
 def load_model(path: str | Path, expect: str | None = None):
-    """Load any model file; ``expect`` pins the model_type and raises otherwise."""
+    """Load any model file of version 1 or 2; ``expect`` pins the model_type and raises otherwise."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict) or "version" not in obj:
         raise ModelFormatError(f"{path}: missing version field")
-    if obj["version"] != MODEL_FILE_VERSION:
+    version = obj["version"]
+    if not is_int(version) or version not in (1, MODEL_FILE_VERSION):
         raise ModelFormatError(
-            f"{path}: unsupported model file version {obj['version']!r} (expected {MODEL_FILE_VERSION})"
+            f"{path}: unsupported model file version {version!r} (expected 1 or {MODEL_FILE_VERSION})"
         )
     model_type = obj.get("model_type")
     if expect is not None and model_type != expect:
         raise ModelFormatError(f"{path}: expected a {expect} model, found {model_type!r}")
-
-    if model_type == "kce":
-        variant = obj["variant"]
-        if variant not in KCE_VARIANTS:
-            raise ModelFormatError(f"{path}: unknown variant {variant!r}")
-        bank = bank_from_json(obj["bank"])
-        w_v = np.asarray(obj["w_v"], dtype=np.float64)
-        w_e = np.asarray(obj["w_e"], dtype=np.float64)
-        w_f = np.asarray(obj["w_f"], dtype=np.float64)
-        if w_v.shape != (bank.size,) or w_e.shape != (bank.size,):
-            raise ModelFormatError(f"{path}: kernel weight length does not match the bank")
-        if w_f.shape != (N_FEATURES,):
-            raise ModelFormatError(f"{path}: feature weight vector must have length {N_FEATURES}")
-        if not variant_uses_entity_kernels(variant) and np.any(w_e != 0.0):
-            raise ModelFormatError(f"{path}: variant {variant} requires zero w_e (entity-kernel) weights")
-        if not variant_uses_features(variant) and np.any(w_f != 0.0):
-            raise ModelFormatError(f"{path}: variant {variant} requires zero w_f (feature) weights")
-        for name, arr in (("w_v", w_v), ("w_e", w_e), ("w_f", w_f), ("bias", np.array([obj["bias"]]))):
-            _check_finite(name, arr)
-        return KCEModel(
-            bank=bank,
-            w_v=w_v,
-            w_e=w_e,
-            w_f=w_f,
-            bias=float(obj["bias"]),
-            event_table=_table_checked(obj, "event_table"),
-            entity_table=_table_checked(obj, "entity_table"),
-            scaler=scaler_from_json(obj["scaler"]),
-            variant=variant,
-            meta=obj.get("meta", {}),
-        )
-    if model_type == "letor":
-        w_f = np.asarray(obj["w_f"], dtype=np.float64)
-        if w_f.shape != (N_FEATURES,):
-            raise ModelFormatError(f"{path}: feature weight vector must have length {N_FEATURES}")
-        _check_finite("w_f", w_f)
-        _check_finite("bias", np.array([obj["bias"]]))
-        return LeToRModel(
-            w_f=w_f,
-            bias=float(obj["bias"]),
-            scaler=scaler_from_json(obj["scaler"]),
-            event_table=_table_checked(obj, "event_table"),
-            entity_table=_table_checked(obj, "entity_table"),
-            meta=obj.get("meta", {}),
-        )
-    if model_type == "pagerank":
-        _check_finite("temperature", np.array([obj["temperature"]]))
-        _check_finite("combine_lambda", np.array([obj["combine_lambda"]]))
-        return PageRankModel(
-            temperature=float(obj["temperature"]),
-            combine_lambda=float(obj["combine_lambda"]),
-            event_table=_table_checked(obj, "event_table"),
-            meta=obj.get("meta", {}),
-        )
-    raise ModelFormatError(f"{path}: unknown model_type {model_type!r}")
+    if not isinstance(model_type, str) or model_type not in _FIELDS:
+        raise ModelFormatError(f"{path}: unknown model_type {model_type!r}")
+    try:
+        return _model_from_json(obj, version)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def model_scores(model, doc: Document) -> np.ndarray:

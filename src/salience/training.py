@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import csv
 import math
-import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import Corpus, Document
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, is_int, is_number
 from .metrics import evaluate
 from .models import (
     KCECache,
@@ -85,23 +84,16 @@ class TrainConfig:
         return cfg
 
 
-def _is_int(val) -> bool:
-    # bool is an int subclass; reject it where an int is required
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def _is_finite_number(val) -> bool:
-    if _is_int(val):  # JSON integers are unbounded; math.isfinite would overflow
-        return abs(val) <= sys.float_info.max
-    return isinstance(val, float) and math.isfinite(val)
+    return is_number(val) and math.isfinite(val)
 
 
 _CONFIG_RULES = {
     "learning_rate": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
-    "batch_docs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "epochs": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "max_pairs_per_doc": (lambda v: v is None or (_is_int(v) and v >= 1), "null or an integer >= 1"),
+    "batch_docs": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "epochs": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "max_pairs_per_doc": (lambda v: v is None or (is_int(v) and v >= 1), "null or an integer >= 1"),
     "beta1": (lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
     "beta2": (lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
     "eps": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),

@@ -174,6 +174,21 @@ def test_word_vector_duplicate_last_wins(tmp_path):
     assert np.array_equal(loaded["a"], [3.0, 4.0])
 
 
+def test_word_vector_header_count_must_match_rows(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("5 2\na 1 2\nb 3 4\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 1: header announces 5 rows, the file has 2"):
+        load_word_vectors(path)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity"])
+def test_word_vector_non_finite_entry_names_line(tmp_path, entry):
+    path = tmp_path / "v.txt"
+    path.write_text(f"2 2\na 1 2\nb 3 {entry}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 3: non-finite"):
+        load_word_vectors(path)
+
+
 def test_word_vector_bad_header(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("banana\na 1 2\n", encoding="utf-8")

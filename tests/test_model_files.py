@@ -1,0 +1,243 @@
+"""Model file versions 1 and 2, and the loader's schema checks.
+
+Version 2 stores each embedding table's vectors as base64 of little-endian
+float64 bytes; version 1 (written here by ``helpers.save_model_v1``) stored
+them as nested JSON lists.  Both must load bitwise-equal to the saved model,
+and a malformed file must fail ``rank`` with exit 2 and a message naming the
+field, never with a traceback.
+"""
+import base64
+import copy
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from helpers import random_corpus, save_model_v1, toy_table
+from salience.cli import main
+from salience.corpus import save_corpus
+from salience.features import fit_scaler
+from salience.kernels import default_bank
+from salience.models import PageRankModel, load_model, new_kce_model, new_letor_model, save_model
+
+KCE_KINDS = {"kce": "full", "kce-e": "events_features", "kce-ef": "events_only"}
+KINDS = (*KCE_KINDS, "letor", "pagerank")
+
+
+def build_model(kind: str, seed: int = 5, edge_values: bool = False):
+    rng = np.random.default_rng(seed)
+    corpus = random_corpus(rng, n_docs=3, n_events=5, n_entities=3)
+    evt = toy_table([f"ev{i}" for i in range(5)] + ["ünïcode"], 6, rng)
+    ent = toy_table([f"en{j}" for j in range(3)], 6, rng)
+    ent.trainable = False
+    if edge_values:
+        # signed zero, the smallest subnormal, the largest float and a non-dyadic
+        # decimal: each must survive both formats bit for bit
+        evt.vectors[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    scaler = fit_scaler(corpus, evt, ent)
+    if kind == "pagerank":
+        return PageRankModel(temperature=0.7, combine_lambda=0.25, event_table=evt, meta={"note": "ü"})
+    if kind == "letor":
+        model = new_letor_model(evt, ent, scaler)
+    else:
+        model = new_kce_model(default_bank(), evt, ent, scaler, variant=KCE_KINDS[kind])
+        model.w_v[:] = rng.normal(size=model.bank.size)
+        if model.variant == "full":
+            model.w_e[:] = rng.normal(size=model.bank.size)
+    if kind != "kce-ef":
+        model.w_f[:] = rng.normal(size=5)
+    model.bias = float(rng.normal())
+    model.meta = {"epochs": 3, "note": "ü"}
+    return model
+
+
+def model_fields(model) -> dict:
+    """Every field of a model, arrays as (dtype, shape, bytes) and floats as hex."""
+    out = {}
+
+    def walk(name, value):
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                walk(f"{name}.{f.name}", getattr(value, f.name))
+        elif isinstance(value, np.ndarray):
+            out[name] = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            out[name] = value.hex()
+        else:
+            out[name] = value
+
+    walk(type(model).__name__, model)
+    return out
+
+
+def tables_of(model):
+    return [model.event_table] + ([] if isinstance(model, PageRankModel) else [model.entity_table])
+
+
+def assert_native_tables(model):
+    for table in tables_of(model):
+        vectors = table.vectors
+        assert vectors.dtype == np.float64 and vectors.dtype.isnative
+        assert vectors.flags.c_contiguous and vectors.flags.writeable
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_version_1_file_loads_bitwise_and_resaves_as_version_2(tmp_path, kind):
+    model = build_model(kind, edge_values=True)
+    v1, v2, direct = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "direct.json"
+    save_model_v1(model, v1)
+    from_v1 = load_model(v1)
+    assert model_fields(from_v1) == model_fields(model)
+    assert_native_tables(from_v1)
+
+    save_model(from_v1, v2)
+    assert json.loads(v2.read_text(encoding="utf-8"))["version"] == 2
+    from_v2 = load_model(v2)
+    assert model_fields(from_v2) == model_fields(model)
+    assert_native_tables(from_v2)
+    save_model(model, direct)
+    assert direct.read_bytes() == v2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_version_2_layout(tmp_path, kind):
+    """Only the tables' vectors differ from version 1: base64 of '<f8' row-major bytes."""
+    model = build_model(kind, edge_values=True)
+    save_model_v1(model, tmp_path / "v1.json")
+    save_model(model, tmp_path / "v2.json")
+    text = (tmp_path / "v2.json").read_text(encoding="utf-8")
+    assert text.endswith("}\n") and "ünïcode" in text
+    obj1 = json.loads((tmp_path / "v1.json").read_text(encoding="utf-8"))
+    obj2 = json.loads(text)
+    for name, table in (("event_table", model.event_table), ("entity_table", getattr(model, "entity_table", None))):
+        if table is None:
+            continue
+        encoded = obj2[name].pop("vectors")
+        assert base64.b64decode(encoded, validate=True) == table.vectors.astype("<f8").tobytes()
+        obj1[name].pop("vectors")
+    assert obj1.pop("version") == 1 and obj2.pop("version") == 2
+    assert obj1 == obj2
+
+
+def test_save_model_writes_non_contiguous_tables(tmp_path):
+    model = build_model("kce")
+    expected = model_fields(model)
+    model.event_table.vectors = np.asfortranarray(model.event_table.vectors)
+    save_model(model, tmp_path / "m.json")
+    again = load_model(tmp_path / "m.json")
+    assert model_fields(again) == expected
+    assert_native_tables(again)
+
+
+@pytest.mark.parametrize("kind", ("kce", "letor", "pagerank"))
+@pytest.mark.parametrize("writer", (save_model, save_model_v1), ids=("v2", "v1"))
+def test_rank_reads_both_versions(tmp_path, capsys, kind, writer):
+    corpus_path = tmp_path / "c.jsonl"
+    save_corpus(random_corpus(np.random.default_rng(3), n_docs=3, n_events=5, n_entities=3), corpus_path)
+    writer(build_model(kind), tmp_path / "m.json")
+    code = main(["rank", "--model", str(tmp_path / "m.json"), "--corpus", str(corpus_path),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 0, capsys.readouterr().err
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def mutate(obj):
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+def _delete(*keys):
+    def mutate(obj):
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+
+    return mutate
+
+
+def _shorten_vectors(obj):
+    raw = base64.b64decode(obj["event_table"]["vectors"])
+    obj["event_table"]["vectors"] = base64.b64encode(raw[:-8]).decode("ascii")
+
+
+WEIGHTED = ("kce", "letor")
+# (id, file version to start from, model kinds it applies to, mutation, field the error names)
+CASES = [
+    ("missing-table", 2, None, _delete("event_table"), "missing field event_table"),
+    ("missing-vocab", 2, None, _delete("event_table", "vocab"), "event_table.vocab"),
+    ("missing-tokens", 2, None, _delete("event_table", "vocab", "tokens"), "event_table.vocab.tokens"),
+    ("token-not-string", 2, None, lambda o: o["event_table"]["vocab"]["tokens"].__setitem__(0, 1),
+     "event_table.vocab.tokens"),
+    ("table-not-object", 2, None, _set("event_table", [1, 2]), "event_table must be an object"),
+    ("dim-zero", 2, None, _set("event_table", "dim", 0), "event_table.dim"),
+    ("dim-string", 2, None, _set("event_table", "dim", "6"), "event_table.dim"),
+    ("trainable-string", 2, None, _set("event_table", "trainable", "true"), "event_table.trainable"),
+    ("temperature-string", 2, ("pagerank",), _set("temperature", "x"), "field temperature"),
+    ("lambda-bool", 2, ("pagerank",), _set("combine_lambda", True), "field combine_lambda"),
+    ("missing-temperature", 2, ("pagerank",), _delete("temperature"), "missing field temperature"),
+    ("bias-string", 2, WEIGHTED, _set("bias", "x"), "field bias"),
+    ("bias-bool", 2, WEIGHTED, _set("bias", True), "field bias"),
+    ("bias-huge-int", 2, WEIGHTED, _set("bias", 10**400), "field bias"),
+    ("missing-bias", 2, WEIGHTED, _delete("bias"), "missing field bias"),
+    ("weights-not-list", 2, WEIGHTED, _set("w_f", 1.0), "field w_f"),
+    ("weight-string", 2, WEIGHTED, lambda o: o["w_f"].__setitem__(0, "1"), "field w_f"),
+    ("weight-bool", 2, WEIGHTED, lambda o: o["w_f"].__setitem__(0, False), "field w_f"),
+    ("missing-scaler", 2, WEIGHTED, _delete("scaler"), "missing field scaler"),
+    ("scaler-strings", 2, WEIGHTED, _set("scaler", "means", ["a"] * 5), "field scaler.means"),
+    ("missing-bank", 2, ("kce",), _delete("bank"), "missing field bank"),
+    ("bank-sigmas-string", 2, ("kce",), _set("bank", "sigmas", "0.1"), "field bank.sigmas"),
+    ("variant-list", 2, ("kce",), _set("variant", ["full"]), "field variant"),
+    ("meta-list", 2, None, _set("meta", []), "field meta"),
+    ("model-type-list", 2, None, _set("model_type", ["kce"]), "model_type"),
+    ("invalid-base64", 2, None, _set("event_table", "vectors", "@@not base64@@"), "event_table.vectors"),
+    ("vectors-not-string", 2, None, _set("event_table", "vectors", [[0.0] * 6]), "event_table.vectors"),
+    ("short-bytes", 2, None, _shorten_vectors, "event_table.vectors"),
+    ("version-3", 2, None, _set("version", 3), "version"),
+    ("version-string", 2, None, _set("version", "2"), "version"),
+    ("version-bool", 2, None, _set("version", True), "version"),
+    ("v1-ragged-vectors", 1, None, lambda o: o["event_table"]["vectors"][1].pop(), "event_table.vectors"),
+    ("v1-missing-row", 1, None, lambda o: o["event_table"]["vectors"].pop(), "event_table.vectors"),
+    ("v1-string-entry", 1, None, lambda o: o["event_table"]["vectors"][0].__setitem__(0, "0.5"),
+     "event_table.vectors"),
+    ("v1-base64-vectors", 1, None, _set("event_table", "vectors", "AAAA"), "event_table.vectors"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,case",
+    [(kind, case) for case in CASES for kind in ("kce", "letor", "pagerank") if case[2] is None or kind in case[2]],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_malformed_model_file_exits_2_naming_the_field(tmp_path, capsys, kind, case):
+    _id, version, _kinds, mutate, field_text = case
+    corpus_path = tmp_path / "c.jsonl"
+    save_corpus(random_corpus(np.random.default_rng(3), n_docs=3, n_events=5, n_entities=3), corpus_path)
+    path = tmp_path / "m.json"
+    (save_model_v1 if version == 1 else save_model)(build_model(kind), path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    mutated = copy.deepcopy(obj)
+    mutate(mutated)
+    assert mutated != obj
+    path.write_text(json.dumps(mutated), encoding="utf-8")
+    code = main(["rank", "--model", str(path), "--corpus", str(corpus_path), "--out", str(tmp_path / "r.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert field_text in err
+
+
+def test_model_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"version": 2, "model_type": "\xff"}')
+    code = main(["rank", "--model", str(path), "--corpus", str(path), "--out", str(tmp_path / "r.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not valid JSON" in err
