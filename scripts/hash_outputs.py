@@ -4,8 +4,11 @@
 Synthesizes train/dev/test splits, then trains every model type (kce in its
 three variants, letor, pagerank) twice through the CLI: once with trainable
 embeddings and once with ``freeze_embeddings``.  Prints a Markdown table of
-the sha256 of each model file and of each kce model's rank JSONL and
-evaluate report.  Each model also gets a content hash: sha256 over the
+the sha256 of each model file and of each model's rank JSONL and evaluate
+report, of the same two files for the ``frequency`` and ``location``
+baselines, of evaluate reports with ``--tie-seed`` (both baselines and the
+trainable kce model), and of the trainable kce model's ``intrude`` CSV.
+Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
 that write different model file versions still agree on it.  Two checkouts
@@ -40,6 +43,9 @@ SYNTH_CFG = {
 SPLITS = (("train", 40, 1), ("dev", 15, 2), ("test", 15, 3))
 TRAIN_CFG = {"epochs": 3, "batch_docs": 8, "seed": 5}
 MODELS = ("kce", "kce-e", "kce-ef", "letor", "pagerank")
+BASELINES = ("frequency", "location")
+TIE_SEED = 13
+INTRUDE_ARGS = ["--kind", "nonsalient", "--pairs", "20", "--seed", "4", "--fractions", "0.5,1.0"]
 
 
 def _run(argv: list[str]) -> None:
@@ -71,6 +77,19 @@ def _content_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _ranked_rows(stem: Path, label: str, model: str, test: Path, tie_seed: bool) -> list[tuple[str, str]]:
+    """Hashes of the rank JSONL and evaluate report (and the tie-seeded report if asked)."""
+    ranks, report, seeded = (Path(f"{stem}.{s}") for s in ("ranks.jsonl", "report.json", "seeded.json"))
+    _run(["rank", "--model", model, "--corpus", str(test), "--out", str(ranks)])
+    _run(["evaluate", "--model", model, "--corpus", str(test), "--out", str(report)])
+    rows = [(f"{label} rank JSONL", _sha256(ranks)), (f"{label} evaluate report", _sha256(report))]
+    if tie_seed:
+        _run(["evaluate", "--model", model, "--corpus", str(test), "--out", str(seeded),
+              "--tie-seed", str(TIE_SEED)])
+        rows.append((f"{label} evaluate report, tie seed {TIE_SEED}", _sha256(seeded)))
+    return rows
+
+
 def hash_outputs(root: Path) -> list[tuple[str, str]]:
     synth_cfg = root / "synth.json"
     synth_cfg.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
@@ -84,7 +103,10 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
                      "--entity-vectors-out", str(root / "entities.vec")]
         _run(argv)
 
+    test = corpora["test"]
     rows = []
+    for name in BASELINES:
+        rows += _ranked_rows(root / name, name, name, test, tie_seed=True)
     for mode, freeze in (("trainable", False), ("frozen", True)):
         train_cfg = root / f"train-{mode}.json"
         train_cfg.write_text(json.dumps({**TRAIN_CFG, "freeze_embeddings": freeze}), encoding="utf-8")
@@ -97,14 +119,13 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
                   "--entity-vectors", str(root / "entities.vec")])
             rows.append((f"{name} ({mode}) model", _sha256(model)))
             rows.append((f"{name} ({mode}) model content", _content_sha256(model)))
-            if not name.startswith("kce"):
-                continue
-            ranks = root / f"{name}-{mode}.ranks.jsonl"
-            report = root / f"{name}-{mode}.report.json"
-            _run(["rank", "--model", str(model), "--corpus", str(corpora["test"]), "--out", str(ranks)])
-            _run(["evaluate", "--model", str(model), "--corpus", str(corpora["test"]), "--out", str(report)])
-            rows.append((f"{name} ({mode}) rank JSONL", _sha256(ranks)))
-            rows.append((f"{name} ({mode}) evaluate report", _sha256(report)))
+            seeded = name == "kce" and not freeze
+            rows += _ranked_rows(root / f"{name}-{mode}", f"{name} ({mode})", str(model), test, seeded)
+            if seeded:
+                curves = root / "kce-intrusion.csv"
+                _run(["intrude", "--model", str(model), "--corpus", str(test), "--out", str(curves)]
+                     + INTRUDE_ARGS)
+                rows.append((f"{name} ({mode}) intrusion CSV", _sha256(curves)))
     return rows
 
 

@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 
 from .annotate import FilterConfig, corpus_stats, default_filter_config, filter_candidates, label_salience
 from .corpus import Corpus, Document, EntityMention, EventMention, load_corpus, save_corpus, validate_document
-from .embeddings import EmbeddingTable, Vocabulary, build_vocab, cosine, init_embeddings
+from .embeddings import EmbeddingTable, Vocabulary, build_vocab, init_embeddings
 from .errors import DataError, ModelFormatError, NumericError, SalienceError
-from .features import FEATURE_NAMES, FeatureScaler, FeatureVector, extract_features, feature_matrix, fit_scaler
+from .features import FEATURE_NAMES, FeatureScaler, feature_matrix, fit_scaler
 from .intrusion import IntrusionConfig, StudyResult, build_instance, run_study
-from .kernels import KernelBank, default_bank, kernel_features
+from .kernels import KernelBank, default_bank
 from .metrics import MetricsReport, auc, evaluate, permutation_test, precision_at_k, recall_at_k
 from .models import (
     KCEModel,
@@ -39,7 +39,6 @@ __all__ = [
     "EventMention",
     "FEATURE_NAMES",
     "FeatureScaler",
-    "FeatureVector",
     "FilterConfig",
     "IntrusionConfig",
     "KCEModel",
@@ -59,12 +58,10 @@ __all__ = [
     "build_instance",
     "build_vocab",
     "corpus_stats",
-    "cosine",
     "default_bank",
     "default_filter_config",
     "degrade_vectors",
     "evaluate",
-    "extract_features",
     "feature_matrix",
     "filter_candidates",
     "fit_scaler",
@@ -72,7 +69,6 @@ __all__ = [
     "generate_corpus",
     "grad_check",
     "init_embeddings",
-    "kernel_features",
     "label_salience",
     "load_corpus",
     "load_model",

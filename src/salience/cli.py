@@ -35,6 +35,7 @@ from .models import (
     model_scores,
     new_kce_model,
     new_letor_model,
+    ranked_order,
     save_model,
 )
 from .synth import SynthConfig, degrade_vectors, generate_corpus
@@ -245,9 +246,7 @@ def _cmd_rank(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for doc in corpus.documents:
             scores = _finite_scores(np.asarray(scorer(doc), dtype=np.float64), doc.doc_id)
-            order = sorted(
-                range(len(doc.events)), key=lambda i: (-scores[i], doc.events[i].id)
-            )
+            order = ranked_order(scores, [ev.id for ev in doc.events])
             fh.write(
                 json.dumps(
                     {
@@ -467,13 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SalienceError as exc:
+    except (SalienceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Vocabularies, embedding tables, cosine similarity, and word-vector files.
+"""Vocabularies, embedding tables, row normalization, and word-vector files.
 
 Rare tokens (count below ``min_count``) share a single trainable "unknown"
 row, which always takes the last index.  Pretrained vectors can be loaded
@@ -91,35 +91,6 @@ def init_embeddings(
                 )
             vectors[idx] = vec
     return EmbeddingTable(vocabulary=vocab, dim=dim, vectors=vectors, trainable=True)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero-norm inputs are defined to have similarity 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"cosine expects equal-length 1-d vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def cosine_backward(
-    u: np.ndarray, v: np.ndarray, upstream: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``upstream * cosine(u, v)`` w.r.t. u and v (0 at zero norm)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return np.zeros_like(u), np.zeros_like(v)
-    c = float(np.dot(u, v) / (nu * nv))
-    du = upstream * (v / (nu * nv) - c * u / (nu * nu))
-    dv = upstream * (u / (nu * nv) - c * v / (nv * nv))
-    return du, dv
 
 
 def normalized_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,12 @@
-"""Per-event document features for the feature-based ranking model.
+"""Document geometry and the per-event features of the feature-based models.
 
-Five features per event mention: lemma frequency within the document,
-sentence location, and three embedding-vote averages (against other
-events, all entities, and same-sentence entities).  A fitted scaler
-standardizes features to zero mean / unit variance over a corpus.
+``doc_geometry`` builds what every content model reads from a document, once:
+its mentions' unit vectors, the event-event and event-entity cosines, the
+same-sentence mask, and per-event lemma counts.  ``geometry_features`` derives
+five features per event from it: lemma frequency within the document,
+sentence location, and three embedding-vote averages (against other events,
+all entities, and same-sentence entities).  A fitted scaler standardizes
+features to zero mean / unit variance over a corpus.
 """
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Document, EventMention
-from .embeddings import EmbeddingTable, cosine, normalized_rows
+from .corpus import Corpus, Document
+from .embeddings import EmbeddingTable, normalized_rows
 from .errors import DataError
 
 FEATURE_NAMES = (
@@ -25,156 +28,96 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    frequency: float
-    sentence_location: float
-    event_voting: float
-    entity_voting: float
-    local_entity_voting: float
+def lemma_counts(doc: Document) -> np.ndarray:
+    """How many events in the document share each event's head lemma (itself included)."""
+    lemmas = [ev.head_lemma for ev in doc.events]
+    counts: dict[str, int] = {}
+    for lemma in lemmas:  # a plain dict counts a short list faster than Counter
+        counts[lemma] = counts.get(lemma, 0) + 1
+    return np.array([counts[lemma] for lemma in lemmas], dtype=np.float64)
 
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.frequency,
-                self.sentence_location,
-                self.event_voting,
-                self.entity_voting,
-                self.local_entity_voting,
-            ],
-            dtype=np.float64,
+
+@dataclass
+class DocGeometry:
+    """What the content models read from one document of n events and m entities."""
+
+    rows_v: np.ndarray  # (n,) event vocab rows
+    unit_v: np.ndarray  # (n, d) unit event vectors (zero rows stay zero)
+    norms_v: np.ndarray  # (n,)
+    sims_vv: np.ndarray  # (n, n) cosines, diagonal zeroed (self excluded)
+    rows_e: np.ndarray  # (m,) entity vocab rows; m = 0 without an entity table
+    unit_e: np.ndarray  # (m, d)
+    norms_e: np.ndarray  # (m,)
+    sims_ve: np.ndarray  # (n, m)
+    local_mask: np.ndarray  # (n, m) same-sentence indicator
+    local_counts: np.ndarray  # (n,)
+    lemma_counts: np.ndarray  # (n,)
+
+
+def doc_geometry(
+    doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable | None = None
+) -> DocGeometry:
+    """The document's cosine geometry; the entity side is empty without an entity table."""
+    rows_v = np.array(
+        [events_table.vocabulary.lookup(ev.head_lemma) for ev in doc.events], dtype=np.intp
+    )
+    unit_v, norms_v = normalized_rows(events_table.vectors[rows_v])
+    sims_vv = unit_v @ unit_v.T
+    np.fill_diagonal(sims_vv, 0.0)
+
+    if entities_table is not None and doc.entities:
+        rows_e = np.array(
+            [entities_table.vocabulary.lookup(en.entity_key) for en in doc.entities], dtype=np.intp
         )
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "FeatureVector":
-        return FeatureVector(*(float(x) for x in arr))
-
-
-def _event_index(doc: Document, ev: EventMention) -> int:
-    for i, other in enumerate(doc.events):
-        if other.id == ev.id:
-            return i
-    raise DataError(f"event {ev.id!r} is not part of doc {doc.doc_id!r}")
-
-
-def frequency_feature(ev: EventMention, doc: Document) -> float:
-    """How many events in the document share this head lemma (includes ev itself)."""
-    return float(sum(1 for other in doc.events if other.head_lemma == ev.head_lemma))
-
-
-def location_feature(ev: EventMention, doc: Document, normalize: bool = False) -> float:
-    """Raw sentence index; optionally normalized by document length."""
-    if normalize:
-        return ev.sentence_index / doc.num_sentences
-    return float(ev.sentence_index)
-
-
-def event_voting(ev: EventMention, doc: Document, events_table: EmbeddingTable) -> float:
-    """Mean cosine between this event's embedding and every other event's (0 if alone)."""
-    i = _event_index(doc, ev)
-    if len(doc.events) < 2:
-        return 0.0
-    target = events_table.row(ev.head_lemma)
-    sims = [
-        cosine(target, events_table.row(other.head_lemma))
-        for j, other in enumerate(doc.events)
-        if j != i
-    ]
-    return float(sum(sims) / len(sims))
-
-
-def entity_voting(
-    ev: EventMention, doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable
-) -> float:
-    """Mean cosine between the event embedding and all entity embeddings (0 if none)."""
-    if not doc.entities:
-        return 0.0
-    target = events_table.row(ev.head_lemma)
-    sims = [cosine(target, entities_table.row(en.entity_key)) for en in doc.entities]
-    return float(sum(sims) / len(sims))
-
-
-def local_entity_voting(
-    ev: EventMention, doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable
-) -> float:
-    """Entity voting restricted to entities in the event's own sentence."""
-    local = [en for en in doc.entities if en.sentence_index == ev.sentence_index]
-    if not local:
-        return 0.0
-    target = events_table.row(ev.head_lemma)
-    sims = [cosine(target, entities_table.row(en.entity_key)) for en in local]
-    return float(sum(sims) / len(sims))
-
-
-def extract_features(
-    ev: EventMention,
-    doc: Document,
-    events_table: EmbeddingTable,
-    entities_table: EmbeddingTable,
-    normalize_location: bool = False,
-) -> FeatureVector:
-    return FeatureVector(
-        frequency=frequency_feature(ev, doc),
-        sentence_location=location_feature(ev, doc, normalize=normalize_location),
-        event_voting=event_voting(ev, doc, events_table),
-        entity_voting=entity_voting(ev, doc, events_table, entities_table),
-        local_entity_voting=local_entity_voting(ev, doc, events_table, entities_table),
+        unit_e, norms_e = normalized_rows(entities_table.vectors[rows_e])
+        ev_sent = np.array([ev.sentence_index for ev in doc.events], dtype=np.intp)
+        en_sent = np.array([en.sentence_index for en in doc.entities], dtype=np.intp)
+        local_mask = ev_sent[:, None] == en_sent[None, :]
+    else:
+        rows_e, unit_e, norms_e = np.zeros(0, np.intp), np.zeros((0, events_table.dim)), np.zeros(0)
+        local_mask = np.zeros((len(doc.events), 0), dtype=bool)
+    return DocGeometry(
+        rows_v=rows_v,
+        unit_v=unit_v,
+        norms_v=norms_v,
+        sims_vv=sims_vv,
+        rows_e=rows_e,
+        unit_e=unit_e,
+        norms_e=norms_e,
+        sims_ve=unit_v @ unit_e.T,
+        local_mask=local_mask,
+        local_counts=local_mask.sum(axis=1),
+        lemma_counts=lemma_counts(doc),
     )
 
 
-def feature_matrix(
-    doc: Document,
-    events_table: EmbeddingTable,
-    entities_table: EmbeddingTable,
-    normalize_location: bool = False,
-) -> np.ndarray:
-    """All five features for every event at once; matches the per-event functions."""
-    n = len(doc.events)
+def geometry_features(doc: Document, geo: DocGeometry) -> np.ndarray:
+    """All five features for every event; votes are 0 where there is nothing to vote."""
+    n, m = geo.sims_ve.shape
     out = np.zeros((n, N_FEATURES), dtype=np.float64)
-    if n == 0:
-        return out
-
-    lemmas = [ev.head_lemma for ev in doc.events]
-    lemma_counts: dict[str, int] = {}
-    for lemma in lemmas:
-        lemma_counts[lemma] = lemma_counts.get(lemma, 0) + 1
-    out[:, 0] = [lemma_counts[lemma] for lemma in lemmas]
-    out[:, 1] = [
-        ev.sentence_index / doc.num_sentences if normalize_location else float(ev.sentence_index)
-        for ev in doc.events
-    ]
-
-    rows_v = [events_table.vocabulary.lookup(lemma) for lemma in lemmas]
-    unit_v, _ = normalized_rows(events_table.vectors[rows_v])
+    out[:, 0] = geo.lemma_counts
+    out[:, 1] = [ev.sentence_index for ev in doc.events]
     if n > 1:
-        sims_vv = unit_v @ unit_v.T
-        np.fill_diagonal(sims_vv, 0.0)
-        out[:, 2] = sims_vv.sum(axis=1) / (n - 1)
-
-    m = len(doc.entities)
+        out[:, 2] = geo.sims_vv.sum(axis=1) / (n - 1)
     if m > 0:
-        rows_e = [entities_table.vocabulary.lookup(en.entity_key) for en in doc.entities]
-        unit_e, _ = normalized_rows(entities_table.vectors[rows_e])
-        sims_ve = unit_v @ unit_e.T
-        out[:, 3] = sims_ve.sum(axis=1) / m
-        ev_sent = np.array([ev.sentence_index for ev in doc.events])
-        en_sent = np.array([en.sentence_index for en in doc.entities])
-        local = ev_sent[:, None] == en_sent[None, :]
-        counts = local.sum(axis=1)
-        local_sum = (sims_ve * local).sum(axis=1)
-        nonzero = counts > 0
-        out[nonzero, 4] = local_sum[nonzero] / counts[nonzero]
+        out[:, 3] = geo.sims_ve.sum(axis=1) / m
+        local_sum = (geo.sims_ve * geo.local_mask).sum(axis=1)
+        nonzero = geo.local_counts > 0
+        out[nonzero, 4] = local_sum[nonzero] / geo.local_counts[nonzero]
     return out
+
+
+def feature_matrix(
+    doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable
+) -> np.ndarray:
+    """All five features for every event of the document, shape (n, 5)."""
+    return geometry_features(doc, doc_geometry(doc, events_table, entities_table))
 
 
 @dataclass(frozen=True)
 class FeatureScaler:
     means: np.ndarray  # (5,)
     stds: np.ndarray  # (5,) floored at 1e-8
-
-    @staticmethod
-    def identity() -> "FeatureScaler":
-        return FeatureScaler(means=np.zeros(N_FEATURES), stds=np.ones(N_FEATURES))
 
 
 def fit_scaler(
@@ -192,10 +135,6 @@ def fit_scaler(
     means = stacked.mean(axis=0)
     stds = np.maximum(stacked.std(axis=0), 1e-8)
     return FeatureScaler(means=means, stds=stds)
-
-
-def apply_scaler(fv: FeatureVector, scaler: FeatureScaler) -> FeatureVector:
-    return FeatureVector.from_array((fv.to_array() - scaler.means) / scaler.stds)
 
 
 def scale_matrix(features: np.ndarray, scaler: FeatureScaler) -> np.ndarray:

@@ -11,11 +11,9 @@ vector is a differentiable histogram of the similarity distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .embeddings import cosine, cosine_backward
 from .errors import DataError
 
 
@@ -52,48 +50,6 @@ def gaussian_pool(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
     c = np.asarray(cos_values, dtype=np.float64)
     diff = c[..., None] - bank.means
     return np.exp(-(diff * diff) / (2.0 * bank.sigmas * bank.sigmas))
-
-
-def pool_grad_wrt_cos(cos_values: np.ndarray, bank: KernelBank, upstream: np.ndarray) -> np.ndarray:
-    """d(upstream . phi)/d cos for each cosine, given upstream (K,) weights."""
-    c = np.asarray(cos_values, dtype=np.float64)
-    diff = c[..., None] - bank.means
-    act = np.exp(-(diff * diff) / (2.0 * bank.sigmas * bank.sigmas))
-    return (act * (-diff / (bank.sigmas * bank.sigmas))) @ np.asarray(upstream, dtype=np.float64)
-
-
-def kernel_features(
-    target: np.ndarray, context: Sequence[np.ndarray], bank: KernelBank
-) -> np.ndarray:
-    """Pooled kernel vector of the target against a context bag (zeros when empty)."""
-    if len(context) == 0:
-        return np.zeros(bank.size, dtype=np.float64)
-    cos_vals = np.array([cosine(target, c) for c in context])
-    return gaussian_pool(cos_vals, bank).sum(axis=0)
-
-
-def kernel_backward(
-    target: np.ndarray,
-    context: Sequence[np.ndarray],
-    bank: KernelBank,
-    upstream: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Exact gradients of ``upstream . kernel_features`` w.r.t. target and context vectors."""
-    target = np.asarray(target, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (bank.size,):
-        raise ValueError(f"upstream must have shape ({bank.size},), got {upstream.shape}")
-    d_target = np.zeros_like(target)
-    d_context: list[np.ndarray] = []
-    if len(context) == 0:
-        return d_target, d_context
-    cos_vals = np.array([cosine(target, c) for c in context])
-    d_cos = pool_grad_wrt_cos(cos_vals, bank, upstream)
-    for c_vec, g in zip(context, d_cos):
-        du, dv = cosine_backward(target, np.asarray(c_vec, dtype=np.float64), float(g))
-        d_target += du
-        d_context.append(dv)
-    return d_target, d_context
 
 
 def bank_to_json(bank: KernelBank) -> dict:

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .corpus import Corpus
-from .errors import DataError
+from .errors import DataError, check_fields, is_int, is_number
+from .models import ranked_order
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -65,6 +66,34 @@ class DocMetrics:
     auc: float | None
 
 
+_COUNT = (lambda v: is_int(v) and v >= 0, "an integer >= 0")
+_AUC = (lambda v: v is None or is_number(v), "a number or null")
+_AT_K = (
+    lambda v: isinstance(v, dict)
+    and all(isinstance(k, str) and k.isdecimal() and is_number(x) for k, x in v.items()),
+    "an object of numbers keyed by k",
+)
+_DOC_FIELDS = {
+    "doc_id": (lambda v: isinstance(v, str), "a string"),
+    "n_events": _COUNT,
+    "n_salient": _COUNT,
+    "p_at": _AT_K,
+    "r_at": _AT_K,
+    "auc": _AUC,
+}
+_REPORT_FIELDS = {
+    "ks": (lambda v: isinstance(v, list) and all(is_int(k) and k >= 1 for k in v), "a list of integers >= 1"),
+    "p_at": _AT_K,
+    "r_at": _AT_K,
+    "auc": _AUC,
+    "n_docs": _COUNT,
+    "n_docs_pr": _COUNT,
+    "n_docs_auc": _COUNT,
+    "tie_seed": (lambda v: v is None or is_int(v), "an integer or null"),
+    "per_doc": (lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v), "a list of objects"),
+}
+
+
 @dataclass
 class MetricsReport:
     ks: tuple[int, ...]
@@ -107,6 +136,13 @@ class MetricsReport:
 
     @staticmethod
     def from_json(obj: dict) -> "MetricsReport":
+        """Inverse of ``to_json``; a missing or mistyped field raises ``DataError`` naming it."""
+        if not isinstance(obj, dict):
+            raise DataError("a metrics report must be a JSON object")
+        obj = {"tie_seed": None, "per_doc": [], **obj}  # the two fields that may be absent
+        check_fields(obj, _REPORT_FIELDS)
+        for i, d in enumerate(obj["per_doc"]):
+            check_fields(d, _DOC_FIELDS, f"per_doc[{i}].")
         return MetricsReport(
             ks=tuple(obj["ks"]),
             p_at={int(k): v for k, v in obj["p_at"].items()},
@@ -115,7 +151,7 @@ class MetricsReport:
             n_docs=obj["n_docs"],
             n_docs_pr=obj["n_docs_pr"],
             n_docs_auc=obj["n_docs_auc"],
-            tie_seed=obj.get("tie_seed"),
+            tie_seed=obj["tie_seed"],
             per_doc=[
                 DocMetrics(
                     doc_id=d["doc_id"],
@@ -125,7 +161,7 @@ class MetricsReport:
                     r_at={int(k): v for k, v in d["r_at"].items()},
                     auc=d["auc"],
                 )
-                for d in obj.get("per_doc", [])
+                for d in obj["per_doc"]
             ],
         )
 
@@ -135,7 +171,10 @@ class MetricsReport:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc.msg})") from exc
-        return MetricsReport.from_json(obj)
+        try:
+            return MetricsReport.from_json(obj)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def evaluate(
@@ -164,19 +203,13 @@ def evaluate(
         if any(ev.salient is None for ev in doc.events):
             raise DataError(f"doc {doc.doc_id!r} is not salience-labeled")
         labels = np.array([bool(ev.salient) for ev in doc.events])
-        ids = [ev.id for ev in doc.events]
         if tie_seed is not None:
             rng = np.random.default_rng([tie_seed % (2**32), doc_idx])
-            jitter = rng.random(len(scores))
-            order = np.array(
-                sorted(range(len(scores)), key=lambda i: (-scores[i], jitter[i])), dtype=np.intp
-            )
+            order = ranked_order(scores, rng=rng)
             auc_scores = np.empty(len(scores))
             auc_scores[order] = -np.arange(len(scores), dtype=np.float64)
         else:
-            order = np.array(
-                sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i])), dtype=np.intp
-            )
+            order = ranked_order(scores, [ev.id for ev in doc.events])
             auc_scores = scores
         ranked = labels[order]
         per_doc.append(

@@ -29,17 +29,16 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document
-from .embeddings import (
-    EmbeddingTable,
-    normalized_rows,
-    table_from_json,
-    table_to_json,
-)
-from .errors import DataError, ModelFormatError, NumericError, is_int, is_number
+from .embeddings import EmbeddingTable, table_from_json, table_to_json
+from .errors import DataError, ModelFormatError, NumericError, check_fields, is_int, is_number
 from .features import (
+    DocGeometry,
     FeatureScaler,
     N_FEATURES,
+    doc_geometry,
     feature_matrix,
+    geometry_features,
+    lemma_counts,
     scale_matrix,
     scaler_from_json,
     scaler_to_json,
@@ -82,17 +81,9 @@ def new_letor_model(
     )
 
 
-def score_letor(
-    model: LeToRModel,
-    doc: Document,
-    tables: tuple[EmbeddingTable, EmbeddingTable] | None = None,
-) -> np.ndarray:
+def score_letor(model: LeToRModel, doc: Document) -> np.ndarray:
     """w_f . standardized features + bias, one score per event."""
-    events_table, entities_table = tables if tables is not None else (
-        model.event_table,
-        model.entity_table,
-    )
-    feats = feature_matrix(doc, events_table, entities_table)
+    feats = feature_matrix(doc, model.event_table, model.entity_table)
     return scale_matrix(feats, model.scaler) @ model.w_f + model.bias
 
 
@@ -133,24 +124,14 @@ def new_kce_model(
 
 
 @dataclass
-class KCECache:
+class KCECache(DocGeometry):
     """Everything the backward pass needs from a forward evaluation."""
 
-    rows_v: np.ndarray  # (n,) event vocab rows
-    rows_e: np.ndarray  # (m,) entity vocab rows
-    unit_v: np.ndarray  # (n, d) unit event vectors (zero rows stay zero)
-    norms_v: np.ndarray  # (n,)
-    unit_e: np.ndarray  # (m, d)
-    norms_e: np.ndarray  # (m,)
-    sims_vv: np.ndarray  # (n, n) cosines, diagonal zeroed (self excluded)
-    sims_ve: np.ndarray  # (n, m)
     acts_vv: np.ndarray  # (n, n, K) kernel activations, diagonal zeroed
     acts_ve: np.ndarray  # (n, m, K)
     phi_v: np.ndarray  # (n, K)
     phi_e: np.ndarray  # (n, K)
     scaled_feats: np.ndarray  # (n, 5) after standardization (and any zeroing)
-    local_mask: np.ndarray  # (n, m) same-sentence indicator
-    local_counts: np.ndarray  # (n,)
     zero_nonfreq: bool
 
 
@@ -164,91 +145,34 @@ def kce_forward(
     intrusion test so only relational evidence and frequency drive the score.
     """
     n = len(doc.events)
-    m = len(doc.entities)
-    K = model.bank.size
-    dim = model.event_table.dim
-    need_entities = variant_uses_entity_kernels(model.variant) or variant_uses_features(
-        model.variant
+    uses_feats = variant_uses_features(model.variant)
+    uses_ent_kernels = variant_uses_entity_kernels(model.variant)
+    geo = doc_geometry(
+        doc, model.event_table, model.entity_table if uses_feats or uses_ent_kernels else None
     )
-
-    rows_v = np.array(
-        [model.event_table.vocabulary.lookup(ev.head_lemma) for ev in doc.events], dtype=np.intp
-    )
-    unit_v, norms_v = normalized_rows(model.event_table.vectors[rows_v])
-
-    sims_vv = unit_v @ unit_v.T if n else np.zeros((0, 0))
-    if n:
-        np.fill_diagonal(sims_vv, 0.0)
-    acts_vv = gaussian_pool(sims_vv, model.bank) if n else np.zeros((0, 0, K))
-    if n:
-        acts_vv[np.arange(n), np.arange(n), :] = 0.0
-    phi_v = acts_vv.sum(axis=1) if n else np.zeros((0, K))
-
-    if need_entities and m:
-        rows_e = np.array(
-            [model.entity_table.vocabulary.lookup(en.entity_key) for en in doc.entities],
-            dtype=np.intp,
-        )
-        unit_e, norms_e = normalized_rows(model.entity_table.vectors[rows_e])
-        sims_ve = unit_v @ unit_e.T
-        acts_ve = gaussian_pool(sims_ve, model.bank)
-        phi_e = acts_ve.sum(axis=1)
-        ev_sent = np.array([ev.sentence_index for ev in doc.events])
-        en_sent = np.array([en.sentence_index for en in doc.entities])
-        local_mask = ev_sent[:, None] == en_sent[None, :]
-        local_counts = local_mask.sum(axis=1)
-    else:
-        rows_e = np.zeros(0, dtype=np.intp)
-        unit_e = np.zeros((0, dim))
-        norms_e = np.zeros(0)
-        sims_ve = np.zeros((n, 0))
-        acts_ve = np.zeros((n, 0, K))
-        phi_e = np.zeros((n, K))
-        local_mask = np.zeros((n, 0), dtype=bool)
-        local_counts = np.zeros(n, dtype=np.intp)
-
-    scaled = np.zeros((n, N_FEATURES))
-    if variant_uses_features(model.variant) and n:
-        feats = np.zeros((n, N_FEATURES))
-        lemmas = [ev.head_lemma for ev in doc.events]
-        counts: dict[str, int] = {}
-        for lemma in lemmas:
-            counts[lemma] = counts.get(lemma, 0) + 1
-        feats[:, 0] = [counts[lemma] for lemma in lemmas]
-        feats[:, 1] = [float(ev.sentence_index) for ev in doc.events]
-        if n > 1:
-            feats[:, 2] = sims_vv.sum(axis=1) / (n - 1)
-        if m:
-            feats[:, 3] = sims_ve.sum(axis=1) / m
-            nonzero = local_counts > 0
-            local_sum = (sims_ve * local_mask).sum(axis=1)
-            feats[nonzero, 4] = local_sum[nonzero] / local_counts[nonzero]
-        scaled = scale_matrix(feats, model.scaler)
-        if zero_nonfreq_features:
-            scaled[:, 1:] = 0.0
+    acts_vv = gaussian_pool(geo.sims_vv, model.bank)
+    acts_vv[np.arange(n), np.arange(n), :] = 0.0
+    acts_ve = gaussian_pool(geo.sims_ve, model.bank)
+    phi_v = acts_vv.sum(axis=1)
+    phi_e = acts_ve.sum(axis=1)
 
     scores = phi_v @ model.w_v + model.bias
-    if variant_uses_entity_kernels(model.variant):
+    if uses_ent_kernels:
         scores = scores + phi_e @ model.w_e
-    if variant_uses_features(model.variant):
+    scaled = np.zeros((n, N_FEATURES))
+    if uses_feats:
+        scaled = scale_matrix(geometry_features(doc, geo), model.scaler)
+        if zero_nonfreq_features:
+            scaled[:, 1:] = 0.0
         scores = scores + scaled @ model.w_f
 
     cache = KCECache(
-        rows_v=rows_v,
-        rows_e=rows_e,
-        unit_v=unit_v,
-        norms_v=norms_v,
-        unit_e=unit_e,
-        norms_e=norms_e,
-        sims_vv=sims_vv,
-        sims_ve=sims_ve,
+        **vars(geo),
         acts_vv=acts_vv,
         acts_ve=acts_ve,
         phi_v=phi_v,
         phi_e=phi_e,
         scaled_feats=scaled,
-        local_mask=local_mask,
-        local_counts=local_counts,
         zero_nonfreq=zero_nonfreq_features,
     )
     return scores, cache
@@ -284,31 +208,17 @@ class PageRankCache:
     norm_freq: np.ndarray  # (n,)
 
 
-def _frequency_counts(doc: Document) -> np.ndarray:
-    lemmas = [ev.head_lemma for ev in doc.events]
-    counts: dict[str, int] = {}
-    for lemma in lemmas:
-        counts[lemma] = counts.get(lemma, 0) + 1
-    return np.array([counts[lemma] for lemma in lemmas], dtype=np.float64)
-
-
 def pagerank_forward(model: PageRankModel, doc: Document) -> tuple[np.ndarray, PageRankCache]:
     n = len(doc.events)
-    rows = np.array(
-        [model.event_table.vocabulary.lookup(ev.head_lemma) for ev in doc.events], dtype=np.intp
-    )
-    unit, norms = normalized_rows(model.event_table.vectors[rows])
-    freq = _frequency_counts(doc)
+    geo = doc_geometry(doc, model.event_table)
+    freq = geo.lemma_counts
     norm_freq = freq / freq.sum() if n else freq
 
     if n <= 1:
-        sims = np.zeros((n, n))
         transitions = np.zeros((n, n))
         walk = np.zeros(n)
     else:
-        sims = unit @ unit.T
-        np.fill_diagonal(sims, 0.0)
-        logits = sims / model.temperature
+        logits = geo.sims_vv / model.temperature
         np.fill_diagonal(logits, -np.inf)  # no self-loops
         shifted = logits - logits.max(axis=1, keepdims=True)
         expo = np.exp(shifted)
@@ -317,10 +227,10 @@ def pagerank_forward(model: PageRankModel, doc: Document) -> tuple[np.ndarray, P
 
     scores = model.combine_lambda * norm_freq + (1.0 - model.combine_lambda) * walk
     cache = PageRankCache(
-        rows=rows,
-        unit=unit,
-        norms=norms,
-        sims=sims,
+        rows=geo.rows_v,
+        unit=geo.unit_v,
+        norms=geo.norms_v,
+        sims=geo.sims_vv,
         transitions=transitions,
         walk=walk,
         norm_freq=norm_freq,
@@ -335,7 +245,7 @@ def pagerank_scores(model: PageRankModel, doc: Document) -> np.ndarray:
 
 def frequency_scores(doc: Document) -> np.ndarray:
     """Headword-lemma count baseline."""
-    return _frequency_counts(doc)
+    return lemma_counts(doc)
 
 
 def location_scores(doc: Document) -> np.ndarray:
@@ -350,20 +260,14 @@ def ranked_order(
 ) -> np.ndarray:
     """Indices in descending-score order.
 
-    Exact ties break randomly when an rng is supplied (uniformly over the tied
-    group), otherwise by ascending event id, otherwise by original position.
+    Exact ties break uniformly at random when an rng is supplied, otherwise by
+    ascending event id; one of the two is required.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n = len(scores)
-    idx = list(range(n))
-    if rng is not None:
-        jitter = rng.random(n)
-        idx.sort(key=lambda i: (-scores[i], jitter[i]))
-    elif event_ids is not None:
-        idx.sort(key=lambda i: (-scores[i], event_ids[i]))
-    else:
-        idx.sort(key=lambda i: -scores[i])
-    return np.array(idx, dtype=np.intp)
+    tiebreak = rng.random(len(scores)) if rng is not None else event_ids
+    return np.array(
+        sorted(range(len(scores)), key=lambda i: (-scores[i], tiebreak[i])), dtype=np.intp
+    )
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -430,7 +334,7 @@ def save_model(model, path: str | Path) -> None:
         fh.write("\n")
 
 
-# A rule is either a nested dict of fields or a (predicate, description) pair.
+# Rules for check_fields: a nested dict of fields or a (predicate, description) pair.
 _NUMBER = (is_number, "a number")
 _NUMBERS = (lambda v: isinstance(v, list) and all(map(is_number, v)), "a list of numbers")
 _TABLE = {
@@ -466,19 +370,6 @@ _FIELDS = {
 }
 
 
-def _check_fields(obj: dict, rules: dict, prefix: str = "") -> None:
-    for key, rule in rules.items():
-        name = prefix + key
-        if key not in obj:
-            raise ModelFormatError(f"missing field {name}")
-        if isinstance(rule, dict):
-            if not isinstance(obj[key], dict):
-                raise ModelFormatError(f"field {name} must be an object")
-            _check_fields(obj[key], rule, name + ".")
-        elif not rule[0](obj[key]):
-            raise ModelFormatError(f"field {name} must be {rule[1]}")
-
-
 def _table_checked(obj: dict, name: str, version: int) -> EmbeddingTable:
     try:
         table = table_from_json(obj[name], version)
@@ -490,7 +381,7 @@ def _table_checked(obj: dict, name: str, version: int) -> EmbeddingTable:
 
 def _model_from_json(obj: dict, version: int):
     model_type = obj["model_type"]
-    _check_fields(obj, _FIELDS[model_type])
+    check_fields(obj, _FIELDS[model_type], error=ModelFormatError)
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("field meta must be an object")

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Document, EntityMention, EventMention
-from .errors import DataError
+from .corpus import SPLIT_TAGS, Corpus, Document, EntityMention, EventMention
+from .errors import DataError, config_from_json, is_finite_number, is_int
 
 
 @dataclass
@@ -52,12 +52,7 @@ class SynthConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "SynthConfig":
-        cfg = SynthConfig()
-        for key, val in obj.items():
-            if not hasattr(cfg, key):
-                raise DataError(f"unknown synth config field {key!r}")
-            setattr(cfg, key, val)
-        return cfg
+        return config_from_json(SynthConfig(), obj, _CONFIG_RULES, "synth config")
 
     @staticmethod
     def load(path: str | Path) -> "SynthConfig":
@@ -66,6 +61,26 @@ class SynthConfig:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: malformed synth config ({exc.msg})") from exc
         return SynthConfig.from_json(obj)
+
+
+def _int_at_least(low: int) -> tuple:
+    return (lambda v: is_int(v) and v >= low, f"an integer >= {low}")
+
+
+_CONFIG_RULES = {
+    **dict.fromkeys(("docs", "entities_per_doc", "confuser_events", "pool_seed", "seed"), _int_at_least(0)),
+    **dict.fromkeys(
+        ("events_per_doc", "dim", "entity_pool_per_topic", "background_event_pool", "background_entity_pool",
+         "salient_low", "salient_high", "salient_token_choices", "sentences_per_doc"),
+        _int_at_least(1),
+    ),
+    # confusers come from a second topic, drawn two tokens at a time
+    **dict.fromkeys(("n_topics", "event_pool_per_topic"), _int_at_least(2)),
+    "cosine_gap": (lambda v: is_finite_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "topic_entity_fraction": (lambda v: is_finite_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "vector_noise": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "split": (lambda v: v in SPLIT_TAGS, f"one of {SPLIT_TAGS}"),
+}
 
 
 @dataclass
@@ -166,6 +181,8 @@ def generate_corpus(cfg: SynthConfig) -> tuple[Corpus, TokenPools]:
         raise DataError("events_per_doc too small for the configured salient/confuser counts")
     if cfg.salient_low < 1 or cfg.salient_low > cfg.salient_high:
         raise DataError("need 1 <= salient_low <= salient_high")
+    if cfg.salient_token_choices > cfg.event_pool_per_topic:
+        raise DataError("salient_token_choices exceeds event_pool_per_topic")
     pools = build_pools(cfg)
     rng = np.random.default_rng(cfg.seed)
     docs = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import Corpus, Document
-from .errors import DataError, NumericError, is_int, is_number
+from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
 from .metrics import evaluate
 from .models import (
     KCECache,
@@ -71,32 +70,18 @@ class TrainConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":
-        if not isinstance(obj, dict):
-            raise DataError("train config must be a JSON object")
-        cfg = TrainConfig()
-        for key, val in obj.items():
-            if key not in _CONFIG_RULES:
-                raise DataError(f"unknown train config field {key!r}")
-            valid, expected = _CONFIG_RULES[key]
-            if not valid(val):
-                raise DataError(f"train config field {key!r} must be {expected}, got {val!r}")
-            setattr(cfg, key, val)
-        return cfg
-
-
-def _is_finite_number(val) -> bool:
-    return is_number(val) and math.isfinite(val)
+        return config_from_json(TrainConfig(), obj, _CONFIG_RULES, "train config")
 
 
 _CONFIG_RULES = {
-    "learning_rate": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "learning_rate": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
     "batch_docs": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
     "epochs": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
     "seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
     "max_pairs_per_doc": (lambda v: v is None or (is_int(v) and v >= 1), "null or an integer >= 1"),
-    "beta1": (lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "beta2": (lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "eps": (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0"),
+    "beta1": (lambda v: is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "beta2": (lambda v: is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "eps": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
     "freeze_embeddings": (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -443,8 +428,7 @@ def _doc_loss_and_grads(model, doc: Document, cfg: TrainConfig):
         loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
         return loss, kce_backward(model, doc, cache, dscores)
     if isinstance(model, LeToRModel):
-        feats = feature_matrix(doc, model.event_table, model.entity_table)
-        scaled = scale_matrix(feats, model.scaler)
+        scaled = scale_matrix(feature_matrix(doc, model.event_table, model.entity_table), model.scaler)
         scores = scaled @ model.w_f + model.bias
         loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
         return loss, {"w_f": scaled.T @ dscores, BIAS_KEY: np.array([float(dscores.sum())])}

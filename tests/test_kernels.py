@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salience.embeddings import cosine
+from oracles import cosine, kernel_backward, kernel_features, pool_grad_wrt_cos
 from salience.errors import DataError
 from salience.kernels import (
     KernelBank,
@@ -13,9 +13,6 @@ from salience.kernels import (
     bank_to_json,
     default_bank,
     gaussian_pool,
-    kernel_backward,
-    kernel_features,
-    pool_grad_wrt_cos,
 )
 
 

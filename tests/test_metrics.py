@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,41 @@ def test_report_round_trip(tmp_path):
     again = MetricsReport.load(path)
     assert again.to_json() == report.to_json()
     assert again.per_doc[0].doc_id == "a"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("ks",), None, "missing field ks"),
+        (("n_docs",), "1", "field n_docs must be an integer >= 0"),
+        (("p_at",), {"one": 0.5}, "field p_at must be an object of numbers keyed by k"),
+        (("tie_seed",), 1.5, "field tie_seed must be an integer or null"),
+        (("per_doc",), [1], "field per_doc must be a list of objects"),
+        (("per_doc", 0, "auc"), "high", "field per_doc[0].auc must be a number or null"),
+        (("per_doc", 0, "doc_id"), None, "missing field per_doc[0].doc_id"),
+    ],
+)
+def test_report_from_json_names_the_bad_field(path, value, message):
+    corpus = Corpus(documents=(labeled_doc("a", [1, 0]),))
+    obj = evaluate([np.array([2.0, 1.0])], corpus).to_json()
+    *parents, key = path
+    owner = obj
+    for step in parents:
+        owner = owner[step]
+    if value is None:
+        del owner[key]
+    else:
+        owner[key] = value
+    with pytest.raises(DataError, match=re.escape(message)):
+        MetricsReport.from_json(obj)
+
+
+def test_report_without_optional_fields_loads():
+    corpus = Corpus(documents=(labeled_doc("a", [1, 0]),))
+    obj = evaluate([np.array([2.0, 1.0])], corpus).to_json()
+    del obj["tie_seed"], obj["per_doc"]
+    again = MetricsReport.from_json(obj)
+    assert again.tie_seed is None and again.per_doc == []
 
 
 # --- permutation test ---------------------------------------------------

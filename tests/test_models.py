@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from helpers import random_corpus, random_document, toy_table
-from salience.corpus import Corpus, Document, EventMention
+from oracles import apply_scaler, extract_features, kernel_features
+from oracles import pagerank_scores as pagerank_oracle
+from salience.corpus import Corpus, Document, EntityMention, EventMention
 from salience.embeddings import normalized_rows
 from salience.errors import DataError, ModelFormatError, NumericError
-from salience.features import extract_features, apply_scaler, fit_scaler
-from salience.kernels import default_bank, kernel_features
+from salience.features import fit_scaler
+from salience.kernels import default_bank
 from salience.models import (
     KCEModel,
     PageRankModel,
@@ -57,9 +59,6 @@ def build_kce(rng, doc, variant="full", w_scale=0.5, dim=8):
 
 def compositional_scores(model, doc):
     """Score each event with the already-tested pieces, one event at a time."""
-    unit_v, _ = normalized_rows(
-        np.stack([model.event_table.row(e.head_lemma) for e in doc.events])
-    )
     scores = []
     for i, event in enumerate(doc.events):
         target = model.event_table.row(event.head_lemma)
@@ -118,6 +117,58 @@ def test_kce_forward_features_bitwise_equal_scaler_path(seed):
         feature_matrix(doc, model.event_table, model.entity_table), model.scaler
     )
     assert np.array_equal(cache.scaled_feats, want)
+
+
+def small_documents(rng):
+    """A document without events, one with a single event, and one without entities."""
+    single = Document(
+        doc_id="single",
+        num_sentences=2,
+        events=(EventMention(id="e0", head_lemma="a", surface="a", sentence_index=1),),
+        entities=(EntityMention(id="n0", entity_key="k", sentence_index=1),),
+    )
+    return (
+        Document(doc_id="empty", num_sentences=1, events=()),
+        single,
+        random_document(rng, doc_id="entity-free", n_events=5, n_entities=0, distinct_lemmas=False),
+    )
+
+
+@pytest.mark.parametrize("variant", ["full", "events_features", "events_only"])
+def test_kce_scores_empty_single_and_entity_free_documents(variant):
+    rng = np.random.default_rng(43)
+    for doc in small_documents(rng):
+        model = build_kce(rng, doc, variant=variant)
+        scores, cache = kce_forward(model, doc)
+        n, K = len(doc.events), model.bank.size
+        assert scores.shape == (n,)
+        assert cache.sims_vv.shape == (n, n) and cache.acts_vv.shape == (n, n, K)
+        assert cache.phi_v.shape == (n, K) and cache.phi_e.shape == (n, K)
+        assert cache.scaled_feats.shape == (n, 5)
+        assert scores == pytest.approx(compositional_scores(model, doc), abs=1e-10)
+
+
+def test_letor_and_pagerank_score_empty_single_and_entity_free_documents():
+    rng = np.random.default_rng(47)
+    for doc in small_documents(rng):
+        kce = build_kce(rng, doc)
+        letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
+        letor.w_f[:] = rng.normal(size=5)
+        letor.bias = float(rng.normal())
+        want = [
+            apply_scaler(extract_features(ev, doc, kce.event_table, kce.entity_table), kce.scaler).to_array()
+            @ letor.w_f
+            + letor.bias
+            for ev in doc.events
+        ]
+        got = score_letor(letor, doc)
+        assert got.shape == (len(doc.events),)
+        assert got == pytest.approx(np.array(want), abs=1e-10)
+
+        pagerank = PageRankModel(temperature=0.7, combine_lambda=0.3, event_table=kce.event_table)
+        got = pagerank_scores(pagerank, doc)
+        assert got.shape == (len(doc.events),)
+        assert got == pytest.approx(pagerank_oracle(pagerank, doc), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

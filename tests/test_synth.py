@@ -113,6 +113,30 @@ def test_config_rejects_unknown_fields_and_bad_json(tmp_path):
         SynthConfig.load(bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("docs", "3"),
+        ("docs", True),
+        ("dim", 0),
+        ("cosine_gap", 1.0),
+        ("n_topics", 1),
+        ("topic_entity_fraction", float("nan")),
+        ("vector_noise", -0.1),
+        ("seed", -1),
+        ("split", "holdout"),
+    ],
+)
+def test_config_rejects_mistyped_and_out_of_range_fields(field, value):
+    with pytest.raises(DataError, match=f"synth config field '{field}' must be"):
+        SynthConfig.from_json({field: value})
+
+
+def test_config_must_be_an_object():
+    with pytest.raises(DataError, match="must be a JSON object"):
+        SynthConfig.from_json([1])
+
+
 def test_generation_validates_shape_parameters():
     with pytest.raises(DataError, match="cosine_gap"):
         generate_corpus(SynthConfig(cosine_gap=1.5))
@@ -120,3 +144,5 @@ def test_generation_validates_shape_parameters():
         generate_corpus(SynthConfig(events_per_doc=6))
     with pytest.raises(DataError, match="salient_low"):
         generate_corpus(SynthConfig(salient_low=0))
+    with pytest.raises(DataError, match="salient_token_choices"):
+        generate_corpus(SynthConfig(salient_token_choices=13))
