@@ -412,12 +412,9 @@ def _cmd_export_kernel_weights(args) -> int:
 def _cmd_synth(args) -> int:
     started = time.time()
     cfg = SynthConfig.load(args.config) if args.config else SynthConfig()
-    if args.docs is not None:
-        cfg.docs = args.docs
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.split is not None:
-        cfg.split = args.split
+    # command-line overrides pass the same field rules as the config file
+    overrides = {k: getattr(args, k) for k in ("docs", "seed", "split") if getattr(args, k) is not None}
+    cfg = SynthConfig.from_json({**cfg.to_json(), **overrides})
     corpus, pools = generate_corpus(cfg)
     save_corpus(corpus, args.out)
     outputs = [args.out]

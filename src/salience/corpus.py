@@ -80,7 +80,7 @@ def validate_document(doc: Document) -> list[str]:
         elif ev.id in seen_ids:
             problems.append(f"{where}: duplicate mention id")
         seen_ids.add(ev.id)
-        if not ev.head_lemma or any(c.isspace() for c in ev.head_lemma):
+        if ev.head_lemma.split() != [ev.head_lemma]:  # empty, or holds whitespace
             problems.append(f"{where}: head_lemma must be non-empty without whitespace")
         if not 0 <= ev.sentence_index < doc.num_sentences:
             problems.append(f"{where}: sentence_index {ev.sentence_index} out of range")

@@ -7,19 +7,24 @@ the origin's so same-sentence structure stays internal to each side.  Scoring
 recounts lemma frequency on the mixed document and zeroes every other feature;
 only relational evidence remains.  AUC treats origin events as positives and
 intruders as negatives; SA-AUC drops the non-salient origin events first.
+
+A study checks each sampled (origin, intruder) pair, shuffles its eligible
+intruders and relabels them once; every insertion fraction then mixes in a
+prefix of that one order.
 """
 from __future__ import annotations
 
 import csv
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, EventMention, validate_document
+from .corpus import Corpus, Document, EntityMention, EventMention, validate_document
 from .errors import DataError
 from .metrics import auc as auc_metric
 from .models import KCEModel, frequency_scores, score_kce
@@ -70,6 +75,75 @@ def _intruder_order(seed: int, origin_id: str, intruder_id: str, n_events: int) 
     return rng.permutation(n_events)
 
 
+class _PairMixer:
+    """One checked (origin, intruder) pair with its intruders relabelled in insertion order.
+
+    The eligible intruder events are shuffled once per (seed, origin, intruder)
+    triple; ``instance(n)`` mixes in the first n of that order, so growing n
+    extends a fixed insertion order and a study builds each pair only once.
+    """
+
+    def __init__(self, origin: Document, intruder: Document, cfg: IntrusionConfig) -> None:
+        n_salient = sum(1 for ev in origin.events if ev.salient)
+        if n_salient < MIN_ORIGIN_SALIENT:
+            raise DataError(
+                f"origin doc {origin.doc_id!r} has {n_salient} salient events; need >= {MIN_ORIGIN_SALIENT}"
+            )
+        if origin.doc_id == intruder.doc_id:
+            raise DataError("origin and intruder must be different documents")
+        self.origin = origin
+        self.intruder = intruder
+        pool = eligible_intruder_events(intruder, cfg.intruder_kind)
+        offset = origin.num_sentences
+        prefix = f"{intruder.doc_id}::"
+        # Intruder sentence indices move past the origin's; ids gain the
+        # intruder's prefix, which leaves their relative order unchanged.
+        self.moved = [
+            EventMention(
+                prefix + ev.id, ev.head_lemma, ev.surface, ev.sentence_index + offset, ev.frame, ev.salient
+            )
+            for ev in (pool[i] for i in _intruder_order(cfg.seed, origin.doc_id, intruder.doc_id, len(pool)))
+        ]
+        self.entities_by_sentence: dict[int, list[EntityMention]] = {}
+        for en in intruder.entities:
+            self.entities_by_sentence.setdefault(en.sentence_index + offset, []).append(
+                EntityMention(prefix + en.id, en.entity_key, en.sentence_index + offset)
+            )
+        self.origin_salient = np.array([bool(ev.salient) for ev in origin.events], dtype=bool)
+
+    def instance(self, n_intruders: int) -> IntrusionInstance:
+        """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities."""
+        origin, intruder = self.origin, self.intruder
+        if n_intruders < 0 or n_intruders > len(self.moved):
+            raise DataError(
+                f"intruder doc {intruder.doc_id!r} has {len(self.moved)} eligible events, asked for {n_intruders}"
+            )
+        chosen = sorted(self.moved[:n_intruders], key=attrgetter("sentence_index", "id"))
+        extra_entities = tuple(
+            en
+            for sent in sorted({ev.sentence_index for ev in chosen})
+            for en in self.entities_by_sentence.get(sent, ())
+        )
+        mixed = Document(
+            doc_id=f"{origin.doc_id}+{intruder.doc_id}",
+            num_sentences=origin.num_sentences + intruder.num_sentences,
+            events=tuple(origin.events) + tuple(chosen),
+            entities=tuple(origin.entities) + extra_entities,
+            abstract_lemmas=origin.abstract_lemmas,
+        )
+        problems = validate_document(mixed)
+        if problems:
+            raise DataError(f"mixed document is invalid: {problems[0]}")
+        n_orig = len(origin.events)
+        return IntrusionInstance(
+            origin_doc_id=origin.doc_id,
+            intruder_doc_id=intruder.doc_id,
+            mixed=mixed,
+            origin_flags=np.arange(n_orig + n_intruders) < n_orig,
+            salient_origin_flags=np.concatenate([self.origin_salient, np.zeros(n_intruders, dtype=bool)]),
+        )
+
+
 def build_instance(
     origin: Document, intruder: Document, cfg: IntrusionConfig, n_intruders: int
 ) -> IntrusionInstance:
@@ -79,57 +153,7 @@ def build_instance(
     so growing ``n_intruders`` extends a fixed insertion order.  Each chosen
     event brings along the entities from its source sentence.
     """
-    n_salient = sum(1 for ev in origin.events if ev.salient)
-    if n_salient < MIN_ORIGIN_SALIENT:
-        raise DataError(
-            f"origin doc {origin.doc_id!r} has {n_salient} salient events; need >= {MIN_ORIGIN_SALIENT}"
-        )
-    if origin.doc_id == intruder.doc_id:
-        raise DataError("origin and intruder must be different documents")
-    pool = eligible_intruder_events(intruder, cfg.intruder_kind)
-    if n_intruders < 0 or n_intruders > len(pool):
-        raise DataError(
-            f"intruder doc {intruder.doc_id!r} has {len(pool)} eligible events, asked for {n_intruders}"
-        )
-    order = _intruder_order(cfg.seed, origin.doc_id, intruder.doc_id, len(pool))
-    chosen = [pool[i] for i in order[:n_intruders]]
-    chosen.sort(key=lambda ev: (ev.sentence_index, ev.id))
-
-    offset = origin.num_sentences
-    prefix = f"{intruder.doc_id}::"
-    mixed_events = list(origin.events) + [
-        replace(ev, id=prefix + ev.id, sentence_index=ev.sentence_index + offset)
-        for ev in chosen
-    ]
-    source_sentences = sorted({ev.sentence_index for ev in chosen})
-    extra_entities = [
-        replace(en, id=prefix + en.id, sentence_index=en.sentence_index + offset)
-        for sent in source_sentences
-        for en in intruder.entities
-        if en.sentence_index == sent
-    ]
-    mixed = Document(
-        doc_id=f"{origin.doc_id}+{intruder.doc_id}",
-        num_sentences=origin.num_sentences + intruder.num_sentences,
-        events=tuple(mixed_events),
-        entities=tuple(origin.entities) + tuple(extra_entities),
-        abstract_lemmas=origin.abstract_lemmas,
-    )
-    problems = validate_document(mixed)
-    if problems:
-        raise DataError(f"mixed document is invalid: {problems[0]}")
-    n_orig = len(origin.events)
-    origin_flags = np.array([True] * n_orig + [False] * len(chosen))
-    salient_origin_flags = np.array(
-        [bool(ev.salient) for ev in origin.events] + [False] * len(chosen)
-    )
-    return IntrusionInstance(
-        origin_doc_id=origin.doc_id,
-        intruder_doc_id=intruder.doc_id,
-        mixed=mixed,
-        origin_flags=origin_flags,
-        salient_origin_flags=salient_origin_flags,
-    )
+    return _PairMixer(origin, intruder, cfg).instance(n_intruders)
 
 
 @dataclass(frozen=True)
@@ -203,10 +227,9 @@ def run_study_with_scorer(
     sums = {f: np.zeros(3) for f in cfg.fractions}
     counts = {f: 0 for f in cfg.fractions}
     for origin, intruder in pairs:
-        available = len(eligible_intruder_events(intruder, cfg.intruder_kind))
+        pair = _PairMixer(origin, intruder, cfg)
         for fraction in cfg.fractions:
-            n = math.ceil(fraction * available)
-            instance = build_instance(origin, intruder, cfg, n)
+            instance = pair.instance(math.ceil(fraction * len(pair.moved)))
             scores = np.asarray(score_fn(instance), dtype=np.float64)
             if scores.shape != (len(instance.mixed.events),):
                 raise DataError("scorer returned a vector not matching the mixed event list")

@@ -2,9 +2,11 @@
 
 Precision@k always divides by k; recall@k divides by the number of salient
 events.  AUC follows the Mann-Whitney convention with half credit for tied
-scores.  Corpus-level numbers are macro averages over per-document values;
-documents without salient events are skipped for precision/recall, and AUC
-additionally requires at least one non-salient event.
+scores, computed exactly by counting each positive's lower and tied negatives
+in the sorted negative scores.  Corpus-level numbers are macro averages over
+per-document values; documents without salient events are skipped for
+precision/recall, and AUC additionally requires at least one non-salient
+event.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import Corpus
 from .errors import DataError, check_fields, is_int, is_number
@@ -42,7 +43,13 @@ def recall_at_k(ranked_labels: Sequence[bool], k: int) -> float:
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
-    """Mann-Whitney AUC with 0.5 credit for ties; None when one class is empty."""
+    """Mann-Whitney AUC with 0.5 credit for ties; None when one class is empty.
+
+    The statistic is the exact pair count: for each positive, the negatives
+    scored strictly below it plus half of those tied with it, found by binary
+    search in the sorted negatives.  The count is a half-integer, which float64
+    holds exactly.  Any NaN score makes the result NaN.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
@@ -51,8 +58,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     n_neg = int(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores, method="average")
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(scores).any():
+        return float("nan")
+    neg = np.sort(scores[~labels])
+    pos = scores[labels]
+    below = np.searchsorted(neg, pos, "left")
+    ties = np.searchsorted(neg, pos, "right") - below
+    u = below.sum() + 0.5 * ties.sum()
     return float(u / (n_pos * n_neg))
 
 
@@ -169,8 +181,8 @@ class MetricsReport:
     def load(path: str | Path) -> "MetricsReport":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path}: not valid JSON ({exc})") from exc
         try:
             return MetricsReport.from_json(obj)
         except DataError as exc:

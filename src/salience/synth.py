@@ -58,8 +58,8 @@ class SynthConfig:
     def load(path: str | Path) -> "SynthConfig":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: malformed synth config ({exc.msg})") from exc
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path}: malformed synth config ({exc})") from exc
         return SynthConfig.from_json(obj)
 
 

@@ -3,20 +3,30 @@
 Written one event, one pair and one scalar at a time, straight from the
 definitions: cosine similarity and its gradient, the five per-event features
 and their standardization, per-target kernel pooling with its backward pass,
-and the one-step PageRank walk.  Nothing in the package calls them.
+the one-step PageRank walk, AUC from average ranks, and the intrusion
+instance built by filtering entities sentence by sentence.  Nothing in the
+package calls them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.stats import rankdata
 
-from salience.corpus import Document, EventMention
+from salience.corpus import Document, EventMention, validate_document
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
 from salience.features import FeatureScaler
+from salience.intrusion import (
+    MIN_ORIGIN_SALIENT,
+    IntrusionConfig,
+    IntrusionInstance,
+    _intruder_order,
+    eligible_intruder_events,
+)
 from salience.kernels import KernelBank, gaussian_pool
 from salience.models import PageRankModel
 
@@ -214,3 +224,64 @@ def pagerank_scores(model: PageRankModel, doc: Document) -> np.ndarray:
     freq = [frequency_feature(ev, doc) for ev in doc.events]
     lam = model.combine_lambda
     return np.array([lam * f / sum(freq) + (1.0 - lam) * w for f, w in zip(freq, walk)])
+
+
+# --- metrics and intrusion --------------------------------------------------------
+
+
+def rank_sum_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Mann-Whitney AUC from the rank sum of the positives, ties given average ranks."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    n_neg = int(len(labels) - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = rankdata(scores, method="average")
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def build_instance_reference(
+    origin: Document, intruder: Document, cfg: IntrusionConfig, n_intruders: int
+) -> IntrusionInstance:
+    """One intrusion instance built from scratch: shuffle the eligible intruders,
+    take the first n, copy each with ``dataclasses.replace``, then walk the
+    chosen events' source sentences in order and take each one's entities."""
+    if sum(1 for ev in origin.events if ev.salient) < MIN_ORIGIN_SALIENT:
+        raise DataError("origin has too few salient events")
+    if origin.doc_id == intruder.doc_id:
+        raise DataError("origin and intruder must be different documents")
+    pool = eligible_intruder_events(intruder, cfg.intruder_kind)
+    if n_intruders < 0 or n_intruders > len(pool):
+        raise DataError("not enough eligible intruder events")
+    order = _intruder_order(cfg.seed, origin.doc_id, intruder.doc_id, len(pool))
+    chosen = [pool[i] for i in order[:n_intruders]]
+    chosen.sort(key=lambda ev: (ev.sentence_index, ev.id))
+    offset = origin.num_sentences
+    prefix = f"{intruder.doc_id}::"
+    mixed_events = list(origin.events) + [
+        replace(ev, id=prefix + ev.id, sentence_index=ev.sentence_index + offset) for ev in chosen
+    ]
+    extra_entities = [
+        replace(en, id=prefix + en.id, sentence_index=en.sentence_index + offset)
+        for sent in sorted({ev.sentence_index for ev in chosen})
+        for en in intruder.entities
+        if en.sentence_index == sent
+    ]
+    mixed = Document(
+        doc_id=f"{origin.doc_id}+{intruder.doc_id}",
+        num_sentences=origin.num_sentences + intruder.num_sentences,
+        events=tuple(mixed_events),
+        entities=tuple(origin.entities) + tuple(extra_entities),
+        abstract_lemmas=origin.abstract_lemmas,
+    )
+    if validate_document(mixed):
+        raise DataError("mixed document is invalid")
+    return IntrusionInstance(
+        origin_doc_id=origin.doc_id,
+        intruder_doc_id=intruder.doc_id,
+        mixed=mixed,
+        origin_flags=np.array([True] * len(origin.events) + [False] * len(chosen)),
+        salient_origin_flags=np.array([bool(ev.salient) for ev in origin.events] + [False] * len(chosen)),
+    )

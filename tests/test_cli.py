@@ -1,5 +1,8 @@
 """End-to-end checks of the command-line pipeline via ``main(argv)``."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -398,3 +401,35 @@ def test_rank_with_a_directory_as_model_exits_two(pipeline, tmp_path, capsys):
     argv = ["rank", "--model", str(tmp_path), "--corpus", str(pipeline["test"]),
             "--out", str(tmp_path / "r.jsonl")]
     _exits_two_with_one_line_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--docs", "2", "--seed", "-1"], "'seed'"), (["--docs", "-3"], "'docs'")],
+)
+def test_synth_overrides_pass_the_config_rules(tmp_path, capsys, flags, field):
+    out = tmp_path / "c.jsonl"
+    _exits_two_with_one_line_error(["synth", "--out", str(out), *flags], capsys, field, "must be an integer >= 0")
+    assert not out.exists()
+
+
+def test_synth_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_bytes(b"\xff\xfe")
+    argv = ["synth", "--out", str(tmp_path / "c.jsonl"), "--config", str(cfg)]
+    _exits_two_with_one_line_error(argv, capsys, str(cfg), "malformed synth config")
+
+
+def test_sigtest_on_report_that_is_not_utf8_exits_two(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_bytes(b"\xff\xfe")
+    argv = ["sigtest", "--a", str(report), "--b", str(report), "--out", str(tmp_path / "o.json")]
+    _exits_two_with_one_line_error(argv, capsys, str(report), "not valid JSON")
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, salience.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -192,3 +193,31 @@ def doc_to_obj(doc):
     from salience.corpus import document_to_json
 
     return document_to_json(doc)
+
+
+def test_validate_document_whitespace_rule_matches_isspace_for_every_code_point():
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    spaces = [c for c in chars if c.isspace()]
+    others = "".join(c for c in chars if not c.isspace())
+    # each whitespace code point alone must be flagged; no run of the others may be
+    lemmas = spaces + [others[i : i + 256] for i in range(0, len(others), 256)]
+    events = tuple(
+        EventMention(id=f"e{i}", head_lemma=lemma, surface="x", sentence_index=0)
+        for i, lemma in enumerate(lemmas)
+    )
+    problems = validate_document(Document(doc_id="d", num_sentences=1, events=events))
+    assert problems == [
+        f"doc 'd' event 'e{i}': head_lemma must be non-empty without whitespace" for i in range(len(spaces))
+    ]
+
+
+@pytest.mark.parametrize("lemma", ["", " ", "a b", "ab\u2003", "\u200b", "a\x1cb", "ok"])
+def test_validate_document_rejects_empty_or_spaced_lemmas(lemma):
+    doc = Document(
+        doc_id="d",
+        num_sentences=1,
+        events=(EventMention(id="e0", head_lemma=lemma, surface="x", sentence_index=0),),
+    )
+    problems = validate_document(doc)
+    bad = lemma == "" or any(c.isspace() for c in lemma)
+    assert problems == (["doc 'd' event 'e0': head_lemma must be non-empty without whitespace"] if bad else [])

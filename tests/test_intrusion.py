@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import toy_table
+from helpers import random_corpus, toy_table
+from oracles import build_instance_reference
 from salience.corpus import Corpus, Document, EntityMention, EventMention, validate_document
 from salience.errors import DataError
 from salience.features import fit_scaler
 from salience.intrusion import (
+    INTRUDER_KINDS,
+    MIN_ORIGIN_SALIENT,
     IntrusionConfig,
     build_instance,
     eligible_intruder_events,
@@ -243,3 +246,102 @@ def test_intrusion_config_validation():
         IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.5, 0.2))
     with pytest.raises(DataError):
         IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.0, 1.0))
+
+
+def assert_same_instance(got, want):
+    assert got.origin_doc_id == want.origin_doc_id
+    assert got.intruder_doc_id == want.intruder_doc_id
+    assert got.mixed == want.mixed  # tuples: same mentions in the same order
+    for a, b in ((got.origin_flags, want.origin_flags), (got.salient_origin_flags, want.salient_origin_flags)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_build_instance_matches_reference_with_entities_out_of_sentence_order():
+    origin = make_doc("a", 5, 3)
+    intruder_events = tuple(
+        EventMention(id=f"e{i}", head_lemma=f"b_l{i}", surface="x", sentence_index=i // 2, salient=True)
+        for i in range(8)
+    )
+    intruder = Document(
+        doc_id="b",
+        num_sentences=4,
+        events=intruder_events,
+        entities=tuple(
+            EntityMention(id=f"n{j}", entity_key=f"b_k{j}", sentence_index=s)
+            for j, s in enumerate((3, 0, 2, 0, 1, 3, 2, 1, 0))
+        ),
+        abstract_lemmas=frozenset(),
+    )
+    for seed in range(6):
+        cfg = IntrusionConfig(num_pairs=1, intruder_kind="salient_only", seed=seed)
+        for n in range(9):
+            got = build_instance(origin, intruder, cfg, n)
+            assert_same_instance(got, build_instance_reference(origin, intruder, cfg, n))
+            # entities grouped by source sentence, file order kept within a sentence
+            extra = [en for en in got.mixed.entities if en.id.startswith("b::")]
+            assert [en.sentence_index for en in extra] == sorted(en.sentence_index for en in extra)
+
+
+def test_build_instance_matches_reference_on_random_documents():
+    rng = np.random.default_rng(3)
+    corpus = random_corpus(rng, n_docs=12, n_events=14, n_entities=12, n_sentences=6)
+    docs = corpus.documents
+    origins = [d for d in docs if sum(bool(ev.salient) for ev in d.events) >= MIN_ORIGIN_SALIENT]
+    assert origins
+    for kind in ("salient_only", "nonsalient_only"):
+        cfg = IntrusionConfig(num_pairs=1, intruder_kind=kind, seed=17)
+        for origin in origins:
+            for intruder in docs:
+                if intruder.doc_id == origin.doc_id:
+                    continue
+                for n in range(len(eligible_intruder_events(intruder, kind)) + 1):
+                    assert_same_instance(
+                        build_instance(origin, intruder, cfg, n),
+                        build_instance_reference(origin, intruder, cfg, n),
+                    )
+
+
+def order_scorer(instance):
+    """A fixed score per mention with plenty of ties, so AUC exercises half credit."""
+    return np.array(
+        [len(ev.head_lemma) % 3 + 0.25 * (ev.sentence_index % 4) for ev in instance.mixed.events]
+    )
+
+
+# Rows of the study below as the per-fraction construction (one shuffle and
+# one instance built from scratch per fraction) produced them; float.hex of
+# auc, sa_auc and frequency_sa_auc, then n_pairs.
+PINNED_ROWS = {
+    "salient_only": [
+        (0.1, '0x1.be79e79e79e7ap-2', '0x1.ec1e1736c8c1cp-2', '0x1.35101dcea9b76p-5', 60),
+        (0.3, '0x1.b5bd5bd5bd5bep-2', '0x1.dc7577b280d84p-2', '0x1.59dfc01e24047p-4', 60),
+        (0.5, '0x1.cd2f40aae61c3p-2', '0x1.f19239f8e0155p-2', '0x1.f77e66d55c451p-4', 60),
+        (0.9, '0x1.dcff849c4e33dp-2', '0x1.fd92047203fdfp-2', '0x1.d7d57d57d57d7p-3', 60),
+        (1.0, '0x1.e3e23bb394370p-2', '0x1.01e5294b443f3p-1', '0x1.e9393e3e8e93dp-3', 60),
+    ],
+    "nonsalient_only": [
+        (0.1, '0x1.fcf3cf3cf3cf5p-2', '0x1.1293dc70fa42cp-1', '0x1.4d8b3f1a580bfp-5', 60),
+        (0.3, '0x1.02ff2ff2ff2ffp-1', '0x1.14a81475e6a85p-1', '0x1.5fccebbdaac9ap-4', 60),
+        (0.5, '0x1.f474906d9922bp-2', '0x1.0bfbd40e85fcbp-1', '0x1.1626fc095a2f3p-3', 60),
+        (0.9, '0x1.c82be3d2da1a3p-2', '0x1.e98db2c435e1fp-2', '0x1.f603a47e8c2cbp-3', 60),
+        (1.0, '0x1.c8e94cc0aec90p-2', '0x1.e9c85be34da77p-2', '0x1.0b6360e0b8b61p-2', 60),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", INTRUDER_KINDS)
+def test_study_builds_each_pair_once_with_unchanged_rows(kind):
+    rng = np.random.default_rng(5)
+    corpus = random_corpus(rng, n_docs=10, n_events=14, n_entities=12, n_sentences=6)
+    docs = {d.doc_id: d for d in corpus.documents}
+    cfg = IntrusionConfig(num_pairs=60, intruder_kind=kind, seed=8, fractions=(0.1, 0.3, 0.5, 0.9, 1.0))
+
+    def checked_scorer(instance):
+        origin, intruder = docs[instance.origin_doc_id], docs[instance.intruder_doc_id]
+        n = int((~instance.origin_flags).sum())
+        assert_same_instance(instance, build_instance_reference(origin, intruder, cfg, n))
+        return order_scorer(instance)
+
+    result = run_study_with_scorer(corpus, checked_scorer, cfg)
+    got = [(r.fraction, r.auc.hex(), r.sa_auc.hex(), r.frequency_sa_auc.hex(), r.n_pairs) for r in result.rows]
+    assert got == PINNED_ROWS[kind]

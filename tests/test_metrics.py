@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from helpers import random_corpus
+from oracles import rank_sum_auc
 from salience.corpus import Corpus, Document, EventMention
 from salience.errors import DataError
 from salience.metrics import (
@@ -55,6 +57,62 @@ def test_auc_matches_pair_counting_exactly():
 def test_auc_single_class_is_none():
     assert auc(np.array([1.0, 2.0]), np.array([True, True])) is None
     assert auc(np.array([1.0, 2.0]), np.array([False, False])) is None
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "scores, labels",
+    [
+        ([INF, -INF, 1.0, INF, -INF, 0.0], [1, 0, 1, 0, 1, 0]),  # infinities, tied among themselves
+        ([-INF, -INF, -INF], [1, 0, 0]),
+        ([-0.0, 0.0, 0.0, -0.0, 1.0], [1, 0, 1, 0, 0]),  # signed zeros tie
+        ([0.0, -0.0], [1, 0]),
+        ([2.5] * 7, [1, 0, 0, 1, 1, 0, 1]),  # everything tied
+        ([1e308, -1e308, 5e-324, -5e-324], [1, 0, 0, 1]),
+    ],
+)
+def test_auc_edge_cases_equal_pair_count_bitwise(scores, labels):
+    scores = np.array(scores, dtype=np.float64)
+    labels = np.array(labels, dtype=bool)
+    assert auc(scores, labels).hex() == pair_count_auc(scores, labels).hex()
+    assert auc(scores, labels).hex() == rank_sum_auc(scores, labels).hex()
+
+
+@pytest.mark.parametrize("where", [0, 1, 3])
+def test_auc_nan_score_gives_nan_like_the_rank_sum(where):
+    scores = np.array([0.3, 0.1, 0.7, 0.2])
+    scores[where] = math.nan
+    labels = np.array([True, False, True, False])
+    assert math.isnan(auc(scores, labels))
+    assert math.isnan(rank_sum_auc(scores, labels))
+
+
+def test_auc_single_class_is_none_even_with_nan():
+    assert auc(np.array([math.nan, 1.0]), np.array([True, True])) is None
+
+
+def test_auc_shape_mismatch_raises():
+    with pytest.raises(DataError, match="equal length"):
+        auc(np.array([1.0, 2.0, 3.0]), np.array([True, False]))
+
+
+def test_auc_matches_rank_sum_bitwise_under_heavy_ties():
+    rng = np.random.default_rng(7)
+    specials = np.array([math.inf, -math.inf, -0.0, 0.0])
+    for _ in range(3000):
+        n = int(rng.integers(2, 80))
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)  # at most 7 distinct values
+        swap = rng.random(n) < 0.1
+        scores[swap] = rng.choice(specials, size=int(swap.sum()))
+        got = auc(scores, labels)
+        want = rank_sum_auc(scores, labels)
+        if want is None:
+            assert got is None
+        else:
+            assert got.hex() == want.hex()
 
 
 def naive_p_at_k(order_scores, labels, k):
