@@ -14,7 +14,6 @@ from .kernels import KernelBank, default_bank
 from .metrics import MetricsReport, auc, evaluate, permutation_test, precision_at_k, recall_at_k
 from .models import (
     KCEModel,
-    LeToRModel,
     PageRankModel,
     frequency_scores,
     load_model,
@@ -24,7 +23,6 @@ from .models import (
     new_letor_model,
     save_model,
     score_kce,
-    score_letor,
 )
 from .synth import SynthConfig, degrade_vectors, generate_corpus, measured_cosine_gap
 from .training import TrainConfig, TrainHistory, grad_check, train
@@ -43,7 +41,6 @@ __all__ = [
     "IntrusionConfig",
     "KCEModel",
     "KernelBank",
-    "LeToRModel",
     "MetricsReport",
     "ModelFormatError",
     "NumericError",
@@ -84,7 +81,6 @@ __all__ = [
     "save_corpus",
     "save_model",
     "score_kce",
-    "score_letor",
     "train",
     "validate_document",
 ]

@@ -26,15 +26,12 @@ from .kernels import default_bank
 from .manifest import write_manifest
 from .metrics import MetricsReport, evaluate, permutation_test
 from .models import (
-    KCEModel,
-    LeToRModel,
     PageRankModel,
     frequency_scores,
     load_model,
     location_scores,
     model_scores,
     new_kce_model,
-    new_letor_model,
     ranked_order,
     save_model,
 )
@@ -42,7 +39,7 @@ from .synth import SynthConfig, degrade_vectors, generate_corpus
 from .training import TrainConfig, grad_check, train
 
 MODEL_FLAVORS = {
-    "letor": ("letor", None),
+    "letor": ("kce", "features_only"),
     "kce": ("kce", "full"),
     "kce-e": ("kce", "events_features"),
     "kce-ef": ("kce", "events_only"),
@@ -214,10 +211,7 @@ def _cmd_train(args) -> int:
         )
     else:
         scaler = fit_scaler(train_corpus, event_table, entity_table)
-        if kind == "letor":
-            model = new_letor_model(event_table, entity_table, scaler)
-        else:
-            model = new_kce_model(default_bank(), event_table, entity_table, scaler, variant=variant)
+        model = new_kce_model(default_bank(), event_table, entity_table, scaler, variant=variant)
 
     model, history = train(model, train_corpus, dev_corpus, cfg)
     save_model(model, args.out)
@@ -365,6 +359,8 @@ def _cmd_intrude(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     started = time.time()
+    if args.max_docs < 1:
+        raise DataError(f"--max-docs must be >= 1, got {args.max_docs}")
     model = load_model(args.model, expect="kce")
     corpus = load_corpus(args.corpus)
     worst = 0.0
@@ -373,7 +369,8 @@ def _cmd_gradcheck(args) -> int:
         labels = [bool(ev.salient) for ev in doc.events if ev.salient is not None]
         if len(labels) != len(doc.events) or not (any(labels) and not all(labels)):
             continue
-        worst = max(worst, grad_check(model, doc, step=args.step))
+        # np.maximum keeps a NaN error, where max() would drop it
+        worst = float(np.maximum(worst, grad_check(model, doc, step=args.step)))
         checked += 1
     if checked == 0:
         raise DataError("no document offered both salient and non-salient events")

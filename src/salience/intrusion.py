@@ -27,7 +27,7 @@ import numpy as np
 from .corpus import Corpus, Document, EntityMention, EventMention, validate_document
 from .errors import DataError
 from .metrics import auc as auc_metric
-from .models import KCEModel, frequency_scores, score_kce
+from .models import KCE_VARIANTS, KCEModel, frequency_scores, score_kce
 
 INTRUDER_KINDS = ("salient_only", "nonsalient_only")
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -265,7 +265,7 @@ def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyRes
     Frequency is recounted on each mixed document; all other features are
     zeroed at scoring time, so the model leans on its kernel evidence.
     """
-    if not isinstance(model, KCEModel):
+    if not isinstance(model, KCEModel) or model.variant not in KCE_VARIANTS:
         raise DataError("intrusion studies score with a kernel centrality model")
 
     def score_fn(instance: IntrusionInstance) -> np.ndarray:

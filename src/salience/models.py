@@ -1,10 +1,10 @@
 """Salience ranking models.
 
-* LeToRModel      — linear model over the five standardized features.
 * KCEModel        — kernel centrality model: pooled similarity kernels against
                     the document's other events and its entities, fused with the
-                    feature block.  Three variants of increasing capacity:
-                    events_only < events_features < full.
+                    feature block.  Three kernel variants of increasing capacity,
+                    events_only < events_features < full, and features_only, the
+                    LeToR linear model over the five standardized features alone.
 * PageRankModel   — one-step random walk over a fully connected event graph with
                     softmax(cosine / temperature) transitions, blended with the
                     normalized frequency distribution.
@@ -22,6 +22,7 @@ lists.  Both check every field's presence and type before use and raise
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -36,63 +37,31 @@ from .features import (
     FeatureScaler,
     N_FEATURES,
     doc_geometry,
-    feature_matrix,
     geometry_features,
     lemma_counts,
     scale_matrix,
     scaler_from_json,
     scaler_to_json,
 )
-from .kernels import KernelBank, bank_from_json, bank_to_json, gaussian_pool
+from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool
 
 MODEL_FILE_VERSION = 2  # the version save_model writes; load_model also reads 1
-KCE_VARIANTS = ("events_only", "events_features", "full")
-
-
-def variant_uses_features(variant: str) -> bool:
-    return variant in ("events_features", "full")
-
-
-def variant_uses_entity_kernels(variant: str) -> bool:
-    return variant == "full"
-
-
-@dataclass
-class LeToRModel:
-    w_f: np.ndarray  # (5,)
-    bias: float
-    scaler: FeatureScaler
-    event_table: EmbeddingTable
-    entity_table: EmbeddingTable
-    meta: dict = field(default_factory=dict)
-
-
-def new_letor_model(
-    event_table: EmbeddingTable, entity_table: EmbeddingTable, scaler: FeatureScaler
-) -> LeToRModel:
-    event_table.trainable = False
-    entity_table.trainable = False
-    return LeToRModel(
-        w_f=np.zeros(N_FEATURES),
-        bias=0.0,
-        scaler=scaler,
-        event_table=event_table,
-        entity_table=entity_table,
-    )
-
-
-def score_letor(model: LeToRModel, doc: Document) -> np.ndarray:
-    """w_f . standardized features + bias, one score per event."""
-    feats = feature_matrix(doc, model.event_table, model.entity_table)
-    return scale_matrix(feats, model.scaler) @ model.w_f + model.bias
+# The weight blocks each variant scores with; the blocks it leaves out stay zero.
+VARIANT_BLOCKS = {
+    "events_only": ("w_v",),
+    "events_features": ("w_v", "w_f"),
+    "full": ("w_v", "w_e", "w_f"),
+    "features_only": ("w_f",),
+}
+KCE_VARIANTS = ("events_only", "events_features", "full")  # the kernel variants a "kce" record holds
 
 
 @dataclass
 class KCEModel:
     bank: KernelBank
     w_v: np.ndarray  # (K,) event-kernel weights
-    w_e: np.ndarray  # (K,) entity-kernel weights (zero unless variant == full)
-    w_f: np.ndarray  # (5,) feature weights (zero unless variant uses features)
+    w_e: np.ndarray  # (K,) entity-kernel weights
+    w_f: np.ndarray  # (5,) feature weights
     bias: float
     event_table: EmbeddingTable
     entity_table: EmbeddingTable
@@ -108,8 +77,12 @@ def new_kce_model(
     scaler: FeatureScaler,
     variant: str = "full",
 ) -> KCEModel:
-    if variant not in KCE_VARIANTS:
-        raise DataError(f"unknown variant {variant!r}; expected one of {KCE_VARIANTS}")
+    """A zero-weight model; features_only (LeToR) freezes both tables, as it scores fixed features."""
+    if variant not in VARIANT_BLOCKS:
+        raise DataError(f"unknown variant {variant!r}; expected one of {tuple(VARIANT_BLOCKS)}")
+    if variant == "features_only":
+        event_table.trainable = False
+        entity_table.trainable = False
     return KCEModel(
         bank=bank,
         w_v=np.zeros(bank.size),
@@ -123,14 +96,20 @@ def new_kce_model(
     )
 
 
+def new_letor_model(
+    event_table: EmbeddingTable, entity_table: EmbeddingTable, scaler: FeatureScaler
+) -> KCEModel:
+    return new_kce_model(default_bank(), event_table, entity_table, scaler, variant="features_only")
+
+
 @dataclass
 class KCECache(DocGeometry):
     """Everything the backward pass needs from a forward evaluation."""
 
-    acts_vv: np.ndarray  # (n, n, K) kernel activations, diagonal zeroed
-    acts_ve: np.ndarray  # (n, m, K)
-    phi_v: np.ndarray  # (n, K)
-    phi_e: np.ndarray  # (n, K)
+    acts_vv: np.ndarray | None  # (n, n, K) kernel activations, diagonal zeroed; None without w_v
+    acts_ve: np.ndarray | None  # (n, m, K); None without w_e
+    phi_v: np.ndarray | None  # (n, K)
+    phi_e: np.ndarray | None  # (n, K)
     scaled_feats: np.ndarray  # (n, 5) after standardization (and any zeroing)
     zero_nonfreq: bool
 
@@ -140,31 +119,36 @@ def kce_forward(
 ) -> tuple[np.ndarray, KCECache]:
     """Scores plus a cache for gradient computation.
 
-    ``zero_nonfreq_features`` replaces every standardized feature except the
-    (recounted) frequency with 0 before the feature weights apply; used by the
-    intrusion test so only relational evidence and frequency drive the score.
+    The score sums the variant's blocks in the order w_v, w_e, w_f, with the
+    bias added to the first.  ``zero_nonfreq_features`` replaces every
+    standardized feature except the (recounted) frequency with 0 before the
+    feature weights apply; used by the intrusion test so only relational
+    evidence and frequency drive the score.
     """
     n = len(doc.events)
-    uses_feats = variant_uses_features(model.variant)
-    uses_ent_kernels = variant_uses_entity_kernels(model.variant)
-    geo = doc_geometry(
-        doc, model.event_table, model.entity_table if uses_feats or uses_ent_kernels else None
-    )
-    acts_vv = gaussian_pool(geo.sims_vv, model.bank)
-    acts_vv[np.arange(n), np.arange(n), :] = 0.0
-    acts_ve = gaussian_pool(geo.sims_ve, model.bank)
-    phi_v = acts_vv.sum(axis=1)
-    phi_e = acts_ve.sum(axis=1)
-
-    scores = phi_v @ model.w_v + model.bias
-    if uses_ent_kernels:
-        scores = scores + phi_e @ model.w_e
+    blocks = VARIANT_BLOCKS[model.variant]
+    reads_entities = "w_e" in blocks or "w_f" in blocks
+    geo = doc_geometry(doc, model.event_table, model.entity_table if reads_entities else None)
+    acts_vv = acts_ve = phi_v = phi_e = None
+    terms = []
+    if "w_v" in blocks:
+        acts_vv = gaussian_pool(geo.sims_vv, model.bank)
+        acts_vv[np.arange(n), np.arange(n), :] = 0.0
+        phi_v = acts_vv.sum(axis=1)
+        terms.append(phi_v @ model.w_v)
+    if "w_e" in blocks:
+        acts_ve = gaussian_pool(geo.sims_ve, model.bank)
+        phi_e = acts_ve.sum(axis=1)
+        terms.append(phi_e @ model.w_e)
     scaled = np.zeros((n, N_FEATURES))
-    if uses_feats:
+    if "w_f" in blocks:
         scaled = scale_matrix(geometry_features(doc, geo), model.scaler)
         if zero_nonfreq_features:
             scaled[:, 1:] = 0.0
-        scores = scores + scaled @ model.w_f
+        terms.append(scaled @ model.w_f)
+    scores = terms[0] + model.bias
+    for term in terms[1:]:
+        scores = scores + term
 
     cache = KCECache(
         **vars(geo),
@@ -191,8 +175,8 @@ class PageRankModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise DataError("pagerank temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise DataError("pagerank temperature must be a finite number > 0")
         if not 0.0 <= self.combine_lambda <= 1.0:
             raise DataError("pagerank combine_lambda must lie in [0, 1]")
 
@@ -275,35 +259,36 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"model field {name} contains non-finite values")
 
 
+_BLOCK_NAMES = {"w_v": "event-kernel", "w_e": "entity-kernel", "w_f": "feature"}
+
+
+def _check_blocks(variant: str, weights: dict[str, np.ndarray]) -> None:
+    """Every weight block is finite, and zero where the variant does not score with it."""
+    for name, arr in weights.items():
+        if name not in VARIANT_BLOCKS[variant] and np.any(arr != 0.0):
+            raise ModelFormatError(f"variant {variant} requires zero {name} ({_BLOCK_NAMES[name]}) weights")
+        _check_finite(name, arr)
+
+
 def _model_to_json(model) -> dict:
     if isinstance(model, KCEModel):
-        for name, arr in (("w_v", model.w_v), ("w_e", model.w_e), ("w_f", model.w_f)):
-            _check_finite(name, arr)
+        _check_blocks(model.variant, {"w_v": model.w_v, "w_e": model.w_e, "w_f": model.w_f})
         _check_finite("bias", np.array([model.bias]))
         _check_finite("event_table", model.event_table.vectors)
         _check_finite("entity_table", model.entity_table.vectors)
+        if model.variant == "features_only":  # stored as the LeToR record it always was
+            head = {"model_type": "letor"}
+        else:
+            head = {
+                "model_type": "kce",
+                "variant": model.variant,
+                "bank": bank_to_json(model.bank),
+                "w_v": model.w_v.tolist(),
+                "w_e": model.w_e.tolist(),
+            }
         return {
             "version": MODEL_FILE_VERSION,
-            "model_type": "kce",
-            "variant": model.variant,
-            "bank": bank_to_json(model.bank),
-            "w_v": model.w_v.tolist(),
-            "w_e": model.w_e.tolist(),
-            "w_f": model.w_f.tolist(),
-            "bias": model.bias,
-            "scaler": scaler_to_json(model.scaler),
-            "event_table": table_to_json(model.event_table),
-            "entity_table": table_to_json(model.entity_table),
-            "meta": model.meta,
-        }
-    if isinstance(model, LeToRModel):
-        _check_finite("w_f", model.w_f)
-        _check_finite("bias", np.array([model.bias]))
-        _check_finite("event_table", model.event_table.vectors)
-        _check_finite("entity_table", model.entity_table.vectors)
-        return {
-            "version": MODEL_FILE_VERSION,
-            "model_type": "letor",
+            **head,
             "w_f": model.w_f.tolist(),
             "bias": model.bias,
             "scaler": scaler_to_json(model.scaler),
@@ -407,19 +392,16 @@ def _model_from_json(obj: dict, version: int):
         meta=meta,
     )
     if model_type == "letor":
-        return LeToRModel(w_f=w_f, **shared)
-    variant = obj["variant"]
-    bank = bank_from_json(obj["bank"])
-    w_v = np.asarray(obj["w_v"], dtype=np.float64)
-    w_e = np.asarray(obj["w_e"], dtype=np.float64)
-    if w_v.shape != (bank.size,) or w_e.shape != (bank.size,):
-        raise ModelFormatError("kernel weight length does not match the bank")
-    if not variant_uses_entity_kernels(variant) and np.any(w_e != 0.0):
-        raise ModelFormatError(f"variant {variant} requires zero w_e (entity-kernel) weights")
-    if not variant_uses_features(variant) and np.any(w_f != 0.0):
-        raise ModelFormatError(f"variant {variant} requires zero w_f (feature) weights")
-    _check_finite("w_v", w_v)
-    _check_finite("w_e", w_e)
+        bank = default_bank()
+        w_v, w_e, variant = np.zeros(bank.size), np.zeros(bank.size), "features_only"
+    else:
+        variant = obj["variant"]
+        bank = bank_from_json(obj["bank"])
+        w_v = np.asarray(obj["w_v"], dtype=np.float64)
+        w_e = np.asarray(obj["w_e"], dtype=np.float64)
+        if w_v.shape != (bank.size,) or w_e.shape != (bank.size,):
+            raise ModelFormatError("kernel weight length does not match the bank")
+        _check_blocks(variant, {"w_v": w_v, "w_e": w_e, "w_f": w_f})
     return KCEModel(bank=bank, w_v=w_v, w_e=w_e, w_f=w_f, variant=variant, **shared)
 
 
@@ -451,8 +433,6 @@ def model_scores(model, doc: Document) -> np.ndarray:
     """Scores for any model object (dispatch helper for ranking and evaluation)."""
     if isinstance(model, KCEModel):
         return score_kce(model, doc)
-    if isinstance(model, LeToRModel):
-        return score_letor(model, doc)
     if isinstance(model, PageRankModel):
         return pagerank_scores(model, doc)
     raise DataError(f"cannot score with object of type {type(model).__name__}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,18 +28,15 @@ from .corpus import Corpus, Document
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
 from .metrics import evaluate
 from .models import (
+    KCE_VARIANTS,
+    VARIANT_BLOCKS,
     KCECache,
     KCEModel,
-    LeToRModel,
     PageRankModel,
     kce_forward,
     model_scores,
     pagerank_forward,
-    score_letor,
-    variant_uses_entity_kernels,
-    variant_uses_features,
 )
-from .features import feature_matrix, scale_matrix
 
 LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -116,7 +114,7 @@ class TrainHistory:
 def _labels(doc: Document) -> np.ndarray:
     if any(ev.salient is None for ev in doc.events):
         raise DataError(f"doc {doc.doc_id!r} is not salience-labeled")
-    return np.array([bool(ev.salient) for ev in doc.events])
+    return np.array([bool(ev.salient) for ev in doc.events], dtype=bool)  # bool also when empty
 
 
 def _pair_loss(
@@ -232,22 +230,14 @@ MIN_TEMPERATURE = 1e-3
 def _param_arrays(model, freeze_embeddings: bool) -> tuple[dict[str, np.ndarray], list[str]]:
     """Views into the model's trainable arrays plus the names of scalar blocks."""
     if isinstance(model, KCEModel):
-        arrays: dict[str, np.ndarray] = {"w_v": model.w_v, BIAS_KEY: np.array([model.bias])}
-        if variant_uses_features(model.variant):
-            arrays["w_f"] = model.w_f
-        if variant_uses_entity_kernels(model.variant):
-            arrays["w_e"] = model.w_e
+        blocks = VARIANT_BLOCKS[model.variant]
+        arrays: dict[str, np.ndarray] = {name: getattr(model, name) for name in blocks}
+        arrays[BIAS_KEY] = np.array([model.bias])
         if not freeze_embeddings and model.event_table.trainable:
             arrays["event_emb"] = model.event_table.vectors
-        if (
-            not freeze_embeddings
-            and model.entity_table.trainable
-            and variant_uses_features(model.variant)
-        ):
+        if not freeze_embeddings and model.entity_table.trainable and ("w_e" in blocks or "w_f" in blocks):
             arrays["entity_emb"] = model.entity_table.vectors
         return arrays, [BIAS_KEY]
-    if isinstance(model, LeToRModel):
-        return {"w_f": model.w_f, BIAS_KEY: np.array([model.bias])}, [BIAS_KEY]
     if isinstance(model, PageRankModel):
         arrays = {TEMPERATURE_KEY: np.array([model.temperature])}
         if not freeze_embeddings and model.event_table.trainable:
@@ -325,34 +315,32 @@ def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarr
 def kce_backward(
     model: KCEModel, doc: Document, cache: KCECache, dscores: np.ndarray
 ) -> dict:
-    """Gradients of the document loss for every trainable block of a KCE model.
+    """Gradients of the document loss for the variant's weight blocks and the bias.
 
-    The two embedding tables come back row-sparse, as ``(rows, block)`` pairs.
+    The embedding tables come back row-sparse, as ``(rows, block)`` pairs, and
+    only when at least one of them is trainable.
     """
     if cache.zero_nonfreq:
         raise DataError("backward pass is undefined for feature-zeroed scoring")
     n = len(doc.events)
     m = len(doc.entities)
     g = np.asarray(dscores, dtype=np.float64)
-    uses_feats = variant_uses_features(model.variant)
-    uses_ent_kernels = variant_uses_entity_kernels(model.variant)
-
-    grads: dict[str, np.ndarray] = {
-        "w_v": cache.phi_v.T @ g,
-        BIAS_KEY: np.array([float(g.sum())]),
-    }
-    if uses_feats:
-        grads["w_f"] = cache.scaled_feats.T @ g
-    if uses_ent_kernels:
-        grads["w_e"] = cache.phi_e.T @ g
+    blocks = VARIANT_BLOCKS[model.variant]
+    inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": cache.scaled_feats}
+    grads: dict[str, np.ndarray] = {name: inputs[name].T @ g for name in blocks}
+    grads[BIAS_KEY] = np.array([float(g.sum())])
+    if not (model.event_table.trainable or model.entity_table.trainable):
+        return grads
 
     d_rows_v = np.zeros((n, model.event_table.dim))
     d_rows_e = np.zeros((len(cache.rows_e), model.entity_table.dim))  # no rows unless entities are used
 
     if n:
         # event-event cosine gradients: kernel path plus the event-voting feature
-        grad_vv = g[:, None] * _kernel_cos_grad(cache.acts_vv, cache.sims_vv, model.bank, model.w_v)
-        if uses_feats and n > 1:
+        grad_vv = np.zeros((n, n))
+        if "w_v" in blocks:
+            grad_vv = g[:, None] * _kernel_cos_grad(cache.acts_vv, cache.sims_vv, model.bank, model.w_v)
+        if "w_f" in blocks and n > 1:
             vote = g * (model.w_f[2] / model.scaler.stds[2] / (n - 1))
             grad_vv = grad_vv + vote[:, None]
         np.fill_diagonal(grad_vv, 0.0)
@@ -360,13 +348,13 @@ def kce_backward(
             grad_vv, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v, cache.norms_v, True
         )
 
-        if m and (uses_ent_kernels or uses_feats):
+        if m and ("w_e" in blocks or "w_f" in blocks):
             grad_ve = np.zeros_like(cache.sims_ve)
-            if uses_ent_kernels:
+            if "w_e" in blocks:
                 grad_ve += g[:, None] * _kernel_cos_grad(
                     cache.acts_ve, cache.sims_ve, model.bank, model.w_e
                 )
-            if uses_feats:
+            if "w_f" in blocks:
                 grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
                 safe_counts = np.where(cache.local_counts == 0, 1, cache.local_counts)
                 local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
@@ -427,11 +415,6 @@ def _doc_loss_and_grads(model, doc: Document, cfg: TrainConfig):
         scores, cache = kce_forward(model, doc)
         loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
         return loss, kce_backward(model, doc, cache, dscores)
-    if isinstance(model, LeToRModel):
-        scaled = scale_matrix(feature_matrix(doc, model.event_table, model.entity_table), model.scaler)
-        scores = scaled @ model.w_f + model.bias
-        loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
-        return loss, {"w_f": scaled.T @ dscores, BIAS_KEY: np.array([float(dscores.sum())])}
     if isinstance(model, PageRankModel):
         scores, cache = pagerank_forward(model, doc)
         loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
@@ -581,8 +564,10 @@ def grad_check(
     exactly bias-shift invariant, so e.g. the bias gradient is identically
     zero while finite differences return pure floating-point noise).
     """
-    if not isinstance(model, KCEModel):
+    if not isinstance(model, KCEModel) or model.variant not in KCE_VARIANTS:
         raise DataError("grad_check runs on kernel centrality models")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DataError(f"gradient check step must be a finite number > 0, got {step!r}")
     labels = _labels(doc)
     if not labels.any() or labels.all():
         return 0.0
@@ -590,29 +575,26 @@ def grad_check(
     _, dscores = document_pair_loss(scores, labels)
     analytic = kce_backward(model, doc, cache, dscores)
     for name, table in (("event_emb", model.event_table), ("entity_emb", model.entity_table)):
+        if name not in analytic:
+            continue
         rows, block = analytic[name]
         dense = np.zeros_like(table.vectors)
         dense[rows] = block
         analytic[name] = dense
 
-    blocks: list[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]] = []
-
-    def add_block(param: np.ndarray, grad: np.ndarray, coords: list[tuple[int, ...]]) -> None:
-        blocks.append((param, grad, coords))
-
-    add_block(model.w_v, analytic["w_v"], [(k,) for k in range(model.bank.size)])
-    if variant_uses_entity_kernels(model.variant):
-        add_block(model.w_e, analytic["w_e"], [(k,) for k in range(model.bank.size)])
-    if variant_uses_features(model.variant):
-        add_block(model.w_f, analytic["w_f"], [(k,) for k in range(len(model.w_f))])
-
+    weights = VARIANT_BLOCKS[model.variant]
     bias_arr = np.array([model.bias])
-    add_block(bias_arr, analytic[BIAS_KEY], [(0,)])
+    # (parameter, analytic gradient, coordinates to perturb)
+    blocks: list[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]] = [
+        (getattr(model, name), analytic[name], [(k,) for k in range(len(getattr(model, name)))])
+        for name in weights
+    ]
+    blocks.append((bias_arr, analytic[BIAS_KEY], [(0,)]))
 
     row_pool: list[tuple[str, int]] = []
     if model.event_table.trainable:
         row_pool += [("event_emb", int(r)) for r in sorted(set(cache.rows_v.tolist()))]
-    if model.entity_table.trainable and variant_uses_features(model.variant):
+    if model.entity_table.trainable and ("w_e" in weights or "w_f" in weights):
         row_pool += [("entity_emb", int(r)) for r in sorted(set(cache.rows_e.tolist()))]
     if row_pool and max_rows > 0:
         rng = np.random.default_rng(row_seed)
@@ -624,11 +606,7 @@ def grad_check(
         dim = model.event_table.dim
         for table_name, row in chosen:
             table = model.event_table if table_name == "event_emb" else model.entity_table
-            add_block(
-                table.vectors,
-                analytic[table_name],
-                [(row, d) for d in range(dim)],
-            )
+            blocks.append((table.vectors, analytic[table_name], [(row, d) for d in range(dim)]))
 
     def loss_with_bias_synced() -> float:
         model.bias = float(bias_arr[0])
@@ -645,9 +623,9 @@ def grad_check(
             loss_minus = loss_with_bias_synced()
             param[coord] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * step)
-            scale = max(abs(a), abs(numeric))
-            if scale <= GRAD_EPS:
+            if abs(a) <= GRAD_EPS and abs(numeric) <= GRAD_EPS:
                 continue
-            worst = max(worst, abs(a - numeric) / max(scale, GRAD_EPS))
+            # np.maximum keeps a NaN error, where max() would drop it
+            worst = float(np.maximum(worst, abs(a - numeric) / max(abs(a), abs(numeric), GRAD_EPS)))
     model.bias = float(bias_arr[0])
     return worst

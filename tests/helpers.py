@@ -20,7 +20,7 @@ from salience.corpus import Corpus, Document, EntityMention, EventMention
 from salience.embeddings import EmbeddingTable, Vocabulary, vocab_to_json
 from salience.features import fit_scaler, scaler_to_json
 from salience.kernels import bank_to_json, default_bank
-from salience.models import KCEModel, LeToRModel, PageRankModel, kce_forward
+from salience.models import KCEModel, PageRankModel, kce_forward
 from salience.training import EMBEDDING_KEYS, _labels, document_pair_loss, kce_backward
 
 GRAY_BAND = (1e-8, 5e-3)
@@ -205,14 +205,10 @@ def save_model_v1(model, path) -> None:
     Version 1 is version 2 with every embedding table's vectors as nested JSON
     lists of float reprs, streamed through ``json.dump``.
     """
-    if isinstance(model, KCEModel):
+    if isinstance(model, KCEModel) and model.variant == "features_only":
         payload = {
             "version": 1,
-            "model_type": "kce",
-            "variant": model.variant,
-            "bank": bank_to_json(model.bank),
-            "w_v": model.w_v.tolist(),
-            "w_e": model.w_e.tolist(),
+            "model_type": "letor",
             "w_f": model.w_f.tolist(),
             "bias": model.bias,
             "scaler": scaler_to_json(model.scaler),
@@ -220,10 +216,14 @@ def save_model_v1(model, path) -> None:
             "entity_table": _table_v1(model.entity_table),
             "meta": model.meta,
         }
-    elif isinstance(model, LeToRModel):
+    elif isinstance(model, KCEModel):
         payload = {
             "version": 1,
-            "model_type": "letor",
+            "model_type": "kce",
+            "variant": model.variant,
+            "bank": bank_to_json(model.bank),
+            "w_v": model.w_v.tolist(),
+            "w_e": model.w_e.tolist(),
             "w_f": model.w_f.tolist(),
             "bias": model.bias,
             "scaler": scaler_to_json(model.scaler),

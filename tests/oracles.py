@@ -3,9 +3,9 @@
 Written one event, one pair and one scalar at a time, straight from the
 definitions: cosine similarity and its gradient, the five per-event features
 and their standardization, per-target kernel pooling with its backward pass,
-the one-step PageRank walk, AUC from average ranks, and the intrusion
-instance built by filtering entities sentence by sentence.  Nothing in the
-package calls them.
+the stand-alone LeToR scorer with its weight gradients, the one-step PageRank
+walk, AUC from average ranks, and the intrusion instance built by filtering
+entities sentence by sentence.  Nothing in the package calls them.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 from salience.corpus import Document, EventMention, validate_document
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
-from salience.features import FeatureScaler
+from salience.features import FeatureScaler, feature_matrix, scale_matrix
 from salience.intrusion import (
     MIN_ORIGIN_SALIENT,
     IntrusionConfig,
@@ -28,7 +28,7 @@ from salience.intrusion import (
     eligible_intruder_events,
 )
 from salience.kernels import KernelBank, gaussian_pool
-from salience.models import PageRankModel
+from salience.models import KCEModel, PageRankModel
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -204,6 +204,20 @@ def kernel_backward(
         d_target += du
         d_context.append(dv)
     return d_target, d_context
+
+
+# --- LeToR ----------------------------------------------------------------------
+
+
+def letor_scores(model: KCEModel, doc: Document) -> tuple[np.ndarray, np.ndarray]:
+    """The LeToR formula on its own: scores ``scaled @ w_f + bias`` and the scaled features."""
+    scaled = scale_matrix(feature_matrix(doc, model.event_table, model.entity_table), model.scaler)
+    return scaled @ model.w_f + model.bias, scaled
+
+
+def letor_grads(scaled: np.ndarray, dscores: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a loss with d(loss)/d(scores) = ``dscores`` w.r.t. w_f and the bias."""
+    return {"w_f": scaled.T @ dscores, "bias": np.array([float(dscores.sum())])}
 
 
 # --- pagerank -------------------------------------------------------------------

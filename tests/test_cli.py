@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from salience import cli
 from salience.cli import main
 from salience.corpus import load_corpus
 from salience.metrics import MetricsReport
-from salience.models import KCEModel, LeToRModel, load_model
+from salience.models import KCEModel, load_model
 
 SYNTH_CFG = {
     "docs": 24,
@@ -93,8 +94,9 @@ def test_synth_outputs_load_and_carry_split_tags(pipeline):
 
 
 def test_trained_model_loads_with_history(pipeline):
+    assert json.loads(pipeline["model"].read_text(encoding="utf-8"))["model_type"] == "letor"
     model = load_model(pipeline["model"])
-    assert isinstance(model, LeToRModel)
+    assert isinstance(model, KCEModel) and model.variant == "features_only"
     history = Path(str(pipeline["model"]) + ".history.csv").read_text(encoding="utf-8")
     lines = history.strip().splitlines()
     assert lines[0] == "epoch,loss,dev_auc,dev_p1"
@@ -232,8 +234,19 @@ def test_export_kernel_weights_requires_kce(pipeline, tmp_path):
     assert code == 2  # letor model: kind mismatch is a data error
 
 
-def test_kce_train_gradcheck_and_kernel_export(pipeline, tmp_path):
-    model_out = tmp_path / "kce.model.json"
+@pytest.mark.parametrize("command", ["intrude", "gradcheck"])
+def test_kernel_commands_refuse_a_letor_model(pipeline, tmp_path, capsys, command):
+    argv = [command, "--model", str(pipeline["model"]), "--corpus", str(pipeline["test"]),
+            "--out", str(tmp_path / "o")]
+    if command == "intrude":
+        argv += ["--kind", "salient"]
+    _exits_two_with_one_line_error(argv, capsys, "expected a kce model")
+
+
+@pytest.fixture(scope="module")
+def kce_model(pipeline):
+    """A kce model trained through the CLI on the pipeline's corpora."""
+    model_out = pipeline["root"] / "kce.model.json"
     code = main(
         [
             "train",
@@ -252,6 +265,11 @@ def test_kce_train_gradcheck_and_kernel_export(pipeline, tmp_path):
         ]
     )
     assert code == 0
+    return model_out
+
+
+def test_kce_train_gradcheck_and_kernel_export(pipeline, kce_model, tmp_path):
+    model_out = kce_model
     assert isinstance(load_model(model_out), KCEModel)
 
     csv_out = tmp_path / "kernels.csv"
@@ -281,28 +299,8 @@ def test_kce_train_gradcheck_and_kernel_export(pipeline, tmp_path):
     assert payload["documents"] == 2
 
 
-def test_intrude_writes_curve(pipeline, tmp_path):
-    model_out = tmp_path / "kce.model.json"
-    assert (
-        main(
-            [
-                "train",
-                "--model",
-                "kce",
-                "--train",
-                str(pipeline["train"]),
-                "--dev",
-                str(pipeline["dev"]),
-                "--out",
-                str(model_out),
-                "--config",
-                str(pipeline["train_cfg"]),
-                "--dim",
-                "16",
-            ]
-        )
-        == 0
-    )
+def test_intrude_writes_curve(pipeline, kce_model, tmp_path):
+    model_out = kce_model
     out = tmp_path / "intrusion.csv"
     code = main(
         [
@@ -325,6 +323,39 @@ def test_intrude_writes_curve(pipeline, tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "fraction,auc,sa_auc,frequency_sa_auc,n_pairs"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("step", ["nan", "0"])
+def test_gradcheck_refuses_a_step_that_is_not_finite_and_positive(pipeline, kce_model, capsys, step):
+    argv = ["gradcheck", "--model", str(kce_model), "--corpus", str(pipeline["dev"]), "--step", step]
+    _exits_two_with_one_line_error(argv, capsys, "step")
+
+
+@pytest.mark.parametrize("max_docs", ["-1", "0"])
+def test_gradcheck_refuses_max_docs_below_one(pipeline, kce_model, capsys, max_docs):
+    argv = ["gradcheck", "--model", str(kce_model), "--corpus", str(pipeline["dev"]), "--max-docs", max_docs]
+    _exits_two_with_one_line_error(argv, capsys, "--max-docs")
+
+
+def test_gradcheck_nan_error_on_a_later_document_exits_three(pipeline, kce_model, capsys, monkeypatch):
+    errors = iter([0.5, float("nan")])
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: next(errors))
+    code = main(["gradcheck", "--model", str(kce_model), "--corpus", str(pipeline["dev"]), "--max-docs", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_train_pagerank_nan_temperature_exits_two_before_training(pipeline, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "pr.json"
+    argv = ["train", "--model", "pagerank", "--train", str(pipeline["train"]), "--dev", str(pipeline["dev"]),
+            "--out", str(out), "--dim", "16", "--pagerank-temperature", "nan"]
+    _exits_two_with_one_line_error(argv, capsys, "temperature")
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one():

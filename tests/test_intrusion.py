@@ -18,7 +18,7 @@ from salience.intrusion import (
     run_study_with_scorer,
 )
 from salience.kernels import default_bank
-from salience.models import KCEModel, new_kce_model
+from salience.models import KCEModel, new_kce_model, new_letor_model
 
 
 def make_doc(doc_id, n_salient, n_nonsalient, n_sentences=6, n_entities=3, lemma_prefix=None):
@@ -235,6 +235,9 @@ def test_run_study_with_model_zeroes_nonfrequency_features():
     result = run_study(corpus, model, cfg)
     assert result.rows[0].n_pairs == 8
     assert 0.0 <= result.rows[0].auc <= 1.0
+    # the features_only (LeToR) variant has no relational evidence to study
+    with pytest.raises(DataError, match="kernel centrality"):
+        run_study(corpus, new_letor_model(evt, ent, scaler), cfg)
 
 
 def test_intrusion_config_validation():

@@ -120,6 +120,19 @@ def test_version_2_layout(tmp_path, kind):
     assert obj1 == obj2
 
 
+def test_letor_is_stored_as_the_letor_record(tmp_path):
+    """features_only writes the LeToR record: no variant, bank or kernel weights."""
+    model = build_model("letor")
+    assert model.variant == "features_only"
+    save_model(model, tmp_path / "m.json")
+    obj = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    assert list(obj) == ["version", "model_type", "w_f", "bias", "scaler", "event_table", "entity_table", "meta"]
+    assert obj["model_type"] == "letor"
+    again = load_model(tmp_path / "m.json", expect="letor")
+    assert again.variant == "features_only" and not again.w_v.any() and not again.w_e.any()
+    assert not again.event_table.trainable and not again.entity_table.trainable
+
+
 def test_save_model_writes_non_contiguous_tables(tmp_path):
     model = build_model("kce")
     expected = model_fields(model)
@@ -195,6 +208,7 @@ CASES = [
     ("missing-bank", 2, ("kce",), _delete("bank"), "missing field bank"),
     ("bank-sigmas-string", 2, ("kce",), _set("bank", "sigmas", "0.1"), "field bank.sigmas"),
     ("variant-list", 2, ("kce",), _set("variant", ["full"]), "field variant"),
+    ("variant-features-only", 2, ("kce",), _set("variant", "features_only"), "field variant"),
     ("meta-list", 2, None, _set("meta", []), "field meta"),
     ("model-type-list", 2, None, _set("model_type", ["kce"]), "model_type"),
     ("invalid-base64", 2, None, _set("event_table", "vectors", "@@not base64@@"), "event_table.vectors"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from helpers import random_corpus, random_document, toy_table
-from oracles import apply_scaler, extract_features, kernel_features
+from oracles import apply_scaler, extract_features, kernel_features, letor_scores
 from oracles import pagerank_scores as pagerank_oracle
 from salience.corpus import Corpus, Document, EntityMention, EventMention
 from salience.embeddings import normalized_rows
@@ -26,7 +28,6 @@ from salience.models import (
     ranked_order,
     save_model,
     score_kce,
-    score_letor,
 )
 
 
@@ -143,7 +144,11 @@ def test_kce_scores_empty_single_and_entity_free_documents(variant):
         n, K = len(doc.events), model.bank.size
         assert scores.shape == (n,)
         assert cache.sims_vv.shape == (n, n) and cache.acts_vv.shape == (n, n, K)
-        assert cache.phi_v.shape == (n, K) and cache.phi_e.shape == (n, K)
+        assert cache.phi_v.shape == (n, K)
+        if variant == "full":
+            assert cache.acts_ve.shape == (n, len(doc.entities), K) and cache.phi_e.shape == (n, K)
+        else:  # no w_e block: the entity kernels are never pooled
+            assert cache.acts_ve is None and cache.phi_e is None
         assert cache.scaled_feats.shape == (n, 5)
         assert scores == pytest.approx(compositional_scores(model, doc), abs=1e-10)
 
@@ -161,9 +166,10 @@ def test_letor_and_pagerank_score_empty_single_and_entity_free_documents():
             + letor.bias
             for ev in doc.events
         ]
-        got = score_letor(letor, doc)
+        got, cache = kce_forward(letor, doc)
         assert got.shape == (len(doc.events),)
         assert got == pytest.approx(np.array(want), abs=1e-10)
+        assert cache.acts_vv is None and cache.acts_ve is None  # no kernel pooling
 
         pagerank = PageRankModel(temperature=0.7, combine_lambda=0.3, event_table=kce.event_table)
         got = pagerank_scores(pagerank, doc)
@@ -214,7 +220,7 @@ def test_letor_is_kce_without_kernels():
         scaler=kce.scaler,
         variant="full",
     )
-    assert score_letor(letor, doc) == pytest.approx(score_kce(zeroed, doc), abs=1e-12)
+    assert score_kce(letor, doc) == pytest.approx(score_kce(zeroed, doc), abs=1e-12)
 
 
 def softmax_rows(m):
@@ -327,8 +333,10 @@ def test_save_load_round_trip_letor_and_pagerank(tmp_path):
     letor.w_f[:] = rng.normal(size=5)
     p1 = tmp_path / "letor.json"
     save_model(letor, p1)
+    assert json.loads(p1.read_text(encoding="utf-8"))["model_type"] == "letor"
     letor2 = load_model(p1, expect="letor")
-    assert score_letor(letor2, doc) == pytest.approx(score_letor(letor, doc), abs=0)
+    assert isinstance(letor2, KCEModel) and letor2.variant == "features_only"
+    assert np.array_equal(score_kce(letor2, doc), score_kce(letor, doc))
 
     pr = PageRankModel(temperature=0.9, combine_lambda=0.3, event_table=kce.event_table)
     p2 = tmp_path / "pr.json"
@@ -360,14 +368,13 @@ def test_load_model_rejects_nonzero_frozen_blocks(tmp_path):
     model = build_kce(rng, doc, variant="events_only")
     path = tmp_path / "m.json"
     save_model(model, path)
-    text = path.read_text(encoding="utf-8")
-    import json as _json
-
-    obj = _json.loads(text)
-    obj["w_e"][0] = 0.5
-    path.write_text(_json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="w_e"):
-        load_model(path)
+    saved = path.read_text(encoding="utf-8")
+    for block in ("w_e", "w_f"):
+        obj = json.loads(saved)
+        obj[block][0] = 0.5
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"requires zero {block}"):
+            load_model(path)
 
 
 def test_save_model_rejects_non_finite(tmp_path):
@@ -379,10 +386,22 @@ def test_save_model_rejects_non_finite(tmp_path):
         save_model(model, tmp_path / "m.json")
 
 
+def test_save_model_rejects_weights_the_variant_does_not_hold(tmp_path):
+    rng = np.random.default_rng(39)
+    doc = random_document(rng, n_events=3, n_entities=2)
+    kce = build_kce(rng, doc)
+    letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
+    letor.w_v[0] = 0.5  # the letor record has no place for kernel weights
+    with pytest.raises(ModelFormatError, match="requires zero w_v"):
+        save_model(letor, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_model_scores_dispatch():
     rng = np.random.default_rng(41)
     doc = random_document(rng, n_events=4, n_entities=2)
     kce = build_kce(rng, doc)
     assert model_scores(kce, doc) == pytest.approx(score_kce(kce, doc), abs=0)
     letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
-    assert model_scores(letor, doc) == pytest.approx(score_letor(letor, doc), abs=0)
+    letor.w_f[:] = rng.normal(size=5)
+    assert np.array_equal(model_scores(letor, doc), letor_scores(letor, doc)[0])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gradcheck_instances, random_corpus, random_document, toy_table
+from oracles import letor_grads, letor_scores
 from salience import training
 from salience.corpus import Corpus, Document, EntityMention, EventMention
 from salience.embeddings import build_vocab, init_embeddings
@@ -16,16 +17,15 @@ from salience.features import fit_scaler
 from salience.kernels import default_bank
 from salience.models import (
     KCE_VARIANTS,
+    VARIANT_BLOCKS,
     PageRankModel,
     kce_forward,
+    model_scores,
     new_kce_model,
     new_letor_model,
     pagerank_forward,
     pagerank_scores,
     score_kce,
-    score_letor,
-    variant_uses_entity_kernels,
-    variant_uses_features,
 )
 from salience.training import (
     EMBEDDING_KEYS,
@@ -278,11 +278,8 @@ def test_kce_backward_sparse_blocks_equal_dense_tables(monkeypatch, variant):
     docs = repeated_row_docs(rng)
     evt, ent = repeated_row_tables(rng)
     model = new_kce_model(default_bank(), evt, ent, fit_scaler(Corpus(tuple(docs)), evt, ent), variant=variant)
-    model.w_v = rng.normal(0, 0.5, model.bank.size)
-    if variant_uses_entity_kernels(variant):
-        model.w_e = rng.normal(0, 0.5, model.bank.size)
-    if variant_uses_features(variant):
-        model.w_f = rng.normal(0, 0.5, len(model.w_f))
+    for name in VARIANT_BLOCKS[variant]:
+        setattr(model, name, rng.normal(0, 0.5, len(getattr(model, name))))
     tables = {"event_emb": evt, "entity_emb": ent}
     batch_dense = {k: np.zeros_like(t.vectors) for k, t in tables.items()}
     batch_sparse = {k: np.zeros_like(t.vectors) for k, t in tables.items()}
@@ -335,6 +332,25 @@ def test_grad_check_linear_only_small_batch():
         model.entity_table.trainable = False
         worst = max(worst, grad_check(model, doc, step=1e-5, row_seed=seed))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(step):
+    model, doc, _seed = next(gradcheck_instances(1))
+    with pytest.raises(DataError, match="step"):
+        grad_check(model, doc, step=step)
+
+
+def test_grad_check_reports_a_nan_error(monkeypatch):
+    model, doc, seed = next(gradcheck_instances(1))
+    monkeypatch.setattr(training, "_kce_loss", lambda *args: math.nan)
+    assert math.isnan(grad_check(model, doc, row_seed=seed))
+
+
+def test_grad_check_refuses_features_only():
+    model, corpus = small_training_setup(kind="letor")
+    with pytest.raises(DataError, match="kernel centrality"):
+        grad_check(model, corpus.documents[0])
 
 
 def test_grad_check_single_class_doc_returns_zero():
@@ -430,7 +446,42 @@ def test_train_letor_moves_only_linear_weights():
     trained, _ = train(model, corpus, corpus, TrainConfig(epochs=2, batch_docs=4, seed=0))
     assert np.array_equal(trained.event_table.vectors, before)
     assert trained.w_f.any()
+    assert not trained.w_v.any() and not trained.w_e.any()  # features_only has no kernel blocks
     assert trained.bias == 0.0  # hinge bias gradient is identically zero
+
+
+def test_features_only_matches_letor_reference_bitwise():
+    """Scores and per-document training gradients equal the stand-alone LeToR formula bit for bit."""
+    rng = np.random.default_rng(17)
+    docs = [
+        Document(doc_id="empty", num_sentences=1, events=()),
+        random_document(rng, doc_id="single", n_events=1, n_entities=2),
+        random_document(rng, doc_id="entity-free", n_events=6, n_entities=0, distinct_lemmas=False),
+    ] + [random_document(rng, doc_id=f"d{k}", n_events=7, n_entities=4, distinct_lemmas=False) for k in range(12)]
+    corpus = Corpus(documents=tuple(docs))
+    evt = init_embeddings(build_vocab(corpus, "event_lemma", min_count=1), dim=6, seed=1)
+    ent = init_embeddings(build_vocab(corpus, "entity_key", min_count=1), dim=6, seed=2)
+    model = new_letor_model(evt, ent, fit_scaler(corpus, evt, ent))
+    model.w_f[:] = rng.normal(size=5)
+    model.bias = float(rng.normal())
+    cfg = TrainConfig(seed=3)
+    with_pairs = 0
+    for doc in docs:
+        want, scaled = letor_scores(model, doc)
+        assert np.array_equal(score_kce(model, doc), want)
+        assert np.array_equal(model_scores(model, doc), want)
+        loss, grads = training._doc_loss_and_grads(model, doc, cfg)
+        pos, neg = training._doc_pair_indices(doc, cfg)
+        if len(pos) == 0:
+            assert (loss, grads) == (0.0, None)
+            continue
+        with_pairs += 1
+        want_loss, dscores = training._pair_loss(want, pos, neg)
+        assert loss == want_loss
+        assert grads.keys() == {"w_f", "bias"}  # frozen tables: no embedding backward
+        for name, value in letor_grads(scaled, dscores).items():
+            assert np.array_equal(grads[name], value)
+    assert with_pairs >= 6
 
 
 def test_train_pagerank_tunes_lambda_and_temperature():
