@@ -7,12 +7,11 @@ whitelist restricts candidates further when configured.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import Corpus, Document
-from .errors import DataError
+from .errors import DataError, read_json
 
 # Common light verbs whose triggers carry little event content on their own.
 LIGHT_VERBS = frozenset(
@@ -45,10 +44,7 @@ def default_filter_config() -> FilterConfig:
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed filter config ({exc.msg})") from exc
+    obj = read_json(path, "filter config")
     if not isinstance(obj, dict):
         raise DataError(f"{path}: filter config must be a JSON object")
     kwargs = {}

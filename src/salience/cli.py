@@ -4,14 +4,16 @@ weights, and generate synthetic corpora.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 failure (NaN/Inf).  Every command writes a ``<output>.manifest.json`` next to
-its primary output.
+its primary output (``gradcheck`` only with ``--out``).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import __version__
 from .annotate import corpus_stats, default_filter_config, filter_candidates, label_salience, load_filter_config
 from .corpus import Corpus, load_corpus, save_corpus
 from .embeddings import build_vocab, init_embeddings, save_word_vectors, vocab_to_json
-from .errors import DataError, NumericError, SalienceError
+from .errors import DataError, NumericError, SalienceError, read_json, write_json
 from .features import FeatureScaler, fit_scaler
 from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
@@ -46,6 +48,14 @@ MODEL_FLAVORS = {
     "pagerank": ("pagerank", None),
 }
 BASELINE_SCORERS = {"frequency": frequency_scores, "location": location_scores}
+
+
+class Run(NamedTuple):
+    """What a command read and wrote, and what it resolved beyond its flags, for its manifest."""
+
+    inputs: list[str]
+    outputs: list[str]
+    resolved: dict = {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,14 +153,11 @@ def _finite_scores(scores: np.ndarray, doc_id: str) -> np.ndarray:
 
 def _scorer_for(model_arg: str):
     if model_arg in BASELINE_SCORERS:
-        baseline = BASELINE_SCORERS[model_arg]
-        return lambda doc: baseline(doc)
-    model = load_model(model_arg)
-    return lambda doc: model_scores(model, doc)
+        return BASELINE_SCORERS[model_arg]
+    return functools.partial(model_scores, load_model(model_arg))
 
 
-def _cmd_annotate(args) -> int:
-    started = time.time()
+def _cmd_annotate(args) -> Run:
     cfg = load_filter_config(args.filter_config) if args.filter_config else default_filter_config()
     corpus = load_corpus(args.corpus)
     docs = []
@@ -166,32 +173,20 @@ def _cmd_annotate(args) -> int:
         f"annotated {stats.n_docs} docs: {stats.events_per_doc:.2f} events/doc, "
         f"salience rate {stats.salience_rate:.3f}, {stats.distinct_event_lemmas} distinct lemmas"
     )
-    write_manifest("annotate", args.out, vars(args), [args.corpus], [args.out], started)
-    return 0
+    return Run([args.corpus], [args.out])
 
 
-def _cmd_build_vocab(args) -> int:
-    started = time.time()
+def _cmd_build_vocab(args) -> Run:
     corpus = load_corpus(args.corpus)
     field = "event_lemma" if args.field == "event" else "entity_key"
     vocab = build_vocab(corpus, field, min_count=args.min_count)
-    payload = {"field": field, "min_count": args.min_count, **vocab_to_json(vocab)}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json({"field": field, "min_count": args.min_count, **vocab_to_json(vocab)}, args.out)
     print(f"vocabulary: {vocab.size} rows ({vocab.size - 1} tokens + unknown)")
-    write_manifest("build-vocab", args.out, vars(args), [args.corpus], [args.out], started)
-    return 0
+    return Run([args.corpus], [args.out])
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
-    cfg = TrainConfig()
-    if args.config:
-        try:
-            cfg = TrainConfig.from_json(json.loads(open(args.config, encoding="utf-8").read()))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: malformed train config ({exc.msg})") from exc
+def _cmd_train(args) -> Run:
+    cfg = TrainConfig.from_json(read_json(args.config, "train config")) if args.config else TrainConfig()
     train_corpus = load_corpus(args.train_path, split_tag="train")
     dev_corpus = load_corpus(args.dev, split_tag="dev")
 
@@ -222,19 +217,14 @@ def _cmd_train(args) -> int:
         f"trained {args.model} for {cfg.epochs} epochs; "
         f"best dev AUC {best if best is not None else 'n/a'} at epoch {model.meta.get('best_epoch')}"
     )
-    write_manifest(
-        "train",
-        args.out,
-        {**vars(args), "train_config": cfg.to_json()},
+    return Run(
         [args.train_path, args.dev] + [p for p in (args.event_vectors, args.entity_vectors) if p],
         [args.out, history_path],
-        started,
+        {"train_config": cfg.to_json()},
     )
-    return 0
 
 
-def _cmd_rank(args) -> int:
-    started = time.time()
+def _cmd_rank(args) -> Run:
     scorer = _scorer_for(args.model)
     corpus = load_corpus(args.corpus)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -255,12 +245,10 @@ def _cmd_rank(args) -> int:
             )
             fh.write("\n")
     print(f"ranked {len(corpus.documents)} documents")
-    write_manifest("rank", args.out, vars(args), [args.model, args.corpus], [args.out], started)
-    return 0
+    return Run([args.model, args.corpus], [args.out])
 
 
-def _cmd_evaluate(args) -> int:
-    started = time.time()
+def _cmd_evaluate(args) -> Run:
     scorer = _scorer_for(args.model)
     corpus = load_corpus(args.corpus)
     scores = [
@@ -274,8 +262,7 @@ def _cmd_evaluate(args) -> int:
         f"{args.model}: AUC {auc_str}, P@1 {report.p_at[1]:.4f}, "
         f"P@5 {report.p_at[5]:.4f}, R@10 {report.r_at[10]:.4f} over {report.n_docs} docs"
     )
-    write_manifest("evaluate", args.out, vars(args), [args.model, args.corpus], [args.out], started)
-    return 0
+    return Run([args.model, args.corpus], [args.out])
 
 
 _METRIC_KEYS = {"auc"} | {f"{m}@{k}" for m in ("p", "r") for k in (1, 5, 10)}
@@ -291,8 +278,7 @@ def _doc_metric(doc, metric: str):
     return table.get(int(k))
 
 
-def _cmd_sigtest(args) -> int:
-    started = time.time()
+def _cmd_sigtest(args) -> Run:
     metric = args.metric.lower()
     if metric not in _METRIC_KEYS:
         raise DataError(f"unknown metric {args.metric!r}; choose from {sorted(_METRIC_KEYS)}")
@@ -322,30 +308,27 @@ def _cmd_sigtest(args) -> int:
         "seed": args.seed,
         "p_value": p_value,
     }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(result, args.out)
     print(
         f"{metric}: mean_a {result['mean_a']:.4f} vs mean_b {result['mean_b']:.4f} "
         f"over {result['n_pairs']} docs -> p = {p_value:.5f}"
     )
-    write_manifest(
-        "sigtest", args.out, vars(args), [args.report_a, args.report_b], [args.out], started
-    )
-    return 0
+    return Run([args.report_a, args.report_b], [args.out])
 
 
-def _cmd_intrude(args) -> int:
-    started = time.time()
-    model = load_model(args.model, expect="kce")
-    corpus = load_corpus(args.corpus)
+def _cmd_intrude(args) -> Run:
     kind = "salient_only" if args.kind == "salient" else "nonsalient_only"
-    fractions = (
-        tuple(float(x) for x in args.fractions.split(",")) if args.fractions else IntrusionConfig().fractions
-    )
+    fractions = IntrusionConfig().fractions
+    if args.fractions:
+        try:
+            fractions = tuple(float(x) for x in args.fractions.split(","))
+        except ValueError:
+            raise DataError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from None
     cfg = IntrusionConfig(
         num_pairs=args.pairs, intruder_kind=kind, seed=args.seed, fractions=fractions
     )
+    model = load_model(args.model, expect="kce")
+    corpus = load_corpus(args.corpus)
     result = run_study(corpus, model, cfg)
     result.to_csv(args.out)
     last = result.rows[-1]
@@ -353,12 +336,10 @@ def _cmd_intrude(args) -> int:
         f"intrusion ({args.kind}): at fraction {last.fraction} "
         f"AUC {last.auc:.4f}, SA-AUC {last.sa_auc:.4f}, frequency SA-AUC {last.frequency_sa_auc:.4f}"
     )
-    write_manifest("intrude", args.out, vars(args), [args.model, args.corpus], [args.out], started)
-    return 0
+    return Run([args.model, args.corpus], [args.out])
 
 
-def _cmd_gradcheck(args) -> int:
-    started = time.time()
+def _cmd_gradcheck(args) -> Run | None:
     if args.max_docs < 1:
         raise DataError(f"--max-docs must be >= 1, got {args.max_docs}")
     model = load_model(args.model, expect="kce")
@@ -377,20 +358,13 @@ def _cmd_gradcheck(args) -> int:
     if not np.isfinite(worst):
         raise NumericError("gradient check produced a non-finite error")
     print(f"gradcheck: max relative error {worst:.3e} over {checked} documents (step {args.step})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(
-                {"max_relative_error": worst, "documents": checked, "step": args.step}, fh, indent=2
-            )
-            fh.write("\n")
-        write_manifest(
-            "gradcheck", args.out, vars(args), [args.model, args.corpus], [args.out], started
-        )
-    return 0
+    if not args.out:
+        return None
+    write_json({"max_relative_error": worst, "documents": checked, "step": args.step}, args.out)
+    return Run([args.model, args.corpus], [args.out])
 
 
-def _cmd_export_kernel_weights(args) -> int:
-    started = time.time()
+def _cmd_export_kernel_weights(args) -> Run:
     model = load_model(args.model, expect="kce")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("mu,sigma,w_v,w_e\n")
@@ -400,14 +374,10 @@ def _cmd_export_kernel_weights(args) -> int:
                 f"{float(model.w_v[k])!r},{float(model.w_e[k])!r}\n"
             )
     print(f"wrote {model.bank.size} kernel rows")
-    write_manifest(
-        "export-kernel-weights", args.out, vars(args), [args.model], [args.out], started
-    )
-    return 0
+    return Run([args.model], [args.out])
 
 
-def _cmd_synth(args) -> int:
-    started = time.time()
+def _cmd_synth(args) -> Run:
     cfg = SynthConfig.load(args.config) if args.config else SynthConfig()
     # command-line overrides pass the same field rules as the config file
     overrides = {k: getattr(args, k) for k in ("docs", "seed", "split") if getattr(args, k) is not None}
@@ -424,15 +394,7 @@ def _cmd_synth(args) -> int:
         save_word_vectors(vecs, args.entity_vectors_out)
         outputs.append(args.entity_vectors_out)
     print(f"generated {cfg.docs} documents (seed {cfg.seed}, split {cfg.split})")
-    write_manifest(
-        "synth",
-        args.out,
-        {**vars(args), "synth_config": cfg.to_json()},
-        [args.config] if args.config else [],
-        outputs,
-        started,
-    )
-    return 0
+    return Run([args.config] if args.config else [], outputs, {"synth_config": cfg.to_json()})
 
 
 _HANDLERS = {
@@ -455,8 +417,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.time()
     try:
-        return _HANDLERS[args.command](args)
+        run = _HANDLERS[args.command](args)
+        if run is not None:
+            write_manifest(
+                args.command, args.out, {**vars(args), **run.resolved}, run.inputs, run.outputs, started
+            )
+        return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError
+from .errors import DataError, read_lines
 
 SPLIT_TAGS = ("train", "dev", "test", "unsplit")
 
@@ -193,26 +193,25 @@ def document_from_json(obj: dict, where: str = "document") -> Document:
 def load_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
     """Read a JSONL corpus, validating every document.
 
-    Raises DataError naming the offending line (malformed JSON) or the
-    offending doc_id and field (invariant violations).
+    Raises DataError naming the file (not UTF-8), the offending line
+    (malformed JSON) or the offending doc_id and field (invariant violations).
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {line_no}: expected a JSON object")
-            doc = document_from_json(obj, where=f"line {line_no}")
-            if doc.doc_id in seen:
-                raise DataError(f"{path}: line {line_no}: duplicate doc_id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            docs.append(doc)
+    for line_no, line in enumerate(read_lines(path, "corpus"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {line_no}: expected a JSON object")
+        doc = document_from_json(obj, where=f"line {line_no}")
+        if doc.doc_id in seen:
+            raise DataError(f"{path}: line {line_no}: duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        docs.append(doc)
     return Corpus(documents=tuple(docs), split_tag=split_tag)
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, ModelFormatError, is_number
+from .errors import DataError, ModelFormatError, is_number, read_lines
 
 VOCAB_FIELDS = ("event_lemma", "entity_key")
 
@@ -105,36 +105,37 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Parse text-format word vectors; later duplicates win.
 
     Ragged rows, non-finite entries and a header count that differs from the
-    number of rows are errors naming the line.
+    number of rows are errors naming the line; bytes that are not UTF-8 are an
+    error naming the file.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: line 1: expected '<count> <dim>' header")
+    lines = read_lines(path, "word vectors")
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise DataError(f"{path}: line 1: expected '<count> <dim>' header")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: line 1: expected integer header fields") from exc
+    if dim < 1:
+        raise DataError(f"{path}: line 1: dim must be >= 1")
+    rows = 0
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"{path}: line {line_no}: expected {dim + 1} fields, got {len(parts)}"
+            )
         try:
-            count, dim = int(header[0]), int(header[1])
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as exc:
-            raise DataError(f"{path}: line 1: expected integer header fields") from exc
-        if dim < 1:
-            raise DataError(f"{path}: line 1: dim must be >= 1")
-        rows = 0
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise DataError(
-                    f"{path}: line {line_no}: expected {dim + 1} fields, got {len(parts)}"
-                )
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: non-numeric vector entry") from exc
-            if not np.isfinite(vec).all():
-                raise DataError(f"{path}: line {line_no}: non-finite vector entry")
-            vectors[parts[0]] = vec
-            rows += 1
+            raise DataError(f"{path}: line {line_no}: non-numeric vector entry") from exc
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}: line {line_no}: non-finite vector entry")
+        vectors[parts[0]] = vec
+        rows += 1
     if rows != count:
         raise DataError(f"{path}: line 1: header announces {count} rows, the file has {rows}")
     return vectors

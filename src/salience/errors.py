@@ -1,7 +1,13 @@
-"""Exception types shared across the toolkit, and the JSON type predicates that
-the file loaders use to raise them."""
+"""Exception types shared across the toolkit, the readers that turn a file
+that is not UTF-8 or not valid JSON into them, the one indented JSON writer,
+and the JSON type predicates that the file loaders use to raise them."""
+from __future__ import annotations
+
+import json
 import math
 import sys
+from pathlib import Path
+from typing import Iterator
 
 
 class SalienceError(Exception):
@@ -18,6 +24,30 @@ class ModelFormatError(DataError):
 
 class NumericError(SalienceError):
     """A NaN or Inf showed up where finite numbers are required."""
+
+
+def read_json(path: str | Path, what: str, error: type = DataError):
+    """Parse the whole UTF-8 JSON file at ``path``; raise ``error`` naming it if it is neither."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path}: malformed {what}: not valid JSON ({exc})") from exc
+
+
+def read_lines(path: str | Path, what: str) -> Iterator[str]:
+    """Stream the lines of the UTF-8 text file at ``path``; raise ``DataError`` naming it if it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:  # the position counts from the decoded chunk, not the file
+            raise DataError(f"{path}: malformed {what}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write ``obj`` as indented UTF-8 JSON with a trailing newline; ``str`` stands in for other types."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, default=str))
+        fh.write("\n")
 
 
 def is_int(val) -> bool:

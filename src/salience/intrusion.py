@@ -46,6 +46,8 @@ class IntrusionConfig:
             raise DataError(f"unknown intruder kind {self.intruder_kind!r}")
         if self.num_pairs < 1:
             raise DataError("num_pairs must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not self.fractions:
             raise DataError("need at least one insertion fraction")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):

@@ -1,14 +1,11 @@
 """Run manifests: every CLI command records how its output was produced."""
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
-
-def manifest_path(primary_output: str | Path) -> Path:
-    return Path(str(primary_output) + ".manifest.json")
+from .errors import write_json
 
 
 def write_manifest(
@@ -31,8 +28,6 @@ def write_manifest(
         "started_at_unix": started_at,
         "wall_time_s": time.time() - started_at,
     }
-    path = manifest_path(primary_output)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, default=str)
-        fh.write("\n")
+    path = Path(str(primary_output) + ".manifest.json")
+    write_json(payload, path)
     return path

@@ -10,7 +10,6 @@ event.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, check_fields, is_int, is_number
+from .errors import DataError, check_fields, is_int, is_number, read_json, write_json
 from .models import ranked_order
 
 DEFAULT_KS = (1, 5, 10)
@@ -142,9 +141,7 @@ class MetricsReport:
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @staticmethod
     def from_json(obj: dict) -> "MetricsReport":
@@ -179,10 +176,7 @@ class MetricsReport:
 
     @staticmethod
     def load(path: str | Path) -> "MetricsReport":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise DataError(f"{path}: not valid JSON ({exc})") from exc
+        obj = read_json(path, "metrics report")
         try:
             return MetricsReport.from_json(obj)
         except DataError as exc:
@@ -272,6 +266,8 @@ def permutation_test(
         raise DataError("cannot run a permutation test on empty samples")
     if iterations < 1:
         raise DataError("iterations must be >= 1")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     diff = a - b
     observed = abs(float(diff.mean()))
     rng = np.random.default_rng(seed)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import Document
 from .embeddings import EmbeddingTable, table_from_json, table_to_json
-from .errors import DataError, ModelFormatError, NumericError, check_fields, is_int, is_number
+from .errors import DataError, ModelFormatError, NumericError, check_fields, is_int, is_number, read_json
 from .features import (
     DocGeometry,
     FeatureScaler,
@@ -407,10 +407,7 @@ def _model_from_json(obj: dict, version: int):
 
 def load_model(path: str | Path, expect: str | None = None):
     """Load any model file of version 1 or 2; ``expect`` pins the model_type and raises otherwise."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    obj = read_json(path, "model file", error=ModelFormatError)
     if not isinstance(obj, dict) or "version" not in obj:
         raise ModelFormatError(f"{path}: missing version field")
     version = obj["version"]

@@ -14,14 +14,13 @@ mutually consistent.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import SPLIT_TAGS, Corpus, Document, EntityMention, EventMention
-from .errors import DataError, config_from_json, is_finite_number, is_int
+from .errors import DataError, config_from_json, is_finite_number, is_int, read_json
 
 
 @dataclass
@@ -56,11 +55,7 @@ class SynthConfig:
 
     @staticmethod
     def load(path: str | Path) -> "SynthConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise DataError(f"{path}: malformed synth config ({exc})") from exc
-        return SynthConfig.from_json(obj)
+        return SynthConfig.from_json(read_json(path, "synth config"))
 
 
 def _int_at_least(low: int) -> tuple:

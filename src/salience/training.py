@@ -54,17 +54,7 @@ class TrainConfig:
     freeze_embeddings: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_docs": self.batch_docs,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "max_pairs_per_doc": self.max_pairs_per_doc,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "freeze_embeddings": self.freeze_embeddings,
-        }
+        return dict(self.__dict__)
 
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":

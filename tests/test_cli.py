@@ -128,13 +128,40 @@ def test_synth_is_byte_deterministic(pipeline, tmp_path):
     assert again.read_bytes() == pipeline["test"].read_bytes()
 
 
-def test_every_command_writes_a_manifest(pipeline):
-    for key in ("train", "model", "ranks", "report"):
-        manifest = Path(str(pipeline[key]) + ".manifest.json")
-        assert manifest.exists(), f"missing manifest for {key}"
+def test_every_command_writes_a_manifest(pipeline, kce_model, tmp_path, monkeypatch):
+    sig, curve, grad = tmp_path / "sig.json", tmp_path / "curve.csv", tmp_path / "grad.json"
+    for argv in (
+        ["sigtest", "--a", pipeline["report"], "--b", pipeline["report"], "--iterations", "10", "--out", sig],
+        ["intrude", "--model", kce_model, "--corpus", pipeline["test"], "--kind", "salient", "--pairs", "5",
+         "--out", curve],
+        ["gradcheck", "--model", kce_model, "--corpus", pipeline["dev"], "--max-docs", "2", "--out", grad],
+    ):
+        assert main(list(map(str, argv))) == 0
+    outputs = {
+        pipeline["train"]: "synth",
+        pipeline["model"]: "train",
+        pipeline["ranks"]: "rank",
+        pipeline["report"]: "evaluate",
+        sig: "sigtest",
+        curve: "intrude",
+        grad: "gradcheck",
+    }
+    manifest_args = {}
+    for out, command in outputs.items():
+        manifest = Path(str(out) + ".manifest.json")
+        assert manifest.exists(), f"missing manifest for {command}"
         payload = json.loads(manifest.read_text(encoding="utf-8"))
         assert {"command", "args", "inputs", "outputs", "toolkit_version"} <= set(payload)
-        assert str(pipeline[key]) in payload["outputs"]
+        assert payload["command"] == command and str(out) in payload["outputs"]
+        manifest_args[command] = payload["args"]
+    assert manifest_args["synth"]["synth_config"]["docs"] == SYNTH_CFG["docs"]
+    assert manifest_args["train"]["train_config"]["epochs"] == TRAIN_CFG["epochs"]
+
+    def no_manifest(*args, **kwargs):
+        raise AssertionError("gradcheck without --out wrote a manifest")
+
+    monkeypatch.setattr(cli, "write_manifest", no_manifest)
+    assert main(["gradcheck", "--model", str(kce_model), "--corpus", str(pipeline["dev"]), "--max-docs", "2"]) == 0
 
 
 def test_evaluate_supports_named_baselines(pipeline, tmp_path):
@@ -444,18 +471,54 @@ def test_synth_overrides_pass_the_config_rules(tmp_path, capsys, flags, field):
     assert not out.exists()
 
 
-def test_synth_config_that_is_not_utf8_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "synth.json"
-    cfg.write_bytes(b"\xff\xfe")
-    argv = ["synth", "--out", str(tmp_path / "c.jsonl"), "--config", str(cfg)]
-    _exits_two_with_one_line_error(argv, capsys, str(cfg), "malformed synth config")
+# one command per kind of input file; "{bad}" is the file that is not UTF-8
+_ARGV_READING = {
+    "synth config": ["synth", "--out", "{out}", "--config", "{bad}"],
+    "metrics report": ["sigtest", "--a", "{bad}", "--b", "{report}", "--out", "{out}"],
+    "filter config": ["annotate", "--corpus", "{test}", "--out", "{out}", "--filter-config", "{bad}"],
+    "train config": ["train", "--model", "letor", "--train", "{train}", "--dev", "{dev}", "--out", "{out}",
+                     "--config", "{bad}"],
+    "corpus": ["build-vocab", "--corpus", "{bad}", "--field", "event", "--out", "{out}"],
+    "word vectors": ["train", "--model", "letor", "--train", "{train}", "--dev", "{dev}", "--out", "{out}",
+                     "--dim", "16", "--event-vectors", "{bad}"],
+    "model file": ["rank", "--model", "{bad}", "--corpus", "{test}", "--out", "{out}"],
+}
 
 
-def test_sigtest_on_report_that_is_not_utf8_exits_two(tmp_path, capsys):
-    report = tmp_path / "r.json"
-    report.write_bytes(b"\xff\xfe")
-    argv = ["sigtest", "--a", str(report), "--b", str(report), "--out", str(tmp_path / "o.json")]
-    _exits_two_with_one_line_error(argv, capsys, str(report), "not valid JSON")
+@pytest.mark.parametrize("what", list(_ARGV_READING), ids=lambda what: what.replace(" ", "-"))
+def test_input_file_that_is_not_utf8_exits_two(pipeline, tmp_path, capsys, monkeypatch, what):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    paths = {"bad": bad, "out": tmp_path / "out", **{k: pipeline[k] for k in ("train", "dev", "test", "report")}}
+    argv = [arg.format(**paths) for arg in _ARGV_READING[what]]
+    _exits_two_with_one_line_error(argv, capsys, str(bad), f"malformed {what}")
+    assert not (tmp_path / "out").exists()
+
+
+_INTRUDE = ["intrude", "--model", "{model}", "--corpus", "{test}", "--kind", "salient"]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        pytest.param(["sigtest", "--a", "{report}", "--b", "{report}", "--seed", "-1"], "seed", id="sigtest-seed"),
+        pytest.param(_INTRUDE + ["--seed", "-1"], "seed", id="intrude-seed"),
+        pytest.param(_INTRUDE + ["--fractions", "x"], "--fractions", id="intrude-fractions"),
+    ],
+)
+def test_bad_seed_or_fractions_flag_exits_two(pipeline, kce_model, tmp_path, capsys, monkeypatch, argv, needle):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("model loaded")
+
+    monkeypatch.setattr(cli, "load_model", no_loading)
+    out = tmp_path / "out"
+    paths = {"model": kce_model, "test": pipeline["test"], "report": pipeline["report"]}
+    _exits_two_with_one_line_error([arg.format(**paths) for arg in argv] + ["--out", str(out)], capsys, needle)
+    assert not out.exists()
 
 
 def test_cli_import_does_not_load_scipy():
