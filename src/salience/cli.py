@@ -145,6 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least_one(value: int, flag: str) -> None:
+    if value < 1:
+        raise DataError(f"{flag} must be >= 1, got {value}")
+
+
 def _finite_scores(scores: np.ndarray, doc_id: str) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise NumericError(f"non-finite score for doc {doc_id!r}")
@@ -177,6 +182,7 @@ def _cmd_annotate(args) -> Run:
 
 
 def _cmd_build_vocab(args) -> Run:
+    _at_least_one(args.min_count, "--min-count")
     corpus = load_corpus(args.corpus)
     field = "event_lemma" if args.field == "event" else "entity_key"
     vocab = build_vocab(corpus, field, min_count=args.min_count)
@@ -186,6 +192,7 @@ def _cmd_build_vocab(args) -> Run:
 
 
 def _cmd_train(args) -> Run:
+    _at_least_one(args.min_count, "--min-count")
     cfg = TrainConfig.from_json(read_json(args.config, "train config")) if args.config else TrainConfig()
     train_corpus = load_corpus(args.train_path, split_tag="train")
     dev_corpus = load_corpus(args.dev, split_tag="dev")
@@ -279,6 +286,7 @@ def _doc_metric(doc, metric: str):
 
 
 def _cmd_sigtest(args) -> Run:
+    _at_least_one(args.iterations, "--iterations")
     metric = args.metric.lower()
     if metric not in _METRIC_KEYS:
         raise DataError(f"unknown metric {args.metric!r}; choose from {sorted(_METRIC_KEYS)}")
@@ -317,6 +325,7 @@ def _cmd_sigtest(args) -> Run:
 
 
 def _cmd_intrude(args) -> Run:
+    _at_least_one(args.pairs, "--pairs")
     kind = "salient_only" if args.kind == "salient" else "nonsalient_only"
     fractions = IntrusionConfig().fractions
     if args.fractions:
@@ -340,8 +349,7 @@ def _cmd_intrude(args) -> Run:
 
 
 def _cmd_gradcheck(args) -> Run | None:
-    if args.max_docs < 1:
-        raise DataError(f"--max-docs must be >= 1, got {args.max_docs}")
+    _at_least_one(args.max_docs, "--max-docs")
     model = load_model(args.model, expect="kce")
     corpus = load_corpus(args.corpus)
     worst = 0.0
@@ -435,3 +443,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

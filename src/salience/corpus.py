@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, read_lines
+from .errors import DataError, is_int, read_lines
 
 SPLIT_TAGS = ("train", "dev", "test", "unsplit")
 
@@ -67,42 +67,50 @@ class Corpus:
 def validate_document(doc: Document) -> list[str]:
     """Return a list of invariant violations (empty when the document is well formed)."""
     problems: list[str] = []
-    if not doc.doc_id:
+    doc_id = doc.doc_id
+    if not doc_id:
         problems.append("doc_id: must be non-empty")
-    if doc.num_sentences < 1:
-        problems.append(f"doc {doc.doc_id!r}: num_sentences must be >= 1")
+    n_sentences = doc.num_sentences
+    if n_sentences < 1:
+        problems.append(f"doc {doc_id!r}: num_sentences must be >= 1")
 
+    # each message is built only for a mention that breaks a rule
     seen_ids: set[str] = set()
+    unordered = False
+    unlabeled = 0
+    previous = None
     for ev in doc.events:
-        where = f"doc {doc.doc_id!r} event {ev.id!r}"
-        if not ev.id:
-            problems.append(f"doc {doc.doc_id!r}: event id must be non-empty")
-        elif ev.id in seen_ids:
-            problems.append(f"{where}: duplicate mention id")
-        seen_ids.add(ev.id)
-        if ev.head_lemma.split() != [ev.head_lemma]:  # empty, or holds whitespace
-            problems.append(f"{where}: head_lemma must be non-empty without whitespace")
-        if not 0 <= ev.sentence_index < doc.num_sentences:
-            problems.append(f"{where}: sentence_index {ev.sentence_index} out of range")
+        ev_id, lemma, sentence = ev.id, ev.head_lemma, ev.sentence_index
+        if not ev_id:
+            problems.append(f"doc {doc_id!r}: event id must be non-empty")
+        elif ev_id in seen_ids:
+            problems.append(f"doc {doc_id!r} event {ev_id!r}: duplicate mention id")
+        seen_ids.add(ev_id)
+        if lemma.split() != [lemma]:  # empty, or holds whitespace
+            problems.append(f"doc {doc_id!r} event {ev_id!r}: head_lemma must be non-empty without whitespace")
+        if not 0 <= sentence < n_sentences:
+            problems.append(f"doc {doc_id!r} event {ev_id!r}: sentence_index {sentence} out of range")
+        if previous is not None and previous > sentence:
+            unordered = True
+        previous = sentence
+        if ev.salient is None:
+            unlabeled += 1
     for en in doc.entities:
-        where = f"doc {doc.doc_id!r} entity {en.id!r}"
-        if not en.id:
-            problems.append(f"doc {doc.doc_id!r}: entity id must be non-empty")
-        elif en.id in seen_ids:
-            problems.append(f"{where}: duplicate mention id")
-        seen_ids.add(en.id)
+        en_id, sentence = en.id, en.sentence_index
+        if not en_id:
+            problems.append(f"doc {doc_id!r}: entity id must be non-empty")
+        elif en_id in seen_ids:
+            problems.append(f"doc {doc_id!r} entity {en_id!r}: duplicate mention id")
+        seen_ids.add(en_id)
         if not en.entity_key:
-            problems.append(f"{where}: entity_key must be non-empty")
-        if not 0 <= en.sentence_index < doc.num_sentences:
-            problems.append(f"{where}: sentence_index {en.sentence_index} out of range")
+            problems.append(f"doc {doc_id!r} entity {en_id!r}: entity_key must be non-empty")
+        if not 0 <= sentence < n_sentences:
+            problems.append(f"doc {doc_id!r} entity {en_id!r}: sentence_index {sentence} out of range")
 
-    order = [ev.sentence_index for ev in doc.events]
-    if any(a > b for a, b in zip(order, order[1:])):
-        problems.append(f"doc {doc.doc_id!r}: events not in nondecreasing sentence_index order")
-
-    flags = {ev.salient is None for ev in doc.events}
-    if len(flags) == 2:
-        problems.append(f"doc {doc.doc_id!r}: salient labels must be all set or all unset")
+    if unordered:
+        problems.append(f"doc {doc_id!r}: events not in nondecreasing sentence_index order")
+    if 0 < unlabeled < len(doc.events):
+        problems.append(f"doc {doc_id!r}: salient labels must be all set or all unset")
     return problems
 
 
@@ -129,53 +137,118 @@ def document_to_json(doc: Document) -> dict:
     }
 
 
-def _expect(obj: dict, key: str, kinds, where: str, allow_none: bool = False):
-    if key not in obj:
-        raise DataError(f"{where}: missing field {key!r}")
-    val = obj[key]
-    if val is None and allow_none:
-        return None
-    # bool is an int subclass; reject it where an int is required
-    if int in (kinds if isinstance(kinds, tuple) else (kinds,)) and isinstance(val, bool):
-        raise DataError(f"{where}: field {key!r} has wrong type")
-    if not isinstance(val, kinds):
-        raise DataError(f"{where}: field {key!r} has wrong type")
-    return val
+def _is_str(val) -> bool:
+    return isinstance(val, str)
+
+
+def _is_list(val) -> bool:
+    return isinstance(val, list)
+
+
+# (key, type check) in the order document_from_json reads them; the mention
+# lists are read between "events" and "entities" and after "entities"
+_DOC_FIELDS = (
+    ("doc_id", _is_str),
+    ("num_sentences", is_int),
+    ("events", _is_list),
+    ("entities", _is_list),
+    ("abstract_lemmas", lambda val: val is None or isinstance(val, list)),
+)
+_EVENT_FIELDS = (
+    ("id", _is_str),
+    ("head_lemma", _is_str),
+    ("surface", _is_str),
+    ("sentence_index", is_int),
+    ("frame", lambda val: val is None or isinstance(val, str)),
+    ("salient", lambda val: val is None or isinstance(val, bool)),
+)
+_ENTITY_FIELDS = (("id", _is_str), ("entity_key", _is_str), ("sentence_index", is_int))
+
+
+def _field_error(obj, fields, where: str, entries: str | None = None) -> DataError:
+    """The error for the first of ``fields`` that ``obj`` lacks or holds with the wrong type.
+
+    Called only once a check has failed, so the messages cost nothing on valid input.
+    ``entries`` names the list ``obj`` came from, which must hold objects.
+    """
+    if entries is not None and not isinstance(obj, dict):
+        return DataError(f"{where}: {entries} entries must be objects")
+    for key, valid in fields:
+        if key not in obj:
+            return DataError(f"{where}: missing field {key!r}")
+        if not valid(obj[key]):
+            return DataError(f"{where}: field {key!r} has wrong type")
+    raise AssertionError(f"{where}: no field is at fault")
 
 
 def document_from_json(obj: dict, where: str = "document") -> Document:
-    doc_id = _expect(obj, "doc_id", str, where)
-    where = f"doc {doc_id!r}"
-    num_sentences = _expect(obj, "num_sentences", int, where)
+    """Build a document from its JSON object, checking every field's type and every invariant.
+
+    The mentions are built with the ``object.__setattr__`` calls that the
+    frozen dataclass ``__init__`` makes, one per field in field order, without
+    the cost of calling ``__init__`` with keywords: the objects are the same.
+    """
+    doc_id = obj.get("doc_id")
+    if not isinstance(doc_id, str):
+        raise _field_error(obj, _DOC_FIELDS[:1], where)
+    num_sentences = obj.get("num_sentences")
+    raw_events = obj.get("events")
+    if not (is_int(num_sentences) and isinstance(raw_events, list)):
+        raise _field_error(obj, _DOC_FIELDS[1:3], f"doc {doc_id!r}")
+    new, set_field = object.__new__, object.__setattr__
     events = []
-    for raw in _expect(obj, "events", list, where):
-        if not isinstance(raw, dict):
-            raise DataError(f"{where}: events entries must be objects")
-        events.append(
-            EventMention(
-                id=_expect(raw, "id", str, where),
-                head_lemma=_expect(raw, "head_lemma", str, where),
-                surface=_expect(raw, "surface", str, where),
-                sentence_index=_expect(raw, "sentence_index", int, where),
-                frame=_expect(raw, "frame", str, where, allow_none=True),
-                salient=_expect(raw, "salient", bool, where, allow_none=True),
-            )
-        )
+    for raw in raw_events:
+        try:
+            ev_id, lemma, surface = raw["id"], raw["head_lemma"], raw["surface"]
+            sentence, frame, salient = raw["sentence_index"], raw["frame"], raw["salient"]
+        except (KeyError, TypeError):  # a missing key, or an entry that is not an object
+            raise _field_error(raw, _EVENT_FIELDS, f"doc {doc_id!r}", "events") from None
+        # is_int and isinstance(_, bool) spelled out: True and False are the only bools
+        if not (
+            isinstance(raw, dict)
+            and isinstance(ev_id, str)
+            and isinstance(lemma, str)
+            and isinstance(surface, str)
+            and isinstance(sentence, int) and sentence is not True and sentence is not False
+            and (frame is None or isinstance(frame, str))
+            and (salient is None or salient is True or salient is False)
+        ):
+            raise _field_error(raw, _EVENT_FIELDS, f"doc {doc_id!r}", "events")
+        ev = new(EventMention)
+        set_field(ev, "id", ev_id)
+        set_field(ev, "head_lemma", lemma)
+        set_field(ev, "surface", surface)
+        set_field(ev, "sentence_index", sentence)
+        set_field(ev, "frame", frame)
+        set_field(ev, "salient", salient)
+        events.append(ev)
+    raw_entities = obj.get("entities")
+    if not isinstance(raw_entities, list):
+        raise _field_error(obj, _DOC_FIELDS[3:4], f"doc {doc_id!r}")
     entities = []
-    for raw in _expect(obj, "entities", list, where):
-        if not isinstance(raw, dict):
-            raise DataError(f"{where}: entities entries must be objects")
-        entities.append(
-            EntityMention(
-                id=_expect(raw, "id", str, where),
-                entity_key=_expect(raw, "entity_key", str, where),
-                sentence_index=_expect(raw, "sentence_index", int, where),
-            )
-        )
-    lemmas = _expect(obj, "abstract_lemmas", list, where, allow_none=True)
+    for raw in raw_entities:
+        try:
+            en_id, key, sentence = raw["id"], raw["entity_key"], raw["sentence_index"]
+        except (KeyError, TypeError):
+            raise _field_error(raw, _ENTITY_FIELDS, f"doc {doc_id!r}", "entities") from None
+        if not (
+            isinstance(raw, dict)
+            and isinstance(en_id, str)
+            and isinstance(key, str)
+            and isinstance(sentence, int) and sentence is not True and sentence is not False
+        ):
+            raise _field_error(raw, _ENTITY_FIELDS, f"doc {doc_id!r}", "entities")
+        en = new(EntityMention)
+        set_field(en, "id", en_id)
+        set_field(en, "entity_key", key)
+        set_field(en, "sentence_index", sentence)
+        entities.append(en)
+    lemmas = obj.get("abstract_lemmas")
+    if "abstract_lemmas" not in obj or not (lemmas is None or isinstance(lemmas, list)):
+        raise _field_error(obj, _DOC_FIELDS[4:], f"doc {doc_id!r}")
     if lemmas is not None:
         if not all(isinstance(x, str) for x in lemmas):
-            raise DataError(f"{where}: abstract_lemmas must be strings")
+            raise DataError(f"doc {doc_id!r}: abstract_lemmas must be strings")
         lemmas = frozenset(lemmas)
     doc = Document(
         doc_id=doc_id,

@@ -11,7 +11,7 @@ import base64
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Container, Mapping
 
 import numpy as np
 
@@ -39,6 +39,8 @@ def build_vocab(corpus: Corpus, field_name: str, min_count: int = 2) -> Vocabula
     ordered by descending count (ties lexicographic), the rest map to the unknown row."""
     if field_name not in VOCAB_FIELDS:
         raise DataError(f"unknown vocabulary field {field_name!r}; expected one of {VOCAB_FIELDS}")
+    if min_count < 1:
+        raise DataError(f"min_count must be >= 1, got {min_count}")
     if not corpus.documents:
         raise DataError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
@@ -79,7 +81,7 @@ def init_embeddings(
     vectors = rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
     if pretrained is not None:
         if isinstance(pretrained, (str, Path)):
-            pretrained = load_word_vectors(pretrained)
+            pretrained = load_word_vectors(pretrained, tokens=vocab.token_to_index)
         for token, idx in sorted(vocab.token_to_index.items(), key=lambda kv: kv[1]):
             vec = pretrained.get(token)
             if vec is None:
@@ -101,12 +103,15 @@ def normalized_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norms
 
 
-def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
+def load_word_vectors(path: str | Path, tokens: Container[str] | None = None) -> dict[str, np.ndarray]:
     """Parse text-format word vectors; later duplicates win.
 
-    Ragged rows, non-finite entries and a header count that differs from the
-    number of rows are errors naming the line; bytes that are not UTF-8 are an
-    error naming the file.
+    With ``tokens``, only the rows of those tokens are kept, and only they
+    are parsed as numbers: a non-numeric or non-finite entry in any other
+    row is never read.  Every row is still split and counted, so a ragged
+    row anywhere, or a header count that differs from the number of rows, is
+    an error naming the line; so is a bad entry in a kept row.  Bytes that
+    are not UTF-8 are an error naming the file.
     """
     vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path, "word vectors")
@@ -121,21 +126,23 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
         raise DataError(f"{path}: line 1: dim must be >= 1")
     rows = 0
     for line_no, line in enumerate(lines, start=2):
-        parts = line.rstrip("\n").split()
+        parts = line.split()
         if not parts:
             continue
         if len(parts) != dim + 1:
             raise DataError(
                 f"{path}: line {line_no}: expected {dim + 1} fields, got {len(parts)}"
             )
+        rows += 1
+        if tokens is not None and parts[0] not in tokens:
+            continue
         try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            vec = np.fromiter(map(float, parts[1:]), dtype=np.float64, count=dim)
         except ValueError as exc:
             raise DataError(f"{path}: line {line_no}: non-numeric vector entry") from exc
         if not np.isfinite(vec).all():
             raise DataError(f"{path}: line {line_no}: non-finite vector entry")
         vectors[parts[0]] = vec
-        rows += 1
     if rows != count:
         raise DataError(f"{path}: line 1: header announces {count} rows, the file has {rows}")
     return vectors

@@ -4,8 +4,10 @@ Written one event, one pair and one scalar at a time, straight from the
 definitions: cosine similarity and its gradient, the five per-event features
 and their standardization, per-target kernel pooling with its backward pass,
 the stand-alone LeToR scorer with its weight gradients, the one-step PageRank
-walk, AUC from average ranks, and the intrusion instance built by filtering
-entities sentence by sentence.  Nothing in the package calls them.
+walk, AUC from average ranks, the intrusion instance built by filtering
+entities sentence by sentence, and the corpus document loader that checks one
+field per call and validates with a message built for every mention.  Nothing
+in the package calls them.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from salience.corpus import Document, EventMention, validate_document
+from salience.corpus import Document, EntityMention, EventMention, validate_document
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
 from salience.features import FeatureScaler, feature_matrix, scale_matrix
@@ -299,3 +301,110 @@ def build_instance_reference(
         origin_flags=np.array([True] * len(origin.events) + [False] * len(chosen)),
         salient_origin_flags=np.array([bool(ev.salient) for ev in origin.events] + [False] * len(chosen)),
     )
+
+
+# --- corpus loading ---------------------------------------------------------
+
+
+def validate_document_reference(doc: Document) -> list[str]:
+    """Every invariant violation, in the order the loader reports the first one."""
+    problems: list[str] = []
+    if not doc.doc_id:
+        problems.append("doc_id: must be non-empty")
+    if doc.num_sentences < 1:
+        problems.append(f"doc {doc.doc_id!r}: num_sentences must be >= 1")
+
+    seen_ids: set[str] = set()
+    for ev in doc.events:
+        where = f"doc {doc.doc_id!r} event {ev.id!r}"
+        if not ev.id:
+            problems.append(f"doc {doc.doc_id!r}: event id must be non-empty")
+        elif ev.id in seen_ids:
+            problems.append(f"{where}: duplicate mention id")
+        seen_ids.add(ev.id)
+        if ev.head_lemma.split() != [ev.head_lemma]:  # empty, or holds whitespace
+            problems.append(f"{where}: head_lemma must be non-empty without whitespace")
+        if not 0 <= ev.sentence_index < doc.num_sentences:
+            problems.append(f"{where}: sentence_index {ev.sentence_index} out of range")
+    for en in doc.entities:
+        where = f"doc {doc.doc_id!r} entity {en.id!r}"
+        if not en.id:
+            problems.append(f"doc {doc.doc_id!r}: entity id must be non-empty")
+        elif en.id in seen_ids:
+            problems.append(f"{where}: duplicate mention id")
+        seen_ids.add(en.id)
+        if not en.entity_key:
+            problems.append(f"{where}: entity_key must be non-empty")
+        if not 0 <= en.sentence_index < doc.num_sentences:
+            problems.append(f"{where}: sentence_index {en.sentence_index} out of range")
+
+    order = [ev.sentence_index for ev in doc.events]
+    if any(a > b for a, b in zip(order, order[1:])):
+        problems.append(f"doc {doc.doc_id!r}: events not in nondecreasing sentence_index order")
+
+    flags = {ev.salient is None for ev in doc.events}
+    if len(flags) == 2:
+        problems.append(f"doc {doc.doc_id!r}: salient labels must be all set or all unset")
+    return problems
+
+
+def _expect(obj: dict, key: str, kinds, where: str, allow_none: bool = False):
+    if key not in obj:
+        raise DataError(f"{where}: missing field {key!r}")
+    val = obj[key]
+    if val is None and allow_none:
+        return None
+    # bool is an int subclass; reject it where an int is required
+    if int in (kinds if isinstance(kinds, tuple) else (kinds,)) and isinstance(val, bool):
+        raise DataError(f"{where}: field {key!r} has wrong type")
+    if not isinstance(val, kinds):
+        raise DataError(f"{where}: field {key!r} has wrong type")
+    return val
+
+
+def document_from_json_reference(obj: dict, where: str = "document") -> Document:
+    """One ``_expect`` call per field, then the first problem ``validate_document_reference`` finds."""
+    doc_id = _expect(obj, "doc_id", str, where)
+    where = f"doc {doc_id!r}"
+    num_sentences = _expect(obj, "num_sentences", int, where)
+    events = []
+    for raw in _expect(obj, "events", list, where):
+        if not isinstance(raw, dict):
+            raise DataError(f"{where}: events entries must be objects")
+        events.append(
+            EventMention(
+                id=_expect(raw, "id", str, where),
+                head_lemma=_expect(raw, "head_lemma", str, where),
+                surface=_expect(raw, "surface", str, where),
+                sentence_index=_expect(raw, "sentence_index", int, where),
+                frame=_expect(raw, "frame", str, where, allow_none=True),
+                salient=_expect(raw, "salient", bool, where, allow_none=True),
+            )
+        )
+    entities = []
+    for raw in _expect(obj, "entities", list, where):
+        if not isinstance(raw, dict):
+            raise DataError(f"{where}: entities entries must be objects")
+        entities.append(
+            EntityMention(
+                id=_expect(raw, "id", str, where),
+                entity_key=_expect(raw, "entity_key", str, where),
+                sentence_index=_expect(raw, "sentence_index", int, where),
+            )
+        )
+    lemmas = _expect(obj, "abstract_lemmas", list, where, allow_none=True)
+    if lemmas is not None:
+        if not all(isinstance(x, str) for x in lemmas):
+            raise DataError(f"{where}: abstract_lemmas must be strings")
+        lemmas = frozenset(lemmas)
+    doc = Document(
+        doc_id=doc_id,
+        num_sentences=num_sentences,
+        events=tuple(events),
+        entities=tuple(entities),
+        abstract_lemmas=lemmas,
+    )
+    problems = validate_document_reference(doc)
+    if problems:
+        raise DataError(problems[0])
+    return doc

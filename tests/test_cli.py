@@ -10,6 +10,7 @@ import pytest
 from salience import cli
 from salience.cli import main
 from salience.corpus import load_corpus
+from salience.embeddings import build_vocab
 from salience.metrics import MetricsReport
 from salience.models import KCEModel, load_model
 
@@ -527,3 +528,63 @@ def test_cli_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_train_nan_in_a_kept_vector_row_exits_two_naming_the_line(pipeline, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    kept = build_vocab(load_corpus(pipeline["train"]), "event_lemma").tokens_by_index()[0]
+    vectors = tmp_path / "event.vectors.txt"
+    # the unused row's NaN is never parsed; the kept row's is refused
+    vectors.write_text(
+        "2 16\nnot-a-train-lemma " + " ".join(["nan"] * 16) + f"\n{kept} " + " ".join(["0.5"] * 15 + ["nan"]) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "m.json"
+    argv = ["train", "--model", "kce", "--train", str(pipeline["train"]), "--dev", str(pipeline["dev"]),
+            "--out", str(out), "--dim", "16", "--event-vectors", str(vectors)]
+    _exits_two_with_one_line_error(argv, capsys, f"{vectors}: line 3: non-finite vector entry")
+    assert not out.exists()
+
+
+_REFUSED_COUNT_FLAGS = [
+    pytest.param(["build-vocab", "--corpus", "{test}", "--field", "event", "--min-count", "0"], "--min-count",
+                 id="build-vocab-min-count-0"),
+    pytest.param(["build-vocab", "--corpus", "{test}", "--field", "entity", "--min-count", "-3"], "--min-count",
+                 id="build-vocab-min-count-neg"),
+    pytest.param(["train", "--model", "kce", "--train", "{train}", "--dev", "{dev}", "--min-count", "0"],
+                 "--min-count", id="train-min-count-0"),
+    pytest.param(_INTRUDE + ["--pairs", "0"], "--pairs", id="intrude-pairs-0"),
+    pytest.param(["sigtest", "--a", "{report}", "--b", "{report}", "--iterations", "0"], "--iterations",
+                 id="sigtest-iterations-0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _REFUSED_COUNT_FLAGS)
+def test_count_flag_below_one_exits_two_naming_it_before_any_work(
+    pipeline, kce_model, tmp_path, capsys, monkeypatch, argv, flag
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("load_corpus", "load_model", "read_json"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.MetricsReport, "load", no_work)
+    out = tmp_path / "out"
+    paths = {"model": kce_model, **{k: pipeline[k] for k in ("train", "dev", "test", "report")}}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+    _exits_two_with_one_line_error(argv, capsys, f"{flag} must be >= 1, got {argv[argv.index(flag) + 1]}")
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "c.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "salience.cli", "synth", "--out", str(out), "--docs", "3"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "generated 3 documents" in done.stdout
+    assert len(load_corpus(out).documents) == 3

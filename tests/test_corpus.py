@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_corpus, random_document
+from oracles import document_from_json_reference, validate_document_reference
 from salience.corpus import (
     Corpus,
     Document,
@@ -221,3 +223,142 @@ def test_validate_document_rejects_empty_or_spaced_lemmas(lemma):
     problems = validate_document(doc)
     bad = lemma == "" or any(c.isspace() for c in lemma)
     assert problems == (["doc 'd' event 'e0': head_lemma must be non-empty without whitespace"] if bad else [])
+
+
+# --- the loader against the one-field-per-call reference ---------------------
+
+_VALID = {
+    "doc_id": "d1",
+    "num_sentences": 4,
+    "events": [
+        {"id": "e1", "head_lemma": "elect", "surface": "elected", "sentence_index": 0, "frame": "Vote",
+         "salient": True},
+        {"id": "e2", "head_lemma": "vote", "surface": "votes", "sentence_index": 2, "frame": None,
+         "salient": False},
+    ],
+    "entities": [
+        {"id": "n1", "entity_key": "Q1", "sentence_index": 1},
+        {"id": "n2", "entity_key": "Q2", "sentence_index": 3},
+    ],
+    "abstract_lemmas": ["elect"],
+}
+# one value of each JSON type; a field gets every one whose type it does not hold
+_JSON_VALUES = {"null": None, "true": True, "int": 1, "float": 1.5, "str": "x", "list": [], "object": {}}
+_DROP = object()
+
+
+def _with(*changes):
+    """A copy of the valid document with each ``(path, value)`` applied; ``_DROP`` drops the key."""
+    obj = json.loads(json.dumps(_VALID))
+    for path, value in changes:
+        *parents, last = path
+        target = obj
+        for step in parents:
+            target = target[step]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return obj
+
+
+def _mutations():
+    places = [(key,) for key in _VALID]
+    places += [("events", i, key) for i in (0, 1) for key in _VALID["events"][0]]
+    places += [("entities", i, key) for i in (0, 1) for key in _VALID["entities"][0]]
+    for place in places:
+        name = "/".join(map(str, place))
+        yield f"drop-{name}", _with((place, _DROP))
+        for type_name, value in _JSON_VALUES.items():
+            yield f"{name}={type_name}", _with((place, value))
+    for kind in ("events", "entities"):
+        for type_name, value in _JSON_VALUES.items():
+            if type_name != "object":
+                yield f"{kind}/1-entry={type_name}", _with(((kind, 1), value))
+    yield "events/1/id=duplicate", _with((("events", 1, "id"), "e1"))
+    yield "entities/0/id=event-id", _with((("entities", 0, "id"), "e2"))
+    yield "entities/1/id=duplicate", _with((("entities", 1, "id"), "n1"))
+    for lemma in ("", " ", "two words", "x ", "\tx"):
+        yield f"events/0/head_lemma={lemma!r}", _with((("events", 0, "head_lemma"), lemma))
+    for kind, i, value in (("events", 0, -1), ("events", 1, 4), ("entities", 1, 4), ("entities", 0, -2)):
+        yield f"{kind}/{i}/sentence_index={value}", _with(((kind, i, "sentence_index"), value))
+    yield "events-out-of-order", _with((("events", 0, "sentence_index"), 3))
+    yield "events/1/salient=unset", _with((("events", 1, "salient"), None))
+    yield "all-salient-unset", _with((("events", 0, "salient"), None), (("events", 1, "salient"), None))
+    yield "doc_id=empty", _with((("doc_id",), ""))
+    yield "num_sentences=0", _with((("num_sentences",), 0))
+    yield "events/0/id=empty", _with((("events", 0, "id"), ""))
+    yield "entities/0/entity_key=empty", _with((("entities", 0, "entity_key"), ""))
+    yield "abstract_lemmas=non-string", _with((("abstract_lemmas",), ["elect", 3]))
+    # two faults: the one the reference reads first is the one reported
+    for keys, prefix in ((list(_VALID), ()), (list(_VALID["events"][0]), ("events", 1)),
+                         (list(_VALID["entities"][0]), ("entities", 1))):
+        for first, second in zip(keys, keys[1:]):
+            # an object is the wrong type for every field
+            yield "/".join(map(str, (*prefix, first))) + f"=object+drop-{second}", _with(
+                ((*prefix, first), {}), ((*prefix, second), _DROP)
+            )
+    yield "events/1/id=duplicate+entities/1/sentence_index=str", _with(
+        (("events", 1, "id"), "e1"), (("entities", 1, "sentence_index"), "x")
+    )
+    yield "extra-keys", _with((("events", 0, "extra"), 1), (("extra",), [1]))
+    yield "no-mentions", _with((("events",), []), (("entities",), []))
+
+
+_MUTATIONS = dict(_mutations())
+
+
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_load_corpus_matches_the_reference_loader_on_one_mutation(tmp_path, name):
+    obj = _MUTATIONS[name]
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    try:
+        expected = document_from_json_reference(obj, where="line 1")
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_corpus(path)
+        assert str(err.value) == str(exc)
+    else:
+        assert load_corpus(path).documents == (expected,)
+
+
+def test_loaded_mentions_are_frozen_hashable_and_equal_to_constructed_ones(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_VALID) + "\n", encoding="utf-8")
+    loaded = load_corpus(path).documents[0]
+    built = document_from_json_reference(_VALID)
+    assert loaded == built and hash(loaded) == hash(built)
+    for got, want in zip(loaded.events + loaded.entities, built.events + built.entities):
+        assert type(got) is type(want) and got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) and vars(got) == vars(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.id = "other"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), faults=st.lists(st.integers(0, 7), max_size=4))
+def test_validate_document_lists_the_reference_problems(seed, faults):
+    rng = np.random.default_rng(seed)
+    doc = random_document(rng, n_events=int(rng.integers(0, 6)), n_entities=int(rng.integers(0, 4)))
+    events, entities = list(doc.events), list(doc.entities)
+    for fault in faults:
+        if fault == 0:
+            doc = dataclasses.replace(doc, doc_id="")
+        elif fault == 1:
+            doc = dataclasses.replace(doc, num_sentences=int(rng.integers(-1, 2)))
+        elif fault in (2, 3, 4, 5) and events:
+            i = int(rng.integers(0, len(events)))
+            change = [
+                {"id": rng.choice(["", events[0].id, "n0"])},
+                {"head_lemma": rng.choice(["", "a b", " "])},
+                {"sentence_index": int(rng.integers(-2, 8))},
+                {"salient": None},
+            ][fault - 2]
+            events[i] = dataclasses.replace(events[i], **change)
+        elif fault in (6, 7) and entities:
+            j = int(rng.integers(0, len(entities)))
+            change = {"id": rng.choice(["", "e0"])} if fault == 6 else {"entity_key": ""}
+            entities[j] = dataclasses.replace(entities[j], **change)
+    doc = dataclasses.replace(doc, events=tuple(events), entities=tuple(entities))
+    assert validate_document(doc) == validate_document_reference(doc)

@@ -215,3 +215,56 @@ def test_table_json_round_trip():
     assert np.array_equal(again.vectors, table.vectors)
     assert again.vocabulary == table.vocabulary
     assert again.dim == 4
+
+
+def test_build_vocab_refuses_min_count_below_one():
+    corpus = random_corpus(np.random.default_rng(1), n_docs=2)
+    for min_count in (0, -3):
+        with pytest.raises(DataError, match=f"min_count must be >= 1, got {min_count}"):
+            build_vocab(corpus, "event_lemma", min_count=min_count)
+
+
+def _vector_file(path, rows, count=None):
+    path.write_text(f"{len(rows) if count is None else count} 3\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+def test_init_embeddings_rows_equal_a_full_parse(tmp_path):
+    rng = np.random.default_rng(21)
+    vocab = toy_vocab(["a", "b", "c", "d"])
+    rows = [f"{tok} " + " ".join(format(x, ".17g") for x in rng.normal(size=3)) for tok in "xaybazb"]
+    rows.insert(3, "")  # blank lines are skipped, not counted
+    path = _vector_file(tmp_path / "v.txt", rows, count=7)
+    full = load_word_vectors(path)
+    assert sorted(full) == ["a", "b", "x", "y", "z"]
+    table = init_embeddings(vocab, dim=3, seed=4, pretrained=path)
+    assert np.array_equal(table.vectors, init_embeddings(vocab, dim=3, seed=4, pretrained=full).vectors)
+    kept = load_word_vectors(path, tokens=vocab.token_to_index)
+    assert sorted(kept) == ["a", "b"]  # the later duplicate of each wins
+    assert all(np.array_equal(kept[tok], full[tok]) for tok in kept)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "oops"])
+def test_word_vector_bad_entry_in_an_unused_row_is_never_parsed(tmp_path, entry):
+    path = _vector_file(tmp_path / "v.txt", ["a 1 2 3", f"b 1 {entry} 3"])
+    with pytest.raises(DataError, match="line 3: non-"):
+        load_word_vectors(path)
+    assert list(load_word_vectors(path, tokens={"a"})) == ["a"]
+    table = init_embeddings(toy_vocab(["a"]), dim=3, seed=0, pretrained=path)
+    assert np.array_equal(table.row("a"), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("entry", ["nan", "-inf", "x"])
+def test_word_vector_bad_entry_in_a_kept_row_names_the_line(tmp_path, entry):
+    path = _vector_file(tmp_path / "v.txt", ["a 1 2 3", f"b 1 {entry} 3"])
+    with pytest.raises(DataError, match="line 3: non-"):
+        load_word_vectors(path, tokens={"b"})
+
+
+def test_word_vector_ragged_unused_row_and_header_count_still_fail(tmp_path):
+    ragged = _vector_file(tmp_path / "ragged.txt", ["a 1 2 3", "b 1 2"])
+    with pytest.raises(DataError, match="line 3: expected 4 fields, got 3"):
+        load_word_vectors(ragged, tokens={"a"})
+    miscounted = _vector_file(tmp_path / "count.txt", ["a 1 2 3", "b 4 5 6"], count=3)
+    with pytest.raises(DataError, match="header announces 3 rows, the file has 2"):
+        init_embeddings(toy_vocab(["a"]), dim=3, seed=0, pretrained=miscounted)
