@@ -22,7 +22,6 @@ from .models import (
     new_kce_model,
     new_letor_model,
     save_model,
-    score_kce,
 )
 from .synth import SynthConfig, degrade_vectors, generate_corpus, measured_cosine_gap
 from .training import TrainConfig, TrainHistory, grad_check, train
@@ -80,7 +79,6 @@ __all__ = [
     "run_study",
     "save_corpus",
     "save_model",
-    "score_kce",
     "train",
     "validate_document",
 ]

@@ -4,9 +4,10 @@ An instance mixes an origin document (must have at least five salient events)
 with n events drawn from a second document, together with the entities from
 the intruders' source sentences.  Intruder sentence indices are offset past
 the origin's so same-sentence structure stays internal to each side.  Scoring
-recounts lemma frequency on the mixed document and zeroes every other feature;
-only relational evidence remains.  AUC treats origin events as positives and
-intruders as negatives; SA-AUC drops the non-salient origin events first.
+recounts lemma frequency on the mixed document and gives every other feature
+zero weight; only relational evidence remains.  AUC treats origin events as
+positives and intruders as negatives; SA-AUC drops the non-salient origin
+events first.
 
 A study checks each sampled (origin, intruder) pair, shuffles its eligible
 intruders and relabels them once; every insertion fraction then mixes in a
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ import numpy as np
 from .corpus import Corpus, Document, EntityMention, EventMention, validate_document
 from .errors import DataError
 from .metrics import auc as auc_metric
-from .models import KCE_VARIANTS, KCEModel, frequency_scores, score_kce
+from .models import KCE_VARIANTS, KCEModel, frequency_scores, model_scores
 
 INTRUDER_KINDS = ("salient_only", "nonsalient_only")
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -264,13 +265,15 @@ def run_study_with_scorer(
 def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyResult:
     """Intrusion study for a kernel centrality model.
 
-    Frequency is recounted on each mixed document; all other features are
-    zeroed at scoring time, so the model leans on its kernel evidence.
+    The study scores with a copy of the model whose feature weights are zero
+    except frequency's, recounted on each mixed document, so the model leans
+    on its kernel evidence.
     """
     if not isinstance(model, KCEModel) or model.variant not in KCE_VARIANTS:
         raise DataError("intrusion studies score with a kernel centrality model")
+    frequency_only = replace(model, w_f=np.concatenate([model.w_f[:1], np.zeros(len(model.w_f) - 1)]))
 
     def score_fn(instance: IntrusionInstance) -> np.ndarray:
-        return score_kce(model, instance.mixed, zero_nonfreq_features=True)
+        return model_scores(frequency_only, instance.mixed)
 
     return run_study_with_scorer(corpus, score_fn, cfg)

@@ -56,6 +56,12 @@ VARIANT_BLOCKS = {
 KCE_VARIANTS = ("events_only", "events_features", "full")  # the kernel variants a "kce" record holds
 
 
+def reads_entities(variant: str) -> bool:
+    """Whether a variant's score reads the entity table: through entity kernels or the voting features."""
+    blocks = VARIANT_BLOCKS[variant]
+    return "w_e" in blocks or "w_f" in blocks
+
+
 @dataclass
 class KCEModel:
     bank: KernelBank
@@ -110,25 +116,18 @@ class KCECache(DocGeometry):
     acts_ve: np.ndarray | None  # (n, m, K); None without w_e
     phi_v: np.ndarray | None  # (n, K)
     phi_e: np.ndarray | None  # (n, K)
-    scaled_feats: np.ndarray  # (n, 5) after standardization (and any zeroing)
-    zero_nonfreq: bool
+    scaled_feats: np.ndarray  # (n, 5) after standardization
 
 
-def kce_forward(
-    model: KCEModel, doc: Document, zero_nonfreq_features: bool = False
-) -> tuple[np.ndarray, KCECache]:
+def kce_forward(model: KCEModel, doc: Document) -> tuple[np.ndarray, KCECache]:
     """Scores plus a cache for gradient computation.
 
     The score sums the variant's blocks in the order w_v, w_e, w_f, with the
-    bias added to the first.  ``zero_nonfreq_features`` replaces every
-    standardized feature except the (recounted) frequency with 0 before the
-    feature weights apply; used by the intrusion test so only relational
-    evidence and frequency drive the score.
+    bias added to the first.
     """
     n = len(doc.events)
     blocks = VARIANT_BLOCKS[model.variant]
-    reads_entities = "w_e" in blocks or "w_f" in blocks
-    geo = doc_geometry(doc, model.event_table, model.entity_table if reads_entities else None)
+    geo = doc_geometry(doc, model.event_table, model.entity_table if reads_entities(model.variant) else None)
     acts_vv = acts_ve = phi_v = phi_e = None
     terms = []
     if "w_v" in blocks:
@@ -143,8 +142,6 @@ def kce_forward(
     scaled = np.zeros((n, N_FEATURES))
     if "w_f" in blocks:
         scaled = scale_matrix(geometry_features(doc, geo), model.scaler)
-        if zero_nonfreq_features:
-            scaled[:, 1:] = 0.0
         terms.append(scaled @ model.w_f)
     scores = terms[0] + model.bias
     for term in terms[1:]:
@@ -157,14 +154,15 @@ def kce_forward(
         phi_v=phi_v,
         phi_e=phi_e,
         scaled_feats=scaled,
-        zero_nonfreq=zero_nonfreq_features,
     )
     return scores, cache
 
 
-def score_kce(model: KCEModel, doc: Document, zero_nonfreq_features: bool = False) -> np.ndarray:
-    scores, _ = kce_forward(model, doc, zero_nonfreq_features=zero_nonfreq_features)
-    return scores
+# The range of each PageRank scalar, as (predicate, description) rules for check_fields.
+_PAGERANK_RANGES = {
+    "temperature": (lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0"),
+    "combine_lambda": (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+}
 
 
 @dataclass
@@ -175,10 +173,9 @@ class PageRankModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise DataError("pagerank temperature must be a finite number > 0")
-        if not 0.0 <= self.combine_lambda <= 1.0:
-            raise DataError("pagerank combine_lambda must lie in [0, 1]")
+        for name, (valid, expected) in _PAGERANK_RANGES.items():
+            if not valid(getattr(self, name)):
+                raise DataError(f"pagerank {name} must be {expected}")
 
 
 @dataclass
@@ -220,11 +217,6 @@ def pagerank_forward(model: PageRankModel, doc: Document) -> tuple[np.ndarray, P
         norm_freq=norm_freq,
     )
     return scores, cache
-
-
-def pagerank_scores(model: PageRankModel, doc: Document) -> np.ndarray:
-    scores, _ = pagerank_forward(model, doc)
-    return scores
 
 
 def frequency_scores(doc: Document) -> np.ndarray:
@@ -355,11 +347,21 @@ _FIELDS = {
 }
 
 
+def _built(name: str, build, value):
+    """``build(value)``, with a DataError it raises turned into a ModelFormatError naming field ``name``."""
+    try:
+        return build(value)
+    except DataError as exc:
+        raise ModelFormatError(f"field {name}: {exc}") from None
+
+
 def _table_checked(obj: dict, name: str, version: int) -> EmbeddingTable:
     try:
         table = table_from_json(obj[name], version)
     except ModelFormatError as exc:
         raise ModelFormatError(f"field {name}.{exc}") from None
+    except DataError as exc:  # the vocabulary's own check
+        raise ModelFormatError(f"field {name}.vocab: {exc}") from None
     _check_finite(name, table.vectors)
     return table
 
@@ -373,6 +375,7 @@ def _model_from_json(obj: dict, version: int):
     if model_type == "pagerank":
         _check_finite("temperature", np.array([obj["temperature"]], dtype=np.float64))
         _check_finite("combine_lambda", np.array([obj["combine_lambda"]], dtype=np.float64))
+        check_fields(obj, _PAGERANK_RANGES, error=ModelFormatError)
         return PageRankModel(
             temperature=float(obj["temperature"]),
             combine_lambda=float(obj["combine_lambda"]),
@@ -381,14 +384,14 @@ def _model_from_json(obj: dict, version: int):
         )
     w_f = np.asarray(obj["w_f"], dtype=np.float64)
     if w_f.shape != (N_FEATURES,):
-        raise ModelFormatError(f"feature weight vector must have length {N_FEATURES}")
+        raise ModelFormatError(f"field w_f must hold {N_FEATURES} weights")
     _check_finite("w_f", w_f)
     _check_finite("bias", np.array([obj["bias"]], dtype=np.float64))
     shared = dict(
         bias=float(obj["bias"]),
         event_table=_table_checked(obj, "event_table", version),
         entity_table=_table_checked(obj, "entity_table", version),
-        scaler=scaler_from_json(obj["scaler"]),
+        scaler=_built("scaler", scaler_from_json, obj["scaler"]),
         meta=meta,
     )
     if model_type == "letor":
@@ -396,11 +399,11 @@ def _model_from_json(obj: dict, version: int):
         w_v, w_e, variant = np.zeros(bank.size), np.zeros(bank.size), "features_only"
     else:
         variant = obj["variant"]
-        bank = bank_from_json(obj["bank"])
+        bank = _built("bank", bank_from_json, obj["bank"])
         w_v = np.asarray(obj["w_v"], dtype=np.float64)
         w_e = np.asarray(obj["w_e"], dtype=np.float64)
         if w_v.shape != (bank.size,) or w_e.shape != (bank.size,):
-            raise ModelFormatError("kernel weight length does not match the bank")
+            raise ModelFormatError("fields w_v and w_e must hold one weight per kernel of the bank")
         _check_blocks(variant, {"w_v": w_v, "w_e": w_e, "w_f": w_f})
     return KCEModel(bank=bank, w_v=w_v, w_e=w_e, w_f=w_f, variant=variant, **shared)
 
@@ -427,9 +430,9 @@ def load_model(path: str | Path, expect: str | None = None):
 
 
 def model_scores(model, doc: Document) -> np.ndarray:
-    """Scores for any model object (dispatch helper for ranking and evaluation)."""
+    """Scores of a KCE or PageRank model for one document: the one scoring entry point."""
     if isinstance(model, KCEModel):
-        return score_kce(model, doc)
+        return kce_forward(model, doc)[0]
     if isinstance(model, PageRankModel):
-        return pagerank_scores(model, doc)
+        return pagerank_forward(model, doc)[0]
     raise DataError(f"cannot score with object of type {type(model).__name__}")

@@ -36,6 +36,7 @@ from .models import (
     kce_forward,
     model_scores,
     pagerank_forward,
+    reads_entities,
 )
 
 LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
@@ -217,32 +218,32 @@ EMBEDDING_KEYS = ("event_emb", "entity_emb")  # gradients come as (rows, block) 
 MIN_TEMPERATURE = 1e-3
 
 
-def _param_arrays(model, freeze_embeddings: bool) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Views into the model's trainable arrays plus the names of scalar blocks."""
+def _param_arrays(model, freeze_embeddings: bool) -> dict[str, np.ndarray]:
+    """The model's trainable parameters: views into its weight blocks and embedding
+    tables, and a one-element copy of its scalar (the bias or the temperature)."""
     if isinstance(model, KCEModel):
-        blocks = VARIANT_BLOCKS[model.variant]
-        arrays: dict[str, np.ndarray] = {name: getattr(model, name) for name in blocks}
+        arrays = {name: getattr(model, name) for name in VARIANT_BLOCKS[model.variant]}
         arrays[BIAS_KEY] = np.array([model.bias])
-        if not freeze_embeddings and model.event_table.trainable:
-            arrays["event_emb"] = model.event_table.vectors
-        if not freeze_embeddings and model.entity_table.trainable and ("w_e" in blocks or "w_f" in blocks):
-            arrays["entity_emb"] = model.entity_table.vectors
-        return arrays, [BIAS_KEY]
-    if isinstance(model, PageRankModel):
+        entities = reads_entities(model.variant)
+    elif isinstance(model, PageRankModel):
         arrays = {TEMPERATURE_KEY: np.array([model.temperature])}
-        if not freeze_embeddings and model.event_table.trainable:
-            arrays["event_emb"] = model.event_table.vectors
-        return arrays, [TEMPERATURE_KEY]
-    raise DataError(f"cannot train object of type {type(model).__name__}")
+        entities = False
+    else:
+        raise DataError(f"cannot train object of type {type(model).__name__}")
+    if not freeze_embeddings and model.event_table.trainable:
+        arrays["event_emb"] = model.event_table.vectors
+    if not freeze_embeddings and entities and model.entity_table.trainable:
+        arrays["entity_emb"] = model.entity_table.vectors
+    return arrays
 
 
-def _sync_scalars(model, arrays: dict[str, np.ndarray], scalars: list[str]) -> None:
-    for name in scalars:
-        if name == BIAS_KEY:
-            model.bias = float(arrays[name][0])
-        elif name == TEMPERATURE_KEY:
-            arrays[name][0] = max(float(arrays[name][0]), MIN_TEMPERATURE)
-            model.temperature = float(arrays[name][0])
+def _sync_scalar(model, arrays: dict[str, np.ndarray]) -> None:
+    """Copy the scalar's array back onto the model; the temperature is floored first."""
+    if isinstance(model, PageRankModel):
+        arrays[TEMPERATURE_KEY][0] = max(float(arrays[TEMPERATURE_KEY][0]), MIN_TEMPERATURE)
+        model.temperature = float(arrays[TEMPERATURE_KEY][0])
+    else:
+        model.bias = float(arrays[BIAS_KEY][0])
 
 
 # --- analytic backward passes ------------------------------------------------
@@ -310,8 +311,6 @@ def kce_backward(
     The embedding tables come back row-sparse, as ``(rows, block)`` pairs, and
     only when at least one of them is trainable.
     """
-    if cache.zero_nonfreq:
-        raise DataError("backward pass is undefined for feature-zeroed scoring")
     n = len(doc.events)
     m = len(doc.entities)
     g = np.asarray(dscores, dtype=np.float64)
@@ -338,7 +337,7 @@ def kce_backward(
             grad_vv, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v, cache.norms_v, True
         )
 
-        if m and ("w_e" in blocks or "w_f" in blocks):
+        if m and reads_entities(model.variant):
             grad_ve = np.zeros_like(cache.sims_ve)
             if "w_e" in blocks:
                 grad_ve += g[:, None] * _kernel_cos_grad(
@@ -401,15 +400,13 @@ def _doc_loss_and_grads(model, doc: Document, cfg: TrainConfig):
     pos_idx, neg_idx = _doc_pair_indices(doc, cfg)
     if len(pos_idx) == 0:
         return 0.0, None
-    if isinstance(model, KCEModel):
-        scores, cache = kce_forward(model, doc)
-        loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
-        return loss, kce_backward(model, doc, cache, dscores)
     if isinstance(model, PageRankModel):
-        scores, cache = pagerank_forward(model, doc)
-        loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
-        return loss, pagerank_backward(model, doc, cache, dscores)
-    raise DataError(f"cannot train object of type {type(model).__name__}")
+        forward, backward = pagerank_forward, pagerank_backward
+    else:
+        forward, backward = kce_forward, kce_backward
+    scores, cache = forward(model, doc)
+    loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
+    return loss, backward(model, doc, cache, dscores)
 
 
 def _dev_metrics(model, dev: Corpus) -> tuple[float | None, float | None]:
@@ -461,7 +458,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     if cfg.epochs == 0:
         return model, TrainHistory()
 
-    arrays, scalars = _param_arrays(model, cfg.freeze_embeddings)
+    arrays = _param_arrays(model, cfg.freeze_embeddings)
     adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
@@ -496,7 +493,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
                     else:
                         buf += doc_grads[name]
             adam.step(arrays, grads)
-            _sync_scalars(model, arrays, scalars)
+            _sync_scalar(model, arrays)
         _check_finite_params(arrays)
 
         if isinstance(model, PageRankModel) and dev.documents:
@@ -513,7 +510,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     if best_snapshot is not None:
         for name, arr in arrays.items():
             arr[...] = best_snapshot[name]
-        _sync_scalars(model, arrays, scalars)
+        _sync_scalar(model, arrays)
         if isinstance(model, PageRankModel) and best_lambda is not None:
             model.combine_lambda = best_lambda
     model.meta.update(
@@ -564,28 +561,22 @@ def grad_check(
     scores, cache = kce_forward(model, doc)
     _, dscores = document_pair_loss(scores, labels)
     analytic = kce_backward(model, doc, cache, dscores)
-    for name, table in (("event_emb", model.event_table), ("entity_emb", model.entity_table)):
-        if name not in analytic:
-            continue
+    params = _param_arrays(model, freeze_embeddings=False)
+    tables = [name for name in EMBEDDING_KEYS if name in params]
+    for name in tables:
         rows, block = analytic[name]
-        dense = np.zeros_like(table.vectors)
-        dense[rows] = block
-        analytic[name] = dense
+        analytic[name] = np.zeros_like(params[name])
+        analytic[name][rows] = block
 
-    weights = VARIANT_BLOCKS[model.variant]
-    bias_arr = np.array([model.bias])
-    # (parameter, analytic gradient, coordinates to perturb)
+    # (parameter, analytic gradient, coordinates to perturb): every weight block and the bias ...
     blocks: list[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]] = [
-        (getattr(model, name), analytic[name], [(k,) for k in range(len(getattr(model, name)))])
-        for name in weights
+        (arr, analytic[name], [(k,) for k in range(len(arr))])
+        for name, arr in params.items()
+        if name not in EMBEDDING_KEYS
     ]
-    blocks.append((bias_arr, analytic[BIAS_KEY], [(0,)]))
-
-    row_pool: list[tuple[str, int]] = []
-    if model.event_table.trainable:
-        row_pool += [("event_emb", int(r)) for r in sorted(set(cache.rows_v.tolist()))]
-    if model.entity_table.trainable and ("w_e" in weights or "w_f" in weights):
-        row_pool += [("entity_emb", int(r)) for r in sorted(set(cache.rows_e.tolist()))]
+    # ... and a sample of the table rows the document references
+    referenced = {"event_emb": cache.rows_v, "entity_emb": cache.rows_e}
+    row_pool = [(name, int(r)) for name in tables for r in np.unique(referenced[name])]
     if row_pool and max_rows > 0:
         rng = np.random.default_rng(row_seed)
         chosen = (
@@ -593,13 +584,11 @@ def grad_check(
             if len(row_pool) <= max_rows
             else [row_pool[i] for i in rng.choice(len(row_pool), size=max_rows, replace=False)]
         )
-        dim = model.event_table.dim
-        for table_name, row in chosen:
-            table = model.event_table if table_name == "event_emb" else model.entity_table
-            blocks.append((table.vectors, analytic[table_name], [(row, d) for d in range(dim)]))
+        for name, row in chosen:
+            blocks.append((params[name], analytic[name], [(row, d) for d in range(params[name].shape[1])]))
 
     def loss_with_bias_synced() -> float:
-        model.bias = float(bias_arr[0])
+        _sync_scalar(model, params)
         return _kce_loss(model, doc, labels)
 
     worst = 0.0
@@ -617,5 +606,5 @@ def grad_check(
                 continue
             # np.maximum keeps a NaN error, where max() would drop it
             worst = float(np.maximum(worst, abs(a - numeric) / max(abs(a), abs(numeric), GRAD_EPS)))
-    model.bias = float(bias_arr[0])
+    _sync_scalar(model, params)
     return worst

@@ -5,9 +5,10 @@ definitions: cosine similarity and its gradient, the five per-event features
 and their standardization, per-target kernel pooling with its backward pass,
 the stand-alone LeToR scorer with its weight gradients, the one-step PageRank
 walk, AUC from average ranks, the intrusion instance built by filtering
-entities sentence by sentence, and the corpus document loader that checks one
-field per call and validates with a message built for every mention.  Nothing
-in the package calls them.
+entities sentence by sentence, the intrusion study's scores with every
+standardized feature but frequency zeroed, and the corpus document loader
+that checks one field per call and validates with a message built for every
+mention.  Nothing in the package calls them.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from salience.intrusion import (
     eligible_intruder_events,
 )
 from salience.kernels import KernelBank, gaussian_pool
-from salience.models import KCEModel, PageRankModel
+from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -256,6 +257,24 @@ def rank_sum_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     ranks = rankdata(scores, method="average")
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def feature_zeroed_scores(model: KCEModel, doc: Document) -> np.ndarray:
+    """KCE scores after every standardized feature except frequency is set to 0.
+
+    The terms are summed as ``kce_forward`` sums them (the variant's blocks in
+    the order w_v, w_e, w_f, the bias added to the first), so scores that zero
+    the features and scores that zero their weights can be compared bit for bit.
+    """
+    _, cache = kce_forward(model, doc)
+    zeroed = cache.scaled_feats.copy()
+    zeroed[:, 1:] = 0.0
+    inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": zeroed}
+    terms = [inputs[name] @ getattr(model, name) for name in VARIANT_BLOCKS[model.variant]]
+    scores = terms[0] + model.bias
+    for term in terms[1:]:
+        scores = scores + term
+    return scores
 
 
 def build_instance_reference(

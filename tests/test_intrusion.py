@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_corpus, toy_table
-from oracles import build_instance_reference
+from oracles import build_instance_reference, feature_zeroed_scores
+from salience import intrusion
 from salience.corpus import Corpus, Document, EntityMention, EventMention, validate_document
 from salience.errors import DataError
-from salience.features import fit_scaler
+from salience.features import fit_scaler, lemma_counts
 from salience.intrusion import (
     INTRUDER_KINDS,
     MIN_ORIGIN_SALIENT,
@@ -19,6 +20,7 @@ from salience.intrusion import (
 )
 from salience.kernels import default_bank
 from salience.models import KCEModel, new_kce_model, new_letor_model
+from salience.training import TrainConfig, train
 
 
 def make_doc(doc_id, n_salient, n_nonsalient, n_sentences=6, n_entities=3, lemma_prefix=None):
@@ -238,6 +240,48 @@ def test_run_study_with_model_zeroes_nonfrequency_features():
     # the features_only (LeToR) variant has no relational evidence to study
     with pytest.raises(DataError, match="kernel centrality"):
         run_study(corpus, new_letor_model(evt, ent, scaler), cfg)
+
+
+def test_run_study_scores_like_the_feature_zeroed_reference(monkeypatch):
+    """run_study zeroes every feature weight but frequency's; the reference zeroes
+    the features instead.  Rows and per-instance scores must agree bit for bit,
+    and the frequency, recounted on each mixed document, is standardized with
+    the model's scaler."""
+    rng = np.random.default_rng(9)
+    corpus = random_corpus(rng, n_docs=10, n_events=14, n_entities=12, n_sentences=6, distinct_lemmas=False)
+    lemmas = sorted({e.head_lemma for d in corpus.documents for e in d.events})
+    keys = sorted({n.entity_key for d in corpus.documents for n in d.entities})
+    evt = toy_table(lemmas, 8, rng)
+    ent = toy_table(keys, 8, rng)
+    zero = new_kce_model(default_bank(), evt, ent, fit_scaler(corpus, evt, ent))
+    trained, _ = train(zero, corpus, corpus, TrainConfig(epochs=2, batch_docs=4, learning_rate=0.05, seed=1))
+    assert trained.w_v.any() and trained.w_f[1:].any()
+    frequency_probe = new_kce_model(default_bank(), evt, ent, zero.scaler, variant="events_features")
+    frequency_probe.w_f[:] = rng.normal(size=5)
+    frequency_probe.bias = 0.5
+    cfg = IntrusionConfig(num_pairs=6, intruder_kind="salient_only", seed=3, fractions=(0.5, 1.0))
+
+    scored = []
+    model_scores = intrusion.model_scores
+
+    def recording_scores(model, doc):
+        scores = model_scores(model, doc)
+        scored.append((doc, scores))
+        return scores
+
+    monkeypatch.setattr(intrusion, "model_scores", recording_scores)
+    for model in (zero, trained, frequency_probe):
+        scored.clear()
+        got = run_study(corpus, model, cfg)
+        want = run_study_with_scorer(corpus, lambda inst: feature_zeroed_scores(model, inst.mixed), cfg)
+        assert got.rows == want.rows
+        assert len(scored) == cfg.num_pairs * len(cfg.fractions)
+        for doc, scores in scored:
+            assert scores.tobytes() == feature_zeroed_scores(model, doc).tobytes()
+
+    mean, std = zero.scaler.means[0], zero.scaler.stds[0]
+    for doc, scores in scored:  # the probe has no kernel weights: bias + w_f[0] * standardized frequency
+        assert scores == pytest.approx(0.5 + frequency_probe.w_f[0] * (lemma_counts(doc) - mean) / std)
 
 
 def test_intrusion_config_validation():

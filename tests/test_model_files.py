@@ -222,6 +222,18 @@ CASES = [
     ("v1-string-entry", 1, None, lambda o: o["event_table"]["vectors"][0].__setitem__(0, "0.5"),
      "event_table.vectors"),
     ("v1-base64-vectors", 1, None, _set("event_table", "vectors", "AAAA"), "event_table.vectors"),
+    # values of the right type but out of range: the constructors refuse them, the message names file and field
+    ("temperature-zero", 2, ("pagerank",), _set("temperature", 0.0), "m.json: field temperature"),
+    ("temperature-negative", 2, ("pagerank",), _set("temperature", -1), "m.json: field temperature"),
+    ("lambda-above-one", 2, ("pagerank",), _set("combine_lambda", 1.5), "m.json: field combine_lambda"),
+    ("lambda-negative", 2, ("pagerank",), _set("combine_lambda", -0.1), "m.json: field combine_lambda"),
+    ("sigma-zero", 2, ("kce",), lambda o: o["bank"]["sigmas"].__setitem__(0, 0.0), "m.json: field bank"),
+    ("empty-bank", 2, ("kce",), _set("bank", {"means": [], "sigmas": []}), "m.json: field bank"),
+    ("scaler-four-means", 2, WEIGHTED, lambda o: o["scaler"]["means"].pop(), "m.json: field scaler"),
+    ("unknown-index-off", 2, None, _set("event_table", "vocab", "unknown_index", 99),
+     "m.json: field event_table.vocab"),
+    ("w_f-four-weights", 2, WEIGHTED, lambda o: o["w_f"].pop(), "m.json: field w_f"),
+    ("w_v-short", 2, ("kce",), lambda o: o["w_v"].pop(), "m.json: fields w_v and w_e"),
 ]
 
 

@@ -24,10 +24,9 @@ from salience.models import (
     model_scores,
     new_kce_model,
     new_letor_model,
-    pagerank_scores,
+    pagerank_forward,
     ranked_order,
     save_model,
-    score_kce,
 )
 
 
@@ -95,7 +94,7 @@ def test_kce_forward_matches_compositional_oracle(seed):
     # oracle and the vectorized path by 1e8; those cases are covered by the
     # bitwise consistency test below
     assume(not np.any(model.scaler.stds <= 1e-8))
-    got = score_kce(model, doc)
+    got = model_scores(model, doc)
     assert got == pytest.approx(compositional_scores(model, doc), abs=1e-10)
 
 
@@ -172,7 +171,7 @@ def test_letor_and_pagerank_score_empty_single_and_entity_free_documents():
         assert cache.acts_vv is None and cache.acts_ve is None  # no kernel pooling
 
         pagerank = PageRankModel(temperature=0.7, combine_lambda=0.3, event_table=kce.event_table)
-        got = pagerank_scores(pagerank, doc)
+        got = model_scores(pagerank, doc)
         assert got.shape == (len(doc.events),)
         assert got == pytest.approx(pagerank_oracle(pagerank, doc), abs=1e-12)
 
@@ -183,23 +182,8 @@ def test_kce_variants_drop_blocks(seed, variant):
     rng = np.random.default_rng(seed)
     doc = random_document(rng, n_events=4, n_entities=3)
     model = build_kce(rng, doc, variant=variant)
-    got = score_kce(model, doc)
+    got = model_scores(model, doc)
     assert got == pytest.approx(compositional_scores(model, doc), abs=1e-10)
-
-
-def test_zero_nonfreq_zeroes_all_but_frequency():
-    rng = np.random.default_rng(5)
-    doc = random_document(rng, n_events=5, n_entities=4, distinct_lemmas=False)
-    model = build_kce(rng, doc)
-    scores, cache = kce_forward(model, doc, zero_nonfreq_features=True)
-    assert np.all(cache.scaled_feats[:, 1:] == 0.0)
-    # frequency column still standardized with the trained scaler
-    raw = np.array(
-        [sum(1 for e in doc.events if e.head_lemma == ev.head_lemma) for ev in doc.events],
-        dtype=np.float64,
-    )
-    want = (raw - model.scaler.means[0]) / model.scaler.stds[0]
-    assert cache.scaled_feats[:, 0] == pytest.approx(want)
 
 
 def test_letor_is_kce_without_kernels():
@@ -220,7 +204,7 @@ def test_letor_is_kce_without_kernels():
         scaler=kce.scaler,
         variant="full",
     )
-    assert score_kce(letor, doc) == pytest.approx(score_kce(zeroed, doc), abs=1e-12)
+    assert model_scores(letor, doc) == pytest.approx(model_scores(zeroed, doc), abs=1e-12)
 
 
 def softmax_rows(m):
@@ -247,7 +231,7 @@ def test_pagerank_matches_matrix_oracle():
         dtype=np.float64,
     )
     want = 0.4 * freq / freq.sum() + 0.6 * walk
-    assert pagerank_scores(model, doc) == pytest.approx(want, abs=1e-12)
+    assert model_scores(model, doc) == pytest.approx(want, abs=1e-12)
 
 
 def test_pagerank_single_event_walk_is_zero():
@@ -260,7 +244,7 @@ def test_pagerank_single_event_walk_is_zero():
     evt = toy_table(["x"], 4, rng)
     model = PageRankModel(temperature=1.0, combine_lambda=0.25, event_table=evt)
     # frequency part only: 0.25 * 1.0 (normalized) + 0.75 * 0
-    assert pagerank_scores(model, doc).tolist() == [0.25]
+    assert model_scores(model, doc).tolist() == [0.25]
 
 
 def test_pagerank_validation():
@@ -318,7 +302,7 @@ def test_save_load_round_trip_kce(tmp_path):
     assert again.bias == model.bias
     assert np.array_equal(again.event_table.vectors, model.event_table.vectors)
     assert again.variant == model.variant
-    assert score_kce(again, doc) == pytest.approx(score_kce(model, doc), abs=0)
+    assert model_scores(again, doc) == pytest.approx(model_scores(model, doc), abs=0)
     # saving the reloaded model reproduces the file byte-for-byte
     path2 = tmp_path / "m2.json"
     save_model(again, path2)
@@ -336,13 +320,13 @@ def test_save_load_round_trip_letor_and_pagerank(tmp_path):
     assert json.loads(p1.read_text(encoding="utf-8"))["model_type"] == "letor"
     letor2 = load_model(p1, expect="letor")
     assert isinstance(letor2, KCEModel) and letor2.variant == "features_only"
-    assert np.array_equal(score_kce(letor2, doc), score_kce(letor, doc))
+    assert np.array_equal(model_scores(letor2, doc), model_scores(letor, doc))
 
     pr = PageRankModel(temperature=0.9, combine_lambda=0.3, event_table=kce.event_table)
     p2 = tmp_path / "pr.json"
     save_model(pr, p2)
     pr2 = load_model(p2, expect="pagerank")
-    assert pagerank_scores(pr2, doc) == pytest.approx(pagerank_scores(pr, doc), abs=0)
+    assert model_scores(pr2, doc) == pytest.approx(model_scores(pr, doc), abs=0)
 
 
 def test_load_model_expect_mismatch(tmp_path):
@@ -401,7 +385,11 @@ def test_model_scores_dispatch():
     rng = np.random.default_rng(41)
     doc = random_document(rng, n_events=4, n_entities=2)
     kce = build_kce(rng, doc)
-    assert model_scores(kce, doc) == pytest.approx(score_kce(kce, doc), abs=0)
+    assert np.array_equal(model_scores(kce, doc), kce_forward(kce, doc)[0])
     letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
     letor.w_f[:] = rng.normal(size=5)
     assert np.array_equal(model_scores(letor, doc), letor_scores(letor, doc)[0])
+    pagerank = PageRankModel(temperature=0.6, combine_lambda=0.4, event_table=kce.event_table)
+    assert np.array_equal(model_scores(pagerank, doc), pagerank_forward(pagerank, doc)[0])
+    with pytest.raises(DataError, match="cannot score"):
+        model_scores(kce.scaler, doc)
