@@ -73,9 +73,11 @@ def doc_geometry(
         ev_sent = np.array([ev.sentence_index for ev in doc.events], dtype=np.intp)
         en_sent = np.array([en.sentence_index for en in doc.entities], dtype=np.intp)
         local_mask = ev_sent[:, None] == en_sent[None, :]
-    else:
+        sims_ve, local_counts = unit_v @ unit_e.T, local_mask.sum(axis=1)
+    else:  # the zero-size entity fields, built directly
+        n = len(rows_v)
         rows_e, unit_e, norms_e = np.zeros(0, np.intp), np.zeros((0, events_table.dim)), np.zeros(0)
-        local_mask = np.zeros((len(doc.events), 0), dtype=bool)
+        sims_ve, local_mask, local_counts = np.zeros((n, 0)), np.zeros((n, 0), bool), np.zeros(n, int)
     return DocGeometry(
         rows_v=rows_v,
         unit_v=unit_v,
@@ -84,9 +86,9 @@ def doc_geometry(
         rows_e=rows_e,
         unit_e=unit_e,
         norms_e=norms_e,
-        sims_ve=unit_v @ unit_e.T,
+        sims_ve=sims_ve,
         local_mask=local_mask,
-        local_counts=local_mask.sum(axis=1),
+        local_counts=local_counts,
         lemma_counts=lemma_counts(doc),
     )
 
@@ -150,4 +152,6 @@ def scaler_from_json(obj: dict) -> FeatureScaler:
     stds = np.asarray(obj["stds"], dtype=np.float64)
     if means.shape != (N_FEATURES,) or stds.shape != (N_FEATURES,):
         raise DataError("feature scaler must carry exactly five means and stds")
+    if not np.all(stds > 0.0):
+        raise DataError("feature scaler stds must be strictly positive")
     return FeatureScaler(means=means, stds=stds)

@@ -49,7 +49,11 @@ def gaussian_pool(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
     """Kernel activations for an array of cosines; shape (..., K)."""
     c = np.asarray(cos_values, dtype=np.float64)
     diff = c[..., None] - bank.means
-    return np.exp(-(diff * diff) / (2.0 * bank.sigmas * bank.sigmas))
+    # -(diff * diff) / (2 sigma sigma), operation for operation, in diff's own buffer
+    np.multiply(diff, diff, out=diff)
+    np.negative(diff, out=diff)
+    np.divide(diff, 2.0 * bank.sigmas * bank.sigmas, out=diff)
+    return np.exp(diff, out=diff)
 
 
 def bank_to_json(bank: KernelBank) -> dict:

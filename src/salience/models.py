@@ -366,6 +366,12 @@ def _table_checked(obj: dict, name: str, version: int) -> EmbeddingTable:
     return table
 
 
+def _check_finite_parts(obj: dict, name: str, parts: tuple[str, ...]) -> None:
+    """Refuse a non-finite number in the lists ``obj[name][part]``, before any range check reads them."""
+    for part in parts:
+        _check_finite(f"{name}.{part}", np.asarray(obj[name][part], dtype=np.float64))
+
+
 def _model_from_json(obj: dict, version: int):
     model_type = obj["model_type"]
     check_fields(obj, _FIELDS[model_type], error=ModelFormatError)
@@ -387,6 +393,7 @@ def _model_from_json(obj: dict, version: int):
         raise ModelFormatError(f"field w_f must hold {N_FEATURES} weights")
     _check_finite("w_f", w_f)
     _check_finite("bias", np.array([obj["bias"]], dtype=np.float64))
+    _check_finite_parts(obj, "scaler", ("means", "stds"))
     shared = dict(
         bias=float(obj["bias"]),
         event_table=_table_checked(obj, "event_table", version),
@@ -399,6 +406,7 @@ def _model_from_json(obj: dict, version: int):
         w_v, w_e, variant = np.zeros(bank.size), np.zeros(bank.size), "features_only"
     else:
         variant = obj["variant"]
+        _check_finite_parts(obj, "bank", ("means", "sigmas"))
         bank = _built("bank", bank_from_json, obj["bank"])
         w_v = np.asarray(obj["w_v"], dtype=np.float64)
         w_e = np.asarray(obj["w_e"], dtype=np.float64)

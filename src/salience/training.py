@@ -112,15 +112,12 @@ def _pair_loss(
     scores: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Summed hinge over explicit index pairs plus d(loss)/d(scores)."""
-    grad = np.zeros_like(scores)
-    if len(pos_idx) == 0:
-        return 0.0, grad
     margins = 1.0 - scores[pos_idx] + scores[neg_idx]
     active = margins > 0.0
-    loss = float(margins[active].sum()) if active.any() else 0.0
-    np.add.at(grad, pos_idx[active], -1.0)
-    np.add.at(grad, neg_idx[active], 1.0)
-    return loss, grad
+    # integer counts, so the difference is exact; an unused score gets +0.0
+    n = len(scores)
+    counts = np.bincount(neg_idx[active], minlength=n) - np.bincount(pos_idx[active], minlength=n)
+    return float(margins[active].sum()), counts.astype(np.float64)
 
 
 def document_pair_loss(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -129,10 +126,8 @@ def document_pair_loss(scores: np.ndarray, labels: np.ndarray) -> tuple[float, n
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have equal length")
-    pos = np.flatnonzero(labels)
-    neg = np.flatnonzero(~labels)
-    pp, nn = np.meshgrid(pos, neg, indexing="ij")
-    return _pair_loss(scores, pp.ravel(), nn.ravel())
+    pairs = _cross_pairs(labels)
+    return _pair_loss(scores, pairs[:, 0], pairs[:, 1])
 
 
 def _derived_rng(seed: int, *names: str) -> np.random.Generator:
@@ -140,21 +135,26 @@ def _derived_rng(seed: int, *names: str) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-def make_pairs(doc: Document, cfg: TrainConfig) -> list[tuple[int, int]]:
-    """All (salient, non-salient) index pairs, optionally subsampled per document.
-
-    Subsampling is deterministic given (cfg.seed, doc_id) and keeps the
-    canonical cross-product order.
-    """
-    labels = _labels(doc)
+def _cross_pairs(labels: np.ndarray) -> np.ndarray:
+    """Every (salient, non-salient) index pair as a (k, 2) array, in cross-product order."""
     pos = np.flatnonzero(labels)
     neg = np.flatnonzero(~labels)
-    pairs = [(int(i), int(j)) for i in pos for j in neg]
+    return np.column_stack((np.repeat(pos, len(neg)), np.tile(neg, len(pos))))
+
+
+def make_pairs(doc: Document, cfg: TrainConfig) -> np.ndarray:
+    """All (salient, non-salient) index pairs as a (k, 2) array, optionally subsampled.
+
+    Rows follow the canonical cross-product order.  Subsampling is
+    deterministic given (cfg.seed, doc_id) and keeps the chosen rows in that
+    order.
+    """
+    pairs = _cross_pairs(_labels(doc))
     limit = cfg.max_pairs_per_doc
     if limit is not None and len(pairs) > limit:
         rng = _derived_rng(cfg.seed, doc.doc_id)
         chosen = rng.choice(len(pairs), size=limit, replace=False)
-        pairs = [pairs[k] for k in sorted(chosen)]
+        pairs = pairs[np.sort(chosen)]
     return pairs
 
 
@@ -288,12 +288,20 @@ def _cosine_matrix_backward(
 def _row_sparse(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum per-mention row gradients per table row: (sorted unique rows, (r, d) block).
 
-    ``np.add.at`` adds the mentions in the same order it would into a full
-    table, so scattering the block reproduces the dense gradient bit for bit.
+    Each row starts from its first mention plus 0.0 (which turns -0.0 into
+    +0.0, as adding into a zero table does), and the repeated mentions are
+    added in ascending mention order, so scattering the block reproduces the
+    dense ``np.add.at`` table bit for bit.
     """
-    uniq, inverse = np.unique(rows, return_inverse=True)
-    block = np.zeros((len(uniq), d_rows.shape[1]))
-    np.add.at(block, inverse, d_rows)
+    uniq, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    block = d_rows[first]
+    block += 0.0
+    if len(first) < len(rows):
+        repeated = np.ones(len(rows), dtype=bool)
+        repeated[first] = False
+        dup = np.flatnonzero(repeated)
+        for k, r in zip(dup.tolist(), inverse[dup].tolist()):
+            block[r] += d_rows[k]
     return uniq, block
 
 
@@ -390,10 +398,7 @@ def pagerank_backward(
 
 def _doc_pair_indices(doc: Document, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     pairs = make_pairs(doc, cfg)
-    if not pairs:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    arr = np.asarray(pairs, dtype=np.intp)
-    return arr[:, 0], arr[:, 1]
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _doc_loss_and_grads(model, doc: Document, cfg: TrainConfig):

@@ -3,7 +3,10 @@
 Written one event, one pair and one scalar at a time, straight from the
 definitions: cosine similarity and its gradient, the five per-event features
 and their standardization, per-target kernel pooling with its backward pass,
-the stand-alone LeToR scorer with its weight gradients, the one-step PageRank
+the kernel activations computed with one temporary per operation,
+the (salient, non-salient) pair list, the hinge gradient on the scores and the
+per-row sum of mention gradients accumulated with ``np.add.at``, the
+stand-alone LeToR scorer with its weight gradients, the one-step PageRank
 walk, AUC from average ranks, the intrusion instance built by filtering
 entities sentence by sentence, the intrusion study's scores with every
 standardized feature but frequency zeroed, and the corpus document loader
@@ -32,6 +35,7 @@ from salience.intrusion import (
 )
 from salience.kernels import KernelBank, gaussian_pool
 from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward
+from salience.training import TrainConfig, _derived_rng, _labels
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -167,6 +171,13 @@ def apply_scaler(fv: FeatureVector, scaler: FeatureScaler) -> FeatureVector:
 # --- kernel pooling -------------------------------------------------------------
 
 
+def gaussian_pool_reference(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """Kernel activations with one temporary per operation; shape (..., K)."""
+    c = np.asarray(cos_values, dtype=np.float64)
+    diff = c[..., None] - bank.means
+    return np.exp(-(diff * diff) / (2.0 * bank.sigmas * bank.sigmas))
+
+
 def pool_grad_wrt_cos(cos_values: np.ndarray, bank: KernelBank, upstream: np.ndarray) -> np.ndarray:
     """d(upstream . phi)/d cos for each cosine, given upstream (K,) weights."""
     c = np.asarray(cos_values, dtype=np.float64)
@@ -207,6 +218,46 @@ def kernel_backward(
         d_target += du
         d_context.append(dv)
     return d_target, d_context
+
+
+# --- the per-document training path ---------------------------------------------
+
+
+def make_pairs_reference(doc: Document, cfg: TrainConfig) -> list[tuple[int, int]]:
+    """(salient, non-salient) index pairs as a list of tuples, subsampled in cross-product order."""
+    labels = _labels(doc)
+    pos = np.flatnonzero(labels)
+    neg = np.flatnonzero(~labels)
+    pairs = [(int(i), int(j)) for i in pos for j in neg]
+    limit = cfg.max_pairs_per_doc
+    if limit is not None and len(pairs) > limit:
+        rng = _derived_rng(cfg.seed, doc.doc_id)
+        chosen = rng.choice(len(pairs), size=limit, replace=False)
+        pairs = [pairs[k] for k in sorted(chosen)]
+    return pairs
+
+
+def pair_loss_reference(
+    scores: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Summed hinge over index pairs, its score gradient accumulated with ``np.add.at``."""
+    grad = np.zeros_like(scores)
+    if len(pos_idx) == 0:
+        return 0.0, grad
+    margins = 1.0 - scores[pos_idx] + scores[neg_idx]
+    active = margins > 0.0
+    loss = float(margins[active].sum()) if active.any() else 0.0
+    np.add.at(grad, pos_idx[active], -1.0)
+    np.add.at(grad, neg_idx[active], 1.0)
+    return loss, grad
+
+
+def row_sparse_reference(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mention row gradients summed per table row with ``np.add.at`` into a zero block."""
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    block = np.zeros((len(uniq), d_rows.shape[1]))
+    np.add.at(block, inverse, d_rows)
+    return uniq, block
 
 
 # --- LeToR ----------------------------------------------------------------------

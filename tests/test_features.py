@@ -10,6 +10,7 @@ from salience.errors import DataError
 from salience.features import (
     FEATURE_NAMES,
     FeatureScaler,
+    doc_geometry,
     feature_matrix,
     fit_scaler,
     scale_matrix,
@@ -61,6 +62,22 @@ def test_feature_matrix_matches_loop_reference(seed):
     got = feature_matrix(doc, evt, ent)
     want = np.stack([brute_features(doc, evt, ent, i) for i in range(len(doc.events))])
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("entity_table,n_entities", [(False, 3), (True, 0)])
+def test_empty_entity_side_has_the_shapes_and_dtypes_of_zero_entities(entity_table, n_entities):
+    """Without an entity table (pagerank) or without entities, the entity fields
+    match what the entity branch builds from zero entities."""
+    rng = np.random.default_rng(4)
+    doc = random_document(rng, n_events=5, n_entities=n_entities)
+    evt, ent = tables_for(doc, rng)
+    geo = doc_geometry(doc, evt, ent if entity_table else None)
+    unit_e, mask = np.zeros((0, evt.dim)), np.zeros((5, 0), dtype=bool)
+    want = dict(rows_e=np.zeros(0, np.intp), unit_e=unit_e, norms_e=np.zeros(0),
+                sims_ve=geo.unit_v @ unit_e.T, local_mask=mask, local_counts=mask.sum(axis=1))
+    for name, value in want.items():
+        got = getattr(geo, name)
+        assert (name, got.dtype, got.shape) == (name, value.dtype, value.shape)
 
 
 def test_extract_features_agrees_with_matrix():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import cosine, kernel_backward, kernel_features, pool_grad_wrt_cos
+from oracles import cosine, gaussian_pool_reference, kernel_backward, kernel_features, pool_grad_wrt_cos
 from salience.errors import DataError
 from salience.kernels import (
     KernelBank,
@@ -142,3 +143,21 @@ def test_bank_json_round_trip():
     again = bank_from_json(bank_to_json(bank))
     assert np.array_equal(again.means, bank.means)
     assert np.array_equal(again.sigmas, bank.sigmas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cos=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 0.9999]) | st.floats(-1.0, 1.0),
+    ),
+    means=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+    sigmas=st.lists(st.sampled_from([1e-3, 0.1]) | st.floats(1e-4, 2.0), min_size=4, max_size=4),
+)
+def test_gaussian_pool_equals_reference_bitwise(cos, means, sigmas):
+    bank = KernelBank(means=np.array(means), sigmas=np.array(sigmas[: len(means)]))
+    want = gaussian_pool_reference(cos, bank)
+    got = gaussian_pool(cos, bank)
+    assert got.shape == want.shape == (*cos.shape, bank.size)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -3,8 +3,8 @@
 Version 2 stores each embedding table's vectors as base64 of little-endian
 float64 bytes; version 1 (written here by ``helpers.save_model_v1``) stored
 them as nested JSON lists.  Both must load bitwise-equal to the saved model,
-and a malformed file must fail ``rank`` with exit 2 and a message naming the
-field, never with a traceback.
+and a malformed file must fail ``rank`` with exit 2 (3 for a non-finite
+number) and a message naming the field, never with a traceback.
 """
 import base64
 import copy
@@ -181,8 +181,22 @@ def _shorten_vectors(obj):
     obj["event_table"]["vectors"] = base64.b64encode(raw[:-8]).decode("ascii")
 
 
+def _put(*keys_and_index_and_value):
+    *keys, index, value = keys_and_index_and_value
+
+    def mutate(obj):
+        target = obj
+        for key in keys:
+            target = target[key]
+        target[index] = value
+
+    return mutate
+
+
 WEIGHTED = ("kce", "letor")
-# (id, file version to start from, model kinds it applies to, mutation, field the error names)
+INF, NAN = float("inf"), float("nan")
+# (id, file version to start from, model kinds it applies to, mutation, field the error names
+#  [, exit code: 2 unless given, 3 for a non-finite number])
 CASES = [
     ("missing-table", 2, None, _delete("event_table"), "missing field event_table"),
     ("missing-vocab", 2, None, _delete("event_table", "vocab"), "event_table.vocab"),
@@ -234,6 +248,17 @@ CASES = [
      "m.json: field event_table.vocab"),
     ("w_f-four-weights", 2, WEIGHTED, lambda o: o["w_f"].pop(), "m.json: field w_f"),
     ("w_v-short", 2, ("kce",), lambda o: o["w_v"].pop(), "m.json: fields w_v and w_e"),
+    ("scaler-std-zero", 2, WEIGHTED, _put("scaler", "stds", 2, 0.0), "m.json: field scaler"),
+    ("scaler-std-negative", 2, WEIGHTED, _put("scaler", "stds", 2, -1.0), "m.json: field scaler"),
+    # non-finite numbers are refused at load with exit 3, before any range check reads them
+    ("bank-mean-infinity", 2, ("kce",), _put("bank", "means", 3, INF), "field bank.means", 3),
+    ("bank-mean-nan", 2, ("kce",), _put("bank", "means", 3, NAN), "field bank.means", 3),
+    ("bank-sigma-infinity", 2, ("kce",), _put("bank", "sigmas", 3, INF), "field bank.sigmas", 3),
+    ("bank-sigma-nan", 2, ("kce",), _put("bank", "sigmas", 3, NAN), "field bank.sigmas", 3),
+    ("scaler-mean-nan", 2, WEIGHTED, _put("scaler", "means", 1, NAN), "field scaler.means", 3),
+    ("scaler-mean-infinity", 2, WEIGHTED, _put("scaler", "means", 1, -INF), "field scaler.means", 3),
+    ("scaler-std-infinity", 2, WEIGHTED, _put("scaler", "stds", 1, INF), "field scaler.stds", 3),
+    ("scaler-std-nan", 2, WEIGHTED, _put("scaler", "stds", 1, NAN), "field scaler.stds", 3),
 ]
 
 
@@ -242,8 +267,8 @@ CASES = [
     [(kind, case) for case in CASES for kind in ("kce", "letor", "pagerank") if case[2] is None or kind in case[2]],
     ids=lambda v: v if isinstance(v, str) else v[0],
 )
-def test_malformed_model_file_exits_2_naming_the_field(tmp_path, capsys, kind, case):
-    _id, version, _kinds, mutate, field_text = case
+def test_malformed_model_file_exits_naming_the_field(tmp_path, capsys, kind, case):
+    _id, version, _kinds, mutate, field_text, *exit_code = case
     corpus_path = tmp_path / "c.jsonl"
     save_corpus(random_corpus(np.random.default_rng(3), n_docs=3, n_events=5, n_entities=3), corpus_path)
     path = tmp_path / "m.json"
@@ -255,7 +280,7 @@ def test_malformed_model_file_exits_2_naming_the_field(tmp_path, capsys, kind, c
     path.write_text(json.dumps(mutated), encoding="utf-8")
     code = main(["rank", "--model", str(path), "--corpus", str(corpus_path), "--out", str(tmp_path / "r.jsonl")])
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == (exit_code[0] if exit_code else 2)
     assert "Traceback" not in err
     assert field_text in err
 

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import gradcheck_instances, random_corpus, random_document, toy_table
-from oracles import letor_grads, letor_scores
+from oracles import (
+    letor_grads,
+    letor_scores,
+    make_pairs_reference,
+    pair_loss_reference,
+    row_sparse_reference,
+)
 from salience import training
 from salience.corpus import Corpus, Document, EntityMention, EventMention
 from salience.embeddings import build_vocab, init_embeddings
@@ -119,9 +126,11 @@ def doc_with_labels(labels):
 def test_make_pairs_full_cross_product():
     doc = doc_with_labels([1, 0, 1, 0, 0])
     pairs = make_pairs(doc, TrainConfig())
+    assert pairs.dtype == np.intp and pairs.shape == (2 * 3, 2)
     assert len(pairs) == 2 * 3
-    assert pairs == sorted(pairs)
-    for p, q in pairs:
+    as_tuples = [tuple(p) for p in pairs.tolist()]
+    assert as_tuples == sorted(as_tuples)
+    for p, q in pairs.tolist():
         assert doc.events[p].salient and not doc.events[q].salient
 
 
@@ -130,13 +139,74 @@ def test_make_pairs_subsample_is_seeded_and_without_replacement():
     cfg = TrainConfig(max_pairs_per_doc=5, seed=3)
     pairs_a = make_pairs(doc, cfg)
     pairs_b = make_pairs(doc, cfg)
-    assert pairs_a == pairs_b
-    assert len(pairs_a) == 5
-    assert len(set(pairs_a)) == 5
-    full = set(make_pairs(doc, TrainConfig()))
-    assert set(pairs_a) <= full
+    assert pairs_a.tobytes() == pairs_b.tobytes()
+    assert pairs_a.shape == (5, 2)
+    as_tuples = [tuple(p) for p in pairs_a.tolist()]
+    assert as_tuples == sorted(as_tuples)
+    assert len(set(as_tuples)) == 5
+    full = {tuple(p) for p in make_pairs(doc, TrainConfig()).tolist()}
+    assert set(as_tuples) <= full
     other = make_pairs(doc, TrainConfig(max_pairs_per_doc=5, seed=4))
-    assert other != pairs_a  # different seed, different sample (chosen seeds differ)
+    assert not np.array_equal(other, pairs_a)  # different seed, different sample (chosen seeds differ)
+
+
+# --- the per-document path against its np.add.at references, bit for bit ----
+
+# few distinct score values, so margins hit exactly 0 (inactive) as well as both signs
+_SCORES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels_scores=st.lists(st.tuples(st.booleans(), _SCORES), max_size=12),
+    limit=st.none() | st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_pairs_and_hinge_gradient_equal_references_bitwise(labels_scores, limit, seed):
+    """Empty, single-class and mixed documents, with and without subsampling."""
+    labels = [y for y, _ in labels_scores]
+    scores = np.array([s for _, s in labels_scores], dtype=np.float64)
+    doc = doc_with_labels(labels)
+    cfg = TrainConfig(max_pairs_per_doc=limit, seed=seed)
+    want = np.array(make_pairs_reference(doc, cfg), dtype=np.intp).reshape(-1, 2)
+    got = make_pairs(doc, cfg)
+    assert got.dtype == np.intp and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+    full = np.array(make_pairs_reference(doc, TrainConfig()), dtype=np.intp).reshape(-1, 2)
+    pos, neg = training._doc_pair_indices(doc, cfg)
+    for (loss, grad), (want_loss, want_grad) in (
+        (training._pair_loss(scores, pos, neg), pair_loss_reference(scores, want[:, 0], want[:, 1])),
+        (document_pair_loss(scores, np.array(labels, dtype=bool)), pair_loss_reference(scores, full[:, 0], full[:, 1])),
+    ):
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.dtype == want_grad.dtype and grad.tobytes() == want_grad.tobytes()
+
+
+# signed zeros, values whose sums depend on the order they are added in, and any finite float
+_GRAD_ENTRIES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1e16, -1e16, 1.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    data=st.data(),
+)
+def test_row_sparse_equals_add_at_reference_bitwise(n_rows, dim, data):
+    """Repeated rows, -0.0 gradient rows and documents without mentions."""
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=14)), dtype=np.intp)
+    d_rows = data.draw(hnp.arrays(np.float64, (len(rows), dim), elements=_GRAD_ENTRIES))
+    if data.draw(st.booleans()):
+        d_rows[: len(rows) // 2] = -0.0  # whole -0.0 mention rows
+    given_rows, given_grads = rows.copy(), d_rows.copy()
+    want_rows, want_block = row_sparse_reference(rows, d_rows)
+    got_rows, got_block = training._row_sparse(rows, d_rows)
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_block.shape == want_block.shape and got_block.tobytes() == want_block.tobytes()
+    assert rows.tobytes() == given_rows.tobytes() and d_rows.tobytes() == given_grads.tobytes()
 
 
 # --- Adam -------------------------------------------------------------------
