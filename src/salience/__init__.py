@@ -4,7 +4,7 @@ studies."""
 
 __version__ = "0.1.0"
 
-from .annotate import FilterConfig, corpus_stats, default_filter_config, filter_candidates, label_salience
+from .annotate import FilterConfig, corpus_stats, filter_candidates, label_salience
 from .corpus import Corpus, Document, EntityMention, EventMention, load_corpus, save_corpus, validate_document
 from .embeddings import EmbeddingTable, Vocabulary, build_vocab, init_embeddings
 from .errors import DataError, ModelFormatError, NumericError, SalienceError
@@ -55,7 +55,6 @@ __all__ = [
     "build_vocab",
     "corpus_stats",
     "default_bank",
-    "default_filter_config",
     "degrade_vectors",
     "evaluate",
     "feature_matrix",

@@ -39,10 +39,6 @@ class FilterConfig:
             object.__setattr__(self, name, frozenset(v.lower() for v in vals))
 
 
-def default_filter_config() -> FilterConfig:
-    return FilterConfig()
-
-
 def load_filter_config(path: str | Path) -> FilterConfig:
     obj = read_json(path, "filter config")
     if not isinstance(obj, dict):

@@ -18,11 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .annotate import corpus_stats, default_filter_config, filter_candidates, label_salience, load_filter_config
+from .annotate import FilterConfig, corpus_stats, filter_candidates, label_salience, load_filter_config
 from .corpus import Corpus, load_corpus, save_corpus
 from .embeddings import build_vocab, init_embeddings, save_word_vectors, vocab_to_json
 from .errors import DataError, NumericError, SalienceError, read_json, write_json
-from .features import FeatureScaler, fit_scaler
+from .features import fit_scaler
 from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
 from .manifest import write_manifest
@@ -163,7 +163,7 @@ def _scorer_for(model_arg: str):
 
 
 def _cmd_annotate(args) -> Run:
-    cfg = load_filter_config(args.filter_config) if args.filter_config else default_filter_config()
+    cfg = load_filter_config(args.filter_config) if args.filter_config else FilterConfig()
     corpus = load_corpus(args.corpus)
     docs = []
     for doc in corpus.documents:

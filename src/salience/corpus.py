@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+
+import numpy as np
 
 from .errors import DataError, is_int, read_lines
 
@@ -57,11 +58,12 @@ class Corpus:
         if self.split_tag not in SPLIT_TAGS:
             raise DataError(f"unknown split tag {self.split_tag!r}")
 
-    def __len__(self) -> int:
-        return len(self.documents)
 
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self.documents)
+def salience_labels(doc: Document) -> np.ndarray:
+    """The document's salient flags as a bool array; ``DataError`` if it is unlabeled."""
+    if any(ev.salient is None for ev in doc.events):
+        raise DataError(f"doc {doc.doc_id!r} is not salience-labeled")
+    return np.array([bool(ev.salient) for ev in doc.events], dtype=bool)  # bool also when empty
 
 
 def validate_document(doc: Document) -> list[str]:

@@ -16,7 +16,7 @@ from typing import Container, Mapping
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, ModelFormatError, is_number, read_lines
+from .errors import DataError, ModelFormatError, read_lines
 
 VOCAB_FIELDS = ("event_lemma", "entity_key")
 
@@ -190,30 +190,20 @@ def table_to_json(table: EmbeddingTable) -> dict:
     }
 
 
-def table_from_json(obj: dict, version: int = 2) -> EmbeddingTable:
-    """Inverse of ``table_to_json``; model file version 1 stored the vectors as nested lists.
+def table_from_json(obj: dict) -> EmbeddingTable:
+    """Inverse of ``table_to_json``.
 
     The vectors come back as a writable, C-contiguous, native float64 array.
     """
     vocab = vocab_from_json(obj["vocab"])
     dim = int(obj["dim"])
-    vectors = obj["vectors"]
-    if version == 1:
-        if not (
-            isinstance(vectors, list)
-            and len(vectors) == vocab.size
-            and all(isinstance(row, list) and len(row) == dim and all(map(is_number, row)) for row in vectors)
-        ):
-            raise ModelFormatError(f"vectors must be {vocab.size} lists of {dim} numbers")
-        matrix = np.array(vectors, dtype=np.float64)
-    else:
-        try:
-            raw = base64.b64decode(vectors, validate=True)
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise ModelFormatError("vectors must be a base64 string") from exc
-        if len(raw) != vocab.size * dim * 8:
-            raise ModelFormatError(
-                f"vectors hold {len(raw)} bytes, expected {vocab.size} rows x {dim} x 8"
-            )
-        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(vocab.size, dim)
+    try:
+        raw = base64.b64decode(obj["vectors"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ModelFormatError("vectors must be a base64 string") from exc
+    if len(raw) != vocab.size * dim * 8:
+        raise ModelFormatError(
+            f"vectors hold {len(raw)} bytes, expected {vocab.size} rows x {dim} x 8"
+        )
+    matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(vocab.size, dim)
     return EmbeddingTable(vocabulary=vocab, dim=dim, vectors=matrix, trainable=bool(obj["trainable"]))

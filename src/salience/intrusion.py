@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import csv
 import math
-import zlib
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, Document, EntityMention, EventMention, validate_document
+from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
 from .errors import DataError
 from .metrics import auc as auc_metric
 from .models import KCE_VARIANTS, KCEModel, frequency_scores, model_scores
+from .training import _derived_rng
 
 INTRUDER_KINDS = ("salient_only", "nonsalient_only")
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -53,8 +53,8 @@ class IntrusionConfig:
             raise DataError("need at least one insertion fraction")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise DataError("fractions must lie in (0, 1]")
-        if list(self.fractions) != sorted(self.fractions):
-            raise DataError("fractions must be sorted ascending")
+        if any(a >= b for a, b in zip(self.fractions, self.fractions[1:])):
+            raise DataError(f"fractions must be strictly ascending, got {list(self.fractions)}")
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ class IntrusionInstance:
 def eligible_intruder_events(doc: Document, intruder_kind: str) -> list[EventMention]:
     want = intruder_kind == "salient_only"
     return [ev for ev in doc.events if ev.salient is want]
-
-
-def _intruder_order(seed: int, origin_id: str, intruder_id: str, n_events: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        [seed % (2**32), zlib.crc32(origin_id.encode()), zlib.crc32(intruder_id.encode())]
-    )
-    return rng.permutation(n_events)
 
 
 class _PairMixer:
@@ -97,6 +90,7 @@ class _PairMixer:
         self.origin = origin
         self.intruder = intruder
         pool = eligible_intruder_events(intruder, cfg.intruder_kind)
+        order = _derived_rng(cfg.seed, origin.doc_id, intruder.doc_id).permutation(len(pool))
         offset = origin.num_sentences
         prefix = f"{intruder.doc_id}::"
         # Intruder sentence indices move past the origin's; ids gain the
@@ -105,14 +99,14 @@ class _PairMixer:
             EventMention(
                 prefix + ev.id, ev.head_lemma, ev.surface, ev.sentence_index + offset, ev.frame, ev.salient
             )
-            for ev in (pool[i] for i in _intruder_order(cfg.seed, origin.doc_id, intruder.doc_id, len(pool)))
+            for ev in (pool[i] for i in order)
         ]
         self.entities_by_sentence: dict[int, list[EntityMention]] = {}
         for en in intruder.entities:
             self.entities_by_sentence.setdefault(en.sentence_index + offset, []).append(
                 EntityMention(prefix + en.id, en.entity_key, en.sentence_index + offset)
             )
-        self.origin_salient = np.array([bool(ev.salient) for ev in origin.events], dtype=bool)
+        self.origin_salient = salience_labels(origin)
 
     def instance(self, n_intruders: int) -> IntrusionInstance:
         """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities."""

@@ -10,14 +10,15 @@ event.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
-from .errors import DataError, check_fields, is_int, is_number, read_json, write_json
+from .corpus import Corpus, salience_labels
+from .errors import DataError, NumericError, check_fields, is_int, is_number, read_json, write_json
 from .models import ranked_order
 
 DEFAULT_KS = (1, 5, 10)
@@ -145,13 +146,24 @@ class MetricsReport:
 
     @staticmethod
     def from_json(obj: dict) -> "MetricsReport":
-        """Inverse of ``to_json``; a missing or mistyped field raises ``DataError`` naming it."""
+        """Inverse of ``to_json``.
+
+        A missing or mistyped field, or a repeated ``doc_id``, raises
+        ``DataError`` naming it; a NaN or infinite metric raises ``NumericError``.
+        """
         if not isinstance(obj, dict):
             raise DataError("a metrics report must be a JSON object")
         obj = {"tie_seed": None, "per_doc": [], **obj}  # the two fields that may be absent
         check_fields(obj, _REPORT_FIELDS)
+        _check_finite_metrics(obj, "")
+        seen: set[str] = set()
         for i, d in enumerate(obj["per_doc"]):
-            check_fields(d, _DOC_FIELDS, f"per_doc[{i}].")
+            prefix = f"per_doc[{i}]."
+            check_fields(d, _DOC_FIELDS, prefix)
+            _check_finite_metrics(d, prefix)
+            if d["doc_id"] in seen:
+                raise DataError(f"field {prefix}doc_id repeats doc_id {d['doc_id']!r}")
+            seen.add(d["doc_id"])
         return MetricsReport(
             ks=tuple(obj["ks"]),
             p_at={int(k): v for k, v in obj["p_at"].items()},
@@ -179,8 +191,15 @@ class MetricsReport:
         obj = read_json(path, "metrics report")
         try:
             return MetricsReport.from_json(obj)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        except (DataError, NumericError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
+def _check_finite_metrics(obj: dict, prefix: str) -> None:
+    for name in ("auc", "p_at", "r_at"):
+        values = obj[name].values() if isinstance(obj[name], dict) else [obj[name]]
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise NumericError(f"field {prefix}{name} holds a non-finite value")
 
 
 def evaluate(
@@ -206,9 +225,7 @@ def evaluate(
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (len(doc.events),):
             raise DataError(f"doc {doc.doc_id!r}: score vector does not match the event list")
-        if any(ev.salient is None for ev in doc.events):
-            raise DataError(f"doc {doc.doc_id!r} is not salience-labeled")
-        labels = np.array([bool(ev.salient) for ev in doc.events])
+        labels = salience_labels(doc)
         if tie_seed is not None:
             rng = np.random.default_rng([tie_seed % (2**32), doc_idx])
             order = ranked_order(scores, rng=rng)

@@ -15,9 +15,9 @@ scoring.  ``save_model`` writes model file version 2: header fields, weights,
 kernel bank, feature scaler, vocabularies and ``meta`` are plain JSON, and each
 embedding table's ``vectors`` is a base64 string of its row-major
 little-endian float64 bytes, which round-trip exactly and decode in one pass.
-``load_model`` also reads version 1, which stored the vectors as nested JSON
-lists.  Both check every field's presence and type before use and raise
-``ModelFormatError`` naming the field.
+``load_model`` reads version 2 only: it refuses any other version, and checks
+every field's presence and type before use, raising ``ModelFormatError``
+naming the field.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .features import (
 )
 from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool
 
-MODEL_FILE_VERSION = 2  # the version save_model writes; load_model also reads 1
+MODEL_FILE_VERSION = 2  # the one version save_model writes and load_model reads
 # The weight blocks each variant scores with; the blocks it leaves out stay zero.
 VARIANT_BLOCKS = {
     "events_only": ("w_v",),
@@ -355,9 +355,9 @@ def _built(name: str, build, value):
         raise ModelFormatError(f"field {name}: {exc}") from None
 
 
-def _table_checked(obj: dict, name: str, version: int) -> EmbeddingTable:
+def _table_checked(obj: dict, name: str) -> EmbeddingTable:
     try:
-        table = table_from_json(obj[name], version)
+        table = table_from_json(obj[name])
     except ModelFormatError as exc:
         raise ModelFormatError(f"field {name}.{exc}") from None
     except DataError as exc:  # the vocabulary's own check
@@ -372,7 +372,7 @@ def _check_finite_parts(obj: dict, name: str, parts: tuple[str, ...]) -> None:
         _check_finite(f"{name}.{part}", np.asarray(obj[name][part], dtype=np.float64))
 
 
-def _model_from_json(obj: dict, version: int):
+def _model_from_json(obj: dict):
     model_type = obj["model_type"]
     check_fields(obj, _FIELDS[model_type], error=ModelFormatError)
     meta = obj.get("meta", {})
@@ -385,7 +385,7 @@ def _model_from_json(obj: dict, version: int):
         return PageRankModel(
             temperature=float(obj["temperature"]),
             combine_lambda=float(obj["combine_lambda"]),
-            event_table=_table_checked(obj, "event_table", version),
+            event_table=_table_checked(obj, "event_table"),
             meta=meta,
         )
     w_f = np.asarray(obj["w_f"], dtype=np.float64)
@@ -396,8 +396,8 @@ def _model_from_json(obj: dict, version: int):
     _check_finite_parts(obj, "scaler", ("means", "stds"))
     shared = dict(
         bias=float(obj["bias"]),
-        event_table=_table_checked(obj, "event_table", version),
-        entity_table=_table_checked(obj, "entity_table", version),
+        event_table=_table_checked(obj, "event_table"),
+        entity_table=_table_checked(obj, "entity_table"),
         scaler=_built("scaler", scaler_from_json, obj["scaler"]),
         meta=meta,
     )
@@ -417,14 +417,14 @@ def _model_from_json(obj: dict, version: int):
 
 
 def load_model(path: str | Path, expect: str | None = None):
-    """Load any model file of version 1 or 2; ``expect`` pins the model_type and raises otherwise."""
+    """Load a model file of version 2; ``expect`` pins the model_type and raises otherwise."""
     obj = read_json(path, "model file", error=ModelFormatError)
     if not isinstance(obj, dict) or "version" not in obj:
         raise ModelFormatError(f"{path}: missing version field")
     version = obj["version"]
-    if not is_int(version) or version not in (1, MODEL_FILE_VERSION):
+    if not is_int(version) or version != MODEL_FILE_VERSION:
         raise ModelFormatError(
-            f"{path}: unsupported model file version {version!r} (expected 1 or {MODEL_FILE_VERSION})"
+            f"{path}: unsupported model file version {version!r} (expected {MODEL_FILE_VERSION})"
         )
     model_type = obj.get("model_type")
     if expect is not None and model_type != expect:
@@ -432,9 +432,9 @@ def load_model(path: str | Path, expect: str | None = None):
     if not isinstance(model_type, str) or model_type not in _FIELDS:
         raise ModelFormatError(f"{path}: unknown model_type {model_type!r}")
     try:
-        return _model_from_json(obj, version)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        return _model_from_json(obj)
+    except (ModelFormatError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def model_scores(model, doc: Document) -> np.ndarray:

@@ -20,11 +20,10 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
 from .metrics import evaluate
 from .models import (
@@ -102,32 +101,16 @@ class TrainHistory:
                 )
 
 
-def _labels(doc: Document) -> np.ndarray:
-    if any(ev.salient is None for ev in doc.events):
-        raise DataError(f"doc {doc.doc_id!r} is not salience-labeled")
-    return np.array([bool(ev.salient) for ev in doc.events], dtype=bool)  # bool also when empty
-
-
-def _pair_loss(
-    scores: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Summed hinge over explicit index pairs plus d(loss)/d(scores)."""
+def _pair_loss(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed hinge over the (salient, non-salient) rows of a (k, 2) index array,
+    as ``make_pairs`` and ``_cross_pairs`` build it, plus d(loss)/d(scores)."""
+    pos_idx, neg_idx = pairs[:, 0], pairs[:, 1]
     margins = 1.0 - scores[pos_idx] + scores[neg_idx]
     active = margins > 0.0
     # integer counts, so the difference is exact; an unused score gets +0.0
     n = len(scores)
     counts = np.bincount(neg_idx[active], minlength=n) - np.bincount(pos_idx[active], minlength=n)
     return float(margins[active].sum()), counts.astype(np.float64)
-
-
-def document_pair_loss(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Hinge loss over every (salient, non-salient) pair in one document."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    if scores.shape != labels.shape:
-        raise DataError("scores and labels must have equal length")
-    pairs = _cross_pairs(labels)
-    return _pair_loss(scores, pairs[:, 0], pairs[:, 1])
 
 
 def _derived_rng(seed: int, *names: str) -> np.random.Generator:
@@ -149,7 +132,7 @@ def make_pairs(doc: Document, cfg: TrainConfig) -> np.ndarray:
     deterministic given (cfg.seed, doc_id) and keeps the chosen rows in that
     order.
     """
-    pairs = _cross_pairs(_labels(doc))
+    pairs = _cross_pairs(salience_labels(doc))
     limit = cfg.max_pairs_per_doc
     if limit is not None and len(pairs) > limit:
         rng = _derived_rng(cfg.seed, doc.doc_id)
@@ -249,40 +232,23 @@ def _sync_scalar(model, arrays: dict[str, np.ndarray]) -> None:
 # --- analytic backward passes ------------------------------------------------
 
 
-def _cosine_matrix_backward(
-    grad_sims: np.ndarray,
-    sims: np.ndarray,
-    unit_a: np.ndarray,
-    norms_a: np.ndarray,
-    unit_b: np.ndarray,
-    norms_b: np.ndarray,
-    symmetric: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Push gradients on a cosine matrix back to the underlying row vectors.
+def _cosine_rows_backward(
+    grad_sims: np.ndarray, sims: np.ndarray, unit_a: np.ndarray, norms_a: np.ndarray, unit_b: np.ndarray
+) -> np.ndarray:
+    """Push gradients on cos(a_i, b_j) back to the row vectors a_i.
 
-    For symmetric use (event-event), pass grad_sims with a zero diagonal and
-    unit_a is unit_b; both sides of each pair are accumulated.  Zero-norm rows
-    get zero gradient by definition.
+    The gradient is the tangent part of ``grad_sims @ unit_b`` divided by the
+    row norm; zero-norm rows get zero gradient by definition.  For the rows b_j
+    pass the transposes; for a symmetric matrix (event-event) pass
+    ``grad + grad.T`` with a zero diagonal, which accumulates both sides of
+    each pair.
     """
-    if symmetric:
-        spread = grad_sims + grad_sims.T
-        row_mix = (spread * sims).sum(axis=1)
-        d_a = spread @ unit_b - row_mix[:, None] * unit_a
-        safe_a = np.where(norms_a == 0.0, 1.0, norms_a)
-        d_a /= safe_a[:, None]
-        d_a[norms_a == 0.0] = 0.0
-        return d_a, d_a
     row_mix = (grad_sims * sims).sum(axis=1)
     d_a = grad_sims @ unit_b - row_mix[:, None] * unit_a
     safe_a = np.where(norms_a == 0.0, 1.0, norms_a)
     d_a /= safe_a[:, None]
     d_a[norms_a == 0.0] = 0.0
-    col_mix = (grad_sims * sims).sum(axis=0)
-    d_b = grad_sims.T @ unit_a - col_mix[:, None] * unit_b
-    safe_b = np.where(norms_b == 0.0, 1.0, norms_b)
-    d_b /= safe_b[:, None]
-    d_b[norms_b == 0.0] = 0.0
-    return d_a, d_b
+    return d_a
 
 
 def _row_sparse(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +307,8 @@ def kce_backward(
             vote = g * (model.w_f[2] / model.scaler.stds[2] / (n - 1))
             grad_vv = grad_vv + vote[:, None]
         np.fill_diagonal(grad_vv, 0.0)
-        d_rows_v, _ = _cosine_matrix_backward(
-            grad_vv, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v, cache.norms_v, True
+        d_rows_v = _cosine_rows_backward(
+            grad_vv + grad_vv.T, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v
         )
 
         if m and reads_entities(model.variant):
@@ -357,16 +323,12 @@ def kce_backward(
                 local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
                 local_up[cache.local_counts == 0] = 0.0
                 grad_ve += local_up[:, None] * cache.local_mask
-            d_rows_v2, d_rows_e = _cosine_matrix_backward(
-                grad_ve,
-                cache.sims_ve,
-                cache.unit_v,
-                cache.norms_v,
-                cache.unit_e,
-                cache.norms_e,
-                False,
+            d_rows_v = d_rows_v + _cosine_rows_backward(
+                grad_ve, cache.sims_ve, cache.unit_v, cache.norms_v, cache.unit_e
             )
-            d_rows_v = d_rows_v + d_rows_v2
+            d_rows_e = _cosine_rows_backward(
+                grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
+            )
 
     grads["event_emb"] = _row_sparse(cache.rows_v, d_rows_v)
     grads["entity_emb"] = _row_sparse(cache.rows_e, d_rows_e)
@@ -390,27 +352,20 @@ def pagerank_backward(
     d_temp = float((d_logits * (-cache.sims / (model.temperature**2))).sum())
     grad_sims = d_logits / model.temperature
     np.fill_diagonal(grad_sims, 0.0)
-    d_rows, _ = _cosine_matrix_backward(
-        grad_sims, cache.sims, cache.unit, cache.norms, cache.unit, cache.norms, True
-    )
+    d_rows = _cosine_rows_backward(grad_sims + grad_sims.T, cache.sims, cache.unit, cache.norms, cache.unit)
     return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(cache.rows, d_rows)}
 
 
-def _doc_pair_indices(doc: Document, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    pairs = make_pairs(doc, cfg)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def _doc_loss_and_grads(model, doc: Document, cfg: TrainConfig):
-    pos_idx, neg_idx = _doc_pair_indices(doc, cfg)
-    if len(pos_idx) == 0:
+    pairs = make_pairs(doc, cfg)
+    if len(pairs) == 0:
         return 0.0, None
     if isinstance(model, PageRankModel):
         forward, backward = pagerank_forward, pagerank_backward
     else:
         forward, backward = kce_forward, kce_backward
     scores, cache = forward(model, doc)
-    loss, dscores = _pair_loss(scores, pos_idx, neg_idx)
+    loss, dscores = _pair_loss(scores, pairs)
     return loss, backward(model, doc, cache, dscores)
 
 
@@ -458,7 +413,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     """
     for split in (corpus, dev):
         for doc in split.documents:
-            _labels(doc)
+            salience_labels(doc)
     model = copy.deepcopy(model)
     if cfg.epochs == 0:
         return model, TrainHistory()
@@ -534,9 +489,9 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
 GRAD_EPS = 1e-8
 
 
-def _kce_loss(model: KCEModel, doc: Document, labels: np.ndarray) -> float:
+def _kce_loss(model: KCEModel, doc: Document, pairs: np.ndarray) -> float:
     scores, _ = kce_forward(model, doc)
-    loss, _ = document_pair_loss(scores, labels)
+    loss, _ = _pair_loss(scores, pairs)
     return loss
 
 
@@ -560,11 +515,12 @@ def grad_check(
         raise DataError("grad_check runs on kernel centrality models")
     if not (math.isfinite(step) and step > 0.0):
         raise DataError(f"gradient check step must be a finite number > 0, got {step!r}")
-    labels = _labels(doc)
+    labels = salience_labels(doc)
     if not labels.any() or labels.all():
         return 0.0
+    pairs = _cross_pairs(labels)
     scores, cache = kce_forward(model, doc)
-    _, dscores = document_pair_loss(scores, labels)
+    _, dscores = _pair_loss(scores, pairs)
     analytic = kce_backward(model, doc, cache, dscores)
     params = _param_arrays(model, freeze_embeddings=False)
     tables = [name for name in EMBEDDING_KEYS if name in params]
@@ -594,7 +550,7 @@ def grad_check(
 
     def loss_with_bias_synced() -> float:
         _sync_scalar(model, params)
-        return _kce_loss(model, doc, labels)
+        return _kce_loss(model, doc, pairs)
 
     worst = 0.0
     for param, grad, coords in blocks:

@@ -12,20 +12,23 @@ always yields the same instances.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from salience.corpus import Corpus, Document, EntityMention, EventMention
-from salience.embeddings import EmbeddingTable, Vocabulary, vocab_to_json
-from salience.features import fit_scaler, scaler_to_json
-from salience.kernels import bank_to_json, default_bank
-from salience.models import KCEModel, PageRankModel, kce_forward
-from salience.training import EMBEDDING_KEYS, _labels, document_pair_loss, kce_backward
+from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
+from salience.embeddings import EmbeddingTable, Vocabulary
+from salience.features import fit_scaler
+from salience.kernels import default_bank
+from salience.models import KCEModel, kce_forward
+from salience.training import EMBEDDING_KEYS, _cross_pairs, _pair_loss, kce_backward
 
 GRAY_BAND = (1e-8, 5e-3)
 MARGIN_TOL = 5e-3
 MAX_ABS_COS = 0.85
+
+
+def document_pair_loss(scores, labels) -> tuple[float, np.ndarray]:
+    """Hinge loss and d(loss)/d(scores) over every (salient, non-salient) pair of ``labels``."""
+    return _pair_loss(np.asarray(scores, dtype=np.float64), _cross_pairs(np.asarray(labels, dtype=bool)))
 
 
 def toy_vocab(tokens: list[str]) -> Vocabulary:
@@ -153,7 +156,7 @@ def _gradcheck_candidate(
 
 def _fd_informative(model: KCEModel, doc: Document) -> bool:
     scores, cache = kce_forward(model, doc)
-    labels = _labels(doc)
+    labels = salience_labels(doc)
     margins = 1.0 - scores[labels][:, None] + scores[~labels][None, :]
     if np.abs(margins).min() < MARGIN_TOL:
         return False
@@ -165,7 +168,7 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     )
     if max_cos > MAX_ABS_COS:
         return False
-    _, dscores = document_pair_loss(scores, labels)
+    _, dscores = _pair_loss(scores, _cross_pairs(labels))
     grads = kce_backward(model, doc, cache, dscores)
     lo, hi = GRAY_BAND
     for name, grad in grads.items():
@@ -188,59 +191,3 @@ def gradcheck_instances(count: int, start_seed: int = 0):
             continue
         produced += 1
         yield model, doc, seed
-
-
-def _table_v1(table: EmbeddingTable) -> dict:
-    return {
-        "vocab": vocab_to_json(table.vocabulary),
-        "dim": table.dim,
-        "trainable": table.trainable,
-        "vectors": table.vectors.tolist(),
-    }
-
-
-def save_model_v1(model, path) -> None:
-    """Write ``model`` as model file version 1, which ``load_model`` still reads.
-
-    Version 1 is version 2 with every embedding table's vectors as nested JSON
-    lists of float reprs, streamed through ``json.dump``.
-    """
-    if isinstance(model, KCEModel) and model.variant == "features_only":
-        payload = {
-            "version": 1,
-            "model_type": "letor",
-            "w_f": model.w_f.tolist(),
-            "bias": model.bias,
-            "scaler": scaler_to_json(model.scaler),
-            "event_table": _table_v1(model.event_table),
-            "entity_table": _table_v1(model.entity_table),
-            "meta": model.meta,
-        }
-    elif isinstance(model, KCEModel):
-        payload = {
-            "version": 1,
-            "model_type": "kce",
-            "variant": model.variant,
-            "bank": bank_to_json(model.bank),
-            "w_v": model.w_v.tolist(),
-            "w_e": model.w_e.tolist(),
-            "w_f": model.w_f.tolist(),
-            "bias": model.bias,
-            "scaler": scaler_to_json(model.scaler),
-            "event_table": _table_v1(model.event_table),
-            "entity_table": _table_v1(model.entity_table),
-            "meta": model.meta,
-        }
-    else:
-        assert isinstance(model, PageRankModel)
-        payload = {
-            "version": 1,
-            "model_type": "pagerank",
-            "temperature": model.temperature,
-            "combine_lambda": model.combine_lambda,
-            "event_table": _table_v1(model.event_table),
-            "meta": model.meta,
-        }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"))
-        fh.write("\n")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from salience.corpus import Document, EntityMention, EventMention, validate_document
+from salience.corpus import Document, EntityMention, EventMention, salience_labels, validate_document
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
 from salience.features import FeatureScaler, feature_matrix, scale_matrix
@@ -30,12 +30,11 @@ from salience.intrusion import (
     MIN_ORIGIN_SALIENT,
     IntrusionConfig,
     IntrusionInstance,
-    _intruder_order,
     eligible_intruder_events,
 )
 from salience.kernels import KernelBank, gaussian_pool
 from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward
-from salience.training import TrainConfig, _derived_rng, _labels
+from salience.training import TrainConfig, _derived_rng
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -225,7 +224,7 @@ def kernel_backward(
 
 def make_pairs_reference(doc: Document, cfg: TrainConfig) -> list[tuple[int, int]]:
     """(salient, non-salient) index pairs as a list of tuples, subsampled in cross-product order."""
-    labels = _labels(doc)
+    labels = salience_labels(doc)
     pos = np.flatnonzero(labels)
     neg = np.flatnonzero(~labels)
     pairs = [(int(i), int(j)) for i in pos for j in neg]
@@ -341,7 +340,7 @@ def build_instance_reference(
     pool = eligible_intruder_events(intruder, cfg.intruder_kind)
     if n_intruders < 0 or n_intruders > len(pool):
         raise DataError("not enough eligible intruder events")
-    order = _intruder_order(cfg.seed, origin.doc_id, intruder.doc_id, len(pool))
+    order = _derived_rng(cfg.seed, origin.doc_id, intruder.doc_id).permutation(len(pool))
     chosen = [pool[i] for i in order[:n_intruders]]
     chosen.sort(key=lambda ev: (ev.sentence_index, ev.id))
     offset = origin.num_sentences

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import gradcheck_instances
+from helpers import document_pair_loss, gradcheck_instances
 from oracles import cosine, kernel_features
-from salience.annotate import default_filter_config, filter_candidates, label_salience
+from salience.annotate import FilterConfig, filter_candidates, label_salience
 from salience.corpus import load_corpus, save_corpus
 from salience.embeddings import build_vocab, init_embeddings
 from salience.features import fit_scaler
@@ -30,7 +30,7 @@ from salience.models import (
     save_model,
 )
 from salience.synth import SynthConfig, degrade_vectors, generate_corpus, measured_cosine_gap
-from salience.training import TrainConfig, document_pair_loss, grad_check, train
+from salience.training import TrainConfig, grad_check, train
 
 EXPORT_NOISE = 0.25  # pretrained-vector degradation used by the separation run
 
@@ -424,7 +424,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     if model_b.read_bytes() != saved[0]:
         problems.append("model save/load/save changed bytes")
 
-    fcfg = default_filter_config()
+    fcfg = FilterConfig()
     for doc in train_c.documents[:10]:
         once = filter_candidates(doc, fcfg)
         if filter_candidates(once, fcfg) != once:

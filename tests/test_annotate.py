@@ -8,7 +8,6 @@ from salience.annotate import (
     LIGHT_VERBS,
     REPORTING_VERBS,
     corpus_stats,
-    default_filter_config,
     filter_candidates,
     label_salience,
     load_filter_config,
@@ -31,7 +30,7 @@ def doc_with_lemmas(lemmas, frames=None, abstract=frozenset()):
 
 def test_light_and_reporting_verbs_are_dropped():
     doc = doc_with_lemmas(["take", "say", "elect", "be", "argue"])
-    kept = filter_candidates(doc, default_filter_config())
+    kept = filter_candidates(doc, FilterConfig())
     assert [e.head_lemma for e in kept.events] == ["elect"]
 
 
@@ -42,7 +41,7 @@ def test_stoplists_match_expected_inventory():
 
 def test_frame_whitelist_only_applies_when_non_empty():
     doc = doc_with_lemmas(["attack", "retreat"], frames=["Attack", None])
-    cfg_all = default_filter_config()
+    cfg_all = FilterConfig()
     assert len(filter_candidates(doc, cfg_all).events) == 2
     cfg_frames = FilterConfig(
         light_verbs=cfg_all.light_verbs,
@@ -57,7 +56,7 @@ def test_frame_whitelist_only_applies_when_non_empty():
 def test_filter_is_idempotent():
     rng = np.random.default_rng(0)
     corpus = random_corpus(rng, n_docs=4, labeled=False)
-    cfg = default_filter_config()
+    cfg = FilterConfig()
     once = [filter_candidates(d, cfg) for d in corpus.documents]
     twice = [filter_candidates(d, cfg) for d in once]
     assert once == twice

@@ -456,6 +456,46 @@ def test_sigtest_on_report_without_ks_exits_two(tmp_path, capsys):
     _exits_two_with_one_line_error(argv, capsys, str(report), "ks")
 
 
+def _edited_report(pipeline, tmp_path, edit):
+    obj = json.loads(pipeline["report"].read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "edited.report.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(lambda o: o["per_doc"][0].__setitem__("auc", float("nan")), "per_doc[0].auc", id="doc-auc-nan"),
+        pytest.param(lambda o: o["per_doc"][1]["r_at"].__setitem__("5", float("inf")), "per_doc[1].r_at",
+                     id="doc-recall-infinity"),
+        pytest.param(lambda o: o.__setitem__("auc", float("-inf")), "field auc", id="auc-infinity"),
+        pytest.param(lambda o: o["p_at"].__setitem__("1", float("nan")), "field p_at", id="precision-nan"),
+    ],
+)
+def test_sigtest_on_non_finite_report_exits_three(pipeline, tmp_path, capsys, edit, field):
+    report = _edited_report(pipeline, tmp_path, edit)
+    out = tmp_path / "sig.json"
+    code = main(["sigtest", "--a", str(report), "--b", str(pipeline["report"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(report) in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sigtest_on_repeated_doc_id_exits_two(pipeline, tmp_path, capsys):
+    def repeat_first(obj):
+        obj["per_doc"][1]["doc_id"] = obj["per_doc"][0]["doc_id"]
+
+    report = _edited_report(pipeline, tmp_path, repeat_first)
+    repeated = json.loads(report.read_text(encoding="utf-8"))["per_doc"][0]["doc_id"]
+    out = tmp_path / "sig.json"
+    argv = ["sigtest", "--a", str(report), "--b", str(report), "--out", str(out)]
+    _exits_two_with_one_line_error(argv, capsys, str(report), "per_doc[1].doc_id", repr(repeated))
+    assert not out.exists()
+
+
 def test_rank_with_a_directory_as_model_exits_two(pipeline, tmp_path, capsys):
     argv = ["rank", "--model", str(tmp_path), "--corpus", str(pipeline["test"]),
             "--out", str(tmp_path / "r.jsonl")]
@@ -509,6 +549,7 @@ _INTRUDE = ["intrude", "--model", "{model}", "--corpus", "{test}", "--kind", "sa
         pytest.param(["sigtest", "--a", "{report}", "--b", "{report}", "--seed", "-1"], "seed", id="sigtest-seed"),
         pytest.param(_INTRUDE + ["--seed", "-1"], "seed", id="intrude-seed"),
         pytest.param(_INTRUDE + ["--fractions", "x"], "--fractions", id="intrude-fractions"),
+        pytest.param(_INTRUDE + ["--fractions", "0.5,0.5,1.0"], "strictly ascending", id="intrude-repeated-fraction"),
     ],
 )
 def test_bad_seed_or_fractions_flag_exits_two(pipeline, kce_model, tmp_path, capsys, monkeypatch, argv, needle):

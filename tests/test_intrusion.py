@@ -291,6 +291,8 @@ def test_intrusion_config_validation():
         IntrusionConfig(num_pairs=5, intruder_kind="both", seed=0)
     with pytest.raises(DataError):
         IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.5, 0.2))
+    with pytest.raises(DataError, match="strictly ascending"):
+        IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.5, 0.5, 1.0))
     with pytest.raises(DataError):
         IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.0, 1.0))
 

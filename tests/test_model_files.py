@@ -1,10 +1,10 @@
-"""Model file versions 1 and 2, and the loader's schema checks.
+"""Model file version 2, and the loader's schema checks.
 
 Version 2 stores each embedding table's vectors as base64 of little-endian
-float64 bytes; version 1 (written here by ``helpers.save_model_v1``) stored
-them as nested JSON lists.  Both must load bitwise-equal to the saved model,
-and a malformed file must fail ``rank`` with exit 2 (3 for a non-finite
-number) and a message naming the field, never with a traceback.
+float64 bytes.  A file must load bitwise-equal to the saved model, and a
+malformed file, or one of any other version, must fail ``rank`` with exit 2
+(3 for a non-finite number) and a message naming the field, never with a
+traceback.
 """
 import base64
 import copy
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_corpus, save_model_v1, toy_table
+from helpers import random_corpus, toy_table
 from salience.cli import main
 from salience.corpus import save_corpus
 from salience.features import fit_scaler
@@ -33,7 +33,7 @@ def build_model(kind: str, seed: int = 5, edge_values: bool = False):
     ent.trainable = False
     if edge_values:
         # signed zero, the smallest subnormal, the largest float and a non-dyadic
-        # decimal: each must survive both formats bit for bit
+        # decimal: each must survive the file bit for bit
         evt.vectors[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
     scaler = fit_scaler(corpus, evt, ent)
     if kind == "pagerank":
@@ -83,41 +83,47 @@ def assert_native_tables(model):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_version_1_file_loads_bitwise_and_resaves_as_version_2(tmp_path, kind):
+def test_model_file_loads_bitwise_and_resaves_identically(tmp_path, kind):
     model = build_model(kind, edge_values=True)
-    v1, v2, direct = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "direct.json"
-    save_model_v1(model, v1)
-    from_v1 = load_model(v1)
-    assert model_fields(from_v1) == model_fields(model)
-    assert_native_tables(from_v1)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    loaded = load_model(first)
+    assert model_fields(loaded) == model_fields(model)
+    assert_native_tables(loaded)
+    save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
-    save_model(from_v1, v2)
-    assert json.loads(v2.read_text(encoding="utf-8"))["version"] == 2
-    from_v2 = load_model(v2)
-    assert model_fields(from_v2) == model_fields(model)
-    assert_native_tables(from_v2)
-    save_model(model, direct)
-    assert direct.read_bytes() == v2.read_bytes()
+
+HEADS = {
+    "kce": ["variant", "bank", "w_v", "w_e", "w_f", "bias", "scaler"],
+    "letor": ["w_f", "bias", "scaler"],
+    "pagerank": ["temperature", "combine_lambda"],
+}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_version_2_layout(tmp_path, kind):
-    """Only the tables' vectors differ from version 1: base64 of '<f8' row-major bytes."""
+    """Plain JSON fields in a fixed order; each table's vectors are base64 of '<f8' row-major bytes."""
     model = build_model(kind, edge_values=True)
-    save_model_v1(model, tmp_path / "v1.json")
-    save_model(model, tmp_path / "v2.json")
-    text = (tmp_path / "v2.json").read_text(encoding="utf-8")
+    save_model(model, tmp_path / "m.json")
+    text = (tmp_path / "m.json").read_text(encoding="utf-8")
     assert text.endswith("}\n") and "ünïcode" in text
-    obj1 = json.loads((tmp_path / "v1.json").read_text(encoding="utf-8"))
-    obj2 = json.loads(text)
-    for name, table in (("event_table", model.event_table), ("entity_table", getattr(model, "entity_table", None))):
-        if table is None:
-            continue
-        encoded = obj2[name].pop("vectors")
-        assert base64.b64decode(encoded, validate=True) == table.vectors.astype("<f8").tobytes()
-        obj1[name].pop("vectors")
-    assert obj1.pop("version") == 1 and obj2.pop("version") == 2
-    assert obj1 == obj2
+    obj = json.loads(text)
+    model_type = "kce" if kind in KCE_KINDS else kind
+    tables = tables_of(model)
+    table_names = ["event_table", "entity_table"][: len(tables)]
+    assert list(obj) == ["version", "model_type", *HEADS[model_type], *table_names, "meta"]
+    assert obj["version"] == 2 and obj["model_type"] == model_type and obj["meta"] == model.meta
+    for key in HEADS[model_type]:
+        value = getattr(model, key)
+        if isinstance(value, (np.ndarray, str, float)):  # the bank and the scaler round-trip above
+            assert obj[key] == (value.tolist() if isinstance(value, np.ndarray) else value)
+    for name, table in zip(table_names, tables):
+        assert list(obj[name]) == ["vocab", "dim", "trainable", "vectors"]
+        assert obj[name]["vocab"]["tokens"] == table.vocabulary.tokens_by_index()
+        assert (obj[name]["dim"], obj[name]["trainable"]) == (table.dim, table.trainable)
+        raw = base64.b64decode(obj[name]["vectors"], validate=True)
+        assert raw == table.vectors.astype("<f8").tobytes(order="C")
 
 
 def test_letor_is_stored_as_the_letor_record(tmp_path):
@@ -144,11 +150,10 @@ def test_save_model_writes_non_contiguous_tables(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ("kce", "letor", "pagerank"))
-@pytest.mark.parametrize("writer", (save_model, save_model_v1), ids=("v2", "v1"))
-def test_rank_reads_both_versions(tmp_path, capsys, kind, writer):
+def test_rank_reads_every_model_type(tmp_path, capsys, kind):
     corpus_path = tmp_path / "c.jsonl"
     save_corpus(random_corpus(np.random.default_rng(3), n_docs=3, n_events=5, n_entities=3), corpus_path)
-    writer(build_model(kind), tmp_path / "m.json")
+    save_model(build_model(kind), tmp_path / "m.json")
     code = main(["rank", "--model", str(tmp_path / "m.json"), "--corpus", str(corpus_path),
                  "--out", str(tmp_path / "r.jsonl")])
     assert code == 0, capsys.readouterr().err
@@ -195,84 +200,81 @@ def _put(*keys_and_index_and_value):
 
 WEIGHTED = ("kce", "letor")
 INF, NAN = float("inf"), float("nan")
-# (id, file version to start from, model kinds it applies to, mutation, field the error names
+# (id, model kinds it applies to, mutation, field the error names
 #  [, exit code: 2 unless given, 3 for a non-finite number])
 CASES = [
-    ("missing-table", 2, None, _delete("event_table"), "missing field event_table"),
-    ("missing-vocab", 2, None, _delete("event_table", "vocab"), "event_table.vocab"),
-    ("missing-tokens", 2, None, _delete("event_table", "vocab", "tokens"), "event_table.vocab.tokens"),
-    ("token-not-string", 2, None, lambda o: o["event_table"]["vocab"]["tokens"].__setitem__(0, 1),
+    ("missing-table", None, _delete("event_table"), "missing field event_table"),
+    ("missing-vocab", None, _delete("event_table", "vocab"), "event_table.vocab"),
+    ("missing-tokens", None, _delete("event_table", "vocab", "tokens"), "event_table.vocab.tokens"),
+    ("token-not-string", None, lambda o: o["event_table"]["vocab"]["tokens"].__setitem__(0, 1),
      "event_table.vocab.tokens"),
-    ("table-not-object", 2, None, _set("event_table", [1, 2]), "event_table must be an object"),
-    ("dim-zero", 2, None, _set("event_table", "dim", 0), "event_table.dim"),
-    ("dim-string", 2, None, _set("event_table", "dim", "6"), "event_table.dim"),
-    ("trainable-string", 2, None, _set("event_table", "trainable", "true"), "event_table.trainable"),
-    ("temperature-string", 2, ("pagerank",), _set("temperature", "x"), "field temperature"),
-    ("lambda-bool", 2, ("pagerank",), _set("combine_lambda", True), "field combine_lambda"),
-    ("missing-temperature", 2, ("pagerank",), _delete("temperature"), "missing field temperature"),
-    ("bias-string", 2, WEIGHTED, _set("bias", "x"), "field bias"),
-    ("bias-bool", 2, WEIGHTED, _set("bias", True), "field bias"),
-    ("bias-huge-int", 2, WEIGHTED, _set("bias", 10**400), "field bias"),
-    ("missing-bias", 2, WEIGHTED, _delete("bias"), "missing field bias"),
-    ("weights-not-list", 2, WEIGHTED, _set("w_f", 1.0), "field w_f"),
-    ("weight-string", 2, WEIGHTED, lambda o: o["w_f"].__setitem__(0, "1"), "field w_f"),
-    ("weight-bool", 2, WEIGHTED, lambda o: o["w_f"].__setitem__(0, False), "field w_f"),
-    ("missing-scaler", 2, WEIGHTED, _delete("scaler"), "missing field scaler"),
-    ("scaler-strings", 2, WEIGHTED, _set("scaler", "means", ["a"] * 5), "field scaler.means"),
-    ("missing-bank", 2, ("kce",), _delete("bank"), "missing field bank"),
-    ("bank-sigmas-string", 2, ("kce",), _set("bank", "sigmas", "0.1"), "field bank.sigmas"),
-    ("variant-list", 2, ("kce",), _set("variant", ["full"]), "field variant"),
-    ("variant-features-only", 2, ("kce",), _set("variant", "features_only"), "field variant"),
-    ("meta-list", 2, None, _set("meta", []), "field meta"),
-    ("model-type-list", 2, None, _set("model_type", ["kce"]), "model_type"),
-    ("invalid-base64", 2, None, _set("event_table", "vectors", "@@not base64@@"), "event_table.vectors"),
-    ("vectors-not-string", 2, None, _set("event_table", "vectors", [[0.0] * 6]), "event_table.vectors"),
-    ("short-bytes", 2, None, _shorten_vectors, "event_table.vectors"),
-    ("version-3", 2, None, _set("version", 3), "version"),
-    ("version-string", 2, None, _set("version", "2"), "version"),
-    ("version-bool", 2, None, _set("version", True), "version"),
-    ("v1-ragged-vectors", 1, None, lambda o: o["event_table"]["vectors"][1].pop(), "event_table.vectors"),
-    ("v1-missing-row", 1, None, lambda o: o["event_table"]["vectors"].pop(), "event_table.vectors"),
-    ("v1-string-entry", 1, None, lambda o: o["event_table"]["vectors"][0].__setitem__(0, "0.5"),
-     "event_table.vectors"),
-    ("v1-base64-vectors", 1, None, _set("event_table", "vectors", "AAAA"), "event_table.vectors"),
+    ("table-not-object", None, _set("event_table", [1, 2]), "event_table must be an object"),
+    ("dim-zero", None, _set("event_table", "dim", 0), "event_table.dim"),
+    ("dim-string", None, _set("event_table", "dim", "6"), "event_table.dim"),
+    ("trainable-string", None, _set("event_table", "trainable", "true"), "event_table.trainable"),
+    ("temperature-string", ("pagerank",), _set("temperature", "x"), "field temperature"),
+    ("lambda-bool", ("pagerank",), _set("combine_lambda", True), "field combine_lambda"),
+    ("missing-temperature", ("pagerank",), _delete("temperature"), "missing field temperature"),
+    ("bias-string", WEIGHTED, _set("bias", "x"), "field bias"),
+    ("bias-bool", WEIGHTED, _set("bias", True), "field bias"),
+    ("bias-huge-int", WEIGHTED, _set("bias", 10**400), "field bias"),
+    ("missing-bias", WEIGHTED, _delete("bias"), "missing field bias"),
+    ("weights-not-list", WEIGHTED, _set("w_f", 1.0), "field w_f"),
+    ("weight-string", WEIGHTED, lambda o: o["w_f"].__setitem__(0, "1"), "field w_f"),
+    ("weight-bool", WEIGHTED, lambda o: o["w_f"].__setitem__(0, False), "field w_f"),
+    ("missing-scaler", WEIGHTED, _delete("scaler"), "missing field scaler"),
+    ("scaler-strings", WEIGHTED, _set("scaler", "means", ["a"] * 5), "field scaler.means"),
+    ("missing-bank", ("kce",), _delete("bank"), "missing field bank"),
+    ("bank-sigmas-string", ("kce",), _set("bank", "sigmas", "0.1"), "field bank.sigmas"),
+    ("variant-list", ("kce",), _set("variant", ["full"]), "field variant"),
+    ("variant-features-only", ("kce",), _set("variant", "features_only"), "field variant"),
+    ("meta-list", None, _set("meta", []), "field meta"),
+    ("model-type-list", None, _set("model_type", ["kce"]), "model_type"),
+    ("invalid-base64", None, _set("event_table", "vectors", "@@not base64@@"), "event_table.vectors"),
+    ("vectors-not-string", None, _set("event_table", "vectors", [[0.0] * 6]), "event_table.vectors"),
+    ("short-bytes", None, _shorten_vectors, "event_table.vectors"),
+    ("version-1", None, _set("version", 1), "version 1"),
+    ("version-3", None, _set("version", 3), "version"),
+    ("version-string", None, _set("version", "2"), "version"),
+    ("version-bool", None, _set("version", True), "version"),
     # values of the right type but out of range: the constructors refuse them, the message names file and field
-    ("temperature-zero", 2, ("pagerank",), _set("temperature", 0.0), "m.json: field temperature"),
-    ("temperature-negative", 2, ("pagerank",), _set("temperature", -1), "m.json: field temperature"),
-    ("lambda-above-one", 2, ("pagerank",), _set("combine_lambda", 1.5), "m.json: field combine_lambda"),
-    ("lambda-negative", 2, ("pagerank",), _set("combine_lambda", -0.1), "m.json: field combine_lambda"),
-    ("sigma-zero", 2, ("kce",), lambda o: o["bank"]["sigmas"].__setitem__(0, 0.0), "m.json: field bank"),
-    ("empty-bank", 2, ("kce",), _set("bank", {"means": [], "sigmas": []}), "m.json: field bank"),
-    ("scaler-four-means", 2, WEIGHTED, lambda o: o["scaler"]["means"].pop(), "m.json: field scaler"),
-    ("unknown-index-off", 2, None, _set("event_table", "vocab", "unknown_index", 99),
+    ("temperature-zero", ("pagerank",), _set("temperature", 0.0), "m.json: field temperature"),
+    ("temperature-negative", ("pagerank",), _set("temperature", -1), "m.json: field temperature"),
+    ("lambda-above-one", ("pagerank",), _set("combine_lambda", 1.5), "m.json: field combine_lambda"),
+    ("lambda-negative", ("pagerank",), _set("combine_lambda", -0.1), "m.json: field combine_lambda"),
+    ("sigma-zero", ("kce",), lambda o: o["bank"]["sigmas"].__setitem__(0, 0.0), "m.json: field bank"),
+    ("empty-bank", ("kce",), _set("bank", {"means": [], "sigmas": []}), "m.json: field bank"),
+    ("scaler-four-means", WEIGHTED, lambda o: o["scaler"]["means"].pop(), "m.json: field scaler"),
+    ("unknown-index-off", None, _set("event_table", "vocab", "unknown_index", 99),
      "m.json: field event_table.vocab"),
-    ("w_f-four-weights", 2, WEIGHTED, lambda o: o["w_f"].pop(), "m.json: field w_f"),
-    ("w_v-short", 2, ("kce",), lambda o: o["w_v"].pop(), "m.json: fields w_v and w_e"),
-    ("scaler-std-zero", 2, WEIGHTED, _put("scaler", "stds", 2, 0.0), "m.json: field scaler"),
-    ("scaler-std-negative", 2, WEIGHTED, _put("scaler", "stds", 2, -1.0), "m.json: field scaler"),
-    # non-finite numbers are refused at load with exit 3, before any range check reads them
-    ("bank-mean-infinity", 2, ("kce",), _put("bank", "means", 3, INF), "field bank.means", 3),
-    ("bank-mean-nan", 2, ("kce",), _put("bank", "means", 3, NAN), "field bank.means", 3),
-    ("bank-sigma-infinity", 2, ("kce",), _put("bank", "sigmas", 3, INF), "field bank.sigmas", 3),
-    ("bank-sigma-nan", 2, ("kce",), _put("bank", "sigmas", 3, NAN), "field bank.sigmas", 3),
-    ("scaler-mean-nan", 2, WEIGHTED, _put("scaler", "means", 1, NAN), "field scaler.means", 3),
-    ("scaler-mean-infinity", 2, WEIGHTED, _put("scaler", "means", 1, -INF), "field scaler.means", 3),
-    ("scaler-std-infinity", 2, WEIGHTED, _put("scaler", "stds", 1, INF), "field scaler.stds", 3),
-    ("scaler-std-nan", 2, WEIGHTED, _put("scaler", "stds", 1, NAN), "field scaler.stds", 3),
+    ("w_f-four-weights", WEIGHTED, lambda o: o["w_f"].pop(), "m.json: field w_f"),
+    ("w_v-short", ("kce",), lambda o: o["w_v"].pop(), "m.json: fields w_v and w_e"),
+    ("scaler-std-zero", WEIGHTED, _put("scaler", "stds", 2, 0.0), "m.json: field scaler"),
+    ("scaler-std-negative", WEIGHTED, _put("scaler", "stds", 2, -1.0), "m.json: field scaler"),
+    # non-finite numbers are refused at load with exit 3, before any range check reads them;
+    # the message names file and field
+    ("bank-mean-infinity", ("kce",), _put("bank", "means", 3, INF), "m.json: model field bank.means", 3),
+    ("bank-mean-nan", ("kce",), _put("bank", "means", 3, NAN), "m.json: model field bank.means", 3),
+    ("bank-sigma-infinity", ("kce",), _put("bank", "sigmas", 3, INF), "m.json: model field bank.sigmas", 3),
+    ("bank-sigma-nan", ("kce",), _put("bank", "sigmas", 3, NAN), "m.json: model field bank.sigmas", 3),
+    ("scaler-mean-nan", WEIGHTED, _put("scaler", "means", 1, NAN), "m.json: model field scaler.means", 3),
+    ("scaler-mean-infinity", WEIGHTED, _put("scaler", "means", 1, -INF), "m.json: model field scaler.means", 3),
+    ("scaler-std-infinity", WEIGHTED, _put("scaler", "stds", 1, INF), "m.json: model field scaler.stds", 3),
+    ("scaler-std-nan", WEIGHTED, _put("scaler", "stds", 1, NAN), "m.json: model field scaler.stds", 3),
 ]
 
 
 @pytest.mark.parametrize(
     "kind,case",
-    [(kind, case) for case in CASES for kind in ("kce", "letor", "pagerank") if case[2] is None or kind in case[2]],
+    [(kind, case) for case in CASES for kind in ("kce", "letor", "pagerank") if case[1] is None or kind in case[1]],
     ids=lambda v: v if isinstance(v, str) else v[0],
 )
 def test_malformed_model_file_exits_naming_the_field(tmp_path, capsys, kind, case):
-    _id, version, _kinds, mutate, field_text, *exit_code = case
+    _id, _kinds, mutate, field_text, *exit_code = case
     corpus_path = tmp_path / "c.jsonl"
     save_corpus(random_corpus(np.random.default_rng(3), n_docs=3, n_events=5, n_entities=3), corpus_path)
     path = tmp_path / "m.json"
-    (save_model_v1 if version == 1 else save_model)(build_model(kind), path)
+    save_model(build_model(kind), path)
     obj = json.loads(path.read_text(encoding="utf-8"))
     mutated = copy.deepcopy(obj)
     mutate(mutated)

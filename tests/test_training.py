@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import gradcheck_instances, random_corpus, random_document, toy_table
+from helpers import document_pair_loss, gradcheck_instances, random_corpus, random_document, toy_table
 from oracles import (
     letor_grads,
     letor_scores,
@@ -17,7 +17,7 @@ from oracles import (
     row_sparse_reference,
 )
 from salience import training
-from salience.corpus import Corpus, Document, EntityMention, EventMention
+from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
 from salience.embeddings import build_vocab, init_embeddings
 from salience.errors import DataError
 from salience.features import fit_scaler
@@ -36,7 +36,6 @@ from salience.training import (
     EMBEDDING_KEYS,
     Adam,
     TrainConfig,
-    document_pair_loss,
     grad_check,
     kce_backward,
     make_pairs,
@@ -174,9 +173,8 @@ def test_pairs_and_hinge_gradient_equal_references_bitwise(labels_scores, limit,
     assert got.tobytes() == want.tobytes()
 
     full = np.array(make_pairs_reference(doc, TrainConfig()), dtype=np.intp).reshape(-1, 2)
-    pos, neg = training._doc_pair_indices(doc, cfg)
     for (loss, grad), (want_loss, want_grad) in (
-        (training._pair_loss(scores, pos, neg), pair_loss_reference(scores, want[:, 0], want[:, 1])),
+        (training._pair_loss(scores, got), pair_loss_reference(scores, want[:, 0], want[:, 1])),
         (document_pair_loss(scores, np.array(labels, dtype=bool)), pair_loss_reference(scores, full[:, 0], full[:, 1])),
     ):
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
@@ -355,7 +353,7 @@ def test_kce_backward_sparse_blocks_equal_dense_tables(monkeypatch, variant):
     for doc in docs:
         calls.clear()
         scores, cache = kce_forward(model, doc)
-        _, dscores = document_pair_loss(scores, training._labels(doc))
+        _, dscores = document_pair_loss(scores, salience_labels(doc))
         grads = kce_backward(model, doc, cache, dscores)
         assert_sparse_matches_dense(grads, calls, tables, batch_dense, batch_sparse)
     for name in EMBEDDING_KEYS:
@@ -376,7 +374,7 @@ def test_pagerank_backward_sparse_block_equals_dense_table(monkeypatch):
     for doc in docs:
         calls.clear()
         scores, cache = pagerank_forward(model, doc)
-        _, dscores = document_pair_loss(scores, training._labels(doc))
+        _, dscores = document_pair_loss(scores, salience_labels(doc))
         grads = pagerank_backward(model, doc, cache, dscores)
         assert_sparse_matches_dense(grads, calls, tables, batch_dense, batch_sparse)
     assert batch_sparse["event_emb"].tobytes() == batch_dense["event_emb"].tobytes()
@@ -539,12 +537,12 @@ def test_features_only_matches_letor_reference_bitwise():
         assert np.array_equal(kce_forward(model, doc)[0], want)
         assert np.array_equal(model_scores(model, doc), want)
         loss, grads = training._doc_loss_and_grads(model, doc, cfg)
-        pos, neg = training._doc_pair_indices(doc, cfg)
-        if len(pos) == 0:
+        pairs = make_pairs(doc, cfg)
+        if len(pairs) == 0:
             assert (loss, grads) == (0.0, None)
             continue
         with_pairs += 1
-        want_loss, dscores = training._pair_loss(want, pos, neg)
+        want_loss, dscores = training._pair_loss(want, pairs)
         assert loss == want_loss
         assert grads.keys() == {"w_f", "bias"}  # frozen tables: no embedding backward
         for name, value in letor_grads(scaled, dscores).items():
