@@ -186,6 +186,21 @@ def _shorten_vectors(obj):
     obj["event_table"]["vectors"] = base64.b64encode(raw[:-8]).decode("ascii")
 
 
+def _version_1(mutate):
+    """The retired version-1 layout (each table's vectors as nested JSON lists), then ``mutate``."""
+
+    def to_version_1(obj):
+        obj["version"] = 1
+        for name in ("event_table", "entity_table"):
+            if name in obj:
+                table = obj[name]
+                raw = base64.b64decode(table["vectors"])
+                table["vectors"] = np.frombuffer(raw, dtype="<f8").reshape(-1, table["dim"]).tolist()
+        mutate(obj)
+
+    return to_version_1
+
+
 def _put(*keys_and_index_and_value):
     *keys, index, value = keys_and_index_and_value
 
@@ -237,6 +252,12 @@ CASES = [
     ("version-3", None, _set("version", 3), "version"),
     ("version-string", None, _set("version", "2"), "version"),
     ("version-bool", None, _set("version", True), "version"),
+    # a version-1 file is refused by its version, whatever its vectors hold
+    ("v1-ragged-vectors", None, _version_1(lambda o: o["event_table"]["vectors"][1].pop()), "version 1"),
+    ("v1-missing-row", None, _version_1(lambda o: o["event_table"]["vectors"].pop()), "version 1"),
+    ("v1-string-entry", None, _version_1(lambda o: o["event_table"]["vectors"][0].__setitem__(0, "0.5")),
+     "version 1"),
+    ("v1-base64-vectors", None, _version_1(_set("event_table", "vectors", "AAAA")), "version 1"),
     # values of the right type but out of range: the constructors refuse them, the message names file and field
     ("temperature-zero", ("pagerank",), _set("temperature", 0.0), "m.json: field temperature"),
     ("temperature-negative", ("pagerank",), _set("temperature", -1), "m.json: field temperature"),
