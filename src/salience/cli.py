@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .annotate import FilterConfig, corpus_stats, filter_candidates, label_salience, load_filter_config
-from .corpus import Corpus, load_corpus, save_corpus
+from .corpus import Corpus, load_corpus, salience_labels, save_corpus
 from .embeddings import build_vocab, init_embeddings, save_word_vectors, vocab_to_json
 from .errors import DataError, NumericError, SalienceError, read_json, write_json
 from .features import fit_scaler
@@ -27,26 +27,13 @@ from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
 from .manifest import write_manifest
 from .metrics import MetricsReport, evaluate, permutation_test
-from .models import (
-    PageRankModel,
-    frequency_scores,
-    load_model,
-    location_scores,
-    model_scores,
-    new_kce_model,
-    ranked_order,
-    save_model,
-)
+from .models import PageRankModel, frequency_scores, load_model, location_scores, model_scores, new_kce_model
+from .models import ranked_order, save_model
 from .synth import SynthConfig, degrade_vectors, generate_corpus
 from .training import TrainConfig, grad_check, train
 
 # The variant each kce flavour trains; "pagerank" is the one other model to train.
-MODEL_FLAVORS = {
-    "letor": "features_only",
-    "kce": "full",
-    "kce-e": "events_features",
-    "kce-ef": "events_only",
-}
+MODEL_FLAVORS = {"letor": "features_only", "kce": "full", "kce-e": "events_features", "kce-ef": "events_only"}
 BASELINE_SCORERS = {"frequency": frequency_scores, "location": location_scores}
 
 
@@ -238,18 +225,9 @@ def _cmd_rank(args) -> Run:
         for doc in corpus.documents:
             scores = _finite_scores(np.asarray(scorer(doc), dtype=np.float64), doc.doc_id)
             order = ranked_order(scores, [ev.id for ev in doc.events])
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "ranking": [
-                            {"event_id": doc.events[i].id, "score": float(scores[i])} for i in order
-                        ],
-                    },
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
-            )
+            ranking = [{"event_id": doc.events[i].id, "score": float(scores[i])} for i in order]
+            row = {"doc_id": doc.doc_id, "ranking": ranking}
+            fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
     print(f"ranked {len(corpus.documents)} documents")
     return Run([args.model, args.corpus], [args.out])
@@ -355,8 +333,11 @@ def _cmd_gradcheck(args) -> Run | None:
     worst = 0.0
     checked = 0
     for doc in corpus.documents[: args.max_docs]:
-        labels = [bool(ev.salient) for ev in doc.events if ev.salient is not None]
-        if len(labels) != len(doc.events) or not (any(labels) and not all(labels)):
+        try:
+            labels = salience_labels(doc)
+        except DataError:  # unlabeled: skipped, as are single-class documents
+            continue
+        if labels.all() or not labels.any():
             continue
         # np.maximum keeps a NaN error, where max() would drop it
         worst = float(np.maximum(worst, grad_check(model, doc, step=args.step)))

@@ -9,25 +9,32 @@ zero weight; only relational evidence remains.  AUC treats origin events as
 positives and intruders as negatives; SA-AUC drops the non-salient origin
 events first.
 
-A study checks each sampled (origin, intruder) pair, shuffles its eligible
-intruders and relabels them once; every insertion fraction then mixes in a
-prefix of that one order.
+A study plans each sampled (origin, intruder) pair once: it checks the pair,
+shuffles its eligible intruders once, and keeps every mention's lemma code,
+sentence, vocabulary rows and normalized rows, with the intruders in
+(sentence, id) order.  Every insertion fraction mixes in a prefix of the
+shuffled order by index selection on those arrays, with lemma counts from an
+integer ``bincount``.  The mixed ``Document`` itself is built only when a
+scorer reads it.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
+from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels
+from .embeddings import normalized_rows
 from .errors import DataError
+from .features import DocPlan, lemma_codes, lemma_counts, make_plan
 from .metrics import auc as auc_metric
-from .models import KCE_VARIANTS, KCEModel, frequency_scores, model_scores
+from .models import KCE_VARIANTS, KCEModel, model_scores, plan_vocabularies
 from .training import _derived_rng
 
 INTRUDER_KINDS = ("salient_only", "nonsalient_only")
@@ -61,9 +68,16 @@ class IntrusionConfig:
 class IntrusionInstance:
     origin_doc_id: str
     intruder_doc_id: str
-    mixed: Document
     origin_flags: np.ndarray  # True where the event came from the origin document
     salient_origin_flags: np.ndarray  # True for salient origin events only
+    frequency: np.ndarray  # each event's lemma count in the mixed document
+    plan: DocPlan | None  # the mixed document's plan, when the study scores with a model
+    build: Callable[[], Document] = field(repr=False, compare=False)
+
+    @cached_property
+    def mixed(self) -> Document:
+        """The mixed document, built on first use."""
+        return self.build()
 
 
 def eligible_intruder_events(doc: Document, intruder_kind: str) -> list[EventMention]:
@@ -72,14 +86,18 @@ def eligible_intruder_events(doc: Document, intruder_kind: str) -> list[EventMen
 
 
 class _PairMixer:
-    """One checked (origin, intruder) pair with its intruders relabelled in insertion order.
+    """One checked (origin, intruder) pair, planned once for every insertion fraction.
 
-    The eligible intruder events are shuffled once per (seed, origin, intruder)
-    triple; ``instance(n)`` mixes in the first n of that order, so growing n
-    extends a fixed insertion order and a study builds each pair only once.
+    The eligible intruders are shuffled once per (seed, origin, intruder)
+    triple; ``instance(n)`` mixes in the first n of that order.  The pair's
+    arrays hold the origin's mentions, then the intruder's: its eligible
+    events in mixed-document (sentence, id) order and its entities grouped by
+    sentence.  Intruder ids gain the prefix ``"<intruder>::"`` and intruder
+    sentences move past the origin's, so of the merged invariants only one
+    needs a check, once for the full mix: no prefixed id equals an origin id.
     """
 
-    def __init__(self, origin: Document, intruder: Document, cfg: IntrusionConfig) -> None:
+    def __init__(self, origin: Document, intruder: Document, cfg: IntrusionConfig, model=None):
         n_salient = sum(1 for ev in origin.events if ev.salient)
         if n_salient < MIN_ORIGIN_SALIENT:
             raise DataError(
@@ -87,57 +105,88 @@ class _PairMixer:
             )
         if origin.doc_id == intruder.doc_id:
             raise DataError("origin and intruder must be different documents")
-        self.origin = origin
-        self.intruder = intruder
+        self.origin, self.intruder, self.model = origin, intruder, model
+        self.offset, self.prefix = origin.num_sentences, f"{intruder.doc_id}::"
         pool = eligible_intruder_events(intruder, cfg.intruder_kind)
-        order = _derived_rng(cfg.seed, origin.doc_id, intruder.doc_id).permutation(len(pool))
-        offset = origin.num_sentences
-        prefix = f"{intruder.doc_id}::"
-        # Intruder sentence indices move past the origin's; ids gain the
-        # intruder's prefix, which leaves their relative order unchanged.
-        self.moved = [
-            EventMention(
-                prefix + ev.id, ev.head_lemma, ev.surface, ev.sentence_index + offset, ev.frame, ev.salient
-            )
-            for ev in (pool[i] for i in order)
-        ]
-        self.entities_by_sentence: dict[int, list[EntityMention]] = {}
-        for en in intruder.entities:
-            self.entities_by_sentence.setdefault(en.sentence_index + offset, []).append(
-                EntityMention(prefix + en.id, en.entity_key, en.sentence_index + offset)
-            )
+        by_key = sorted(range(len(pool)), key=lambda i: (pool[i].sentence_index, pool[i].id))
+        self.moved = [pool[i] for i in by_key]
+        self.entities = sorted(intruder.entities, key=attrgetter("sentence_index"))
+        rank = np.empty(len(pool), dtype=np.intp)
+        rank[by_key] = np.arange(len(pool))  # self.rank[j]: where the j-th inserted event sits in self.moved
+        self.rank = rank[_derived_rng(cfg.seed, origin.doc_id, intruder.doc_id).permutation(len(pool))]
+        taken = {m.id for m in (*origin.events, *origin.entities)}
+        sentences = {ev.sentence_index for ev in self.moved}
+        for kind, mentions in (("event", self.moved), ("entity", self.entities)):
+            for m in mentions:
+                if self.prefix + m.id in taken and m.sentence_index in sentences:
+                    raise DataError(
+                        f"mixed document is invalid: doc {origin.doc_id + '+' + intruder.doc_id!r} "
+                        f"{kind} {self.prefix + m.id!r}: duplicate mention id"
+                    )
+        events = [*origin.events, *self.moved]
+        self.codes = lemma_codes(events)
         self.origin_salient = salience_labels(origin)
+        if model is not None:  # the rows under the model's vocabularies, normalized once under its tables
+            events_vocab, entities_vocab = plan_vocabularies(model)
+            entities = [*origin.entities, *self.entities] if entities_vocab is not None else []
+            self.rows_v = events_vocab.rows([ev.head_lemma for ev in events])
+            keys = [en.entity_key for en in entities]
+            self.rows_e = entities_vocab.rows(keys) if entities_vocab is not None else np.zeros(0, np.intp)
+            self.units_v = normalized_rows(model.event_table.vectors[self.rows_v])
+            self.units_e = normalized_rows(model.entity_table.vectors[self.rows_e])
+            self.sent_v = np.array([ev.sentence_index for ev in events], dtype=np.intp)
+            self.sent_e = np.array([en.sentence_index for en in entities], dtype=np.intp)
+            self.sent_v[len(origin.events) :] += self.offset
+            self.sent_e[len(origin.entities) :] += self.offset
+            self.used = np.arange(self.offset + intruder.num_sentences) < self.offset  # the origin's sentences
 
     def instance(self, n_intruders: int) -> IntrusionInstance:
         """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities."""
-        origin, intruder = self.origin, self.intruder
-        if n_intruders < 0 or n_intruders > len(self.moved):
+        n_orig, n_moved = len(self.origin.events), len(self.moved)
+        if not 0 <= n_intruders <= n_moved:
             raise DataError(
-                f"intruder doc {intruder.doc_id!r} has {len(self.moved)} eligible events, asked for {n_intruders}"
+                f"intruder doc {self.intruder.doc_id!r} has {n_moved} eligible events, asked for {n_intruders}"
             )
-        chosen = sorted(self.moved[:n_intruders], key=attrgetter("sentence_index", "id"))
-        extra_entities = tuple(
-            en
-            for sent in sorted({ev.sentence_index for ev in chosen})
-            for en in self.entities_by_sentence.get(sent, ())
-        )
-        mixed = Document(
-            doc_id=f"{origin.doc_id}+{intruder.doc_id}",
-            num_sentences=origin.num_sentences + intruder.num_sentences,
-            events=tuple(origin.events) + tuple(chosen),
-            entities=tuple(origin.entities) + extra_entities,
-            abstract_lemmas=origin.abstract_lemmas,
-        )
-        problems = validate_document(mixed)
-        if problems:
-            raise DataError(f"mixed document is invalid: {problems[0]}")
-        n_orig = len(origin.events)
+        chosen = np.sort(self.rank[:n_intruders])
+        events = np.concatenate((np.arange(n_orig), n_orig + chosen))
+        frequency = lemma_counts(self.codes[events])
+        plan = None
+        if self.model is not None:
+            sentences, used = self.sent_v[events], self.used.copy()
+            used[sentences] = True
+            entities = np.flatnonzero(used[self.sent_e])
+            rows_e, entity_sentences = self.rows_e[entities], self.sent_e[entities]
+            plan = make_plan(self.rows_v[events], rows_e, sentences, entity_sentences, frequency)
+            plan.units = (*(a[events] for a in self.units_v), *(a[entities] for a in self.units_e))
         return IntrusionInstance(
-            origin_doc_id=origin.doc_id,
-            intruder_doc_id=intruder.doc_id,
-            mixed=mixed,
+            origin_doc_id=self.origin.doc_id,
+            intruder_doc_id=self.intruder.doc_id,
             origin_flags=np.arange(n_orig + n_intruders) < n_orig,
             salient_origin_flags=np.concatenate([self.origin_salient, np.zeros(n_intruders, dtype=bool)]),
+            frequency=frequency,
+            plan=plan,
+            build=partial(self._document, chosen),
+        )
+
+    def _document(self, chosen: np.ndarray) -> Document:
+        origin, prefix, offset = self.origin, self.prefix, self.offset
+        moved = [self.moved[i] for i in chosen]
+        sentences = {ev.sentence_index for ev in moved}
+        return Document(
+            doc_id=f"{origin.doc_id}+{self.intruder.doc_id}",
+            num_sentences=origin.num_sentences + self.intruder.num_sentences,
+            events=(*origin.events, *(
+                EventMention(
+                    prefix + ev.id, ev.head_lemma, ev.surface, ev.sentence_index + offset, ev.frame, ev.salient
+                )
+                for ev in moved
+            )),
+            entities=(*origin.entities, *(
+                EntityMention(prefix + en.id, en.entity_key, en.sentence_index + offset)
+                for en in self.entities
+                if en.sentence_index in sentences
+            )),
+            abstract_lemmas=origin.abstract_lemmas,
         )
 
 
@@ -179,26 +228,18 @@ class StudyResult:
                 )
 
 
-def _instance_aucs(
-    instance: IntrusionInstance, scores: np.ndarray
-) -> tuple[float | None, float | None, float | None]:
-    full = auc_metric(scores, instance.origin_flags)
-    keep = ~instance.origin_flags | instance.salient_origin_flags
-    sa = auc_metric(scores[keep], instance.origin_flags[keep])
-    freq = frequency_scores(instance.mixed)
-    freq_sa = auc_metric(freq[keep], instance.origin_flags[keep])
-    return full, sa, freq_sa
-
-
 def run_study_with_scorer(
     corpus: Corpus,
     score_fn: Callable[[IntrusionInstance], np.ndarray],
     cfg: IntrusionConfig,
+    model: KCEModel | None = None,
 ) -> StudyResult:
-    """Sample (origin, intruder) pairs and average AUC/SA-AUC per insertion fraction."""
-    origins = [
-        d for d in corpus.documents if sum(1 for ev in d.events if ev.salient) >= MIN_ORIGIN_SALIENT
-    ]
+    """Sample (origin, intruder) pairs and average AUC/SA-AUC per insertion fraction.
+
+    With a ``model``, every instance also carries the mixed document's plan
+    under the model's vocabularies, its rows normalized once per pair.
+    """
+    origins = [d for d in corpus.documents if sum(1 for ev in d.events if ev.salient) >= MIN_ORIGIN_SALIENT]
     intruders = [d for d in corpus.documents if eligible_intruder_events(d, cfg.intruder_kind)]
     if not origins:
         raise DataError(
@@ -206,10 +247,7 @@ def run_study_with_scorer(
         )
     if not intruders:
         raise DataError(f"no documents offer {cfg.intruder_kind} intruder events")
-    pairable = any(
-        o.doc_id != i.doc_id for o in origins for i in intruders
-    )
-    if not pairable:
+    if not any(o.doc_id != i.doc_id for o in origins for i in intruders):
         raise DataError("origin and intruder pools contain only the same single document")
 
     rng = np.random.default_rng(cfg.seed)
@@ -224,50 +262,44 @@ def run_study_with_scorer(
     sums = {f: np.zeros(3) for f in cfg.fractions}
     counts = {f: 0 for f in cfg.fractions}
     for origin, intruder in pairs:
-        pair = _PairMixer(origin, intruder, cfg)
+        pair = _PairMixer(origin, intruder, cfg, model)
         for fraction in cfg.fractions:
             instance = pair.instance(math.ceil(fraction * len(pair.moved)))
             scores = np.asarray(score_fn(instance), dtype=np.float64)
-            if scores.shape != (len(instance.mixed.events),):
+            if scores.shape != instance.origin_flags.shape:
                 raise DataError("scorer returned a vector not matching the mixed event list")
-            full, sa, freq_sa = _instance_aucs(instance, scores)
-            if full is None or sa is None or freq_sa is None:
-                continue
-            sums[fraction] += (full, sa, freq_sa)
-            counts[fraction] += 1
+            origin_flags = instance.origin_flags
+            keep = ~origin_flags | instance.salient_origin_flags  # SA-AUC: intruders and salient origins
+            aucs = (
+                auc_metric(scores, origin_flags),
+                auc_metric(scores[keep], origin_flags[keep]),
+                auc_metric(instance.frequency[keep], origin_flags[keep]),
+            )
+            if None not in aucs:
+                sums[fraction] += aucs
+                counts[fraction] += 1
 
     rows = []
     for fraction in cfg.fractions:
-        c = counts[fraction]
-        if c == 0:
+        if counts[fraction] == 0:
             raise DataError(f"no scorable instances at fraction {fraction}")
-        mean = sums[fraction] / c
-        rows.append(
-            FractionResult(
-                fraction=fraction,
-                auc=float(mean[0]),
-                sa_auc=float(mean[1]),
-                frequency_sa_auc=float(mean[2]),
-                n_pairs=c,
-            )
-        )
-    return StudyResult(
-        intruder_kind=cfg.intruder_kind, seed=cfg.seed, num_pairs=cfg.num_pairs, rows=rows
-    )
+        mean = sums[fraction] / counts[fraction]
+        rows.append(FractionResult(fraction, float(mean[0]), float(mean[1]), float(mean[2]), counts[fraction]))
+    return StudyResult(intruder_kind=cfg.intruder_kind, seed=cfg.seed, num_pairs=cfg.num_pairs, rows=rows)
 
 
 def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyResult:
     """Intrusion study for a kernel centrality model.
 
-    The study scores with a copy of the model whose feature weights are zero
-    except frequency's, recounted on each mixed document, so the model leans
-    on its kernel evidence.
+    The study scores each instance's plan with a copy of the model whose
+    feature weights are zero except frequency's, recounted on each mixed
+    document, so the model leans on its kernel evidence.
     """
     if not isinstance(model, KCEModel) or model.variant not in KCE_VARIANTS:
         raise DataError("intrusion studies score with a kernel centrality model")
     frequency_only = replace(model, w_f=np.concatenate([model.w_f[:1], np.zeros(len(model.w_f) - 1)]))
 
     def score_fn(instance: IntrusionInstance) -> np.ndarray:
-        return model_scores(frequency_only, instance.mixed)
+        return model_scores(frequency_only, instance.plan)
 
-    return run_study_with_scorer(corpus, score_fn, cfg)
+    return run_study_with_scorer(corpus, score_fn, cfg, frequency_only)

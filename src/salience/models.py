@@ -32,17 +32,8 @@ import numpy as np
 from .corpus import Document
 from .embeddings import EmbeddingTable, table_from_json, table_to_json
 from .errors import DataError, ModelFormatError, NumericError, check_fields, is_int, is_number, read_json
-from .features import (
-    DocGeometry,
-    FeatureScaler,
-    N_FEATURES,
-    doc_geometry,
-    geometry_features,
-    lemma_counts,
-    scale_matrix,
-    scaler_from_json,
-    scaler_to_json,
-)
+from .features import DocGeometry, DocPlan, FeatureScaler, N_FEATURES, doc_geometry, doc_plan, geometry_features
+from .features import lemma_codes, lemma_counts, scale_matrix, scaler_from_json, scaler_to_json
 from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool
 
 MODEL_FILE_VERSION = 2  # the one version save_model writes and load_model reads
@@ -119,15 +110,15 @@ class KCECache(DocGeometry):
     scaled_feats: np.ndarray  # (n, 5) after standardization
 
 
-def kce_forward(model: KCEModel, doc: Document) -> tuple[np.ndarray, KCECache]:
-    """Scores plus a cache for gradient computation.
+def kce_forward(model: KCEModel, plan: DocPlan) -> tuple[np.ndarray, KCECache]:
+    """Scores of a document's plan plus a cache for gradient computation.
 
     The score sums the variant's blocks in the order w_v, w_e, w_f, with the
     bias added to the first.
     """
-    n = len(doc.events)
+    n = len(plan.rows_v)
     blocks = VARIANT_BLOCKS[model.variant]
-    geo = doc_geometry(doc, model.event_table, model.entity_table if reads_entities(model.variant) else None)
+    geo = doc_geometry(plan, model.event_table, model.entity_table if reads_entities(model.variant) else None)
     acts_vv = acts_ve = phi_v = phi_e = None
     terms = []
     if "w_v" in blocks:
@@ -141,7 +132,7 @@ def kce_forward(model: KCEModel, doc: Document) -> tuple[np.ndarray, KCECache]:
         terms.append(phi_e @ model.w_e)
     scaled = np.zeros((n, N_FEATURES))
     if "w_f" in blocks:
-        scaled = scale_matrix(geometry_features(doc, geo), model.scaler)
+        scaled = scale_matrix(geometry_features(plan, geo), model.scaler)
         terms.append(scaled @ model.w_f)
     scores = terms[0] + model.bias
     for term in terms[1:]:
@@ -189,10 +180,10 @@ class PageRankCache:
     norm_freq: np.ndarray  # (n,)
 
 
-def pagerank_forward(model: PageRankModel, doc: Document) -> tuple[np.ndarray, PageRankCache]:
-    n = len(doc.events)
-    geo = doc_geometry(doc, model.event_table)
-    freq = geo.lemma_counts
+def pagerank_forward(model: PageRankModel, plan: DocPlan) -> tuple[np.ndarray, PageRankCache]:
+    n = len(plan.rows_v)
+    geo = doc_geometry(plan, model.event_table)
+    freq = plan.lemma_counts
     norm_freq = freq / freq.sum() if n else freq
 
     if n <= 1:
@@ -221,7 +212,7 @@ def pagerank_forward(model: PageRankModel, doc: Document) -> tuple[np.ndarray, P
 
 def frequency_scores(doc: Document) -> np.ndarray:
     """Headword-lemma count baseline."""
-    return lemma_counts(doc)
+    return lemma_counts(lemma_codes(doc.events))
 
 
 def location_scores(doc: Document) -> np.ndarray:
@@ -437,10 +428,21 @@ def load_model(path: str | Path, expect: str | None = None):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def model_scores(model, doc: Document) -> np.ndarray:
-    """Scores of a KCE or PageRank model for one document: the one scoring entry point."""
-    if isinstance(model, KCEModel):
-        return kce_forward(model, doc)[0]
-    if isinstance(model, PageRankModel):
-        return pagerank_forward(model, doc)[0]
-    raise DataError(f"cannot score with object of type {type(model).__name__}")
+def model_plan(model, doc: Document) -> DocPlan:
+    """The document's plan under the vocabularies the model reads."""
+    return doc_plan(doc, *plan_vocabularies(model))
+
+
+def plan_vocabularies(model) -> tuple:
+    """The event vocabulary, and the entity vocabulary if the model's score reads entities."""
+    entities = isinstance(model, KCEModel) and reads_entities(model.variant)
+    return model.event_table.vocabulary, model.entity_table.vocabulary if entities else None
+
+
+def model_scores(model, doc: Document | DocPlan) -> np.ndarray:
+    """Scores of a KCE or PageRank model for one document, or for a plan built
+    under ``plan_vocabularies(model)``: the one scoring entry point."""
+    if not isinstance(model, (KCEModel, PageRankModel)):
+        raise DataError(f"cannot score with object of type {type(model).__name__}")
+    plan = doc if isinstance(doc, DocPlan) else model_plan(model, doc)
+    return (kce_forward if isinstance(model, KCEModel) else pagerank_forward)(model, plan)[0]

@@ -7,10 +7,10 @@ voting features); ``grad_check`` verifies them against central finite
 differences.  A document touches only its own embedding rows, so the backward
 passes return each table's gradient row-sparse: the sorted unique rows the
 document references and an ``(r, d)`` block of their summed gradients.
-``train`` scatters those blocks into dense per-batch buffers in document
-order, and Adam updates every parameter densely once per batch.  Training is
-serial and fully seeded so identical configurations reproduce
-bitwise-identical models.
+``train`` plans every document and draws its pairs once per call, scatters
+the blocks into dense per-batch buffers in document order, and Adam updates
+every parameter densely once per batch.  Training is serial and fully seeded
+so identical configurations reproduce bitwise-identical models.
 """
 from __future__ import annotations
 
@@ -25,18 +25,10 @@ import numpy as np
 
 from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
+from .features import DocPlan
 from .metrics import evaluate
-from .models import (
-    KCE_VARIANTS,
-    VARIANT_BLOCKS,
-    KCECache,
-    KCEModel,
-    PageRankModel,
-    kce_forward,
-    model_scores,
-    pagerank_forward,
-    reads_entities,
-)
+from .models import KCE_VARIANTS, VARIANT_BLOCKS, KCECache, KCEModel, PageRankModel, kce_forward, model_plan
+from .models import model_scores, pagerank_forward, reads_entities
 
 LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -251,23 +243,20 @@ def _cosine_rows_backward(
     return d_a
 
 
-def _row_sparse(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum per-mention row gradients per table row: (sorted unique rows, (r, d) block).
 
-    Each row starts from its first mention plus 0.0 (which turns -0.0 into
-    +0.0, as adding into a zero table does), and the repeated mentions are
-    added in ascending mention order, so scattering the block reproduces the
-    dense ``np.add.at`` table bit for bit.
+    ``groups`` is the plan's ``row_groups`` of the mention rows.  Each row
+    starts from its first mention plus 0.0 (which turns -0.0 into +0.0, as
+    adding into a zero table does), and the repeated mentions are added in
+    ascending mention order, so scattering the block reproduces the dense
+    ``np.add.at`` table bit for bit.
     """
-    uniq, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    uniq, first, repeats = groups
     block = d_rows[first]
     block += 0.0
-    if len(first) < len(rows):
-        repeated = np.ones(len(rows), dtype=bool)
-        repeated[first] = False
-        dup = np.flatnonzero(repeated)
-        for k, r in zip(dup.tolist(), inverse[dup].tolist()):
-            block[r] += d_rows[k]
+    for k, r in repeats:
+        block[r] += d_rows[k]
     return uniq, block
 
 
@@ -277,16 +266,14 @@ def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarr
     return slopes @ weights
 
 
-def kce_backward(
-    model: KCEModel, doc: Document, cache: KCECache, dscores: np.ndarray
-) -> dict:
+def kce_backward(model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray) -> dict:
     """Gradients of the document loss for the variant's weight blocks and the bias.
 
     The embedding tables come back row-sparse, as ``(rows, block)`` pairs, and
     only when at least one of them is trainable.
     """
-    n = len(doc.events)
-    m = len(doc.entities)
+    n = len(plan.rows_v)
+    m = len(plan.rows_e)
     g = np.asarray(dscores, dtype=np.float64)
     blocks = VARIANT_BLOCKS[model.variant]
     inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": cache.scaled_feats}
@@ -314,36 +301,30 @@ def kce_backward(
         if m and reads_entities(model.variant):
             grad_ve = np.zeros_like(cache.sims_ve)
             if "w_e" in blocks:
-                grad_ve += g[:, None] * _kernel_cos_grad(
-                    cache.acts_ve, cache.sims_ve, model.bank, model.w_e
-                )
+                grad_ve += g[:, None] * _kernel_cos_grad(cache.acts_ve, cache.sims_ve, model.bank, model.w_e)
             if "w_f" in blocks:
                 grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
-                safe_counts = np.where(cache.local_counts == 0, 1, cache.local_counts)
+                safe_counts = np.where(plan.local_counts == 0, 1, plan.local_counts)
                 local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
-                local_up[cache.local_counts == 0] = 0.0
-                grad_ve += local_up[:, None] * cache.local_mask
-            d_rows_v = d_rows_v + _cosine_rows_backward(
-                grad_ve, cache.sims_ve, cache.unit_v, cache.norms_v, cache.unit_e
-            )
-            d_rows_e = _cosine_rows_backward(
-                grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
-            )
+                local_up[plan.local_counts == 0] = 0.0
+                grad_ve += local_up[:, None] * plan.local_mask
+            unit_v, unit_e = cache.unit_v, cache.unit_e
+            d_rows_v = d_rows_v + _cosine_rows_backward(grad_ve, cache.sims_ve, unit_v, cache.norms_v, unit_e)
+            d_rows_e = _cosine_rows_backward(grad_ve.T, cache.sims_ve.T, unit_e, cache.norms_e, unit_v)
 
-    grads["event_emb"] = _row_sparse(cache.rows_v, d_rows_v)
-    grads["entity_emb"] = _row_sparse(cache.rows_e, d_rows_e)
+    groups_v, groups_e = plan.groups
+    grads["event_emb"] = _row_sparse(groups_v, d_rows_v)
+    grads["entity_emb"] = _row_sparse(groups_e, d_rows_e)
     return grads
 
 
-def pagerank_backward(
-    model: PageRankModel, doc: Document, cache, dscores: np.ndarray
-) -> dict:
+def pagerank_backward(model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray) -> dict:
     """Gradients into the walk temperature and (row-sparse) event embeddings."""
-    n = len(doc.events)
+    n = len(plan.rows_v)
     g = np.asarray(dscores, dtype=np.float64)
     if n <= 1:
         d_rows = np.zeros((n, model.event_table.dim))
-        return {TEMPERATURE_KEY: np.array([0.0]), "event_emb": _row_sparse(cache.rows, d_rows)}
+        return {TEMPERATURE_KEY: np.array([0.0]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
     d_walk = (1.0 - model.combine_lambda) * g
     d_trans = np.tile(d_walk / n, (n, 1))
     trans = cache.transitions
@@ -353,28 +334,27 @@ def pagerank_backward(
     grad_sims = d_logits / model.temperature
     np.fill_diagonal(grad_sims, 0.0)
     d_rows = _cosine_rows_backward(grad_sims + grad_sims.T, cache.sims, cache.unit, cache.norms, cache.unit)
-    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(cache.rows, d_rows)}
+    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
 
 
-def _doc_loss_and_grads(model, doc: Document, cfg: TrainConfig):
-    pairs = make_pairs(doc, cfg)
+def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray):
     if len(pairs) == 0:
         return 0.0, None
     if isinstance(model, PageRankModel):
         forward, backward = pagerank_forward, pagerank_backward
     else:
         forward, backward = kce_forward, kce_backward
-    scores, cache = forward(model, doc)
+    scores, cache = forward(model, plan)
     loss, dscores = _pair_loss(scores, pairs)
-    return loss, backward(model, doc, cache, dscores)
+    return loss, backward(model, plan, cache, dscores)
 
 
-def _dev_metrics(model, dev: Corpus) -> tuple[float | None, float | None]:
+def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None, float | None]:
     if not dev.documents:
         return None, None
     scores = []
-    for doc in dev.documents:
-        s = model_scores(model, doc)
+    for doc, plan in zip(dev.documents, plans):
+        s = model_scores(model, plan)
         if not np.all(np.isfinite(s)):
             raise NumericError(f"non-finite score while evaluating doc {doc.doc_id!r}")
         scores.append(s)
@@ -382,11 +362,13 @@ def _dev_metrics(model, dev: Corpus) -> tuple[float | None, float | None]:
     return report.auc, report.p_at.get(1)
 
 
-def _tune_pagerank_lambda(model: PageRankModel, dev: Corpus) -> tuple[float, float | None]:
+def _tune_pagerank_lambda(
+    model: PageRankModel, dev: Corpus, plans: list[DocPlan]
+) -> tuple[float, float | None]:
     """Grid-search the frequency/walk mix on dev AUC; ties prefer the smaller mix."""
     parts = []
-    for doc in dev.documents:
-        _, cache = pagerank_forward(model, doc)
+    for plan in plans:
+        _, cache = pagerank_forward(model, plan)
         parts.append((cache.norm_freq, cache.walk))
     best_lam, best_auc = model.combine_lambda, None
     for lam in LAMBDA_GRID:
@@ -431,7 +413,9 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     # rows a document does not touch need no +0.0 added: skipping them keeps
     # the batch gradient bitwise equal to summing dense per-document tables.
     grads = {k: np.zeros_like(v) for k, v in arrays.items()}
-    docs = corpus.documents
+    # nothing a plan or a document's pairs hold depends on the parameters
+    docs = [(model_plan(model, doc), make_pairs(doc, cfg)) for doc in corpus.documents]
+    dev_plans = [model_plan(model, doc) for doc in dev.documents]
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(docs))
         epoch_loss = 0.0
@@ -440,7 +424,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
             for buf in grads.values():
                 buf.fill(0.0)
             for di in batch:
-                loss, doc_grads = _doc_loss_and_grads(model, docs[di], cfg)
+                loss, doc_grads = _doc_loss_and_grads(model, *docs[di])
                 epoch_loss += loss
                 if doc_grads is None:
                     continue
@@ -457,8 +441,8 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
         _check_finite_params(arrays)
 
         if isinstance(model, PageRankModel) and dev.documents:
-            model.combine_lambda, _ = _tune_pagerank_lambda(model, dev)
-        dev_auc, dev_p1 = _dev_metrics(model, dev)
+            model.combine_lambda, _ = _tune_pagerank_lambda(model, dev, dev_plans)
+        dev_auc, dev_p1 = _dev_metrics(model, dev, dev_plans)
         history.rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_auc=dev_auc, dev_p1=dev_p1))
         if dev_auc is not None and (best_auc is None or dev_auc > best_auc):
             best_auc = dev_auc
@@ -489,8 +473,8 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
 GRAD_EPS = 1e-8
 
 
-def _kce_loss(model: KCEModel, doc: Document, pairs: np.ndarray) -> float:
-    scores, _ = kce_forward(model, doc)
+def _kce_loss(model: KCEModel, plan: DocPlan, pairs: np.ndarray) -> float:
+    scores, _ = kce_forward(model, plan)
     loss, _ = _pair_loss(scores, pairs)
     return loss
 
@@ -519,9 +503,10 @@ def grad_check(
     if not labels.any() or labels.all():
         return 0.0
     pairs = _cross_pairs(labels)
-    scores, cache = kce_forward(model, doc)
+    plan = model_plan(model, doc)
+    scores, cache = kce_forward(model, plan)
     _, dscores = _pair_loss(scores, pairs)
-    analytic = kce_backward(model, doc, cache, dscores)
+    analytic = kce_backward(model, plan, cache, dscores)
     params = _param_arrays(model, freeze_embeddings=False)
     tables = [name for name in EMBEDDING_KEYS if name in params]
     for name in tables:
@@ -536,8 +521,8 @@ def grad_check(
         if name not in EMBEDDING_KEYS
     ]
     # ... and a sample of the table rows the document references
-    referenced = {"event_emb": cache.rows_v, "entity_emb": cache.rows_e}
-    row_pool = [(name, int(r)) for name in tables for r in np.unique(referenced[name])]
+    referenced = {"event_emb": plan.groups[0][0], "entity_emb": plan.groups[1][0]}  # the unique rows
+    row_pool = [(name, int(r)) for name in tables for r in referenced[name]]
     if row_pool and max_rows > 0:
         rng = np.random.default_rng(row_seed)
         chosen = (
@@ -550,7 +535,7 @@ def grad_check(
 
     def loss_with_bias_synced() -> float:
         _sync_scalar(model, params)
-        return _kce_loss(model, doc, pairs)
+        return _kce_loss(model, plan, pairs)
 
     worst = 0.0
     for param, grad, coords in blocks:

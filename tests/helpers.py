@@ -18,7 +18,7 @@ from salience.corpus import Corpus, Document, EntityMention, EventMention, salie
 from salience.embeddings import EmbeddingTable, Vocabulary
 from salience.features import fit_scaler
 from salience.kernels import default_bank
-from salience.models import KCEModel, kce_forward
+from salience.models import KCEModel, kce_forward, model_plan
 from salience.training import EMBEDDING_KEYS, _cross_pairs, _pair_loss, kce_backward
 
 GRAY_BAND = (1e-8, 5e-3)
@@ -155,7 +155,8 @@ def _gradcheck_candidate(
 
 
 def _fd_informative(model: KCEModel, doc: Document) -> bool:
-    scores, cache = kce_forward(model, doc)
+    plan = model_plan(model, doc)
+    scores, cache = kce_forward(model, plan)
     labels = salience_labels(doc)
     margins = 1.0 - scores[labels][:, None] + scores[~labels][None, :]
     if np.abs(margins).min() < MARGIN_TOL:
@@ -169,7 +170,7 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     if max_cos > MAX_ABS_COS:
         return False
     _, dscores = _pair_loss(scores, _cross_pairs(labels))
-    grads = kce_backward(model, doc, cache, dscores)
+    grads = kce_backward(model, plan, cache, dscores)
     lo, hi = GRAY_BAND
     for name, grad in grads.items():
         if name in EMBEDDING_KEYS:

@@ -26,14 +26,9 @@ from salience.corpus import Document, EntityMention, EventMention, salience_labe
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
 from salience.features import FeatureScaler, feature_matrix, scale_matrix
-from salience.intrusion import (
-    MIN_ORIGIN_SALIENT,
-    IntrusionConfig,
-    IntrusionInstance,
-    eligible_intruder_events,
-)
+from salience.intrusion import MIN_ORIGIN_SALIENT, IntrusionConfig, eligible_intruder_events
 from salience.kernels import KernelBank, gaussian_pool
-from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward
+from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward, model_plan
 from salience.training import TrainConfig, _derived_rng
 
 
@@ -316,7 +311,7 @@ def feature_zeroed_scores(model: KCEModel, doc: Document) -> np.ndarray:
     the order w_v, w_e, w_f, the bias added to the first), so scores that zero
     the features and scores that zero their weights can be compared bit for bit.
     """
-    _, cache = kce_forward(model, doc)
+    _, cache = kce_forward(model, model_plan(model, doc))
     zeroed = cache.scaled_feats.copy()
     zeroed[:, 1:] = 0.0
     inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": zeroed}
@@ -327,9 +322,21 @@ def feature_zeroed_scores(model: KCEModel, doc: Document) -> np.ndarray:
     return scores
 
 
+@dataclass(frozen=True)
+class ReferenceInstance:
+    """The fields of an ``IntrusionInstance`` that the study reads besides the plan."""
+
+    origin_doc_id: str
+    intruder_doc_id: str
+    mixed: Document
+    origin_flags: np.ndarray
+    salient_origin_flags: np.ndarray
+    frequency: np.ndarray
+
+
 def build_instance_reference(
     origin: Document, intruder: Document, cfg: IntrusionConfig, n_intruders: int
-) -> IntrusionInstance:
+) -> ReferenceInstance:
     """One intrusion instance built from scratch: shuffle the eligible intruders,
     take the first n, copy each with ``dataclasses.replace``, then walk the
     chosen events' source sentences in order and take each one's entities."""
@@ -363,12 +370,13 @@ def build_instance_reference(
     )
     if validate_document(mixed):
         raise DataError("mixed document is invalid")
-    return IntrusionInstance(
+    return ReferenceInstance(
         origin_doc_id=origin.doc_id,
         intruder_doc_id=intruder.doc_id,
         mixed=mixed,
         origin_flags=np.array([True] * len(origin.events) + [False] * len(chosen)),
         salient_origin_flags=np.array([bool(ev.salient) for ev in origin.events] + [False] * len(chosen)),
+        frequency=np.array([float(frequency_feature(ev, mixed)) for ev in mixed.events]),
     )
 
 

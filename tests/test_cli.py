@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from salience import cli
 from salience.cli import main
-from salience.corpus import load_corpus
+from salience.corpus import Corpus, Document, EventMention, load_corpus, save_corpus
 from salience.embeddings import build_vocab
 from salience.metrics import MetricsReport
 from salience.models import KCEModel, load_model
@@ -365,6 +366,20 @@ def test_gradcheck_refuses_max_docs_below_one(pipeline, kce_model, capsys, max_d
     _exits_two_with_one_line_error(argv, capsys, "--max-docs")
 
 
+def test_gradcheck_skips_unlabeled_and_single_class_documents(pipeline, kce_model, tmp_path, capsys):
+    """Only a document with both salient and non-salient events is checked and counted."""
+    both = next(d for d in load_corpus(pipeline["dev"]).documents if len({ev.salient for ev in d.events}) == 2)
+
+    def relabeled(doc_id, salient):
+        return replace(both, doc_id=doc_id, events=tuple(replace(ev, salient=salient) for ev in both.events))
+
+    corpus, out = tmp_path / "mixed-labels.jsonl", tmp_path / "grad.json"
+    save_corpus(Corpus((relabeled("unlabeled", None), relabeled("one-class", True), both)), corpus)
+    assert main(["gradcheck", "--model", str(kce_model), "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["documents"] == 1
+    assert capsys.readouterr().out.endswith(" over 1 documents (step 0.0001)\n")
+
+
 def test_gradcheck_nan_error_on_a_later_document_exits_three(pipeline, kce_model, capsys, monkeypatch):
     errors = iter([0.5, float("nan")])
     monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: next(errors))
@@ -440,6 +455,19 @@ def _exits_two_with_one_line_error(argv, capsys, *needles):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert all(needle in err for needle in needles)
+
+
+def test_intrude_exits_two_when_a_prefixed_intruder_id_equals_an_origin_id(kce_model, tmp_path, capsys):
+    def events(n, salient=True):
+        return tuple(EventMention(f"e{i}", f"l{i}", "x", 0, salient=salient) for i in range(n))
+
+    origin = Document("a", 1, events(5) + (EventMention("b::e0", "l9", "x", 0, salient=False),), (), frozenset())
+    intruder = Document("b", 1, events(2), (), frozenset())  # too few salient events to be an origin
+    corpus = tmp_path / "clash.jsonl"
+    save_corpus(Corpus((origin, intruder)), corpus)
+    argv = ["intrude", "--model", str(kce_model), "--corpus", str(corpus), "--kind", "salient",
+            "--out", str(tmp_path / "i.csv")]
+    _exits_two_with_one_line_error(argv, capsys, "event 'b::e0': duplicate mention id")
 
 
 def test_synth_config_with_mistyped_field_exits_two(tmp_path, capsys):

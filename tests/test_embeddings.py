@@ -268,3 +268,46 @@ def test_word_vector_ragged_unused_row_and_header_count_still_fail(tmp_path):
     miscounted = _vector_file(tmp_path / "count.txt", ["a 1 2 3", "b 4 5 6"], count=3)
     with pytest.raises(DataError, match="header announces 3 rows, the file has 2"):
         init_embeddings(toy_vocab(["a"]), dim=3, seed=0, pretrained=miscounted)
+
+
+# Rows whose fields are not separated by single ASCII spaces: a row that is not
+# kept falls back to str.split(), so its field count and errors stay the same.
+# The odd separator sits between the second and third field, after a space.
+def _one_odd(separator):
+    return lambda fields: " ".join(fields[:2]) + separator + " ".join(fields[2:])
+
+
+_SEPARATORS = {
+    "tab": _one_odd("\t"),
+    "run-of-spaces": _one_odd("  "),
+    "leading-blank": lambda fields: " " + " ".join(fields),
+    "trailing-blank": lambda fields: " ".join(fields) + " ",
+    "no-break-space": _one_odd("\xa0"),
+    "em-space": _one_odd("\u2003"),
+    "form-feed": _one_odd("\x0c"),
+    "unit-separator": _one_odd("\x1f"),
+}
+
+
+@pytest.mark.parametrize("join", _SEPARATORS.values(), ids=_SEPARATORS.keys())
+def test_unkept_row_without_single_space_separators_is_split(tmp_path, join):
+    good = _vector_file(tmp_path / "good.txt", ["a 1 2 3", join(["b", "4", "5", "6"]), "c 7 8 9"])
+    assert list(load_word_vectors(good, tokens={"a"})) == ["a"]
+    assert np.array_equal(load_word_vectors(good)["b"], [4.0, 5.0, 6.0])
+    for fields, got in ((["b", "4", "5"], 3), (["b", "4", "5", "6", "7"], 5)):
+        ragged = _vector_file(tmp_path / "ragged.txt", ["a 1 2 3", join(fields), "c 7 8 9"])
+        for tokens in (None, {"a"}):
+            with pytest.raises(DataError, match=f"line 3: expected 4 fields, got {got}$"):
+                load_word_vectors(ragged, tokens=tokens)
+
+
+def test_unkept_rows_with_single_spaces_are_counted_like_split(tmp_path):
+    rows = ["a 1 2 3", "b 1 2", "c 1 2 3 4", "d", "e 1 2 3"]
+    for row in rows[1:4]:
+        path = _vector_file(tmp_path / "v.txt", [rows[0], row, rows[4]])
+        want = f"line 3: expected 4 fields, got {len(row.split())}$"
+        for tokens in (None, {"a"}):
+            with pytest.raises(DataError, match=want):
+                load_word_vectors(path, tokens=tokens)
+    path = _vector_file(tmp_path / "v.txt", [rows[0], "", rows[4]], count=2)  # a blank row is not counted
+    assert list(load_word_vectors(path, tokens={"a"})) == ["a"]

@@ -11,6 +11,7 @@ from salience.features import (
     FEATURE_NAMES,
     FeatureScaler,
     doc_geometry,
+    doc_plan,
     feature_matrix,
     fit_scaler,
     scale_matrix,
@@ -71,12 +72,13 @@ def test_empty_entity_side_has_the_shapes_and_dtypes_of_zero_entities(entity_tab
     rng = np.random.default_rng(4)
     doc = random_document(rng, n_events=5, n_entities=n_entities)
     evt, ent = tables_for(doc, rng)
-    geo = doc_geometry(doc, evt, ent if entity_table else None)
+    plan = doc_plan(doc, evt.vocabulary, ent.vocabulary if entity_table else None)
+    geo = doc_geometry(plan, evt, ent if entity_table else None)
     unit_e, mask = np.zeros((0, evt.dim)), np.zeros((5, 0), dtype=bool)
     want = dict(rows_e=np.zeros(0, np.intp), unit_e=unit_e, norms_e=np.zeros(0),
                 sims_ve=geo.unit_v @ unit_e.T, local_mask=mask, local_counts=mask.sum(axis=1))
     for name, value in want.items():
-        got = getattr(geo, name)
+        got = getattr(plan if name.startswith("local") else geo, name)
         assert (name, got.dtype, got.shape) == (name, value.dtype, value.shape)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from oracles import build_instance_reference, feature_zeroed_scores
 from salience import intrusion
 from salience.corpus import Corpus, Document, EntityMention, EventMention, validate_document
 from salience.errors import DataError
-from salience.features import fit_scaler, lemma_counts
+from salience.features import fit_scaler
 from salience.intrusion import (
     INTRUDER_KINDS,
     MIN_ORIGIN_SALIENT,
@@ -19,7 +20,14 @@ from salience.intrusion import (
     run_study_with_scorer,
 )
 from salience.kernels import default_bank
-from salience.models import KCEModel, new_kce_model, new_letor_model
+from salience.models import (
+    VARIANT_BLOCKS,
+    KCEModel,
+    frequency_scores,
+    model_scores,
+    new_kce_model,
+    new_letor_model,
+)
 from salience.training import TrainConfig, train
 
 
@@ -242,6 +250,26 @@ def test_run_study_with_model_zeroes_nonfrequency_features():
         run_study(corpus, new_letor_model(evt, ent, scaler), cfg)
 
 
+def recording_study(monkeypatch):
+    """Record (mixed document, scores) for every instance that ``run_study`` scores.
+
+    ``run_study`` hands its scorer to ``run_study_with_scorer``, which is where
+    each instance meets its scores; the document is built from the instance."""
+    scored = []
+    study = intrusion.run_study_with_scorer
+
+    def recording(corpus, score_fn, cfg, *args):
+        def recorded(instance):
+            scores = score_fn(instance)
+            scored.append((instance.mixed, scores))
+            return scores
+
+        return study(corpus, recorded, cfg, *args)
+
+    monkeypatch.setattr(intrusion, "run_study_with_scorer", recording)
+    return scored
+
+
 def test_run_study_scores_like_the_feature_zeroed_reference(monkeypatch):
     """run_study zeroes every feature weight but frequency's; the reference zeroes
     the features instead.  Rows and per-instance scores must agree bit for bit,
@@ -261,15 +289,7 @@ def test_run_study_scores_like_the_feature_zeroed_reference(monkeypatch):
     frequency_probe.bias = 0.5
     cfg = IntrusionConfig(num_pairs=6, intruder_kind="salient_only", seed=3, fractions=(0.5, 1.0))
 
-    scored = []
-    model_scores = intrusion.model_scores
-
-    def recording_scores(model, doc):
-        scores = model_scores(model, doc)
-        scored.append((doc, scores))
-        return scores
-
-    monkeypatch.setattr(intrusion, "model_scores", recording_scores)
+    scored = recording_study(monkeypatch)
     for model in (zero, trained, frequency_probe):
         scored.clear()
         got = run_study(corpus, model, cfg)
@@ -281,7 +301,7 @@ def test_run_study_scores_like_the_feature_zeroed_reference(monkeypatch):
 
     mean, std = zero.scaler.means[0], zero.scaler.stds[0]
     for doc, scores in scored:  # the probe has no kernel weights: bias + w_f[0] * standardized frequency
-        assert scores == pytest.approx(0.5 + frequency_probe.w_f[0] * (lemma_counts(doc) - mean) / std)
+        assert scores == pytest.approx(0.5 + frequency_probe.w_f[0] * (frequency_scores(doc) - mean) / std)
 
 
 def test_intrusion_config_validation():
@@ -303,6 +323,7 @@ def assert_same_instance(got, want):
     assert got.mixed == want.mixed  # tuples: same mentions in the same order
     for a, b in ((got.origin_flags, want.origin_flags), (got.salient_origin_flags, want.salient_origin_flags)):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert got.frequency.dtype == want.frequency.dtype and got.frequency.tobytes() == want.frequency.tobytes()
 
 
 def test_build_instance_matches_reference_with_entities_out_of_sentence_order():
@@ -394,3 +415,70 @@ def test_study_builds_each_pair_once_with_unchanged_rows(kind):
     result = run_study_with_scorer(corpus, checked_scorer, cfg)
     got = [(r.fraction, r.auc.hex(), r.sa_auc.hex(), r.frequency_sa_auc.hex(), r.n_pairs) for r in result.rows]
     assert got == PINNED_ROWS[kind]
+
+
+def plan_corpus(rng, n_docs=9):
+    """Documents with out-of-vocabulary lemmas and keys, some without entities,
+    intruder sentences without entities, and entities out of sentence order."""
+    docs = []
+    for d in range(n_docs):
+        n_sentences = int(rng.integers(3, 7))
+        n_events = int(rng.integers(8, 14))
+        sents = np.sort(rng.integers(0, n_sentences, size=n_events))
+        lemmas = [f"l{k}" for k in rng.integers(0, 12, size=n_events)]  # l10, l11: no vocabulary row
+        events = tuple(
+            EventMention(id=f"e{i}", head_lemma=lemma, surface=lemma, sentence_index=int(s), salient=i % 3 > 0)
+            for i, (lemma, s) in enumerate(zip(lemmas, sents))
+        )
+        n_entities = 0 if d % 3 == 0 else int(rng.integers(1, 8))
+        entity_sents = rng.integers(0, max(1, n_sentences - 1), size=n_entities)  # the last sentence has none
+        entities = tuple(
+            EntityMention(id=f"n{j}", entity_key=f"k{rng.integers(0, 8)}", sentence_index=int(s))
+            for j, s in enumerate(entity_sents)
+        )
+        docs.append(Document(f"doc-{d}", n_sentences, events, entities, frozenset()))
+    return Corpus(documents=tuple(docs))
+
+
+@pytest.mark.parametrize("variant", ["full", "events_features", "events_only"])
+@pytest.mark.parametrize("kind", INTRUDER_KINDS)
+def test_study_scores_plans_like_the_mixed_documents(monkeypatch, variant, kind):
+    """Every instance's scores equal model_scores of the frequency-only model on
+    build_instance(...).mixed, byte for byte."""
+    rng = np.random.default_rng(31)
+    corpus = plan_corpus(rng)
+    for doc in corpus.documents:
+        assert validate_document(doc) == []
+    evt = toy_table([f"l{k}" for k in range(10)], 6, rng)
+    ent = toy_table([f"k{k}" for k in range(6)], 6, rng)
+    evt.vectors[evt.vocabulary.lookup("l3")] = 0.0  # zero-norm rows
+    ent.vectors[ent.vocabulary.lookup("k2")] = 0.0
+    model = new_kce_model(default_bank(), evt, ent, fit_scaler(corpus, evt, ent), variant=variant)
+    for name in ("w_v", "w_e", "w_f"):
+        if name in VARIANT_BLOCKS[variant]:
+            setattr(model, name, rng.normal(size=len(getattr(model, name))))
+    frequency_only = replace(model, w_f=np.concatenate([model.w_f[:1], np.zeros(4)]))
+    cfg = IntrusionConfig(num_pairs=30, intruder_kind=kind, seed=2, fractions=(0.1, 0.4, 0.7, 1.0))
+    scored = recording_study(monkeypatch)
+    run_study(corpus, model, cfg)
+    assert len(scored) == cfg.num_pairs * len(cfg.fractions)
+    docs = {d.doc_id: d for d in corpus.documents}
+    for mixed, scores in scored:
+        origin_id, intruder_id = mixed.doc_id.split("+")
+        n = sum(1 for ev in mixed.events if ev.id.startswith(f"{intruder_id}::"))
+        want = build_instance(docs[origin_id], docs[intruder_id], cfg, n).mixed
+        assert mixed == want
+        assert scores.tobytes() == model_scores(frequency_only, want).tobytes()
+
+
+def test_a_prefixed_intruder_id_equal_to_an_origin_id_is_a_duplicate():
+    origin = make_doc("a", 5, 3)
+    intruder = make_doc("b", 5, 3)
+    clash = replace(origin.events[0], id="b::" + intruder.events[0].id)
+    origin = replace(origin, events=(clash,) + origin.events[1:])
+    assert validate_document(origin) == []
+    cfg = IntrusionConfig(num_pairs=3, intruder_kind="salient_only", seed=0, fractions=(1.0,))
+    with pytest.raises(DataError, match="duplicate mention id"):
+        build_instance(origin, intruder, cfg, 5)
+    with pytest.raises(DataError, match=f"'b::{intruder.events[0].id}': duplicate mention id"):
+        run_study_with_scorer(Corpus((origin, intruder)), oracle_scorer, cfg)

@@ -21,6 +21,7 @@ from salience.models import (
     kce_forward,
     load_model,
     location_scores,
+    model_plan,
     model_scores,
     new_kce_model,
     new_letor_model,
@@ -110,7 +111,7 @@ def test_kce_forward_features_bitwise_equal_scaler_path(seed):
         distinct_lemmas=False,
     )
     model = build_kce(rng, doc)
-    _, cache = kce_forward(model, doc)
+    _, cache = kce_forward(model, model_plan(model, doc))
     from salience.features import feature_matrix, scale_matrix
 
     want = scale_matrix(
@@ -139,7 +140,7 @@ def test_kce_scores_empty_single_and_entity_free_documents(variant):
     rng = np.random.default_rng(43)
     for doc in small_documents(rng):
         model = build_kce(rng, doc, variant=variant)
-        scores, cache = kce_forward(model, doc)
+        scores, cache = kce_forward(model, model_plan(model, doc))
         n, K = len(doc.events), model.bank.size
         assert scores.shape == (n,)
         assert cache.sims_vv.shape == (n, n) and cache.acts_vv.shape == (n, n, K)
@@ -165,7 +166,7 @@ def test_letor_and_pagerank_score_empty_single_and_entity_free_documents():
             + letor.bias
             for ev in doc.events
         ]
-        got, cache = kce_forward(letor, doc)
+        got, cache = kce_forward(letor, model_plan(letor, doc))
         assert got.shape == (len(doc.events),)
         assert got == pytest.approx(np.array(want), abs=1e-10)
         assert cache.acts_vv is None and cache.acts_ve is None  # no kernel pooling
@@ -385,11 +386,11 @@ def test_model_scores_dispatch():
     rng = np.random.default_rng(41)
     doc = random_document(rng, n_events=4, n_entities=2)
     kce = build_kce(rng, doc)
-    assert np.array_equal(model_scores(kce, doc), kce_forward(kce, doc)[0])
+    assert np.array_equal(model_scores(kce, doc), kce_forward(kce, model_plan(kce, doc))[0])
     letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
     letor.w_f[:] = rng.normal(size=5)
     assert np.array_equal(model_scores(letor, doc), letor_scores(letor, doc)[0])
     pagerank = PageRankModel(temperature=0.6, combine_lambda=0.4, event_table=kce.event_table)
-    assert np.array_equal(model_scores(pagerank, doc), pagerank_forward(pagerank, doc)[0])
+    assert np.array_equal(model_scores(pagerank, doc), pagerank_forward(pagerank, model_plan(pagerank, doc))[0])
     with pytest.raises(DataError, match="cannot score"):
         model_scores(kce.scaler, doc)

@@ -20,13 +20,14 @@ from salience import training
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
 from salience.embeddings import build_vocab, init_embeddings
 from salience.errors import DataError
-from salience.features import fit_scaler
+from salience.features import fit_scaler, row_groups
 from salience.kernels import default_bank
 from salience.models import (
     KCE_VARIANTS,
     VARIANT_BLOCKS,
     PageRankModel,
     kce_forward,
+    model_plan,
     model_scores,
     new_kce_model,
     new_letor_model,
@@ -187,6 +188,16 @@ _GRAD_ENTRIES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1e16, -1e16, 1.0]) | 
 )
 
 
+def assert_groups_match_np_unique(groups, rows):
+    """The plan's row groups: np.unique's rows and first mentions, and every later
+    mention in ascending order with its group."""
+    uniq, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    later = sorted(set(range(len(rows))) - set(first.tolist()))
+    assert groups[0].dtype == uniq.dtype and groups[0].tobytes() == uniq.tobytes()
+    assert groups[1].tolist() == first.tolist()
+    assert groups[2] == [(k, int(inverse[k])) for k in later]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_rows=st.integers(1, 6),
@@ -201,7 +212,8 @@ def test_row_sparse_equals_add_at_reference_bitwise(n_rows, dim, data):
         d_rows[: len(rows) // 2] = -0.0  # whole -0.0 mention rows
     given_rows, given_grads = rows.copy(), d_rows.copy()
     want_rows, want_block = row_sparse_reference(rows, d_rows)
-    got_rows, got_block = training._row_sparse(rows, d_rows)
+    assert_groups_match_np_unique(row_groups(rows), rows)
+    got_rows, got_block = training._row_sparse(row_groups(rows), d_rows)
     assert got_rows.tobytes() == want_rows.tobytes()
     assert got_block.shape == want_block.shape and got_block.tobytes() == want_block.tobytes()
     assert rows.tobytes() == given_rows.tobytes() and d_rows.tobytes() == given_grads.tobytes()
@@ -309,22 +321,23 @@ def repeated_row_tables(rng, dim=6):
 
 
 def spy_row_sparse(monkeypatch):
-    """Record the per-mention (rows, d_rows) every backward pass hands to the sparse sum."""
+    """Record the (row groups, per-mention d_rows) every backward pass hands to the sparse sum."""
     calls = []
     real = training._row_sparse
 
-    def spy(rows, d_rows):
-        calls.append((rows.copy(), d_rows.copy()))
-        return real(rows, d_rows)
+    def spy(groups, d_rows):
+        calls.append((groups, d_rows.copy()))
+        return real(groups, d_rows)
 
     monkeypatch.setattr(training, "_row_sparse", spy)
     return calls
 
 
-def assert_sparse_matches_dense(doc_grads, calls, tables, batch_dense, batch_sparse):
+def assert_sparse_matches_dense(doc_grads, calls, mention_rows, tables, batch_dense, batch_sparse):
     """Scattered blocks equal the dense np.add.at tables, per document and summed."""
-    assert len(calls) == len(tables)
-    for (rows, d_rows), (name, table) in zip(calls, tables.items()):
+    assert len(calls) == len(tables) == len(mention_rows)
+    for (groups, d_rows), rows, (name, table) in zip(calls, mention_rows, tables.items()):
+        assert_groups_match_np_unique(groups, rows)
         dense = np.zeros_like(table.vectors)
         np.add.at(dense, rows, d_rows)
         got_rows, block = doc_grads[name]
@@ -352,10 +365,11 @@ def test_kce_backward_sparse_blocks_equal_dense_tables(monkeypatch, variant):
     calls = spy_row_sparse(monkeypatch)
     for doc in docs:
         calls.clear()
-        scores, cache = kce_forward(model, doc)
+        plan = model_plan(model, doc)
+        scores, cache = kce_forward(model, plan)
         _, dscores = document_pair_loss(scores, salience_labels(doc))
-        grads = kce_backward(model, doc, cache, dscores)
-        assert_sparse_matches_dense(grads, calls, tables, batch_dense, batch_sparse)
+        grads = kce_backward(model, plan, cache, dscores)
+        assert_sparse_matches_dense(grads, calls, (plan.rows_v, plan.rows_e), tables, batch_dense, batch_sparse)
     for name in EMBEDDING_KEYS:
         assert batch_sparse[name].tobytes() == batch_dense[name].tobytes()
     assert batch_dense["event_emb"].any()
@@ -373,10 +387,11 @@ def test_pagerank_backward_sparse_block_equals_dense_table(monkeypatch):
     calls = spy_row_sparse(monkeypatch)
     for doc in docs:
         calls.clear()
-        scores, cache = pagerank_forward(model, doc)
+        plan = model_plan(model, doc)
+        scores, cache = pagerank_forward(model, plan)
         _, dscores = document_pair_loss(scores, salience_labels(doc))
-        grads = pagerank_backward(model, doc, cache, dscores)
-        assert_sparse_matches_dense(grads, calls, tables, batch_dense, batch_sparse)
+        grads = pagerank_backward(model, plan, cache, dscores)
+        assert_sparse_matches_dense(grads, calls, (plan.rows_v,), tables, batch_dense, batch_sparse)
     assert batch_sparse["event_emb"].tobytes() == batch_dense["event_emb"].tobytes()
     assert batch_dense["event_emb"].any()
 
@@ -534,10 +549,11 @@ def test_features_only_matches_letor_reference_bitwise():
     with_pairs = 0
     for doc in docs:
         want, scaled = letor_scores(model, doc)
-        assert np.array_equal(kce_forward(model, doc)[0], want)
+        plan = model_plan(model, doc)
+        assert np.array_equal(kce_forward(model, plan)[0], want)
         assert np.array_equal(model_scores(model, doc), want)
-        loss, grads = training._doc_loss_and_grads(model, doc, cfg)
         pairs = make_pairs(doc, cfg)
+        loss, grads = training._doc_loss_and_grads(model, plan, pairs)
         if len(pairs) == 0:
             assert (loss, grads) == (0.0, None)
             continue
