@@ -27,13 +27,57 @@ from .synth import SynthConfig, degrade_vectors, generate_corpus, measured_cosin
 from .training import TrainConfig, TrainHistory, grad_check, train
 
 __all__ = [
-    "__version__", "Corpus", "DataError", "Document", "EmbeddingTable", "EntityMention", "EventMention",
-    "FEATURE_NAMES", "FeatureScaler", "FilterConfig", "IntrusionConfig", "KCEModel", "KernelBank",
-    "MetricsReport", "ModelFormatError", "NumericError", "PageRankModel", "SalienceError", "StudyResult",
-    "SynthConfig", "TrainConfig", "TrainHistory", "Vocabulary", "auc", "build_instance", "build_vocab",
-    "corpus_stats", "default_bank", "degrade_vectors", "evaluate", "feature_matrix", "filter_candidates",
-    "fit_scaler", "frequency_scores", "generate_corpus", "grad_check", "init_embeddings", "label_salience",
-    "load_corpus", "load_model", "location_scores", "measured_cosine_gap", "model_scores", "new_kce_model",
-    "new_letor_model", "permutation_test", "precision_at_k", "recall_at_k", "run_study", "save_corpus",
-    "save_model", "train", "validate_document",
+    "__version__",
+    "Corpus",
+    "DataError",
+    "Document",
+    "EmbeddingTable",
+    "EntityMention",
+    "EventMention",
+    "FEATURE_NAMES",
+    "FeatureScaler",
+    "FilterConfig",
+    "IntrusionConfig",
+    "KCEModel",
+    "KernelBank",
+    "MetricsReport",
+    "ModelFormatError",
+    "NumericError",
+    "PageRankModel",
+    "SalienceError",
+    "StudyResult",
+    "SynthConfig",
+    "TrainConfig",
+    "TrainHistory",
+    "Vocabulary",
+    "auc",
+    "build_instance",
+    "build_vocab",
+    "corpus_stats",
+    "default_bank",
+    "degrade_vectors",
+    "evaluate",
+    "feature_matrix",
+    "filter_candidates",
+    "fit_scaler",
+    "frequency_scores",
+    "generate_corpus",
+    "grad_check",
+    "init_embeddings",
+    "label_salience",
+    "load_corpus",
+    "load_model",
+    "location_scores",
+    "measured_cosine_gap",
+    "model_scores",
+    "new_kce_model",
+    "new_letor_model",
+    "permutation_test",
+    "precision_at_k",
+    "recall_at_k",
+    "run_study",
+    "save_corpus",
+    "save_model",
+    "train",
+    "validate_document",
 ]

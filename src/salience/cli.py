@@ -27,13 +27,26 @@ from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
 from .manifest import write_manifest
 from .metrics import MetricsReport, evaluate, permutation_test
-from .models import PageRankModel, frequency_scores, load_model, location_scores, model_scores, new_kce_model
-from .models import ranked_order, save_model
+from .models import (
+    PageRankModel,
+    frequency_scores,
+    load_model,
+    location_scores,
+    model_scores,
+    new_kce_model,
+    ranked_order,
+    save_model,
+)
 from .synth import SynthConfig, degrade_vectors, generate_corpus
 from .training import TrainConfig, grad_check, train
 
 # The variant each kce flavour trains; "pagerank" is the one other model to train.
-MODEL_FLAVORS = {"letor": "features_only", "kce": "full", "kce-e": "events_features", "kce-ef": "events_only"}
+MODEL_FLAVORS = {
+    "letor": "features_only",
+    "kce": "full",
+    "kce-e": "events_features",
+    "kce-ef": "events_only",
+}
 BASELINE_SCORERS = {"frequency": frequency_scores, "location": location_scores}
 
 
@@ -225,9 +238,18 @@ def _cmd_rank(args) -> Run:
         for doc in corpus.documents:
             scores = _finite_scores(np.asarray(scorer(doc), dtype=np.float64), doc.doc_id)
             order = ranked_order(scores, [ev.id for ev in doc.events])
-            ranking = [{"event_id": doc.events[i].id, "score": float(scores[i])} for i in order]
-            row = {"doc_id": doc.doc_id, "ranking": ranking}
-            fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
+            fh.write(
+                json.dumps(
+                    {
+                        "doc_id": doc.doc_id,
+                        "ranking": [
+                            {"event_id": doc.events[i].id, "score": float(scores[i])} for i in order
+                        ],
+                    },
+                    ensure_ascii=False,
+                    separators=(",", ":"),
+                )
+            )
             fh.write("\n")
     print(f"ranked {len(corpus.documents)} documents")
     return Run([args.model, args.corpus], [args.out])

@@ -108,27 +108,15 @@ def normalized_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norms
 
 
-def _single_spaced(line: str) -> bool:
-    """An ASCII line whose only blanks are single spaces between fields and its final newline;
-    the other characters ``str.split`` separates at are spelled out, as ``in`` tests are fast."""
-    return (
-        line.isascii() and not line.endswith((" ", " \n")) and "  " not in line and "\t" not in line
-        and "\r" not in line and "\x0b" not in line and "\x0c" not in line and "\x1c" not in line
-        and "\x1d" not in line and "\x1e" not in line and "\x1f" not in line
-    )
-
-
 def load_word_vectors(path: str | Path, tokens: Container[str] | None = None) -> dict[str, np.ndarray]:
     """Parse text-format word vectors; later duplicates win.
 
     With ``tokens``, only the rows of those tokens are kept, and only they
     are parsed as numbers: a non-numeric or non-finite entry in any other
-    row is never read.  Every row is still counted, so a ragged row anywhere,
-    or a header count that differs from the number of rows, is an error
-    naming the line; so is a bad entry in a kept row.  An ASCII row that is
-    not kept and has single spaces between its fields is counted by its
-    spaces, without building its strings; every other row is split.  Bytes
-    that are not UTF-8 are an error naming the file.
+    row is never read.  Every row is still split and counted, so a ragged
+    row anywhere, or a header count that differs from the number of rows, is
+    an error naming the line; so is a bad entry in a kept row.  Bytes that
+    are not UTF-8 are an error naming the file.
     """
     vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path, "word vectors")
@@ -143,18 +131,15 @@ def load_word_vectors(path: str | Path, tokens: Container[str] | None = None) ->
         raise DataError(f"{path}: line 1: dim must be >= 1")
     rows = 0
     for line_no, line in enumerate(lines, start=2):
-        cut = line.find(" ")  # > 0: no leading blank
-        if tokens is not None and 0 < cut and line[:cut] not in tokens and _single_spaced(line):
-            parts, n_fields = None, line.count(" ") + 1
-        else:
-            parts = line.split()
-            if not parts:
-                continue
-            n_fields = len(parts)
-        if n_fields != dim + 1:
-            raise DataError(f"{path}: line {line_no}: expected {dim + 1} fields, got {n_fields}")
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"{path}: line {line_no}: expected {dim + 1} fields, got {len(parts)}"
+            )
         rows += 1
-        if parts is None or (tokens is not None and parts[0] not in tokens):
+        if tokens is not None and parts[0] not in tokens:
             continue
         try:
             vec = np.fromiter(map(float, parts[1:]), dtype=np.float64, count=dim)

@@ -20,7 +20,13 @@ from .corpus import Corpus, Document
 from .embeddings import EmbeddingTable, Vocabulary, normalized_rows
 from .errors import DataError
 
-FEATURE_NAMES = ("frequency", "sentence_location", "event_voting", "entity_voting", "local_entity_voting")
+FEATURE_NAMES = (
+    "frequency",
+    "sentence_location",
+    "event_voting",
+    "entity_voting",
+    "local_entity_voting",
+)
 N_FEATURES = len(FEATURE_NAMES)
 
 
@@ -58,7 +64,9 @@ class DocPlan:
     local_mask: np.ndarray  # (n, m) same-sentence indicator
     local_counts: np.ndarray  # (n,)
     lemma_counts: np.ndarray  # (n,)
-    units: tuple | None = None  # (unit_v, norms_v, unit_e, norms_e), for a plan that only scores fixed tables
+    # (events_table, entities_table, unit_v, norms_v, unit_e, norms_e): the rows
+    # already normalized under those tables, which must not change meanwhile
+    units: tuple | None = None
 
     @cached_property
     def groups(self) -> tuple:
@@ -66,10 +74,10 @@ class DocPlan:
         return row_groups(self.rows_v), row_groups(self.rows_e)
 
 
-def make_plan(rows_v, rows_e, sentences, entity_sentences, counts) -> DocPlan:
+def make_plan(rows_v, rows_e, sentences, entity_sentences, counts, units: tuple | None = None) -> DocPlan:
     """A plan from its mention arrays and lemma counts; the same-sentence mask follows from the sentences."""
     local_mask = sentences[:, None] == entity_sentences
-    return DocPlan(rows_v, rows_e, sentences, local_mask, local_mask.sum(axis=1), counts)
+    return DocPlan(rows_v, rows_e, sentences, local_mask, local_mask.sum(axis=1), counts, units)
 
 
 def doc_plan(doc: Document, events_vocab: Vocabulary, entities_vocab: Vocabulary | None = None) -> DocPlan:
@@ -101,21 +109,36 @@ class DocGeometry:
 def doc_geometry(
     plan: DocPlan, events_table: EmbeddingTable, entities_table: EmbeddingTable | None = None
 ) -> DocGeometry:
-    """Gather, normalize (unless the plan carries ``units``) and multiply; no entity table, no entity side."""
+    """Gather, normalize and multiply; no entity table, no entity side.
+
+    A plan that carries ``units`` skips the normalizing, and is valid only
+    for the very tables it names.
+    """
     rows_v, rows_e = plan.rows_v, plan.rows_e
     entities = entities_table is not None and len(rows_e) > 0
-    if plan.units is not None:
-        unit_v, norms_v, unit_e, norms_e = plan.units
-    else:
+    if plan.units is None:
         unit_v, norms_v = normalized_rows(events_table.vectors[rows_v])
         unit_e, norms_e = normalized_rows(entities_table.vectors[rows_e]) if entities else (None, None)
+    elif plan.units[0] is events_table and plan.units[1] is entities_table:
+        unit_v, norms_v, unit_e, norms_e = plan.units[2:]
+    else:
+        raise DataError("the plan's rows were normalized under other tables")
     sims_vv = unit_v @ unit_v.T
     np.fill_diagonal(sims_vv, 0.0)
     if entities:
         sims_ve = unit_v @ unit_e.T
     else:  # the zero-size entity fields, built directly
         unit_e, norms_e, sims_ve = np.zeros((0, events_table.dim)), np.zeros(0), np.zeros((len(rows_v), 0))
-    return DocGeometry(rows_v, unit_v, norms_v, sims_vv, rows_e, unit_e, norms_e, sims_ve)
+    return DocGeometry(
+        rows_v=rows_v,
+        unit_v=unit_v,
+        norms_v=norms_v,
+        sims_vv=sims_vv,
+        rows_e=rows_e,
+        unit_e=unit_e,
+        norms_e=norms_e,
+        sims_ve=sims_ve,
+    )
 
 
 def geometry_features(plan: DocPlan, geo: DocGeometry) -> np.ndarray:
@@ -152,7 +175,11 @@ def fit_scaler(
     corpus: Corpus, events_table: EmbeddingTable, entities_table: EmbeddingTable
 ) -> FeatureScaler:
     """Per-feature mean/std over every event in the corpus (std floored at 1e-8)."""
-    blocks = [feature_matrix(doc, events_table, entities_table) for doc in corpus.documents if doc.events]
+    blocks = [
+        feature_matrix(doc, events_table, entities_table)
+        for doc in corpus.documents
+        if doc.events
+    ]
     if not blocks:
         raise DataError("cannot fit a feature scaler: corpus contains no events")
     stacked = np.concatenate(blocks, axis=0)

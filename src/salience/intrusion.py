@@ -9,13 +9,15 @@ zero weight; only relational evidence remains.  AUC treats origin events as
 positives and intruders as negatives; SA-AUC drops the non-salient origin
 events first.
 
-A study plans each sampled (origin, intruder) pair once: it checks the pair,
-shuffles its eligible intruders once, and keeps every mention's lemma code,
-sentence, vocabulary rows and normalized rows, with the intruders in
-(sentence, id) order.  Every insertion fraction mixes in a prefix of the
-shuffled order by index selection on those arrays, with lemma counts from an
-integer ``bincount``.  The mixed ``Document`` itself is built only when a
-scorer reads it.
+A study checks every document it samples once, then plans each sampled
+(origin, intruder) pair once: it shuffles the pair's eligible intruders once
+and keeps every mention's lemma code, sentence, vocabulary rows and normalized
+rows, with the intruders in (sentence, id) order.  Every insertion fraction
+mixes in a prefix of the shuffled order by index selection on those arrays,
+with lemma counts from an integer ``bincount``.  The one invariant of the
+mixed document that the checked documents do not guarantee, no prefixed
+intruder id equal to an origin id, is checked for the mentions each instance
+mixes in.  The mixed ``Document`` itself is built only when a scorer reads it.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels
+from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
 from .embeddings import normalized_rows
 from .errors import DataError
 from .features import DocPlan, lemma_codes, lemma_counts, make_plan
@@ -71,7 +73,6 @@ class IntrusionInstance:
     origin_flags: np.ndarray  # True where the event came from the origin document
     salient_origin_flags: np.ndarray  # True for salient origin events only
     frequency: np.ndarray  # each event's lemma count in the mixed document
-    plan: DocPlan | None  # the mixed document's plan, when the study scores with a model
     build: Callable[[], Document] = field(repr=False, compare=False)
 
     @cached_property
@@ -85,16 +86,24 @@ def eligible_intruder_events(doc: Document, intruder_kind: str) -> list[EventMen
     return [ev for ev in doc.events if ev.salient is want]
 
 
+def _check_mixed(doc: Document) -> None:
+    problems = validate_document(doc)
+    if problems:
+        raise DataError(f"mixed document is invalid: {problems[0]}")
+
+
 class _PairMixer:
-    """One checked (origin, intruder) pair, planned once for every insertion fraction.
+    """One (origin, intruder) pair, planned once for every insertion fraction.
 
     The eligible intruders are shuffled once per (seed, origin, intruder)
-    triple; ``instance(n)`` mixes in the first n of that order.  The pair's
+    triple; ``mix(n)`` mixes in the first n of that order.  The pair's
     arrays hold the origin's mentions, then the intruder's: its eligible
     events in mixed-document (sentence, id) order and its entities grouped by
     sentence.  Intruder ids gain the prefix ``"<intruder>::"`` and intruder
-    sentences move past the origin's, so of the merged invariants only one
-    needs a check, once for the full mix: no prefixed id equals an origin id.
+    sentences move past the origin's, so for two valid documents the one
+    invariant of a mix that can break is a prefixed id equal to an origin id.
+    ``clashes`` marks each intruder event that brings such an id along,
+    itself or through an entity of its sentence.
     """
 
     def __init__(self, origin: Document, intruder: Document, cfg: IntrusionConfig, model=None):
@@ -115,20 +124,17 @@ class _PairMixer:
         rank[by_key] = np.arange(len(pool))  # self.rank[j]: where the j-th inserted event sits in self.moved
         self.rank = rank[_derived_rng(cfg.seed, origin.doc_id, intruder.doc_id).permutation(len(pool))]
         taken = {m.id for m in (*origin.events, *origin.entities)}
-        sentences = {ev.sentence_index for ev in self.moved}
-        for kind, mentions in (("event", self.moved), ("entity", self.entities)):
-            for m in mentions:
-                if self.prefix + m.id in taken and m.sentence_index in sentences:
-                    raise DataError(
-                        f"mixed document is invalid: doc {origin.doc_id + '+' + intruder.doc_id!r} "
-                        f"{kind} {self.prefix + m.id!r}: duplicate mention id"
-                    )
+        clashing = {en.sentence_index for en in self.entities if self.prefix + en.id in taken}
+        self.clashes = np.array(
+            [self.prefix + ev.id in taken or ev.sentence_index in clashing for ev in self.moved], dtype=bool
+        )
         events = [*origin.events, *self.moved]
         self.codes = lemma_codes(events)
         self.origin_salient = salience_labels(origin)
         if model is not None:  # the rows under the model's vocabularies, normalized once under its tables
             events_vocab, entities_vocab = plan_vocabularies(model)
             entities = [*origin.entities, *self.entities] if entities_vocab is not None else []
+            self.tables = (model.event_table, model.entity_table if entities_vocab is not None else None)
             self.rows_v = events_vocab.rows([ev.head_lemma for ev in events])
             keys = [en.entity_key for en in entities]
             self.rows_e = entities_vocab.rows(keys) if entities_vocab is not None else np.zeros(0, np.intp)
@@ -140,33 +146,38 @@ class _PairMixer:
             self.sent_e[len(origin.entities) :] += self.offset
             self.used = np.arange(self.offset + intruder.num_sentences) < self.offset  # the origin's sentences
 
-    def instance(self, n_intruders: int) -> IntrusionInstance:
-        """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities."""
+    def mix(self, n_intruders: int) -> tuple[IntrusionInstance, DocPlan | None]:
+        """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities.
+
+        With a model, the mixed document's plan under the model's vocabularies
+        and tables comes along; without one, None.
+        """
         n_orig, n_moved = len(self.origin.events), len(self.moved)
         if not 0 <= n_intruders <= n_moved:
             raise DataError(
                 f"intruder doc {self.intruder.doc_id!r} has {n_moved} eligible events, asked for {n_intruders}"
             )
         chosen = np.sort(self.rank[:n_intruders])
+        if self.clashes[chosen].any():
+            _check_mixed(self._document(chosen))  # raises, naming the first duplicate id
         events = np.concatenate((np.arange(n_orig), n_orig + chosen))
         frequency = lemma_counts(self.codes[events])
-        plan = None
-        if self.model is not None:
-            sentences, used = self.sent_v[events], self.used.copy()
-            used[sentences] = True
-            entities = np.flatnonzero(used[self.sent_e])
-            rows_e, entity_sentences = self.rows_e[entities], self.sent_e[entities]
-            plan = make_plan(self.rows_v[events], rows_e, sentences, entity_sentences, frequency)
-            plan.units = (*(a[events] for a in self.units_v), *(a[entities] for a in self.units_e))
-        return IntrusionInstance(
+        instance = IntrusionInstance(
             origin_doc_id=self.origin.doc_id,
             intruder_doc_id=self.intruder.doc_id,
             origin_flags=np.arange(n_orig + n_intruders) < n_orig,
             salient_origin_flags=np.concatenate([self.origin_salient, np.zeros(n_intruders, dtype=bool)]),
             frequency=frequency,
-            plan=plan,
             build=partial(self._document, chosen),
         )
+        if self.model is None:
+            return instance, None
+        sentences, used = self.sent_v[events], self.used.copy()
+        used[sentences] = True
+        entities = np.flatnonzero(used[self.sent_e])
+        units = (*self.tables, *(a[events] for a in self.units_v), *(a[entities] for a in self.units_e))
+        rows_e, entity_sentences = self.rows_e[entities], self.sent_e[entities]
+        return instance, make_plan(self.rows_v[events], rows_e, sentences, entity_sentences, frequency, units)
 
     def _document(self, chosen: np.ndarray) -> Document:
         origin, prefix, offset = self.origin, self.prefix, self.offset
@@ -197,9 +208,12 @@ def build_instance(
 
     The eligible events are shuffled once per (seed, origin, intruder) triple,
     so growing ``n_intruders`` extends a fixed insertion order.  Each chosen
-    event brings along the entities from its source sentence.
+    event brings along the entities from its source sentence.  The mixed
+    document is built and checked here.
     """
-    return _PairMixer(origin, intruder, cfg).instance(n_intruders)
+    instance, _ = _PairMixer(origin, intruder, cfg).mix(n_intruders)
+    _check_mixed(instance.mixed)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -229,17 +243,23 @@ class StudyResult:
 
 
 def run_study_with_scorer(
+    corpus: Corpus, score_fn: Callable[[IntrusionInstance], np.ndarray], cfg: IntrusionConfig
+) -> StudyResult:
+    """Sample (origin, intruder) pairs and average AUC/SA-AUC per insertion fraction."""
+    return _run_study(corpus, lambda instance, plan: score_fn(instance), cfg)
+
+
+def _run_study(
     corpus: Corpus,
-    score_fn: Callable[[IntrusionInstance], np.ndarray],
+    score_fn: Callable[[IntrusionInstance, DocPlan | None], np.ndarray],
     cfg: IntrusionConfig,
     model: KCEModel | None = None,
 ) -> StudyResult:
-    """Sample (origin, intruder) pairs and average AUC/SA-AUC per insertion fraction.
-
-    With a ``model``, every instance also carries the mixed document's plan
-    under the model's vocabularies, its rows normalized once per pair.
-    """
-    origins = [d for d in corpus.documents if sum(1 for ev in d.events if ev.salient) >= MIN_ORIGIN_SALIENT]
+    """``run_study_with_scorer`` for a scorer that also reads each instance's
+    plan under ``model`` (None without a model)."""
+    origins = [
+        d for d in corpus.documents if sum(1 for ev in d.events if ev.salient) >= MIN_ORIGIN_SALIENT
+    ]
     intruders = [d for d in corpus.documents if eligible_intruder_events(d, cfg.intruder_kind)]
     if not origins:
         raise DataError(
@@ -247,7 +267,10 @@ def run_study_with_scorer(
         )
     if not intruders:
         raise DataError(f"no documents offer {cfg.intruder_kind} intruder events")
-    if not any(o.doc_id != i.doc_id for o in origins for i in intruders):
+    pairable = any(
+        o.doc_id != i.doc_id for o in origins for i in intruders
+    )
+    if not pairable:
         raise DataError("origin and intruder pools contain only the same single document")
 
     rng = np.random.default_rng(cfg.seed)
@@ -258,14 +281,18 @@ def run_study_with_scorer(
         if origin.doc_id == intruder.doc_id:
             continue
         pairs.append((origin, intruder))
+    for doc in {id(doc): doc for pair in pairs for doc in pair}.values():  # what the mixes are built on
+        problems = validate_document(doc)
+        if problems:
+            raise DataError(problems[0])
 
     sums = {f: np.zeros(3) for f in cfg.fractions}
     counts = {f: 0 for f in cfg.fractions}
     for origin, intruder in pairs:
         pair = _PairMixer(origin, intruder, cfg, model)
         for fraction in cfg.fractions:
-            instance = pair.instance(math.ceil(fraction * len(pair.moved)))
-            scores = np.asarray(score_fn(instance), dtype=np.float64)
+            instance, plan = pair.mix(math.ceil(fraction * len(pair.moved)))
+            scores = np.asarray(score_fn(instance, plan), dtype=np.float64)
             if scores.shape != instance.origin_flags.shape:
                 raise DataError("scorer returned a vector not matching the mixed event list")
             origin_flags = instance.origin_flags
@@ -281,11 +308,22 @@ def run_study_with_scorer(
 
     rows = []
     for fraction in cfg.fractions:
-        if counts[fraction] == 0:
+        c = counts[fraction]
+        if c == 0:
             raise DataError(f"no scorable instances at fraction {fraction}")
-        mean = sums[fraction] / counts[fraction]
-        rows.append(FractionResult(fraction, float(mean[0]), float(mean[1]), float(mean[2]), counts[fraction]))
-    return StudyResult(intruder_kind=cfg.intruder_kind, seed=cfg.seed, num_pairs=cfg.num_pairs, rows=rows)
+        mean = sums[fraction] / c
+        rows.append(
+            FractionResult(
+                fraction=fraction,
+                auc=float(mean[0]),
+                sa_auc=float(mean[1]),
+                frequency_sa_auc=float(mean[2]),
+                n_pairs=c,
+            )
+        )
+    return StudyResult(
+        intruder_kind=cfg.intruder_kind, seed=cfg.seed, num_pairs=cfg.num_pairs, rows=rows
+    )
 
 
 def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyResult:
@@ -299,7 +337,7 @@ def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyRes
         raise DataError("intrusion studies score with a kernel centrality model")
     frequency_only = replace(model, w_f=np.concatenate([model.w_f[:1], np.zeros(len(model.w_f) - 1)]))
 
-    def score_fn(instance: IntrusionInstance) -> np.ndarray:
-        return model_scores(frequency_only, instance.plan)
+    def score_fn(instance: IntrusionInstance, plan: DocPlan) -> np.ndarray:
+        return model_scores(frequency_only, plan)
 
-    return run_study_with_scorer(corpus, score_fn, cfg, frequency_only)
+    return _run_study(corpus, score_fn, cfg, frequency_only)

@@ -32,8 +32,20 @@ import numpy as np
 from .corpus import Document
 from .embeddings import EmbeddingTable, table_from_json, table_to_json
 from .errors import DataError, ModelFormatError, NumericError, check_fields, is_int, is_number, read_json
-from .features import DocGeometry, DocPlan, FeatureScaler, N_FEATURES, doc_geometry, doc_plan, geometry_features
-from .features import lemma_codes, lemma_counts, scale_matrix, scaler_from_json, scaler_to_json
+from .features import (
+    DocGeometry,
+    DocPlan,
+    FeatureScaler,
+    N_FEATURES,
+    doc_geometry,
+    doc_plan,
+    geometry_features,
+    lemma_codes,
+    lemma_counts,
+    scale_matrix,
+    scaler_from_json,
+    scaler_to_json,
+)
 from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool
 
 MODEL_FILE_VERSION = 2  # the one version save_model writes and load_model reads

@@ -27,8 +27,18 @@ from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
 from .features import DocPlan
 from .metrics import evaluate
-from .models import KCE_VARIANTS, VARIANT_BLOCKS, KCECache, KCEModel, PageRankModel, kce_forward, model_plan
-from .models import model_scores, pagerank_forward, reads_entities
+from .models import (
+    KCE_VARIANTS,
+    VARIANT_BLOCKS,
+    KCECache,
+    KCEModel,
+    PageRankModel,
+    kce_forward,
+    model_plan,
+    model_scores,
+    pagerank_forward,
+    reads_entities,
+)
 
 LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -266,7 +276,9 @@ def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarr
     return slopes @ weights
 
 
-def kce_backward(model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray) -> dict:
+def kce_backward(
+    model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray
+) -> dict:
     """Gradients of the document loss for the variant's weight blocks and the bias.
 
     The embedding tables come back row-sparse, as ``(rows, block)`` pairs, and
@@ -301,16 +313,21 @@ def kce_backward(model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.nd
         if m and reads_entities(model.variant):
             grad_ve = np.zeros_like(cache.sims_ve)
             if "w_e" in blocks:
-                grad_ve += g[:, None] * _kernel_cos_grad(cache.acts_ve, cache.sims_ve, model.bank, model.w_e)
+                grad_ve += g[:, None] * _kernel_cos_grad(
+                    cache.acts_ve, cache.sims_ve, model.bank, model.w_e
+                )
             if "w_f" in blocks:
                 grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
                 safe_counts = np.where(plan.local_counts == 0, 1, plan.local_counts)
                 local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
                 local_up[plan.local_counts == 0] = 0.0
                 grad_ve += local_up[:, None] * plan.local_mask
-            unit_v, unit_e = cache.unit_v, cache.unit_e
-            d_rows_v = d_rows_v + _cosine_rows_backward(grad_ve, cache.sims_ve, unit_v, cache.norms_v, unit_e)
-            d_rows_e = _cosine_rows_backward(grad_ve.T, cache.sims_ve.T, unit_e, cache.norms_e, unit_v)
+            d_rows_v = d_rows_v + _cosine_rows_backward(
+                grad_ve, cache.sims_ve, cache.unit_v, cache.norms_v, cache.unit_e
+            )
+            d_rows_e = _cosine_rows_backward(
+                grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
+            )
 
     groups_v, groups_e = plan.groups
     grads["event_emb"] = _row_sparse(groups_v, d_rows_v)
@@ -318,7 +335,9 @@ def kce_backward(model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.nd
     return grads
 
 
-def pagerank_backward(model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray) -> dict:
+def pagerank_backward(
+    model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray
+) -> dict:
     """Gradients into the walk temperature and (row-sparse) event embeddings."""
     n = len(plan.rows_v)
     g = np.asarray(dscores, dtype=np.float64)

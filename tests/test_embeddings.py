@@ -270,8 +270,8 @@ def test_word_vector_ragged_unused_row_and_header_count_still_fail(tmp_path):
         init_embeddings(toy_vocab(["a"]), dim=3, seed=0, pretrained=miscounted)
 
 
-# Rows whose fields are not separated by single ASCII spaces: a row that is not
-# kept falls back to str.split(), so its field count and errors stay the same.
+# Rows whose fields are not separated by single ASCII spaces are counted as
+# str.split() counts them, kept or not, with the same errors and line numbers.
 # The odd separator sits between the second and third field, after a space.
 def _one_odd(separator):
     return lambda fields: " ".join(fields[:2]) + separator + " ".join(fields[2:])

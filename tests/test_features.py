@@ -14,6 +14,7 @@ from salience.features import (
     doc_plan,
     feature_matrix,
     fit_scaler,
+    make_plan,
     scale_matrix,
     scaler_from_json,
     scaler_to_json,
@@ -80,6 +81,23 @@ def test_empty_entity_side_has_the_shapes_and_dtypes_of_zero_entities(entity_tab
     for name, value in want.items():
         got = getattr(plan if name.startswith("local") else geo, name)
         assert (name, got.dtype, got.shape) == (name, value.dtype, value.shape)
+
+
+def test_a_plan_with_normalized_rows_scores_only_under_its_own_tables():
+    rng = np.random.default_rng(4)
+    doc = random_document(rng, n_events=5, n_entities=3)
+    evt, ent = tables_for(doc, rng)
+    plan = doc_plan(doc, evt.vocabulary, ent.vocabulary)
+    want = doc_geometry(plan, evt, ent)
+    units = (evt, ent, want.unit_v, want.norms_v, want.unit_e, want.norms_e)
+    entity_sentences = np.array([en.sentence_index for en in doc.entities])
+    carried = make_plan(plan.rows_v, plan.rows_e, plan.sentences, entity_sentences, plan.lemma_counts, units)
+    got = doc_geometry(carried, evt, ent)
+    assert got.sims_vv.tobytes() == want.sims_vv.tobytes() and got.sims_ve.tobytes() == want.sims_ve.tobytes()
+    other_evt, other_ent = tables_for(doc, rng)
+    for tables in ((other_evt, ent), (evt, other_ent), (evt, None)):
+        with pytest.raises(DataError, match="normalized under other tables"):
+            doc_geometry(carried, *tables)
 
 
 def test_extract_features_agrees_with_matrix():

@@ -253,20 +253,20 @@ def test_run_study_with_model_zeroes_nonfrequency_features():
 def recording_study(monkeypatch):
     """Record (mixed document, scores) for every instance that ``run_study`` scores.
 
-    ``run_study`` hands its scorer to ``run_study_with_scorer``, which is where
+    ``run_study`` hands its scorer to ``intrusion._run_study``, which is where
     each instance meets its scores; the document is built from the instance."""
     scored = []
-    study = intrusion.run_study_with_scorer
+    study = intrusion._run_study
 
     def recording(corpus, score_fn, cfg, *args):
-        def recorded(instance):
-            scores = score_fn(instance)
+        def recorded(instance, plan):
+            scores = score_fn(instance, plan)
             scored.append((instance.mixed, scores))
             return scores
 
         return study(corpus, recorded, cfg, *args)
 
-    monkeypatch.setattr(intrusion, "run_study_with_scorer", recording)
+    monkeypatch.setattr(intrusion, "_run_study", recording)
     return scored
 
 
@@ -291,9 +291,9 @@ def test_run_study_scores_like_the_feature_zeroed_reference(monkeypatch):
 
     scored = recording_study(monkeypatch)
     for model in (zero, trained, frequency_probe):
+        want = run_study_with_scorer(corpus, lambda inst: feature_zeroed_scores(model, inst.mixed), cfg)
         scored.clear()
         got = run_study(corpus, model, cfg)
-        want = run_study_with_scorer(corpus, lambda inst: feature_zeroed_scores(model, inst.mixed), cfg)
         assert got.rows == want.rows
         assert len(scored) == cfg.num_pairs * len(cfg.fractions)
         for doc, scores in scored:
@@ -482,3 +482,59 @@ def test_a_prefixed_intruder_id_equal_to_an_origin_id_is_a_duplicate():
         build_instance(origin, intruder, cfg, 5)
     with pytest.raises(DataError, match=f"'b::{intruder.events[0].id}': duplicate mention id"):
         run_study_with_scorer(Corpus((origin, intruder)), oracle_scorer, cfg)
+
+
+def test_a_prefixed_id_clash_raises_only_where_the_instance_mixes_it_in():
+    """An instance is refused when it mixes in the clashing mention: the intruder
+    event itself, or any event of the clashing entity's sentence."""
+    origin = make_doc("a", 5, 3)
+    intruder = make_doc("b", 5, 3)
+    cfg = IntrusionConfig(num_pairs=3, intruder_kind="salient_only", seed=0, fractions=(0.2, 0.6))
+    clean = [build_instance(origin, intruder, cfg, n).mixed for n in range(6)]
+    mixed_ids = [{m.id for m in (*doc.events, *doc.entities)} for doc in clean]
+    last = ({ev.id for ev in clean[5].events} - {ev.id for ev in clean[4].events}).pop()
+    for clashing in (last, "b::n0", "b::n2"):
+        for kind, ids in (("events", origin.events), ("entities", origin.entities)):
+            clash = replace(origin, **{kind: (replace(ids[0], id=clashing),) + ids[1:]})
+            assert validate_document(clash) == []
+            for n in range(6):
+                if clashing in mixed_ids[n]:
+                    with pytest.raises(DataError, match=f"{clashing!r}: duplicate mention id"):
+                        build_instance(clash, intruder, cfg, n)
+                else:
+                    assert len(build_instance(clash, intruder, cfg, n).mixed.events) == len(origin.events) + n
+    # a study raises once one of its fractions reaches the clash (0.2 and 0.6 never reach the last event)
+    outcomes = set()
+    for clashing in (last, "b::n0", "b::n2"):
+        clash = replace(origin, events=(replace(origin.events[0], id=clashing),) + origin.events[1:])
+        corpus = Corpus((clash, intruder))
+        for fractions in ((0.2,), (0.4,), (0.6,), (0.8,), (1.0,), (0.2, 0.6)):
+            reached = any(clashing in mixed_ids[math.ceil(5 * f)] for f in fractions)
+            outcomes.add((clashing == last, reached))
+            study_cfg = replace(cfg, fractions=fractions)
+            if reached:
+                with pytest.raises(DataError, match=f"{clashing!r}: duplicate mention id"):
+                    run_study_with_scorer(corpus, oracle_scorer, study_cfg)
+            else:
+                assert run_study_with_scorer(corpus, oracle_scorer, study_cfg).rows[-1].n_pairs == 3
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_mixing_refuses_documents_that_break_an_invariant():
+    """Documents built in memory are not validated on construction; mixing them is."""
+    origin = make_doc("a", 5, 3)
+    intruder = make_doc("b", 5, 3)
+    cfg = IntrusionConfig(num_pairs=4, intruder_kind="salient_only", seed=0, fractions=(1.0,))
+    k = max(k for k, ev in enumerate(intruder.events) if ev.salient)  # a salient event, moved out of range
+    late = intruder.events[:k] + (replace(intruder.events[k], sentence_index=99),) + intruder.events[k + 1 :]
+    with pytest.raises(DataError, match="mixed document is invalid: .* sentence_index 105 out of range"):
+        build_instance(origin, replace(intruder, events=late), cfg, 5)
+    stray = replace(intruder, entities=intruder.entities + (EntityMention("n9", "b_k0", 99),))
+    lemmas = sorted({e.head_lemma for d in (origin, intruder) for e in d.events})
+    keys = sorted({n.entity_key for d in (origin, intruder) for n in d.entities})
+    rng = np.random.default_rng(0)
+    evt, ent = toy_table(lemmas, 8, rng), toy_table(keys, 8, rng)
+    model = new_kce_model(default_bank(), evt, ent, fit_scaler(Corpus((origin, intruder)), evt, ent))
+    for study in (lambda c: run_study(c, model, cfg), lambda c: run_study_with_scorer(c, oracle_scorer, cfg)):
+        with pytest.raises(DataError, match="doc 'b' entity 'n9': sentence_index 99 out of range"):
+            study(Corpus((origin, stray)))
