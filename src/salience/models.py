@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -86,20 +86,18 @@ def new_kce_model(
     scaler: FeatureScaler,
     variant: str = "full",
 ) -> KCEModel:
-    """A zero-weight model; features_only (LeToR) freezes both tables, as it scores fixed features."""
+    """A zero-weight model; features_only (LeToR) holds ``trainable=False`` copies of the tables."""
     if variant not in VARIANT_BLOCKS:
         raise DataError(f"unknown variant {variant!r}; expected one of {tuple(VARIANT_BLOCKS)}")
-    if variant == "features_only":
-        event_table.trainable = False
-        entity_table.trainable = False
+    frozen = variant == "features_only"
     return KCEModel(
         bank=bank,
         w_v=np.zeros(bank.size),
         w_e=np.zeros(bank.size),
         w_f=np.zeros(N_FEATURES),
         bias=0.0,
-        event_table=event_table,
-        entity_table=entity_table,
+        event_table=replace(event_table, trainable=False) if frozen else event_table,
+        entity_table=replace(entity_table, trainable=False) if frozen else entity_table,
         scaler=scaler,
         variant=variant,
     )

@@ -4,9 +4,9 @@ The loss for one document sums hinge terms over (salient, non-salient) event
 pairs: max(0, 1 - s_plus + s_minus).  Gradients are computed analytically all
 the way into the embedding tables (through both the kernel pooling and the
 voting features); ``grad_check`` verifies them against central finite
-differences.  A document touches only its own embedding rows, so the backward
-passes return each table's gradient row-sparse: the sorted unique rows the
-document references and an ``(r, d)`` block of their summed gradients.
+differences.  Only the tables ``_param_arrays`` names get gradient work, and each
+comes back row-sparse: the sorted unique rows the document references and an
+``(r, d)`` block of their summed gradients.
 ``train`` plans every document and draws its pairs once per call, scatters
 the blocks into dense per-batch buffers in document order, and Adam updates
 every parameter densely once per batch.  Training is serial and fully seeded
@@ -204,8 +204,9 @@ MIN_TEMPERATURE = 1e-3
 
 
 def _param_arrays(model, freeze_embeddings: bool) -> dict[str, np.ndarray]:
-    """The model's trainable parameters: views into its weight blocks and embedding
-    tables, and a one-element copy of its scalar (the bias or the temperature)."""
+    """The model's trainable parameters, decided here alone: views into its weight blocks
+    and into each table its score reads whose ``trainable`` is on, unless ``freeze_embeddings``
+    is set, and a one-element copy of its scalar (the bias or the temperature)."""
     if isinstance(model, KCEModel):
         arrays = {name: getattr(model, name) for name in VARIANT_BLOCKS[model.variant]}
         arrays[BIAS_KEY] = np.array([model.bias])
@@ -277,12 +278,11 @@ def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarr
 
 
 def kce_backward(
-    model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray
+    model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray, tables: tuple[str, ...]
 ) -> dict:
-    """Gradients of the document loss for the variant's weight blocks and the bias.
-
-    The embedding tables come back row-sparse, as ``(rows, block)`` pairs, and
-    only when at least one of them is trainable.
+    """Gradients of the document loss for the variant's weight blocks, the bias and
+    the trained tables: the ``EMBEDDING_KEYS`` in ``tables``, row-sparse as ``(rows,
+    block)`` pairs.  The entity cosines feed the event rows either way.
     """
     n = len(plan.rows_v)
     m = len(plan.rows_e)
@@ -291,13 +291,13 @@ def kce_backward(
     inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": cache.scaled_feats}
     grads: dict[str, np.ndarray] = {name: inputs[name].T @ g for name in blocks}
     grads[BIAS_KEY] = np.array([float(g.sum())])
-    if not (model.event_table.trainable or model.entity_table.trainable):
+    if not tables:
         return grads
 
     d_rows_v = np.zeros((n, model.event_table.dim))
     d_rows_e = np.zeros((len(cache.rows_e), model.entity_table.dim))  # no rows unless entities are used
 
-    if n:
+    if n and "event_emb" in tables:
         # event-event cosine gradients: kernel path plus the event-voting feature
         grad_vv = np.zeros((n, n))
         if "w_v" in blocks:
@@ -310,53 +310,54 @@ def kce_backward(
             grad_vv + grad_vv.T, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v
         )
 
-        if m and reads_entities(model.variant):
-            grad_ve = np.zeros_like(cache.sims_ve)
-            if "w_e" in blocks:
-                grad_ve += g[:, None] * _kernel_cos_grad(
-                    cache.acts_ve, cache.sims_ve, model.bank, model.w_e
-                )
-            if "w_f" in blocks:
-                grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
-                safe_counts = np.where(plan.local_counts == 0, 1, plan.local_counts)
-                local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
-                local_up[plan.local_counts == 0] = 0.0
-                grad_ve += local_up[:, None] * plan.local_mask
+    if n and m and reads_entities(model.variant):
+        grad_ve = np.zeros_like(cache.sims_ve)
+        if "w_e" in blocks:
+            grad_ve += g[:, None] * _kernel_cos_grad(
+                cache.acts_ve, cache.sims_ve, model.bank, model.w_e
+            )
+        if "w_f" in blocks:
+            grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
+            safe_counts = np.where(plan.local_counts == 0, 1, plan.local_counts)
+            local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
+            local_up[plan.local_counts == 0] = 0.0
+            grad_ve += local_up[:, None] * plan.local_mask
+        if "event_emb" in tables:
             d_rows_v = d_rows_v + _cosine_rows_backward(
                 grad_ve, cache.sims_ve, cache.unit_v, cache.norms_v, cache.unit_e
             )
+        if "entity_emb" in tables:
             d_rows_e = _cosine_rows_backward(
                 grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
             )
 
-    groups_v, groups_e = plan.groups
-    grads["event_emb"] = _row_sparse(groups_v, d_rows_v)
-    grads["entity_emb"] = _row_sparse(groups_e, d_rows_e)
+    for name, groups, d_rows in zip(EMBEDDING_KEYS, plan.groups, (d_rows_v, d_rows_e)):
+        if name in tables:
+            grads[name] = _row_sparse(groups, d_rows)
     return grads
 
 
 def pagerank_backward(
-    model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray
+    model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray, tables: tuple[str, ...]
 ) -> dict:
-    """Gradients into the walk temperature and (row-sparse) event embeddings."""
+    """Gradients into the walk temperature and, if ``tables`` names it, the row-sparse event table."""
     n = len(plan.rows_v)
     g = np.asarray(dscores, dtype=np.float64)
-    if n <= 1:
-        d_rows = np.zeros((n, model.event_table.dim))
-        return {TEMPERATURE_KEY: np.array([0.0]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
     d_walk = (1.0 - model.combine_lambda) * g
     d_trans = np.tile(d_walk / n, (n, 1))
     trans = cache.transitions
     inner = (trans * d_trans).sum(axis=1, keepdims=True)
     d_logits = trans * (d_trans - inner)
     d_temp = float((d_logits * (-cache.sims / (model.temperature**2))).sum())
+    if "event_emb" not in tables:
+        return {TEMPERATURE_KEY: np.array([d_temp])}
     grad_sims = d_logits / model.temperature
     np.fill_diagonal(grad_sims, 0.0)
     d_rows = _cosine_rows_backward(grad_sims + grad_sims.T, cache.sims, cache.unit, cache.norms, cache.unit)
     return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
 
 
-def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray):
+def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray, tables: tuple[str, ...]):
     if len(pairs) == 0:
         return 0.0, None
     if isinstance(model, PageRankModel):
@@ -365,7 +366,7 @@ def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray):
         forward, backward = kce_forward, kce_backward
     scores, cache = forward(model, plan)
     loss, dscores = _pair_loss(scores, pairs)
-    return loss, backward(model, plan, cache, dscores)
+    return loss, backward(model, plan, cache, dscores, tables)
 
 
 def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None, float | None]:
@@ -420,6 +421,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
         return model, TrainHistory()
 
     arrays = _param_arrays(model, cfg.freeze_embeddings)
+    tables = tuple(name for name in EMBEDDING_KEYS if name in arrays)
     adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
@@ -443,13 +445,11 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
             for buf in grads.values():
                 buf.fill(0.0)
             for di in batch:
-                loss, doc_grads = _doc_loss_and_grads(model, *docs[di])
+                loss, doc_grads = _doc_loss_and_grads(model, *docs[di], tables)
                 epoch_loss += loss
                 if doc_grads is None:
                     continue
                 for name, buf in grads.items():
-                    if name not in doc_grads:
-                        continue
                     if name in EMBEDDING_KEYS:
                         rows, block = doc_grads[name]
                         buf[rows] += block
@@ -525,9 +525,9 @@ def grad_check(
     plan = model_plan(model, doc)
     scores, cache = kce_forward(model, plan)
     _, dscores = _pair_loss(scores, pairs)
-    analytic = kce_backward(model, plan, cache, dscores)
     params = _param_arrays(model, freeze_embeddings=False)
-    tables = [name for name in EMBEDDING_KEYS if name in params]
+    tables = tuple(name for name in EMBEDDING_KEYS if name in params)
+    analytic = kce_backward(model, plan, cache, dscores, tables)
     for name in tables:
         rows, block = analytic[name]
         analytic[name] = np.zeros_like(params[name])

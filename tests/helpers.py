@@ -170,7 +170,7 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     if max_cos > MAX_ABS_COS:
         return False
     _, dscores = _pair_loss(scores, _cross_pairs(labels))
-    grads = kce_backward(model, plan, cache, dscores)
+    grads = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
     lo, hi = GRAY_BAND
     for name, grad in grads.items():
         if name in EMBEDDING_KEYS:

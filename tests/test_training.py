@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -25,6 +26,7 @@ from salience.kernels import default_bank
 from salience.models import (
     KCE_VARIANTS,
     VARIANT_BLOCKS,
+    KCEModel,
     PageRankModel,
     kce_forward,
     model_plan,
@@ -32,9 +34,11 @@ from salience.models import (
     new_kce_model,
     new_letor_model,
     pagerank_forward,
+    save_model,
 )
 from salience.training import (
     EMBEDDING_KEYS,
+    TEMPERATURE_KEY,
     Adam,
     TrainConfig,
     grad_check,
@@ -368,7 +372,7 @@ def test_kce_backward_sparse_blocks_equal_dense_tables(monkeypatch, variant):
         plan = model_plan(model, doc)
         scores, cache = kce_forward(model, plan)
         _, dscores = document_pair_loss(scores, salience_labels(doc))
-        grads = kce_backward(model, plan, cache, dscores)
+        grads = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
         assert_sparse_matches_dense(grads, calls, (plan.rows_v, plan.rows_e), tables, batch_dense, batch_sparse)
     for name in EMBEDDING_KEYS:
         assert batch_sparse[name].tobytes() == batch_dense[name].tobytes()
@@ -390,10 +394,63 @@ def test_pagerank_backward_sparse_block_equals_dense_table(monkeypatch):
         plan = model_plan(model, doc)
         scores, cache = pagerank_forward(model, plan)
         _, dscores = document_pair_loss(scores, salience_labels(doc))
-        grads = pagerank_backward(model, plan, cache, dscores)
+        grads = pagerank_backward(model, plan, cache, dscores, ("event_emb",))
         assert_sparse_matches_dense(grads, calls, (plan.rows_v,), tables, batch_dense, batch_sparse)
     assert batch_sparse["event_emb"].tobytes() == batch_dense["event_emb"].tobytes()
     assert batch_dense["event_emb"].any()
+
+
+def test_kce_backward_differentiates_only_the_named_tables():
+    rng = np.random.default_rng(23)
+    docs = repeated_row_docs(rng)
+    evt, ent = repeated_row_tables(rng)
+    model = new_kce_model(default_bank(), evt, ent, fit_scaler(Corpus(tuple(docs)), evt, ent))
+    for name in VARIANT_BLOCKS["full"]:
+        setattr(model, name, rng.normal(0, 0.5, len(getattr(model, name))))
+    # the same model without the entity kernels and the two entity-vote features
+    no_entity_terms = dataclasses.replace(model, w_e=np.zeros_like(model.w_e), w_f=model.w_f * [1, 1, 1, 0, 0])
+    weights = {*VARIANT_BLOCKS["full"], training.BIAS_KEY}
+    fed = 0
+    for doc in docs:
+        plan = model_plan(model, doc)
+        scores, cache = kce_forward(model, plan)
+        _, dscores = document_pair_loss(scores, salience_labels(doc))
+        both = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
+        for tables in [(), ("event_emb",), ("entity_emb",)]:
+            grads = kce_backward(model, plan, cache, dscores, tables)
+            assert grads.keys() == weights | set(tables)
+            for name, grad in grads.items():
+                if name in EMBEDDING_KEYS:
+                    rows, block = grad
+                    assert np.array_equal(rows, both[name][0])
+                    assert block.tobytes() == both[name][1].tobytes()
+                else:
+                    assert grad.tobytes() == both[name].tobytes()
+        # the entity cosines feed the event rows even when the entity table does not train
+        _, alone = kce_backward(no_entity_terms, plan, cache, dscores, ("event_emb",))["event_emb"]
+        fed += not np.array_equal(both["event_emb"][1], alone)
+    assert fed == len(docs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_events", [0, 1])
+def test_pagerank_backward_of_fewer_than_two_events_is_zero(n_events):
+    rng = np.random.default_rng(24)
+    evt = toy_table(["a", "b"], 5, rng)
+    events = tuple(
+        EventMention(id=f"e{i}", head_lemma="a", surface="a", sentence_index=0) for i in range(n_events)
+    )
+    model = PageRankModel(temperature=0.4, combine_lambda=0.3, event_table=evt)
+    plan = model_plan(model, Document(doc_id="small", num_sentences=1, events=events))
+    _, cache = pagerank_forward(model, plan)
+    for dscores in (np.zeros(n_events), -np.ones(n_events), np.ones(n_events)):
+        grads = pagerank_backward(model, plan, cache, dscores, ("event_emb",))
+        assert grads.keys() == {TEMPERATURE_KEY, "event_emb"}
+        (d_temp,) = grads[TEMPERATURE_KEY]
+        assert d_temp == 0.0 and not np.signbit(d_temp)
+        rows, block = grads["event_emb"]
+        assert np.array_equal(rows, np.unique(plan.rows_v))
+        assert block.shape == (len(rows), evt.dim) and not block.any()
 
 
 # --- gradient check ---------------------------------------------------------
@@ -447,7 +504,7 @@ def test_grad_check_single_class_doc_returns_zero():
 # --- training loop ----------------------------------------------------------
 
 
-def small_training_setup(seed=0, n_docs=12, kind="kce"):
+def small_training_setup(seed=0, n_docs=12, kind="kce", variant="full"):
     rng = np.random.default_rng(seed)
     corpus = random_corpus(rng, n_docs=n_docs, n_events=6, n_entities=4, distinct_lemmas=False)
     ev_vocab = build_vocab(corpus, "event_lemma", min_count=1)
@@ -459,7 +516,7 @@ def small_training_setup(seed=0, n_docs=12, kind="kce"):
     scaler = fit_scaler(corpus, evt, ent)
     if kind == "letor":
         return new_letor_model(evt, ent, scaler), corpus
-    return new_kce_model(default_bank(), evt, ent, scaler), corpus
+    return new_kce_model(default_bank(), evt, ent, scaler, variant=variant), corpus
 
 
 def test_train_returns_new_model_and_history():
@@ -521,6 +578,61 @@ def test_train_freeze_embeddings():
     assert trained.w_v.any()  # linear weights still moved
 
 
+def frozen_copy(model):
+    """The model on ``trainable=False`` copies of its tables."""
+    tables = ["event_table"] + (["entity_table"] if isinstance(model, KCEModel) else [])
+    return dataclasses.replace(
+        model, **{name: dataclasses.replace(getattr(model, name), trainable=False) for name in tables}
+    )
+
+
+def trained_bytes(model):
+    """Every trained number of a KCE or PageRank model, as bytes."""
+    if isinstance(model, PageRankModel):
+        numbers = [np.array([model.temperature, model.combine_lambda]), model.event_table.vectors]
+    else:
+        tables = [model.event_table.vectors, model.entity_table.vectors]
+        numbers = [model.w_v, model.w_e, model.w_f, np.array([model.bias]), *tables]
+    return [a.tobytes() for a in numbers]
+
+
+@pytest.mark.parametrize("kind", [*KCE_VARIANTS, "pagerank"])
+def test_frozen_training_does_no_embedding_gradient_work(monkeypatch, kind):
+    if kind == "pagerank":
+        model, corpus = small_training_setup(seed=10, kind="pagerank")
+    else:
+        model, corpus = small_training_setup(seed=10, variant=kind)
+    cfg = TrainConfig(epochs=2, batch_docs=4, seed=0, freeze_embeddings=True)
+    calls = spy_row_sparse(monkeypatch)
+    trained, history = train(model, corpus, corpus, cfg)
+    unfrozen_cfg = dataclasses.replace(cfg, freeze_embeddings=False)
+    want, want_history = train(frozen_copy(model), corpus, corpus, unfrozen_cfg)
+    assert calls == []
+    assert trained_bytes(trained) == trained_bytes(want)
+    assert history == want_history
+    assert trained_bytes(trained) != trained_bytes(model)  # the weights or the temperature moved
+    assert trained.event_table.vectors.tobytes() == model.event_table.vectors.tobytes()
+
+
+def test_new_letor_model_leaves_the_caller_tables_trainable(tmp_path):
+    model, corpus = small_training_setup(seed=11)
+    evt, ent, scaler = model.event_table, model.entity_table, model.scaler
+    letor = new_letor_model(evt, ent, scaler)
+    assert evt.trainable and ent.trainable
+    assert not letor.event_table.trainable and not letor.entity_table.trainable
+    kce = new_kce_model(default_bank(), evt, ent, scaler)
+    kce, _ = train(kce, corpus, corpus, TrainConfig(epochs=2, batch_docs=4))
+    assert kce.event_table.vectors.tobytes() != evt.vectors.tobytes()
+    # the file is the one a letor model built on frozen tables writes
+    save_model(letor, tmp_path / "letor.json")
+    frozen = frozen_copy(model)
+    save_model(new_letor_model(frozen.event_table, frozen.entity_table, scaler), tmp_path / "want.json")
+    text = (tmp_path / "letor.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "want.json").read_text(encoding="utf-8")
+    obj = json.loads(text)
+    assert obj["event_table"]["trainable"] is False and obj["entity_table"]["trainable"] is False
+
+
 def test_train_letor_moves_only_linear_weights():
     model, corpus = small_training_setup(kind="letor")
     before = model.event_table.vectors.copy()
@@ -553,7 +665,8 @@ def test_features_only_matches_letor_reference_bitwise():
         assert np.array_equal(kce_forward(model, plan)[0], want)
         assert np.array_equal(model_scores(model, doc), want)
         pairs = make_pairs(doc, cfg)
-        loss, grads = training._doc_loss_and_grads(model, plan, pairs)
+        tables = tuple(k for k in EMBEDDING_KEYS if k in training._param_arrays(model, False))
+        loss, grads = training._doc_loss_and_grads(model, plan, pairs, tables)
         if len(pairs) == 0:
             assert (loss, grads) == (0.0, None)
             continue
