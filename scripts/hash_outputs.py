@@ -4,9 +4,9 @@
 Synthesizes train/dev/test splits, then trains every model type (kce in its
 three variants, letor, pagerank) twice through the CLI: once with trainable
 embeddings and once with ``freeze_embeddings``.  Prints a Markdown table of
-the sha256 of each model file and of each model's rank JSONL and evaluate
-report, of the same two files for the ``frequency`` and ``location``
-baselines, of evaluate reports with ``--tie-seed`` (both baselines and the
+the sha256 of each model file, of its training history CSV, and of each
+model's rank JSONL and evaluate report, of the same two files for the
+``frequency`` and ``location`` baselines, of evaluate reports with ``--tie-seed`` (both baselines and the
 trainable kce model), and of the trainable kce model's ``intrude`` CSV.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
@@ -119,6 +119,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
                   "--entity-vectors", str(root / "entities.vec")])
             rows.append((f"{name} ({mode}) model", _sha256(model)))
             rows.append((f"{name} ({mode}) model content", _content_sha256(model)))
+            rows.append((f"{name} ({mode}) history CSV", _sha256(Path(f"{model}.history.csv"))))
             seeded = name == "kce" and not freeze
             rows += _ranked_rows(root / f"{name}-{mode}", f"{name} ({mode})", str(model), test, seeded)
             if seeded:

@@ -26,7 +26,7 @@ from .features import fit_scaler
 from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
 from .manifest import write_manifest
-from .metrics import MetricsReport, evaluate, permutation_test
+from .metrics import DEFAULT_KS, MetricsReport, evaluate, permutation_test
 from .models import (
     PageRankModel,
     frequency_scores,
@@ -150,16 +150,20 @@ def _at_least_one(value: int, flag: str) -> None:
         raise DataError(f"{flag} must be >= 1, got {value}")
 
 
-def _finite_scores(scores: np.ndarray, doc_id: str) -> np.ndarray:
-    if not np.all(np.isfinite(scores)):
-        raise NumericError(f"non-finite score for doc {doc_id!r}")
-    return scores
-
-
-def _scorer_for(model_arg: str):
+def _scored_corpus(model_arg: str, corpus_path: str) -> tuple[Corpus, list[np.ndarray]]:
+    """The corpus and each document's scores, every one checked finite before any output is opened."""
     if model_arg in BASELINE_SCORERS:
-        return BASELINE_SCORERS[model_arg]
-    return functools.partial(model_scores, load_model(model_arg))
+        scorer = BASELINE_SCORERS[model_arg]
+    else:
+        scorer = functools.partial(model_scores, load_model(model_arg))
+    corpus = load_corpus(corpus_path)
+    scores = []
+    for doc in corpus.documents:
+        doc_scores = np.asarray(scorer(doc), dtype=np.float64)
+        if not np.all(np.isfinite(doc_scores)):
+            raise NumericError(f"non-finite score for doc {doc.doc_id!r}")
+        scores.append(doc_scores)
+    return corpus, scores
 
 
 def _cmd_annotate(args) -> Run:
@@ -232,11 +236,9 @@ def _cmd_train(args) -> Run:
 
 
 def _cmd_rank(args) -> Run:
-    scorer = _scorer_for(args.model)
-    corpus = load_corpus(args.corpus)
+    corpus, scores_per_doc = _scored_corpus(args.model, args.corpus)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in corpus.documents:
-            scores = _finite_scores(np.asarray(scorer(doc), dtype=np.float64), doc.doc_id)
+        for doc, scores in zip(corpus.documents, scores_per_doc):
             order = ranked_order(scores, [ev.id for ev in doc.events])
             fh.write(
                 json.dumps(
@@ -256,12 +258,7 @@ def _cmd_rank(args) -> Run:
 
 
 def _cmd_evaluate(args) -> Run:
-    scorer = _scorer_for(args.model)
-    corpus = load_corpus(args.corpus)
-    scores = [
-        _finite_scores(np.asarray(scorer(doc), dtype=np.float64), doc.doc_id)
-        for doc in corpus.documents
-    ]
+    corpus, scores = _scored_corpus(args.model, args.corpus)
     report = evaluate(scores, corpus, tie_seed=args.tie_seed)
     report.save(args.out)
     auc_str = "n/a" if report.auc is None else f"{report.auc:.4f}"
@@ -272,7 +269,7 @@ def _cmd_evaluate(args) -> Run:
     return Run([args.model, args.corpus], [args.out])
 
 
-_METRIC_KEYS = {"auc"} | {f"{m}@{k}" for m in ("p", "r") for k in (1, 5, 10)}
+_METRIC_KEYS = {"auc"} | {f"{m}@{k}" for m in ("p", "r") for k in DEFAULT_KS}
 
 
 def _doc_metric(doc, metric: str):

@@ -190,6 +190,11 @@ class PageRankCache:
     norm_freq: np.ndarray  # (n,)
 
 
+def pagerank_mix(norm_freq: np.ndarray, walk: np.ndarray, lam: float) -> np.ndarray:
+    """PageRank scores at frequency/walk mix ``lam``: the model's own, or a candidate one."""
+    return lam * norm_freq + (1.0 - lam) * walk
+
+
 def pagerank_forward(model: PageRankModel, plan: DocPlan) -> tuple[np.ndarray, PageRankCache]:
     n = len(plan.rows_v)
     geo = doc_geometry(plan, model.event_table)
@@ -207,7 +212,7 @@ def pagerank_forward(model: PageRankModel, plan: DocPlan) -> tuple[np.ndarray, P
         transitions = expo / expo.sum(axis=1, keepdims=True)
         walk = transitions.T @ np.full(n, 1.0 / n)
 
-    scores = model.combine_lambda * norm_freq + (1.0 - model.combine_lambda) * walk
+    scores = pagerank_mix(norm_freq, walk, model.combine_lambda)
     cache = PageRankCache(
         rows=geo.rows_v,
         unit=geo.unit_v,

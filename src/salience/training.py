@@ -9,8 +9,10 @@ comes back row-sparse: the sorted unique rows the document references and an
 ``(r, d)`` block of their summed gradients.
 ``train`` plans every document and draws its pairs once per call, scatters
 the blocks into dense per-batch buffers in document order, and Adam updates
-every parameter densely once per batch.  Training is serial and fully seeded
-so identical configurations reproduce bitwise-identical models.
+every parameter densely once per batch.  Each epoch ends in one dev pass, and
+the best epoch is kept as a shallow model copy plus copies of its arrays.
+Training is serial and fully seeded so identical configurations reproduce
+bitwise-identical models.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .models import (
     model_plan,
     model_scores,
     pagerank_forward,
+    pagerank_mix,
     reads_entities,
 )
 
@@ -370,33 +373,26 @@ def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray, tables: tuple[s
 
 
 def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None, float | None]:
+    """The epoch's one pass over dev: (AUC, P@1).  PageRank first moves ``combine_lambda`` to the
+    first ``LAMBDA_GRID`` value with the best dev AUC (ties keep the smaller; with no AUC it stays)."""
     if not dev.documents:
         return None, None
-    scores = []
-    for doc, plan in zip(dev.documents, plans):
-        s = model_scores(model, plan)
-        if not np.all(np.isfinite(s)):
+    if isinstance(model, PageRankModel):
+        caches = (pagerank_forward(model, plan)[1] for plan in plans)
+        parts = [(cache.norm_freq, cache.walk) for cache in caches]  # all caches at once raise peak RSS
+        best_auc = None
+        for lam in LAMBDA_GRID:
+            auc = evaluate([pagerank_mix(*part, lam) for part in parts], dev).auc
+            if auc is not None and (best_auc is None or auc > best_auc):
+                model.combine_lambda, best_auc = lam, auc
+        scores = [pagerank_mix(*part, model.combine_lambda) for part in parts]
+    else:
+        scores = [model_scores(model, plan) for plan in plans]
+    for doc, doc_scores in zip(dev.documents, scores):
+        if not np.all(np.isfinite(doc_scores)):
             raise NumericError(f"non-finite score while evaluating doc {doc.doc_id!r}")
-        scores.append(s)
     report = evaluate(scores, dev)
     return report.auc, report.p_at.get(1)
-
-
-def _tune_pagerank_lambda(
-    model: PageRankModel, dev: Corpus, plans: list[DocPlan]
-) -> tuple[float, float | None]:
-    """Grid-search the frequency/walk mix on dev AUC; ties prefer the smaller mix."""
-    parts = []
-    for plan in plans:
-        _, cache = pagerank_forward(model, plan)
-        parts.append((cache.norm_freq, cache.walk))
-    best_lam, best_auc = model.combine_lambda, None
-    for lam in LAMBDA_GRID:
-        scores = [lam * nf + (1.0 - lam) * walk for nf, walk in parts]
-        auc = evaluate(scores, dev).auc
-        if auc is not None and (best_auc is None or auc > best_auc):
-            best_lam, best_auc = lam, auc
-    return best_lam, best_auc
 
 
 def _check_finite_params(arrays: dict[str, np.ndarray]) -> None:
@@ -427,8 +423,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     history = TrainHistory()
     best_auc: float | None = None
     best_epoch: int | None = None
-    best_snapshot: dict[str, np.ndarray] | None = None
-    best_lambda: float | None = None
+    best_model = best_arrays = None
 
     # The buffers start at +0.0 and a sum never turns +0.0 into -0.0, so the
     # rows a document does not touch need no +0.0 added: skipping them keeps
@@ -459,23 +454,19 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
             _sync_scalar(model, arrays)
         _check_finite_params(arrays)
 
-        if isinstance(model, PageRankModel) and dev.documents:
-            model.combine_lambda, _ = _tune_pagerank_lambda(model, dev, dev_plans)
         dev_auc, dev_p1 = _dev_metrics(model, dev, dev_plans)
         history.rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_auc=dev_auc, dev_p1=dev_p1))
         if dev_auc is not None and (best_auc is None or dev_auc > best_auc):
             best_auc = dev_auc
             best_epoch = epoch
-            best_snapshot = {k: v.copy() for k, v in arrays.items()}
-            if isinstance(model, PageRankModel):
-                best_lambda = model.combine_lambda
+            # the shallow copy keeps this epoch's scalars; it shares the arrays, restored below
+            best_model = copy.copy(model)
+            best_arrays = {k: v.copy() for k, v in arrays.items()}
 
-    if best_snapshot is not None:
+    if best_arrays is not None:
         for name, arr in arrays.items():
-            arr[...] = best_snapshot[name]
-        _sync_scalar(model, arrays)
-        if isinstance(model, PageRankModel) and best_lambda is not None:
-            model.combine_lambda = best_lambda
+            arr[...] = best_arrays[name]
+        model = best_model
     model.meta.update(
         {
             "trained_epochs": cfg.epochs,
@@ -490,12 +481,6 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
 # --- finite-difference verification ------------------------------------------
 
 GRAD_EPS = 1e-8
-
-
-def _kce_loss(model: KCEModel, plan: DocPlan, pairs: np.ndarray) -> float:
-    scores, _ = kce_forward(model, plan)
-    loss, _ = _pair_loss(scores, pairs)
-    return loss
 
 
 def grad_check(
@@ -523,11 +508,9 @@ def grad_check(
         return 0.0
     pairs = _cross_pairs(labels)
     plan = model_plan(model, doc)
-    scores, cache = kce_forward(model, plan)
-    _, dscores = _pair_loss(scores, pairs)
     params = _param_arrays(model, freeze_embeddings=False)
     tables = tuple(name for name in EMBEDDING_KEYS if name in params)
-    analytic = kce_backward(model, plan, cache, dscores, tables)
+    _, analytic = _doc_loss_and_grads(model, plan, pairs, tables)
     for name in tables:
         rows, block = analytic[name]
         analytic[name] = np.zeros_like(params[name])
@@ -554,7 +537,7 @@ def grad_check(
 
     def loss_with_bias_synced() -> float:
         _sync_scalar(model, params)
-        return _kce_loss(model, plan, pairs)
+        return _pair_loss(kce_forward(model, plan)[0], pairs)[0]
 
     worst = 0.0
     for param, grad, coords in blocks:

@@ -12,7 +12,7 @@ from salience import cli
 from salience.cli import main
 from salience.corpus import Corpus, Document, EventMention, load_corpus, save_corpus
 from salience.embeddings import build_vocab
-from salience.metrics import MetricsReport
+from salience.metrics import DEFAULT_KS, MetricsReport
 from salience.models import KCEModel, load_model
 
 SYNTH_CFG = {
@@ -528,6 +528,65 @@ def test_rank_with_a_directory_as_model_exits_two(pipeline, tmp_path, capsys):
     argv = ["rank", "--model", str(tmp_path), "--corpus", str(pipeline["test"]),
             "--out", str(tmp_path / "r.jsonl")]
     _exits_two_with_one_line_error(argv, capsys)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+def test_non_finite_score_exits_three_before_the_output_is_opened(pipeline, kce_model, tmp_path, capsys, command):
+    obj = json.loads(kce_model.read_text(encoding="utf-8"))
+    obj["w_v"] = [1e308] * len(obj["w_v"])  # finite, so the file loads; every score overflows
+    model = tmp_path / "overflow.model.json"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier output\n")
+    code = main([command, "--model", str(model), "--corpus", str(pipeline["test"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    first = load_corpus(pipeline["test"]).documents[0].doc_id
+    assert code == 3
+    assert err.startswith("numeric failure: ") and f"doc {first!r}" in err and "Traceback" not in err
+    assert out.read_bytes() == b"earlier output\n"
+
+
+def _baseline_reports(pipeline, tmp_path, unsalient_docs):
+    """Frequency and location reports on the test corpus after its first ``unsalient_docs``
+    documents lose every salient label; also returns the relabeled documents."""
+    docs = [
+        replace(doc, events=tuple(replace(ev, salient=False) for ev in doc.events)) if i < unsalient_docs else doc
+        for i, doc in enumerate(load_corpus(pipeline["test"]).documents)
+    ]
+    corpus = tmp_path / "relabeled.jsonl"
+    save_corpus(Corpus(tuple(docs)), corpus)
+    reports = []
+    for baseline in ("frequency", "location"):
+        out = tmp_path / f"{baseline}.report.json"
+        assert main(["evaluate", "--model", baseline, "--corpus", str(corpus), "--out", str(out)]) == 0
+        reports.append(out)
+    return docs, reports
+
+
+@pytest.mark.parametrize("metric", ["p@1", "R@10"])
+def test_sigtest_on_precision_or_recall_pairs_the_documents_with_salient_events(pipeline, tmp_path, metric):
+    docs, (freq, loc) = _baseline_reports(pipeline, tmp_path, unsalient_docs=3)
+    out = tmp_path / "sig.json"
+    argv = ["sigtest", "--a", str(freq), "--b", str(loc), "--metric", metric, "--iterations", "200",
+            "--out", str(out)]
+    assert main(argv) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["metric"] == metric.lower()
+    assert result["n_pairs"] == sum(any(ev.salient for ev in doc.events) for doc in docs) == len(docs) - 3
+
+
+def test_sigtest_on_an_unknown_cutoff_lists_the_choices(pipeline, tmp_path, capsys):
+    argv = ["sigtest", "--a", str(pipeline["report"]), "--b", str(pipeline["report"]), "--metric", "p@2",
+            "--out", str(tmp_path / "sig.json")]
+    choices = ["'auc'"] + [f"'{kind}@{k}'" for kind in "pr" for k in DEFAULT_KS]
+    _exits_two_with_one_line_error(argv, capsys, "'p@2'", *choices)
+
+
+def test_sigtest_without_eligible_documents_exits_two(pipeline, tmp_path, capsys):
+    _, (freq, loc) = _baseline_reports(pipeline, tmp_path, unsalient_docs=SYNTH_CFG["docs"])
+    argv = ["sigtest", "--a", str(freq), "--b", str(loc), "--metric", "p@1", "--out", str(tmp_path / "sig.json")]
+    _exits_two_with_one_line_error(argv, capsys, "no documents are eligible")
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from oracles import (
 from salience import training
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
 from salience.embeddings import build_vocab, init_embeddings
-from salience.errors import DataError
+from salience.errors import DataError, NumericError
 from salience.features import fit_scaler, row_groups
 from salience.kernels import default_bank
 from salience.models import (
@@ -481,7 +481,8 @@ def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(step):
 
 def test_grad_check_reports_a_nan_error(monkeypatch):
     model, doc, seed = next(gradcheck_instances(1))
-    monkeypatch.setattr(training, "_kce_loss", lambda *args: math.nan)
+    pair_loss = training._pair_loss
+    monkeypatch.setattr(training, "_pair_loss", lambda scores, pairs: (math.nan, pair_loss(scores, pairs)[1]))
     assert math.isnan(grad_check(model, doc, row_seed=seed))
 
 
@@ -614,6 +615,47 @@ def test_frozen_training_does_no_embedding_gradient_work(monkeypatch, kind):
     assert trained.event_table.vectors.tobytes() == model.event_table.vectors.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["kce", "letor", "pagerank"])
+def test_train_returns_the_best_epoch_model_bitwise(kind):
+    model, corpus = small_training_setup(seed=0, kind=kind)
+    cfg = TrainConfig(epochs=6, learning_rate=0.05, batch_docs=4)
+    trained, _ = train(model, corpus, corpus, cfg)
+    best = trained.meta["best_epoch"]
+    assert best < cfg.epochs  # later epochs ran, and the restore undid them
+    stopped, _ = train(model, corpus, corpus, dataclasses.replace(cfg, epochs=best))
+    assert trained_bytes(trained) == trained_bytes(stopped)
+
+
+def relabeled(corpus, salient):
+    """The corpus with every event's salient flag set to ``salient``."""
+    return Corpus(
+        documents=tuple(
+            dataclasses.replace(doc, events=tuple(dataclasses.replace(ev, salient=salient) for ev in doc.events))
+            for doc in corpus.documents
+        )
+    )
+
+
+def test_train_kce_non_finite_dev_score_raises_naming_the_document():
+    model, corpus = small_training_setup()
+    model = frozen_copy(model)
+    model.w_v[:] = 1e308  # every score overflows to inf: no hinge pair is active, no parameter moves
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+        train(model, corpus, corpus, TrainConfig(epochs=2, batch_docs=4))
+    assert f"doc {corpus.documents[0].doc_id!r}" in str(err.value)
+
+
+def test_train_pagerank_non_finite_dev_score_raises_naming_the_document():
+    model, corpus = small_training_setup(kind="pagerank")
+    model = frozen_copy(model)
+    dev_doc = corpus.documents[-1]
+    model.event_table.vectors[model.event_table.vocabulary.token_to_index[dev_doc.events[0].head_lemma]] = np.nan
+    no_pairs = relabeled(corpus, salient=True)  # the temperature never moves
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        train(model, no_pairs, Corpus(documents=(dev_doc,)), TrainConfig(epochs=2, batch_docs=4))
+    assert f"doc {dev_doc.doc_id!r}" in str(err.value)
+
+
 def test_new_letor_model_leaves_the_caller_tables_trainable(tmp_path):
     model, corpus = small_training_setup(seed=11)
     evt, ent, scaler = model.event_table, model.entity_table, model.scaler
@@ -686,6 +728,28 @@ def test_train_pagerank_tunes_lambda_and_temperature():
     assert trained.temperature > 0.0
     assert trained.temperature != model.temperature  # gradient moved it
     assert len(history.rows) == 2
+
+
+def test_train_pagerank_keeps_lambda_when_no_dev_document_has_both_classes():
+    model, corpus = small_training_setup(kind="pagerank")
+    model.combine_lambda = 0.37  # off the grid
+    dev = relabeled(corpus, salient=True)
+    trained, history = train(model, corpus, dev, TrainConfig(epochs=2, batch_docs=4, seed=0))
+    assert trained.combine_lambda == 0.37
+    assert [r.dev_auc for r in history.rows] == [None, None]
+    assert all(r.dev_p1 is not None for r in history.rows)
+
+
+def test_train_pagerank_lambda_ties_keep_the_smallest_grid_value():
+    model, corpus = small_training_setup(kind="pagerank")
+    model.combine_lambda = 0.37
+    lemma = corpus.documents[0].events[0].head_lemma
+    # one lemma throughout: equal frequencies and a uniform walk, so every mix scores every event alike
+    events = tuple(EventMention(f"e{i}", lemma, "x", 0, salient=i < 2) for i in range(5))
+    dev = Corpus(documents=(Document(doc_id="flat", num_sentences=1, events=events),))
+    trained, history = train(model, corpus, dev, TrainConfig(epochs=2, batch_docs=4, seed=0))
+    assert trained.combine_lambda == 0.0
+    assert [r.dev_auc for r in history.rows] == [0.5, 0.5]
 
 
 def test_train_unlabeled_doc_raises():
