@@ -1,9 +1,11 @@
 """Ranking metrics and the paired randomization significance test.
 
 Precision@k always divides by k; recall@k divides by the number of salient
-events.  AUC follows the Mann-Whitney convention with half credit for tied
-scores, computed exactly by counting each positive's lower and tied negatives
-in the sorted negative scores.  Corpus-level numbers are macro averages over
+events.  Both read one running count of the salient events down a document's
+ranking, so ``evaluate`` counts each document's hits once for all of its ks.
+AUC follows the Mann-Whitney convention with half credit for tied scores,
+computed exactly by counting each positive's lower and tied negatives in the
+sorted negative scores.  Corpus-level numbers are macro averages over
 per-document values; documents without salient events are skipped for
 precision/recall, and AUC additionally requires at least one non-salient
 event.
@@ -24,22 +26,27 @@ from .models import ranked_order
 DEFAULT_KS = (1, 5, 10)
 
 
-def precision_at_k(ranked_labels: Sequence[bool], k: int) -> float:
-    """Fraction of the top k slots holding salient events (missing slots count as misses)."""
+def _hit_counts(ranked_labels: Sequence[bool]) -> list[int]:
+    """``hits[i]``: the salient events among the top i slots, for i = 0 .. n."""
+    return [0, *np.cumsum(np.asarray(ranked_labels, dtype=bool)).tolist()]
+
+
+def _at_k(hits: list[int], k: int) -> tuple[float, float]:
+    """(P@k, R@k) from a ranking's ``_hit_counts``."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    hits = sum(bool(x) for x in ranked_labels[:k])
-    return hits / k
+    top = hits[min(k, len(hits) - 1)]
+    return top / k, (top / hits[-1] if hits[-1] else 0.0)
+
+
+def precision_at_k(ranked_labels: Sequence[bool], k: int) -> float:
+    """Fraction of the top k slots holding salient events (missing slots count as misses)."""
+    return _at_k(_hit_counts(ranked_labels), k)[0]
 
 
 def recall_at_k(ranked_labels: Sequence[bool], k: int) -> float:
     """Fraction of all salient events captured in the top k (0 when none exist)."""
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    total = sum(bool(x) for x in ranked_labels)
-    if total == 0:
-        return 0.0
-    return sum(bool(x) for x in ranked_labels[:k]) / total
+    return _at_k(_hit_counts(ranked_labels), k)[1]
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
@@ -66,6 +73,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     ties = np.searchsorted(neg, pos, "right") - below
     u = below.sum() + 0.5 * ties.sum()
     return float(u / (n_pos * n_neg))
+
+
+def mean_auc(doc_aucs: Sequence[float | None]) -> float | None:
+    """The macro average of per-document AUCs over the documents that have one; None if none has."""
+    present = [value for value in doc_aucs if value is not None]
+    return float(np.mean(present)) if present else None
 
 
 @dataclass(frozen=True)
@@ -234,20 +247,20 @@ def evaluate(
         else:
             order = ranked_order(scores, [ev.id for ev in doc.events])
             auc_scores = scores
-        ranked = labels[order]
+        hits = _hit_counts(labels[order])
+        at_k = {k: _at_k(hits, k) for k in ks}
         per_doc.append(
             DocMetrics(
                 doc_id=doc.doc_id,
                 n_events=len(doc.events),
-                n_salient=int(labels.sum()),
-                p_at={k: precision_at_k(ranked, k) for k in ks},
-                r_at={k: recall_at_k(ranked, k) for k in ks},
+                n_salient=hits[-1],
+                p_at={k: p for k, (p, _) in at_k.items()},
+                r_at={k: r for k, (_, r) in at_k.items()},
                 auc=auc(auc_scores, labels),
             )
         )
 
     pr_docs = [d for d in per_doc if d.n_salient > 0]
-    auc_docs = [d for d in per_doc if d.auc is not None]
     report = MetricsReport(
         ks=ks,
         p_at={
@@ -256,10 +269,10 @@ def evaluate(
         r_at={
             k: float(np.mean([d.r_at[k] for d in pr_docs])) if pr_docs else 0.0 for k in ks
         },
-        auc=float(np.mean([d.auc for d in auc_docs])) if auc_docs else None,
+        auc=mean_auc([d.auc for d in per_doc]),
         n_docs=len(per_doc),
         n_docs_pr=len(pr_docs),
-        n_docs_auc=len(auc_docs),
+        n_docs_auc=sum(d.auc is not None for d in per_doc),
         tie_seed=tie_seed,
         per_doc=per_doc,
     )

@@ -9,8 +9,10 @@ comes back row-sparse: the sorted unique rows the document references and an
 ``(r, d)`` block of their summed gradients.
 ``train`` plans every document and draws its pairs once per call, scatters
 the blocks into dense per-batch buffers in document order, and Adam updates
-every parameter densely once per batch.  Each epoch ends in one dev pass, and
-the best epoch is kept as a shallow model copy plus copies of its arrays.
+every parameter densely once per batch; a document whose training scores are
+not all finite stops training with ``NumericError`` naming it.  Each epoch ends
+in one dev pass, and the best epoch is kept as a shallow model copy plus copies
+of its arrays.
 Training is serial and fully seeded so identical configurations reproduce
 bitwise-identical models.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
 from .features import DocPlan
-from .metrics import evaluate
+from .metrics import auc, evaluate, mean_auc
 from .models import (
     KCE_VARIANTS,
     VARIANT_BLOCKS,
@@ -347,7 +349,7 @@ def pagerank_backward(
     n = len(plan.rows_v)
     g = np.asarray(dscores, dtype=np.float64)
     d_walk = (1.0 - model.combine_lambda) * g
-    d_trans = np.tile(d_walk / n, (n, 1))
+    d_trans = d_walk / n  # every row of d(loss)/d(transitions), broadcast
     trans = cache.transitions
     inner = (trans * d_trans).sum(axis=1, keepdims=True)
     d_logits = trans * (d_trans - inner)
@@ -360,7 +362,8 @@ def pagerank_backward(
     return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
 
 
-def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray, tables: tuple[str, ...]):
+def _doc_loss_and_grads(model, doc_id: str, plan: DocPlan, pairs: np.ndarray, tables: tuple[str, ...]):
+    """The document's hinge loss and gradients; ``NumericError`` naming it if a score is not finite."""
     if len(pairs) == 0:
         return 0.0, None
     if isinstance(model, PageRankModel):
@@ -368,23 +371,27 @@ def _doc_loss_and_grads(model, plan: DocPlan, pairs: np.ndarray, tables: tuple[s
     else:
         forward, backward = kce_forward, kce_backward
     scores, cache = forward(model, plan)
+    if not np.isfinite(scores).all():  # a NaN margin would count as an inactive pair
+        raise NumericError(f"non-finite score while training on doc {doc_id!r}")
     loss, dscores = _pair_loss(scores, pairs)
     return loss, backward(model, plan, cache, dscores, tables)
 
 
 def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None, float | None]:
-    """The epoch's one pass over dev: (AUC, P@1).  PageRank first moves ``combine_lambda`` to the
-    first ``LAMBDA_GRID`` value with the best dev AUC (ties keep the smaller; with no AUC it stays)."""
+    """The epoch's one pass over dev: (AUC, P@1) from one ``evaluate``.  PageRank first moves
+    ``combine_lambda`` to the first ``LAMBDA_GRID`` value with the best dev AUC (ties keep the
+    smaller; with no AUC it stays), computing only that AUC: ``mean_auc`` of each document's ``auc``."""
     if not dev.documents:
         return None, None
     if isinstance(model, PageRankModel):
         caches = (pagerank_forward(model, plan)[1] for plan in plans)
         parts = [(cache.norm_freq, cache.walk) for cache in caches]  # all caches at once raise peak RSS
+        labels = [salience_labels(doc) for doc in dev.documents]
         best_auc = None
         for lam in LAMBDA_GRID:
-            auc = evaluate([pagerank_mix(*part, lam) for part in parts], dev).auc
-            if auc is not None and (best_auc is None or auc > best_auc):
-                model.combine_lambda, best_auc = lam, auc
+            lam_auc = mean_auc([auc(pagerank_mix(*part, lam), y) for part, y in zip(parts, labels)])
+            if lam_auc is not None and (best_auc is None or lam_auc > best_auc):
+                model.combine_lambda, best_auc = lam, lam_auc
         scores = [pagerank_mix(*part, model.combine_lambda) for part in parts]
     else:
         scores = [model_scores(model, plan) for plan in plans]
@@ -430,7 +437,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     # the batch gradient bitwise equal to summing dense per-document tables.
     grads = {k: np.zeros_like(v) for k, v in arrays.items()}
     # nothing a plan or a document's pairs hold depends on the parameters
-    docs = [(model_plan(model, doc), make_pairs(doc, cfg)) for doc in corpus.documents]
+    docs = [(doc.doc_id, model_plan(model, doc), make_pairs(doc, cfg)) for doc in corpus.documents]
     dev_plans = [model_plan(model, doc) for doc in dev.documents]
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(docs))
@@ -510,7 +517,7 @@ def grad_check(
     plan = model_plan(model, doc)
     params = _param_arrays(model, freeze_embeddings=False)
     tables = tuple(name for name in EMBEDDING_KEYS if name in params)
-    _, analytic = _doc_loss_and_grads(model, plan, pairs, tables)
+    _, analytic = _doc_loss_and_grads(model, doc.doc_id, plan, pairs, tables)
     for name in tables:
         rows, block = analytic[name]
         analytic[name] = np.zeros_like(params[name])

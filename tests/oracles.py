@@ -7,7 +7,8 @@ the kernel activations computed with one temporary per operation,
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
 per-row sum of mention gradients accumulated with ``np.add.at``, the
 stand-alone LeToR scorer with its weight gradients, the one-step PageRank
-walk, AUC from average ranks, the intrusion instance built by filtering
+walk, the dev search for its frequency/walk mix through one full ``evaluate``
+per grid value, AUC from average ranks, the intrusion instance built by filtering
 entities sentence by sentence, the intrusion study's scores with every
 standardized feature but frequency zeroed, and the corpus document loader
 that checks one field per call and validates with a message built for every
@@ -22,14 +23,15 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from salience.corpus import Document, EntityMention, EventMention, salience_labels, validate_document
+from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
 from salience.features import FeatureScaler, feature_matrix, scale_matrix
 from salience.intrusion import MIN_ORIGIN_SALIENT, IntrusionConfig, eligible_intruder_events
 from salience.kernels import KernelBank, gaussian_pool
-from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward, model_plan
-from salience.training import TrainConfig, _derived_rng
+from salience.metrics import evaluate
+from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward, model_plan, pagerank_forward
+from salience.training import LAMBDA_GRID, TrainConfig, _derived_rng
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -286,6 +288,19 @@ def pagerank_scores(model: PageRankModel, doc: Document) -> np.ndarray:
     freq = [frequency_feature(ev, doc) for ev in doc.events]
     lam = model.combine_lambda
     return np.array([lam * f / sum(freq) + (1.0 - lam) * w for f, w in zip(freq, walk)])
+
+
+def reference_lambda_search(model: PageRankModel, dev: Corpus) -> float:
+    """The dev search for ``combine_lambda`` as one full ``evaluate`` of the dev corpus per
+    ``LAMBDA_GRID`` value, reading only its AUC: the first value with the best AUC wins, and
+    with no AUC at any value the model's own lambda stays.  Returns the chosen lambda."""
+    caches = [pagerank_forward(model, model_plan(model, doc))[1] for doc in dev.documents]
+    best_lam, best_auc = model.combine_lambda, None
+    for lam in LAMBDA_GRID:
+        value = evaluate([lam * c.norm_freq + (1.0 - lam) * c.walk for c in caches], dev).auc
+        if value is not None and (best_auc is None or value > best_auc):
+            best_lam, best_auc = lam, value
+    return best_lam
 
 
 # --- metrics and intrusion --------------------------------------------------------

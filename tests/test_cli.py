@@ -401,6 +401,22 @@ def test_train_pagerank_nan_temperature_exits_two_before_training(pipeline, tmp_
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_on_non_finite_training_scores_exits_three(pipeline, tmp_path, capsys):
+    """A temperature of 1e-310 passes the model's check, but cosines over it overflow the walk to NaN."""
+    out = tmp_path / "pr.json"
+    argv = ["train", "--model", "pagerank", "--train", str(pipeline["train"]), "--dev", str(pipeline["dev"]),
+            "--out", str(out), "--config", str(pipeline["train_cfg"]), "--dim", "16",
+            "--pagerank-temperature", "1e-310"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    train_ids = {doc.doc_id for doc in load_corpus(pipeline["train"]).documents}
+    assert code == 3
+    assert err.startswith("numeric failure: non-finite score while training on doc ") and "Traceback" not in err
+    assert err.split(" doc ", 1)[1].strip() in {repr(doc_id) for doc_id in train_ids}
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["train", "--model", "nope"]) == 1

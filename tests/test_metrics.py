@@ -11,7 +11,7 @@ from scipy.stats import kstest
 
 from helpers import random_corpus
 from oracles import rank_sum_auc
-from salience.corpus import Corpus, Document, EventMention
+from salience.corpus import Corpus, Document, EventMention, salience_labels
 from salience.errors import DataError
 from salience.metrics import (
     MetricsReport,
@@ -21,6 +21,7 @@ from salience.metrics import (
     precision_at_k,
     recall_at_k,
 )
+from salience.models import ranked_order
 
 
 def pair_count_auc(scores, labels):
@@ -184,6 +185,37 @@ def test_evaluate_macro_averaging_and_eligibility():
     assert report.p_at[1] == 1.0
     # doc a: R@2 = 1/1; doc b: R@2 = 2/3
     assert report.r_at[2] == pytest.approx((1.0 + 2.0 / 3.0) / 2)
+
+
+@pytest.mark.parametrize("tie_seed", [None, 3])
+def test_evaluate_counts_hits_like_naive_slicing_bitwise(tie_seed):
+    rng = np.random.default_rng(12)
+    docs = [labeled_doc("empty", []), labeled_doc("none-salient", [0, 0, 0]), labeled_doc("all-salient", [1] * 5)]
+    for d in range(20):
+        docs.append(labeled_doc(f"d{d}", rng.integers(0, 2, size=int(rng.integers(1, 13))).tolist()))
+    corpus = Corpus(documents=tuple(docs))
+    scores = [np.round(rng.normal(size=len(doc.events)), 1) for doc in docs]  # with ties
+    ks = (1, 3, 5, 10)  # below, equal to and above the event counts
+    report = evaluate(scores, corpus, ks=ks, tie_seed=tie_seed)
+    assert {d.n_events for d in report.per_doc} >= {0, 3, 5}
+    for doc_idx, (doc, doc_scores, got) in enumerate(zip(docs, scores, report.per_doc)):
+        if tie_seed is None:
+            order = ranked_order(doc_scores, [ev.id for ev in doc.events])
+        else:
+            order = ranked_order(doc_scores, rng=np.random.default_rng([tie_seed, doc_idx]))
+        ranked = [bool(x) for x in salience_labels(doc)[order]]
+        total = sum(ranked)
+        assert got.n_salient == total
+        for k in ks:
+            hits = sum(ranked[:k])
+            assert type(got.p_at[k]) is float and got.p_at[k].hex() == (hits / k).hex()
+            assert type(got.r_at[k]) is float and got.r_at[k].hex() == (hits / total if total else 0.0).hex()
+
+
+def test_evaluate_refuses_k_below_one():
+    corpus = Corpus(documents=(labeled_doc("a", [1, 0]),))
+    with pytest.raises(DataError, match="k must be >= 1"):
+        evaluate([np.array([1.0, 2.0])], corpus, ks=(0,))
 
 
 def test_evaluate_requires_matching_lengths():

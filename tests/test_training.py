@@ -15,6 +15,7 @@ from oracles import (
     letor_scores,
     make_pairs_reference,
     pair_loss_reference,
+    reference_lambda_search,
     row_sparse_reference,
 )
 from salience import training
@@ -23,6 +24,7 @@ from salience.embeddings import build_vocab, init_embeddings
 from salience.errors import DataError, NumericError
 from salience.features import fit_scaler, row_groups
 from salience.kernels import default_bank
+from salience.metrics import evaluate
 from salience.models import (
     KCE_VARIANTS,
     VARIANT_BLOCKS,
@@ -38,6 +40,7 @@ from salience.models import (
 )
 from salience.training import (
     EMBEDDING_KEYS,
+    LAMBDA_GRID,
     TEMPERATURE_KEY,
     Adam,
     TrainConfig,
@@ -636,13 +639,40 @@ def relabeled(corpus, salient):
     )
 
 
+def first_trained_doc(corpus, cfg):
+    """The first document with a hinge pair in the first epoch's order: the first one ``train`` scores."""
+    order = np.random.default_rng(cfg.seed).permutation(len(corpus.documents))
+    return next(corpus.documents[i] for i in order if len(make_pairs(corpus.documents[i], cfg)))
+
+
+def test_train_kce_non_finite_training_score_raises_naming_the_document():
+    model, corpus = small_training_setup(seed=0)
+    model.w_v[:] = 1e308  # every score overflows to inf, and inf - inf margins are NaN
+    cfg = TrainConfig(epochs=2, batch_docs=4, freeze_embeddings=True)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+        train(model, corpus, Corpus(()), cfg)
+    assert str(err.value) == f"non-finite score while training on doc {first_trained_doc(corpus, cfg).doc_id!r}"
+
+
+def test_train_pagerank_non_finite_training_score_raises_naming_the_document():
+    model, corpus = small_training_setup(kind="pagerank")
+    model = frozen_copy(model)
+    cfg = TrainConfig(epochs=2, batch_docs=4)
+    doc = first_trained_doc(corpus, cfg)
+    model.event_table.vectors[model.event_table.vocabulary.token_to_index[doc.events[0].head_lemma]] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        train(model, corpus, Corpus(()), cfg)
+    assert str(err.value) == f"non-finite score while training on doc {doc.doc_id!r}"
+
+
 def test_train_kce_non_finite_dev_score_raises_naming_the_document():
     model, corpus = small_training_setup()
     model = frozen_copy(model)
-    model.w_v[:] = 1e308  # every score overflows to inf: no hinge pair is active, no parameter moves
+    model.w_v[:] = 1e308  # every score overflows to inf
+    no_pairs = relabeled(corpus, salient=True)  # so training scores nothing, and only the dev pass sees it
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
-        train(model, corpus, corpus, TrainConfig(epochs=2, batch_docs=4))
-    assert f"doc {corpus.documents[0].doc_id!r}" in str(err.value)
+        train(model, no_pairs, corpus, TrainConfig(epochs=2, batch_docs=4))
+    assert str(err.value) == f"non-finite score while evaluating doc {corpus.documents[0].doc_id!r}"
 
 
 def test_train_pagerank_non_finite_dev_score_raises_naming_the_document():
@@ -708,7 +738,7 @@ def test_features_only_matches_letor_reference_bitwise():
         assert np.array_equal(model_scores(model, doc), want)
         pairs = make_pairs(doc, cfg)
         tables = tuple(k for k in EMBEDDING_KEYS if k in training._param_arrays(model, False))
-        loss, grads = training._doc_loss_and_grads(model, plan, pairs, tables)
+        loss, grads = training._doc_loss_and_grads(model, doc.doc_id, plan, pairs, tables)
         if len(pairs) == 0:
             assert (loss, grads) == (0.0, None)
             continue
@@ -750,6 +780,70 @@ def test_train_pagerank_lambda_ties_keep_the_smallest_grid_value():
     trained, history = train(model, corpus, dev, TrainConfig(epochs=2, batch_docs=4, seed=0))
     assert trained.combine_lambda == 0.0
     assert [r.dev_auc for r in history.rows] == [0.5, 0.5]
+
+
+LAMBDA_CASES = ("random", "single-class documents mixed in", "all tied", "no two-class document", "nan walk")
+
+
+def lambda_search_case(seed):
+    """A PageRank model off the grid and a random dev corpus of the kind ``seed`` picks from ``LAMBDA_CASES``."""
+    kind = LAMBDA_CASES[seed % len(LAMBDA_CASES)]
+    rng = np.random.default_rng([seed, 31])
+    pool = [f"ev{i}" for i in range(int(rng.integers(2, 7)))]
+    docs = []
+    for d in range(int(rng.integers(1, 9))):
+        n = int(rng.integers(0, 10))
+        if kind == "all tied":  # one lemma a document: equal frequencies and a uniform walk
+            n, lemma = n % 5, pool[d % len(pool)]  # the walk of up to 4 events is exactly uniform
+            events = tuple(EventMention(f"e{i}", lemma, "x", 0, salient=bool(rng.integers(0, 2))) for i in range(n))
+            docs.append(Document(doc_id=f"doc-{d}", num_sentences=1, events=events))
+        else:
+            docs.append(random_document(rng, doc_id=f"doc-{d}", n_events=n, n_entities=0, lemma_pool=pool,
+                                        distinct_lemmas=False))
+    if kind in ("single-class documents mixed in", "no two-class document"):
+        every = kind == "no two-class document"
+        docs = [
+            dataclasses.replace(doc, events=tuple(dataclasses.replace(ev, salient=bool(d % 2)) for ev in doc.events))
+            if every or rng.random() < 0.5 else doc
+            for d, doc in enumerate(docs)
+        ]
+    if kind == "nan walk":  # a two-class document with a NaN row: its walk is NaN
+        events = (EventMention("e0", "nan-row", "x", 0, salient=True), EventMention("e1", pool[0], "x", 0, salient=False))
+        docs.insert(int(rng.integers(0, len(docs) + 1)), Document(doc_id="nan", num_sentences=1, events=events))
+    dev = Corpus(documents=tuple(docs))
+    table = init_embeddings(build_vocab(dev, "event_lemma", min_count=1), dim=4, seed=seed)
+    table.vectors[:] = np.round(table.vectors, 1)  # coarse vectors tie some cosines
+    if kind == "nan walk":
+        table.vectors[table.vocabulary.token_to_index["nan-row"]] = np.nan
+    temperature = float(rng.choice([0.05, 0.5, 1.0, 3.0]))
+    return kind, PageRankModel(temperature=temperature, combine_lambda=0.37, event_table=table), dev
+
+
+def float_bits(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dev_lambda_search_matches_the_evaluate_reference_bitwise(seed):
+    kind, model, dev = lambda_search_case(seed)
+    got, want = copy.deepcopy(model), copy.deepcopy(model)
+    plans = [model_plan(got, doc) for doc in dev.documents]
+    with np.errstate(invalid="ignore"):
+        want.combine_lambda = reference_lambda_search(want, dev)
+    if kind == "nan walk":
+        # every mix of a NaN walk scores NaN: the first grid value is taken, and the pass refuses it
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="while evaluating doc 'nan'"):
+            training._dev_metrics(got, dev, plans)
+        assert got.combine_lambda == want.combine_lambda == LAMBDA_GRID[0]
+        return
+    dev_auc, dev_p1 = training._dev_metrics(got, dev, plans)
+    report = evaluate([model_scores(want, doc) for doc in dev.documents], dev)
+    assert got.combine_lambda == want.combine_lambda
+    assert (float_bits(dev_auc), float_bits(dev_p1)) == (float_bits(report.auc), float_bits(report.p_at[1]))
+    if kind == "no two-class document":
+        assert dev_auc is None and got.combine_lambda == model.combine_lambda
+    if kind == "all tied" and dev_auc is not None:
+        assert dev_auc == 0.5 and got.combine_lambda == LAMBDA_GRID[0]
 
 
 def test_train_unlabeled_doc_raises():
