@@ -8,6 +8,9 @@ the sha256 of each model file, of its training history CSV, and of each
 model's rank JSONL and evaluate report, of the same two files for the
 ``frequency`` and ``location`` baselines, of evaluate reports with ``--tie-seed`` (both baselines and the
 trainable kce model), and of the trainable kce model's ``intrude`` CSV.
+Then come the inputs the commands wrote on the way: the three synthesized
+corpora and both vector files, the ``annotate`` output of the test split,
+and the ``sigtest`` JSON of the trainable kce model against ``frequency``.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -127,6 +130,15 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
                 _run(["intrude", "--model", str(model), "--corpus", str(test), "--out", str(curves)]
                      + INTRUDE_ARGS)
                 rows.append((f"{name} ({mode}) intrusion CSV", _sha256(curves)))
+
+    rows += [(f"{split} corpus JSONL", _sha256(path)) for split, path in corpora.items()]
+    rows += [(f"{kind} vector file", _sha256(root / f"{kind}.vec")) for kind in ("events", "entities")]
+    annotated, sigtest = root / "test.annotated.jsonl", root / "sigtest.json"
+    _run(["annotate", "--corpus", str(test), "--out", str(annotated)])
+    rows.append(("test annotate JSONL", _sha256(annotated)))
+    _run(["sigtest", "--a", str(root / "kce-trainable.report.json"), "--b", str(root / "frequency.report.json"),
+          "--out", str(sigtest)])
+    rows.append(("kce (trainable) vs frequency sigtest JSON", _sha256(sigtest)))
     return rows
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from . import __version__
 from .annotate import FilterConfig, corpus_stats, filter_candidates, label_salience, load_filter_config
 from .corpus import Corpus, load_corpus, salience_labels, save_corpus
 from .embeddings import build_vocab, init_embeddings, save_word_vectors, vocab_to_json
-from .errors import DataError, NumericError, SalienceError, read_json, write_json
+from .errors import DataError, NumericError, SalienceError, read_json, write_json, write_jsonl
 from .features import fit_scaler
 from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
@@ -237,22 +236,14 @@ def _cmd_train(args) -> Run:
 
 def _cmd_rank(args) -> Run:
     corpus, scores_per_doc = _scored_corpus(args.model, args.corpus)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+
+    def rows():
         for doc, scores in zip(corpus.documents, scores_per_doc):
             order = ranked_order(scores, [ev.id for ev in doc.events])
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "ranking": [
-                            {"event_id": doc.events[i].id, "score": float(scores[i])} for i in order
-                        ],
-                    },
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
-            )
-            fh.write("\n")
+            ranking = [{"event_id": doc.events[i].id, "score": float(scores[i])} for i in order]
+            yield {"doc_id": doc.doc_id, "ranking": ranking}
+
+    write_jsonl(rows(), args.out)
     print(f"ranked {len(corpus.documents)} documents")
     return Run([args.model, args.corpus], [args.out])
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, is_int, read_lines
+from .errors import DataError, is_int, read_lines, write_jsonl
 
 SPLIT_TAGS = ("train", "dev", "test", "unsplit")
 
@@ -292,7 +292,4 @@ def load_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write JSONL with a fixed key order so equal corpora produce identical bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in corpus.documents:
-            fh.write(json.dumps(document_to_json(doc), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    write_jsonl(map(document_to_json, corpus.documents), path)

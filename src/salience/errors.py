@@ -1,8 +1,12 @@
 """Exception types shared across the toolkit, the readers that turn a file
-that is not UTF-8 or not valid JSON into them, the one indented JSON writer,
-and the JSON type predicates that the file loaders use to raise them."""
+that is not UTF-8 or not valid JSON into them, the one writer of each output
+format (indented JSON, compact JSON lines, CSV), and the JSON type predicates
+that the file loaders use to raise them."""
 from __future__ import annotations
 
+import csv
+import functools
+import itertools
 import json
 import math
 import sys
@@ -48,6 +52,25 @@ def write_json(obj, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(obj, ensure_ascii=False, indent=2, default=str))
         fh.write("\n")
+
+
+def write_jsonl(rows, path: str | Path) -> None:
+    """Write each of ``rows`` as one compact UTF-8 JSON line; a first row that fails leaves no file."""
+    # one json.dumps call per row takes the C encoder; map frees a row that ``rows`` builds once encoded
+    lines = map(functools.partial(json.dumps, ensure_ascii=False, separators=(",", ":")), rows)
+    first = list(itertools.islice(lines, 1))  # encoded before the file is opened
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in itertools.chain(first, lines):
+            fh.write(line)
+            fh.write("\n")
+
+
+def write_csv(header: list[str], rows, path: str | Path) -> None:
+    """Write ``header`` and then each of ``rows`` as UTF-8 CSV with the ``csv`` module's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def is_int(val) -> bool:

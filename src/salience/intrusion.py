@@ -21,7 +21,6 @@ mixes in.  The mixed ``Document`` itself is built only when a scorer reads it.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -33,7 +32,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
 from .embeddings import normalized_rows
-from .errors import DataError
+from .errors import DataError, write_csv
 from .features import DocPlan, lemma_codes, lemma_counts, make_plan
 from .metrics import auc as auc_metric
 from .models import KCE_VARIANTS, KCEModel, model_scores, plan_vocabularies
@@ -233,13 +232,14 @@ class StudyResult:
     rows: list[FractionResult]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fraction", "auc", "sa_auc", "frequency_sa_auc", "n_pairs"])
-            for row in self.rows:
-                writer.writerow(
-                    [row.fraction, repr(row.auc), repr(row.sa_auc), repr(row.frequency_sa_auc), row.n_pairs]
-                )
+        write_csv(
+            ["fraction", "auc", "sa_auc", "frequency_sa_auc", "n_pairs"],
+            (
+                [row.fraction, repr(row.auc), repr(row.sa_auc), repr(row.frequency_sa_auc), row.n_pairs]
+                for row in self.rows
+            ),
+            path,
+        )
 
 
 def run_study_with_scorer(

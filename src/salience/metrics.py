@@ -9,11 +9,15 @@ sorted negative scores.  Corpus-level numbers are macro averages over
 per-document values; documents without salient events are skipped for
 precision/recall, and AUC additionally requires at least one non-salient
 event.
+
+A ``MetricsReport`` is saved by ``errors.write_json`` as ``dataclasses.asdict``
+with string k-keys, and loaded from the fields that ``_REPORT_FIELDS`` and
+``_DOC_FIELDS`` name and check; any other key is ignored.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -132,27 +136,8 @@ class MetricsReport:
     per_doc: list[DocMetrics] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "ks": list(self.ks),
-            "p_at": {str(k): v for k, v in self.p_at.items()},
-            "r_at": {str(k): v for k, v in self.r_at.items()},
-            "auc": self.auc,
-            "n_docs": self.n_docs,
-            "n_docs_pr": self.n_docs_pr,
-            "n_docs_auc": self.n_docs_auc,
-            "tie_seed": self.tie_seed,
-            "per_doc": [
-                {
-                    "doc_id": d.doc_id,
-                    "n_events": d.n_events,
-                    "n_salient": d.n_salient,
-                    "p_at": {str(k): v for k, v in d.p_at.items()},
-                    "r_at": {str(k): v for k, v in d.r_at.items()},
-                    "auc": d.auc,
-                }
-                for d in self.per_doc
-            ],
-        }
+        """The report's fields in declaration order, each k-keyed dict keyed by strings and ``ks`` a list."""
+        return {**asdict(self, dict_factory=_string_keys), "ks": list(self.ks)}
 
     def save(self, path: str | Path) -> None:
         write_json(self.to_json(), path)
@@ -169,35 +154,16 @@ class MetricsReport:
         obj = {"tie_seed": None, "per_doc": [], **obj}  # the two fields that may be absent
         check_fields(obj, _REPORT_FIELDS)
         _check_finite_metrics(obj, "")
-        seen: set[str] = set()
+        per_doc: dict[str, DocMetrics] = {}
         for i, d in enumerate(obj["per_doc"]):
             prefix = f"per_doc[{i}]."
             check_fields(d, _DOC_FIELDS, prefix)
             _check_finite_metrics(d, prefix)
-            if d["doc_id"] in seen:
+            if d["doc_id"] in per_doc:
                 raise DataError(f"field {prefix}doc_id repeats doc_id {d['doc_id']!r}")
-            seen.add(d["doc_id"])
-        return MetricsReport(
-            ks=tuple(obj["ks"]),
-            p_at={int(k): v for k, v in obj["p_at"].items()},
-            r_at={int(k): v for k, v in obj["r_at"].items()},
-            auc=obj["auc"],
-            n_docs=obj["n_docs"],
-            n_docs_pr=obj["n_docs_pr"],
-            n_docs_auc=obj["n_docs_auc"],
-            tie_seed=obj["tie_seed"],
-            per_doc=[
-                DocMetrics(
-                    doc_id=d["doc_id"],
-                    n_events=d["n_events"],
-                    n_salient=d["n_salient"],
-                    p_at={int(k): v for k, v in d["p_at"].items()},
-                    r_at={int(k): v for k, v in d["r_at"].items()},
-                    auc=d["auc"],
-                )
-                for d in obj["per_doc"]
-            ],
-        )
+            per_doc[d["doc_id"]] = DocMetrics(**_fields_of(d, _DOC_FIELDS))
+        fields = _fields_of(obj, _REPORT_FIELDS)
+        return MetricsReport(**{**fields, "ks": tuple(obj["ks"]), "per_doc": list(per_doc.values())})
 
     @staticmethod
     def load(path: str | Path) -> "MetricsReport":
@@ -206,6 +172,19 @@ class MetricsReport:
             return MetricsReport.from_json(obj)
         except (DataError, NumericError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
+
+
+def _string_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``asdict``'s dict factory: the k-keyed dicts get string keys, as JSON object keys are strings."""
+    return {name: {str(k): x for k, x in v.items()} if isinstance(v, dict) else v for name, v in pairs}
+
+
+def _fields_of(obj: dict, rules: dict) -> dict:
+    """The fields of the JSON object ``obj`` that ``rules`` names, k-keyed dicts keyed by integers again."""
+    return {
+        name: {int(k): x for k, x in obj[name].items()} if rule is _AT_K else obj[name]
+        for name, rule in rules.items()
+    }
 
 
 def _check_finite_metrics(obj: dict, prefix: str) -> None:

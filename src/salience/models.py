@@ -11,17 +11,18 @@
 * frequency / location baselines.
 
 Model files are single JSON documents, so every model is self-contained for
-scoring.  ``save_model`` writes model file version 2: header fields, weights,
-kernel bank, feature scaler, vocabularies and ``meta`` are plain JSON, and each
-embedding table's ``vectors`` is a base64 string of its row-major
-little-endian float64 bytes, which round-trip exactly and decode in one pass.
-``load_model`` reads version 2 only: it refuses any other version, and checks
-every field's presence and type before use, raising ``ModelFormatError``
-naming the field.
+scoring.  ``save_model`` writes model file version 2, one line through
+``errors.write_jsonl``: each embedding table's ``vectors`` is a base64 string
+of its row-major little-endian float64 bytes, which round-trip exactly and
+decode in one pass, and every other field is plain JSON.  ``_FIELDS`` holds
+each record type's fields, in the order ``save_model`` writes them, with the
+rules ``load_model`` checks (``ModelFormatError`` naming the field).  One walk
+over its number fields raises ``NumericError`` naming a non-finite one, on
+the record about to be saved and on a loaded one before any range or shape
+check.  ``load_model`` reads version 2 only.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +33,7 @@ import numpy as np
 from .corpus import Document
 from .embeddings import EmbeddingTable, table_from_json, table_to_json
 from .errors import DataError, ModelFormatError, NumericError, check_fields, is_int, is_number, read_json
+from .errors import write_jsonl
 from .features import (
     DocGeometry,
     DocPlan,
@@ -261,63 +263,14 @@ _BLOCK_NAMES = {"w_v": "event-kernel", "w_e": "entity-kernel", "w_f": "feature"}
 
 
 def _check_blocks(variant: str, weights: dict[str, np.ndarray]) -> None:
-    """Every weight block is finite, and zero where the variant does not score with it."""
+    """Every weight block is zero where the variant does not score with it."""
     for name, arr in weights.items():
         if name not in VARIANT_BLOCKS[variant] and np.any(arr != 0.0):
             raise ModelFormatError(f"variant {variant} requires zero {name} ({_BLOCK_NAMES[name]}) weights")
-        _check_finite(name, arr)
 
 
-def _model_to_json(model) -> dict:
-    if isinstance(model, KCEModel):
-        _check_blocks(model.variant, {"w_v": model.w_v, "w_e": model.w_e, "w_f": model.w_f})
-        _check_finite("bias", np.array([model.bias]))
-        _check_finite("event_table", model.event_table.vectors)
-        _check_finite("entity_table", model.entity_table.vectors)
-        if model.variant == "features_only":  # stored as the LeToR record it always was
-            head = {"model_type": "letor"}
-        else:
-            head = {
-                "model_type": "kce",
-                "variant": model.variant,
-                "bank": bank_to_json(model.bank),
-                "w_v": model.w_v.tolist(),
-                "w_e": model.w_e.tolist(),
-            }
-        return {
-            "version": MODEL_FILE_VERSION,
-            **head,
-            "w_f": model.w_f.tolist(),
-            "bias": model.bias,
-            "scaler": scaler_to_json(model.scaler),
-            "event_table": table_to_json(model.event_table),
-            "entity_table": table_to_json(model.entity_table),
-            "meta": model.meta,
-        }
-    if isinstance(model, PageRankModel):
-        _check_finite("temperature", np.array([model.temperature]))
-        _check_finite("combine_lambda", np.array([model.combine_lambda]))
-        _check_finite("event_table", model.event_table.vectors)
-        return {
-            "version": MODEL_FILE_VERSION,
-            "model_type": "pagerank",
-            "temperature": model.temperature,
-            "combine_lambda": model.combine_lambda,
-            "event_table": table_to_json(model.event_table),
-            "meta": model.meta,
-        }
-    raise DataError(f"cannot serialize object of type {type(model).__name__}")
-
-
-def save_model(model, path: str | Path) -> None:
-    # one json.dumps call takes the C encoder; json.dump streams through the Python one
-    text = json.dumps(_model_to_json(model), ensure_ascii=False, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
-# Rules for check_fields: a nested dict of fields or a (predicate, description) pair.
+# Each record's fields, in the order save_model writes them, with their rules for check_fields:
+# a nested dict of fields or a (predicate, description) pair.
 _NUMBER = (is_number, "a number")
 _NUMBERS = (lambda v: isinstance(v, list) and all(map(is_number, v)), "a list of numbers")
 _TABLE = {
@@ -329,28 +282,64 @@ _TABLE = {
     "trainable": (lambda v: isinstance(v, bool), "true or false"),
     "vectors": (lambda v: True, "present"),  # decoded and checked by table_from_json
 }
-_SCALER = {"means": _NUMBERS, "stds": _NUMBERS}
+_LETOR = {
+    "w_f": _NUMBERS,
+    "bias": _NUMBER,
+    "scaler": {"means": _NUMBERS, "stds": _NUMBERS},
+    "event_table": _TABLE,
+    "entity_table": _TABLE,
+}
 _FIELDS = {
     "kce": {
         "variant": (lambda v: v in KCE_VARIANTS, f"one of {KCE_VARIANTS}"),
         "bank": {"means": _NUMBERS, "sigmas": _NUMBERS},
         "w_v": _NUMBERS,
         "w_e": _NUMBERS,
-        "w_f": _NUMBERS,
-        "bias": _NUMBER,
-        "scaler": _SCALER,
-        "event_table": _TABLE,
-        "entity_table": _TABLE,
+        **_LETOR,  # a kce record is the letor record after its kernel fields
     },
-    "letor": {
-        "w_f": _NUMBERS,
-        "bias": _NUMBER,
-        "scaler": _SCALER,
-        "event_table": _TABLE,
-        "entity_table": _TABLE,
-    },
+    "letor": _LETOR,
     "pagerank": {"temperature": _NUMBER, "combine_lambda": _NUMBER, "event_table": _TABLE},
 }
+_TO_JSON = {"bank": bank_to_json, "scaler": scaler_to_json}
+
+
+def _check_finite_fields(obj: dict, rules: dict, prefix: str = "") -> None:
+    """Refuse a non-finite value in any number field of the record ``obj``, nested ones included."""
+    for key, rule in rules.items():
+        if isinstance(rule, dict):
+            _check_finite_fields(obj[key], rule, f"{prefix}{key}.")
+        elif rule is _NUMBER or rule is _NUMBERS:
+            _check_finite(prefix + key, np.asarray(obj[key], dtype=np.float64))
+
+
+def _model_to_json(model) -> dict:
+    """The model's record, keys in ``_FIELDS`` order, with every number and table vector checked finite."""
+    if isinstance(model, KCEModel):
+        _check_blocks(model.variant, {"w_v": model.w_v, "w_e": model.w_e, "w_f": model.w_f})
+        # features_only is stored as the LeToR record it always was
+        model_type = "letor" if model.variant == "features_only" else "kce"
+    elif isinstance(model, PageRankModel):
+        model_type = "pagerank"
+    else:
+        raise DataError(f"cannot serialize object of type {type(model).__name__}")
+    rules = _FIELDS[model_type]
+    fields = {}
+    for key, rule in rules.items():
+        value = getattr(model, key)
+        if rule is _TABLE:  # called by name, so perfbench sees the call through the name it rebinds
+            _check_finite(key, value.vectors)
+            fields[key] = table_to_json(value)
+        elif key in _TO_JSON:
+            fields[key] = _TO_JSON[key](value)
+        else:
+            fields[key] = value.tolist() if rule is _NUMBERS else value
+    _check_finite_fields(fields, rules)
+    return {"version": MODEL_FILE_VERSION, "model_type": model_type, **fields, "meta": model.meta}
+
+
+def save_model(model, path: str | Path) -> None:
+    # built inside write_jsonl's map: checked before the file is opened, freed before it is written
+    write_jsonl(map(_model_to_json, [model]), path)
 
 
 def _built(name: str, build, value):
@@ -372,21 +361,14 @@ def _table_checked(obj: dict, name: str) -> EmbeddingTable:
     return table
 
 
-def _check_finite_parts(obj: dict, name: str, parts: tuple[str, ...]) -> None:
-    """Refuse a non-finite number in the lists ``obj[name][part]``, before any range check reads them."""
-    for part in parts:
-        _check_finite(f"{name}.{part}", np.asarray(obj[name][part], dtype=np.float64))
-
-
 def _model_from_json(obj: dict):
     model_type = obj["model_type"]
     check_fields(obj, _FIELDS[model_type], error=ModelFormatError)
+    _check_finite_fields(obj, _FIELDS[model_type])
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("field meta must be an object")
     if model_type == "pagerank":
-        _check_finite("temperature", np.array([obj["temperature"]], dtype=np.float64))
-        _check_finite("combine_lambda", np.array([obj["combine_lambda"]], dtype=np.float64))
         check_fields(obj, _PAGERANK_RANGES, error=ModelFormatError)
         return PageRankModel(
             temperature=float(obj["temperature"]),
@@ -397,9 +379,6 @@ def _model_from_json(obj: dict):
     w_f = np.asarray(obj["w_f"], dtype=np.float64)
     if w_f.shape != (N_FEATURES,):
         raise ModelFormatError(f"field w_f must hold {N_FEATURES} weights")
-    _check_finite("w_f", w_f)
-    _check_finite("bias", np.array([obj["bias"]], dtype=np.float64))
-    _check_finite_parts(obj, "scaler", ("means", "stds"))
     shared = dict(
         bias=float(obj["bias"]),
         event_table=_table_checked(obj, "event_table"),
@@ -412,7 +391,6 @@ def _model_from_json(obj: dict):
         w_v, w_e, variant = np.zeros(bank.size), np.zeros(bank.size), "features_only"
     else:
         variant = obj["variant"]
-        _check_finite_parts(obj, "bank", ("means", "sigmas"))
         bank = _built("bank", bank_from_json, obj["bank"])
         w_v = np.asarray(obj["w_v"], dtype=np.float64)
         w_e = np.asarray(obj["w_e"], dtype=np.float64)

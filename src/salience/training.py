@@ -19,7 +19,6 @@ bitwise-identical models.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, Document, salience_labels
-from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int
+from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, write_csv
 from .features import DocPlan
 from .metrics import auc, evaluate, mean_auc
 from .models import (
@@ -94,18 +93,14 @@ class TrainHistory:
     rows: list[EpochStats] = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "dev_auc", "dev_p1"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.epoch,
-                        repr(row.loss),
-                        "" if row.dev_auc is None else repr(row.dev_auc),
-                        "" if row.dev_p1 is None else repr(row.dev_p1),
-                    ]
-                )
+        write_csv(
+            ["epoch", "loss", "dev_auc", "dev_p1"],
+            (
+                [row.epoch, repr(row.loss), *("" if v is None else repr(v) for v in (row.dev_auc, row.dev_p1))]
+                for row in self.rows
+            ),
+            path,
+        )
 
 
 def _pair_loss(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:

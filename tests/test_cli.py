@@ -528,6 +528,30 @@ def test_sigtest_on_non_finite_report_exits_three(pipeline, tmp_path, capsys, ed
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tie_seed", [None, 7])
+def test_cli_written_report_round_trips_byte_for_byte(pipeline, tmp_path, tie_seed):
+    report, again = tmp_path / "written.report.json", tmp_path / "again.report.json"
+    argv = ["evaluate", "--model", str(pipeline["model"]), "--corpus", str(pipeline["test"]), "--out", str(report)]
+    assert main(argv + ([] if tie_seed is None else ["--tie-seed", str(tie_seed)])) == 0
+    MetricsReport.load(report).save(again)
+    assert again.read_bytes() == report.read_bytes()
+
+
+def test_sigtest_ignores_unknown_report_and_document_keys(pipeline, tmp_path, capsys):
+    def add_unknown_keys(obj):
+        obj["comment"] = "written by hand"
+        obj["per_doc"][0]["note"] = {"reviewed": True}
+
+    report = _edited_report(pipeline, tmp_path, add_unknown_keys)
+    out = tmp_path / "sig.json"
+    code = main(["sigtest", "--a", str(report), "--b", str(pipeline["report"]), "--iterations", "50",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0 and "Traceback" not in err, err
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["mean_a"] == result["mean_b"] and result["p_value"] == 1.0
+
+
 def test_sigtest_on_repeated_doc_id_exits_two(pipeline, tmp_path, capsys):
     def repeat_first(obj):
         obj["per_doc"][1]["doc_id"] = obj["per_doc"][0]["doc_id"]

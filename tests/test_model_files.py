@@ -186,6 +186,13 @@ def _shorten_vectors(obj):
     obj["event_table"]["vectors"] = base64.b64encode(raw[:-8]).decode("ascii")
 
 
+def _nan_vector(obj):
+    """Overwrite the second float64 of the event table's vectors with a NaN, in place in the base64 bytes."""
+    raw = bytearray(base64.b64decode(obj["event_table"]["vectors"]))
+    raw[8:16] = np.array([np.nan], dtype="<f8").tobytes()
+    obj["event_table"]["vectors"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
 def _version_1(mutate):
     """The retired version-1 layout (each table's vectors as nested JSON lists), then ``mutate``."""
 
@@ -282,6 +289,13 @@ CASES = [
     ("scaler-mean-infinity", WEIGHTED, _put("scaler", "means", 1, -INF), "m.json: model field scaler.means", 3),
     ("scaler-std-infinity", WEIGHTED, _put("scaler", "stds", 1, INF), "m.json: model field scaler.stds", 3),
     ("scaler-std-nan", WEIGHTED, _put("scaler", "stds", 1, NAN), "m.json: model field scaler.stds", 3),
+    ("w_f-nan", WEIGHTED, _put("w_f", 2, NAN), "m.json: model field w_f", 3),
+    ("w_v-infinity", ("kce",), _put("w_v", 4, INF), "m.json: model field w_v", 3),
+    ("w_e-nan", ("kce",), _put("w_e", 0, NAN), "m.json: model field w_e", 3),
+    ("bias-infinity", WEIGHTED, _set("bias", -INF), "m.json: model field bias", 3),
+    ("temperature-nan", ("pagerank",), _set("temperature", NAN), "m.json: model field temperature", 3),
+    ("lambda-infinity", ("pagerank",), _set("combine_lambda", INF), "m.json: model field combine_lambda", 3),
+    ("vectors-nan-bytes", None, _nan_vector, "m.json: model field event_table", 3),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -362,13 +363,43 @@ def test_load_model_rejects_nonzero_frozen_blocks(tmp_path):
             load_model(path)
 
 
-def test_save_model_rejects_non_finite(tmp_path):
-    rng = np.random.default_rng(37)
-    doc = random_document(rng, n_events=3, n_entities=2)
-    model = build_kce(rng, doc)
-    model.w_v[0] = np.nan
-    with pytest.raises(NumericError):
+def _model_of_type(model_type, rng):
+    """A kce (full), letor or pagerank model with finite values in every number field."""
+    kce = build_kce(rng, random_document(rng, n_events=3, n_entities=2))
+    if model_type == "kce":
+        return kce
+    if model_type == "letor":
+        letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
+        letor.w_f[:] = rng.normal(size=5)
+        return letor
+    return PageRankModel(temperature=0.9, combine_lambda=0.3, event_table=kce.event_table)
+
+
+_WEIGHTED_FIELDS = ("w_f", "bias", "scaler.means", "scaler.stds", "event_table", "entity_table")
+# Every number field of the three records, as (model type, field the error names)
+NUMBER_FIELDS = [
+    *(("kce", name) for name in ("bank.means", "bank.sigmas", "w_v", "w_e", *_WEIGHTED_FIELDS)),
+    *(("letor", name) for name in _WEIGHTED_FIELDS),
+    *(("pagerank", name) for name in ("temperature", "combine_lambda", "event_table")),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "minus-infinity"])
+@pytest.mark.parametrize("model_type,field", NUMBER_FIELDS, ids=lambda v: v)
+def test_save_model_rejects_non_finite(tmp_path, model_type, field, bad):
+    """save_model refuses every non-finite number that load_model would refuse, naming it, and writes no file."""
+    model = _model_of_type(model_type, np.random.default_rng(37))
+    *owners, name = (field + ".vectors" if field.endswith("_table") else field).split(".")
+    owner = model
+    for attr in owners:
+        owner = getattr(owner, attr)
+    if isinstance(getattr(owner, name), np.ndarray):
+        getattr(owner, name).flat[1] = bad
+    else:
+        setattr(owner, name, bad)
+    with pytest.raises(NumericError, match=rf"model field {re.escape(field)} contains non-finite values"):
         save_model(model, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_save_model_rejects_weights_the_variant_does_not_hold(tmp_path):
