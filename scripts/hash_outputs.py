@@ -9,8 +9,16 @@ model's rank JSONL and evaluate report, of the same two files for the
 ``frequency`` and ``location`` baselines, of evaluate reports with ``--tie-seed`` (both baselines and the
 trainable kce model), and of the trainable kce model's ``intrude`` CSV.
 Then come the inputs the commands wrote on the way: the three synthesized
-corpora and both vector files, the ``annotate`` output of the test split,
-and the ``sigtest`` JSON of the trainable kce model against ``frequency``.
+corpora and both vector files, the ``annotate`` output of the test split
+with its labels stripped and a filter config that drops some of its event
+lemmas, and the ``sigtest`` JSON of the trainable kce model against
+``frequency``.  Last come the rank JSONL of the trainable kce model saved
+again with its kernel bank, ``w_v`` and ``w_e`` cut to the one and to the
+two kernels whose means lie nearest 0: a lone kernel is where numpy changes
+how it sums.  Those kernels pool most of the mass of this corpus's
+cosines; the exact-match kernel's activations are almost all exactly 0.0,
+and a far kernel's are too small to reach a score's bits, so a bank cut to
+either would hash the same whatever order the sums take.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -33,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from salience.cli import main
-from salience.models import load_model
+from salience.kernels import KernelBank
+from salience.models import load_model, save_model
 
 SYNTH_CFG = {
     "docs": 40,
@@ -49,6 +58,7 @@ MODELS = ("kce", "kce-e", "kce-ef", "letor", "pagerank")
 BASELINES = ("frequency", "location")
 TIE_SEED = 13
 INTRUDE_ARGS = ["--kind", "nonsalient", "--pairs", "20", "--seed", "4", "--fractions", "0.5,1.0"]
+CUT_BANKS = (1, 2)
 
 
 def _run(argv: list[str]) -> None:
@@ -93,6 +103,30 @@ def _ranked_rows(stem: Path, label: str, model: str, test: Path, tie_seed: bool)
     return rows
 
 
+def _cut_bank(model_path: Path, size: int, out: Path) -> None:
+    """The kce model saved again with its bank, ``w_v`` and ``w_e`` cut to the ``size`` kernels
+    whose means lie nearest 0, in bank order."""
+    model = load_model(model_path)
+    keep = np.sort(np.argsort(np.abs(model.bank.means), kind="stable")[:size])
+    bank = KernelBank(means=model.bank.means[keep], sigmas=model.bank.sigmas[keep])
+    save_model(dataclasses.replace(model, bank=bank, w_v=model.w_v[keep], w_e=model.w_e[keep]), out)
+
+
+def _unlabeled_with_filter(test: Path, root: Path) -> tuple[Path, Path]:
+    """The test split with every salient flag set to null, and a filter config whose light
+    verbs are the lemmas of the first document's first salient and first non-salient event."""
+    docs = [json.loads(line) for line in test.read_text(encoding="utf-8").splitlines()]
+    for doc in docs:
+        for ev in doc["events"]:
+            ev["salient"] = None
+    unlabeled, filter_cfg = root / "test.unlabeled.jsonl", root / "filter.json"
+    unlabeled.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    first = json.loads(test.read_text(encoding="utf-8").splitlines()[0])["events"]
+    dropped = [next(ev["head_lemma"] for ev in first if ev["salient"] is flag) for flag in (True, False)]
+    filter_cfg.write_text(json.dumps({"light_verbs": dropped}), encoding="utf-8")
+    return unlabeled, filter_cfg
+
+
 def hash_outputs(root: Path) -> list[tuple[str, str]]:
     synth_cfg = root / "synth.json"
     synth_cfg.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
@@ -134,11 +168,18 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
     rows += [(f"{split} corpus JSONL", _sha256(path)) for split, path in corpora.items()]
     rows += [(f"{kind} vector file", _sha256(root / f"{kind}.vec")) for kind in ("events", "entities")]
     annotated, sigtest = root / "test.annotated.jsonl", root / "sigtest.json"
-    _run(["annotate", "--corpus", str(test), "--out", str(annotated)])
+    unlabeled, filter_cfg = _unlabeled_with_filter(test, root)
+    _run(["annotate", "--corpus", str(unlabeled), "--out", str(annotated), "--filter-config", str(filter_cfg)])
     rows.append(("test annotate JSONL", _sha256(annotated)))
     _run(["sigtest", "--a", str(root / "kce-trainable.report.json"), "--b", str(root / "frequency.report.json"),
           "--out", str(sigtest)])
     rows.append(("kce (trainable) vs frequency sigtest JSON", _sha256(sigtest)))
+    for size in CUT_BANKS:
+        cut = root / f"kce-trainable-{size}k.model.json"
+        _cut_bank(root / "kce-trainable.model.json", size, cut)
+        ranks = root / f"kce-trainable-{size}k.ranks.jsonl"
+        _run(["rank", "--model", str(cut), "--corpus", str(test), "--out", str(ranks)])
+        rows.append((f"kce (trainable), {size}-kernel bank rank JSONL", _sha256(ranks)))
     return rows
 
 

@@ -70,8 +70,11 @@ class DocPlan:
 
     @cached_property
     def groups(self) -> tuple:
-        """``row_groups`` of the event rows and of the entity rows, for the row-sparse gradients."""
-        return row_groups(self.rows_v), row_groups(self.rows_e)
+        """``row_groups`` of the event rows and of the entity rows, for the row-sparse gradients.
+        An empty row array (every PageRank plan's entity side) gets its empty groups directly."""
+        return tuple(
+            row_groups(r) if len(r) else (r[:0], np.zeros(0, np.intp), []) for r in (self.rows_v, self.rows_e)
+        )
 
 
 def make_plan(rows_v, rows_e, sentences, entity_sentences, counts, units: tuple | None = None) -> DocPlan:

@@ -7,6 +7,16 @@ Each kernel k turns a bag of similarities into one soft-count feature
 The default bank has one sharp exact-match kernel at mu=1 (sigma=1e-3) and
 ten soft kernels with means spread over (-1, 1) at sigma=0.1, so the pooled
 vector is a differentiable histogram of the similarity distribution.
+
+Outputs are bitwise stable, so the kernel pass's operation order is
+load-bearing.  ``gaussian_pool`` divides ``d * d`` (``d = cos - mu``) by
+``-(2 sigma sigma)``, as the kernel slope in training divides by
+``-(sigma sigma)``: IEEE division is sign-symmetric, ``(-a) / b == a / (-b)``,
+so this is the textbook ``-(d * d) / (2 sigma sigma)`` with one pass fewer.
+``pooled_sum`` is ``acts.sum(axis=1)``: for K >= 2 numpy adds each (i, k)'s
+terms one after another and einsum does the same, while for K = 1 numpy sums
+the contiguous context axis pairwise and einsum does not.
+``tests/test_kernel_pass.py`` holds both to the first formulation.
 """
 from __future__ import annotations
 
@@ -49,11 +59,17 @@ def gaussian_pool(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
     """Kernel activations for an array of cosines; shape (..., K)."""
     c = np.asarray(cos_values, dtype=np.float64)
     diff = c[..., None] - bank.means
-    # -(diff * diff) / (2 sigma sigma), operation for operation, in diff's own buffer
+    # in diff's own buffer; the negated divisor keeps the bits (module docstring)
     np.multiply(diff, diff, out=diff)
-    np.negative(diff, out=diff)
-    np.divide(diff, 2.0 * bank.sigmas * bank.sigmas, out=diff)
+    np.divide(diff, -(2.0 * bank.sigmas * bank.sigmas), out=diff)
     return np.exp(diff, out=diff)
+
+
+def pooled_sum(acts: np.ndarray) -> np.ndarray:
+    """``acts.sum(axis=1)`` of (n, m, K) activations, bit for bit: the (n, K) pooled features."""
+    if acts.shape[-1] == 1:  # numpy sums a contiguous axis pairwise, einsum does not
+        return acts.sum(axis=1)
+    return np.einsum("ijk->ik", acts)
 
 
 def bank_to_json(bank: KernelBank) -> dict:

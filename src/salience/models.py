@@ -48,7 +48,7 @@ from .features import (
     scaler_from_json,
     scaler_to_json,
 )
-from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool
+from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool, pooled_sum
 
 MODEL_FILE_VERSION = 2  # the one version save_model writes and load_model reads
 # The weight blocks each variant scores with; the blocks it leaves out stay zero.
@@ -135,12 +135,12 @@ def kce_forward(model: KCEModel, plan: DocPlan) -> tuple[np.ndarray, KCECache]:
     terms = []
     if "w_v" in blocks:
         acts_vv = gaussian_pool(geo.sims_vv, model.bank)
-        acts_vv[np.arange(n), np.arange(n), :] = 0.0
-        phi_v = acts_vv.sum(axis=1)
+        acts_vv.reshape(n * n, model.bank.size)[:: n + 1] = 0.0  # the diagonal; a size of -1 fails at n = 0
+        phi_v = pooled_sum(acts_vv)
         terms.append(phi_v @ model.w_v)
     if "w_e" in blocks:
         acts_ve = gaussian_pool(geo.sims_ve, model.bank)
-        phi_e = acts_ve.sum(axis=1)
+        phi_e = pooled_sum(acts_ve)
         terms.append(phi_e @ model.w_e)
     scaled = np.zeros((n, N_FEATURES))
     if "w_f" in blocks:

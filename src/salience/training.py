@@ -273,7 +273,10 @@ def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarray) -> np.ndarray:
     """d(weights . phi)/d(cos) for every pooled pair; activations already cached."""
-    slopes = acts * (-(sims[..., None] - bank.means) / (bank.sigmas * bank.sigmas))
+    # acts * (-(sims - mu) / (sigma sigma)) in one buffer, bit for bit (kernels module docstring)
+    slopes = sims[..., None] - bank.means
+    slopes /= -(bank.sigmas * bank.sigmas)
+    slopes *= acts
     return slopes @ weights
 
 

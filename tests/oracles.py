@@ -4,6 +4,9 @@ Written one event, one pair and one scalar at a time, straight from the
 definitions: cosine similarity and its gradient, the five per-event features
 and their standardization, per-target kernel pooling with its backward pass,
 the kernel activations computed with one temporary per operation,
+the per-document kernel pass as first written (that pool, the diagonal
+zeroed by fancy indexing, ``.sum(axis=1)`` pooling and the allocating
+kernel slope),
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
 per-row sum of mention gradients accumulated with ``np.add.at``, the
 stand-alone LeToR scorer with its weight gradients, the one-step PageRank
@@ -26,11 +29,19 @@ from scipy.stats import rankdata
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
 from salience.embeddings import EmbeddingTable
 from salience.errors import DataError
-from salience.features import FeatureScaler, feature_matrix, scale_matrix
+from salience.features import FeatureScaler, doc_geometry, feature_matrix, geometry_features, scale_matrix
 from salience.intrusion import MIN_ORIGIN_SALIENT, IntrusionConfig, eligible_intruder_events
 from salience.kernels import KernelBank, gaussian_pool
 from salience.metrics import evaluate
-from salience.models import VARIANT_BLOCKS, KCEModel, PageRankModel, kce_forward, model_plan, pagerank_forward
+from salience.models import (
+    VARIANT_BLOCKS,
+    KCEModel,
+    PageRankModel,
+    kce_forward,
+    model_plan,
+    pagerank_forward,
+    reads_entities,
+)
 from salience.training import LAMBDA_GRID, TrainConfig, _derived_rng
 
 
@@ -214,6 +225,42 @@ def kernel_backward(
         d_target += du
         d_context.append(dv)
     return d_target, d_context
+
+
+# --- the kernel pass as first written ---------------------------------------------
+
+
+def kce_forward_reference(model: KCEModel, plan) -> tuple[np.ndarray, dict]:
+    """``kce_forward``'s scores with its activations and pooled features (None where the
+    variant has no such block): the five-operation pool of ``gaussian_pool_reference``,
+    the event-event diagonal zeroed by fancy indexing and each pooled feature summed by
+    ``.sum(axis=1)``."""
+    n = len(plan.rows_v)
+    blocks = VARIANT_BLOCKS[model.variant]
+    geo = doc_geometry(plan, model.event_table, model.entity_table if reads_entities(model.variant) else None)
+    parts = dict.fromkeys(("acts_vv", "acts_ve", "phi_v", "phi_e"))
+    terms = []
+    if "w_v" in blocks:
+        parts["acts_vv"] = gaussian_pool_reference(geo.sims_vv, model.bank)
+        parts["acts_vv"][np.arange(n), np.arange(n), :] = 0.0
+        parts["phi_v"] = parts["acts_vv"].sum(axis=1)
+        terms.append(parts["phi_v"] @ model.w_v)
+    if "w_e" in blocks:
+        parts["acts_ve"] = gaussian_pool_reference(geo.sims_ve, model.bank)
+        parts["phi_e"] = parts["acts_ve"].sum(axis=1)
+        terms.append(parts["phi_e"] @ model.w_e)
+    if "w_f" in blocks:
+        terms.append(scale_matrix(geometry_features(plan, geo), model.scaler) @ model.w_f)
+    scores = terms[0] + model.bias
+    for term in terms[1:]:
+        scores = scores + term
+    return scores, parts
+
+
+def kernel_cos_grad_reference(acts: np.ndarray, sims: np.ndarray, bank: KernelBank, weights: np.ndarray) -> np.ndarray:
+    """d(weights . phi)/d(cos) from cached activations, one temporary per operation."""
+    slopes = acts * (-(sims[..., None] - bank.means) / (bank.sigmas * bank.sigmas))
+    return slopes @ weights
 
 
 # --- the per-document training path ---------------------------------------------

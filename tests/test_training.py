@@ -22,7 +22,7 @@ from salience import training
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
 from salience.embeddings import build_vocab, init_embeddings
 from salience.errors import DataError, NumericError
-from salience.features import fit_scaler, row_groups
+from salience.features import doc_plan, fit_scaler, row_groups
 from salience.kernels import default_bank
 from salience.metrics import evaluate
 from salience.models import (
@@ -224,6 +224,20 @@ def test_row_sparse_equals_add_at_reference_bitwise(n_rows, dim, data):
     assert got_rows.tobytes() == want_rows.tobytes()
     assert got_block.shape == want_block.shape and got_block.tobytes() == want_block.tobytes()
     assert rows.tobytes() == given_rows.tobytes() and d_rows.tobytes() == given_grads.tobytes()
+
+
+def test_entity_free_plan_groups_equal_row_groups_of_no_rows():
+    """A plan without an entity vocabulary (every PageRank plan) skips the sort for its
+    empty entity side, and its groups keep every field of ``row_groups``."""
+    rng = np.random.default_rng(3)
+    doc = random_document(rng, n_events=5, n_entities=3)
+    plan = doc_plan(doc, toy_table([f"ev{i}" for i in range(5)], 3, rng).vocabulary)
+    got, want = plan.groups[1], row_groups(np.zeros(0, np.intp))
+    assert len(got) == len(want) == 3
+    for g, w in zip(got[:2], want[:2]):
+        assert type(g) is type(w) and g.dtype == w.dtype and g.shape == w.shape == (0,)
+    assert got[2] == want[2] == []
+    assert_groups_match_np_unique(plan.groups[0], plan.rows_v)
 
 
 # --- Adam -------------------------------------------------------------------
