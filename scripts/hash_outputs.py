@@ -19,6 +19,11 @@ how it sums.  Those kernels pool most of the mass of this corpus's
 cosines; the exact-match kernel's activations are almost all exactly 0.0,
 and a far kernel's are too small to reach a score's bits, so a bank cut to
 either would hash the same whatever order the sums take.
+Then come the content hashes of kce (``full``) and pagerank trained through
+the library for 3 epochs in batches of 4 on the first half of the train
+split, with tables built from the whole split at ``min_count=1``: rows that
+no fit document reaches stay in the tables, as they do when the fit corpus
+is not the one the vocabulary was built from.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -41,8 +46,12 @@ from pathlib import Path
 import numpy as np
 
 from salience.cli import main
-from salience.kernels import KernelBank
-from salience.models import load_model, save_model
+from salience.corpus import Corpus, load_corpus
+from salience.embeddings import build_vocab, init_embeddings
+from salience.features import fit_scaler
+from salience.kernels import KernelBank, default_bank
+from salience.models import PageRankModel, load_model, new_kce_model, save_model
+from salience.training import TrainConfig, train
 
 SYNTH_CFG = {
     "docs": 40,
@@ -59,6 +68,7 @@ BASELINES = ("frequency", "location")
 TIE_SEED = 13
 INTRUDE_ARGS = ["--kind", "nonsalient", "--pairs", "20", "--seed", "4", "--fractions", "0.5,1.0"]
 CUT_BANKS = (1, 2)
+HALF_FIT_CFG = {"epochs": 3, "batch_docs": 4, "seed": 5}
 
 
 def _run(argv: list[str]) -> None:
@@ -110,6 +120,30 @@ def _cut_bank(model_path: Path, size: int, out: Path) -> None:
     keep = np.sort(np.argsort(np.abs(model.bank.means), kind="stable")[:size])
     bank = KernelBank(means=model.bank.means[keep], sigmas=model.bank.sigmas[keep])
     save_model(dataclasses.replace(model, bank=bank, w_v=model.w_v[keep], w_e=model.w_e[keep]), out)
+
+
+def _half_split_fits(corpora: dict[str, Path], root: Path) -> list[tuple[str, str]]:
+    """Content hashes of kce (full) and pagerank fitted on the first half of the train split,
+    with tables built from all of it at min_count=1 as ``salience train`` builds them."""
+    whole = load_corpus(corpora["train"], split_tag="train")
+    fit = Corpus(whole.documents[: len(whole.documents) // 2], split_tag="train")
+    dev = load_corpus(corpora["dev"], split_tag="dev")
+    cfg = TrainConfig(**HALF_FIT_CFG)
+    dim = SYNTH_CFG["dim"]
+    events = init_embeddings(build_vocab(whole, "event_lemma", min_count=1), dim=dim, seed=cfg.seed,
+                             pretrained=str(root / "events.vec"))
+    entities = init_embeddings(build_vocab(whole, "entity_key", min_count=1), dim=dim, seed=cfg.seed + 1,
+                               pretrained=str(root / "entities.vec"))
+    fitted = {
+        "kce": new_kce_model(default_bank(), events, entities, fit_scaler(whole, events, entities)),
+        "pagerank": PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=events),
+    }
+    rows = []
+    for name, model in fitted.items():
+        path = root / f"{name}-half-fit.model.json"
+        save_model(train(model, fit, dev, cfg)[0], path)
+        rows.append((f"{name} (trainable), fit on half the train split, model content", _content_sha256(path)))
+    return rows
 
 
 def _unlabeled_with_filter(test: Path, root: Path) -> tuple[Path, Path]:
@@ -180,6 +214,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
         ranks = root / f"kce-trainable-{size}k.ranks.jsonl"
         _run(["rank", "--model", str(cut), "--corpus", str(test), "--out", str(ranks)])
         rows.append((f"kce (trainable), {size}-kernel bank rank JSONL", _sha256(ranks)))
+    rows += _half_split_fits(corpora, root)
     return rows
 
 

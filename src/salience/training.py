@@ -8,11 +8,16 @@ differences.  Only the tables ``_param_arrays`` names get gradient work, and eac
 comes back row-sparse: the sorted unique rows the document references and an
 ``(r, d)`` block of their summed gradients.
 ``train`` plans every document and draws its pairs once per call, scatters
-the blocks into dense per-batch buffers in document order, and Adam updates
-every parameter densely once per batch; a document whose training scores are
-not all finite stops training with ``NumericError`` naming it.  Each epoch ends
-in one dev pass, and the best epoch is kept as a shallow model copy plus copies
-of its arrays.
+the blocks into per-batch buffers in document order, and Adam steps once per
+batch; a document whose training scores are not all finite stops training
+with ``NumericError`` naming it.  For the call, each trained table is stored
+in the order in which the first epoch's batches first reach its rows, so the
+rows reached so far are a leading slice: each step zeroes and steps only that
+slice, and the vocabulary order is put back before ``train`` returns.  A row
+no batch has reached has zero moments and a zero gradient, and a dense step
+would leave it bitwise unchanged, so the trained model is the one stepping
+every row gives.  Each epoch ends in one dev pass, and the best epoch is kept
+as a shallow model copy plus copies of its arrays.
 Training is serial and fully seeded so identical configurations reproduce
 bitwise-identical models.
 """
@@ -148,6 +153,8 @@ class Adam:
 
     The update is the textbook one, operation for operation; it runs in place
     through two scratch buffers per block so a step allocates no temporaries.
+    ``step`` may get a leading-row view of a block as its parameter: it then
+    steps the same leading rows of the gradient, the moments and the scratch.
     """
 
     def __init__(
@@ -172,10 +179,11 @@ class Adam:
         m_correction = 1.0 - self.beta1**self.t
         v_correction = 1.0 - self.beta2**self.t
         for name, p in params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            a, b = self._scratch[name]
+            rows = len(p)
+            g = grads[name][:rows]
+            m = self.m[name][:rows]
+            v = self.v[name][:rows]
+            a, b = (s[:rows] for s in self._scratch[name])
             # m = beta1 * m + (1 - beta1) * g
             np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
@@ -406,6 +414,37 @@ def _check_finite_params(arrays: dict[str, np.ndarray]) -> None:
             raise NumericError(f"parameter block {name!r} became non-finite during training")
 
 
+def _order_by_reach(
+    arrays: dict[str, np.ndarray],
+    train_plans: list[DocPlan],
+    dev_plans: list[DocPlan],
+    order: np.ndarray,
+    batch_docs: int,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Store each table among ``arrays`` in place in the order in which the batches of ``order``
+    first reach its rows, ascending within a batch, then the rows no batch reaches; every
+    plan's rows are mapped to match.  Returns, per table, how many rows are reached once each
+    batch is done, and the index that puts the vocabulary order back."""
+    reached, restore = {}, {}
+    for name, attr in zip(EMBEDDING_KEYS, ("rows_v", "rows_e")):
+        if name not in arrays:
+            continue
+        doc_rows = [getattr(train_plans[di], attr) for di in order]
+        rows = np.concatenate([np.zeros(0, np.intp), *doc_rows])
+        batch_of = np.repeat(np.arange(len(order)) // batch_docs, [len(r) for r in doc_rows])
+        uniq, first = np.unique(rows, return_index=True)
+        first_batch = batch_of[first]
+        unreached = np.setdiff1d(np.arange(len(arrays[name])), uniq, assume_unique=True)
+        perm = np.concatenate([uniq[np.argsort(first_batch, kind="stable")], unreached])
+        arrays[name][...] = arrays[name][perm]
+        inverse = np.argsort(perm)
+        for plan in (*train_plans, *dev_plans):
+            setattr(plan, attr, inverse[getattr(plan, attr)])
+        reached[name] = np.cumsum(np.bincount(first_batch, minlength=-(-len(order) // batch_docs)))
+        restore[name] = inverse
+    return reached, restore
+
+
 def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     """Train with Adam on batches of documents; returns (model, history).
 
@@ -417,33 +456,41 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     for split in (corpus, dev):
         for doc in split.documents:
             salience_labels(doc)
-    model = copy.deepcopy(model)
+    # the copy shares the vocabularies: nothing mutates a Vocabulary
+    shared = [getattr(model, t).vocabulary for t in ("event_table", "entity_table") if hasattr(model, t)]
+    model = copy.deepcopy(model, {id(vocab): vocab for vocab in shared})
     if cfg.epochs == 0:
         return model, TrainHistory()
 
     arrays = _param_arrays(model, cfg.freeze_embeddings)
     tables = tuple(name for name in EMBEDDING_KEYS if name in arrays)
-    adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     best_auc: float | None = None
     best_epoch: int | None = None
     best_model = best_arrays = None
 
+    # nothing a plan or a document's pairs hold depends on the parameters
+    docs = [(doc.doc_id, model_plan(model, doc), make_pairs(doc, cfg)) for doc in corpus.documents]
+    dev_plans = [model_plan(model, doc) for doc in dev.documents]
+    order = rng.permutation(len(docs))  # epoch 1's, drawn first: the tables follow its batches
+    # before Adam allocates its state, so no table-sized temporary coexists with it
+    reached, restore = _order_by_reach(arrays, [plan for _, plan, _ in docs], dev_plans, order, cfg.batch_docs)
+    adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     # The buffers start at +0.0 and a sum never turns +0.0 into -0.0, so the
     # rows a document does not touch need no +0.0 added: skipping them keeps
     # the batch gradient bitwise equal to summing dense per-document tables.
     grads = {k: np.zeros_like(v) for k, v in arrays.items()}
-    # nothing a plan or a document's pairs hold depends on the parameters
-    docs = [(doc.doc_id, model_plan(model, doc), make_pairs(doc, cfg)) for doc in corpus.documents]
-    dev_plans = [model_plan(model, doc) for doc in dev.documents]
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(docs))
+        if epoch > 1:
+            order = rng.permutation(len(docs))
         epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_docs):
+        for b, start in enumerate(range(0, len(order), cfg.batch_docs)):
             batch = order[start : start + cfg.batch_docs]
-            for buf in grads.values():
-                buf.fill(0.0)
+            # the rows reached so far, a leading slice of each table; the weights step whole
+            heads = {name: counts[b if epoch == 1 else -1] for name, counts in reached.items()}
+            for name, buf in grads.items():
+                buf[: heads.get(name)].fill(0.0)
             for di in batch:
                 loss, doc_grads = _doc_loss_and_grads(model, *docs[di], tables)
                 epoch_loss += loss
@@ -455,7 +502,7 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
                         buf[rows] += block
                     else:
                         buf += doc_grads[name]
-            adam.step(arrays, grads)
+            adam.step({name: arr[: heads.get(name)] for name, arr in arrays.items()}, grads)
             _sync_scalar(model, arrays)
         _check_finite_params(arrays)
 
@@ -472,6 +519,9 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
         for name, arr in arrays.items():
             arr[...] = best_arrays[name]
         model = best_model
+    del adam, grads, best_arrays  # freed before the restore's table-sized temporaries
+    for name, inverse in restore.items():
+        arrays[name][...] = arrays[name][inverse]
     model.meta.update(
         {
             "trained_epochs": cfg.epochs,

@@ -8,7 +8,8 @@ the per-document kernel pass as first written (that pool, the diagonal
 zeroed by fancy indexing, ``.sum(axis=1)`` pooling and the allocating
 kernel slope),
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
-per-row sum of mention gradients accumulated with ``np.add.at``, the
+per-row sum of mention gradients accumulated with ``np.add.at``, the training
+loop that Adam-steps every row of every table in every batch, the
 stand-alone LeToR scorer with its weight gradients, the one-step PageRank
 walk, the dev search for its frequency/walk mix through one full ``evaluate``
 per grid value, AUC from average ranks, the intrusion instance built by filtering
@@ -19,6 +20,7 @@ mention.  Nothing in the package calls them.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -42,7 +44,21 @@ from salience.models import (
     pagerank_forward,
     reads_entities,
 )
-from salience.training import LAMBDA_GRID, TrainConfig, _derived_rng
+from salience.training import (
+    EMBEDDING_KEYS,
+    LAMBDA_GRID,
+    Adam,
+    EpochStats,
+    TrainConfig,
+    TrainHistory,
+    _check_finite_params,
+    _derived_rng,
+    _dev_metrics,
+    _doc_loss_and_grads,
+    _param_arrays,
+    _sync_scalar,
+    make_pairs,
+)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -301,6 +317,62 @@ def row_sparse_reference(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarr
     block = np.zeros((len(uniq), d_rows.shape[1]))
     np.add.at(block, inverse, d_rows)
     return uniq, block
+
+
+def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
+    """``train`` as first written: the model deep-copied whole, the tables in vocabulary
+    order, and every row of every block zeroed and Adam-stepped once per batch."""
+    model = copy.deepcopy(model)
+    if cfg.epochs == 0:
+        return model, TrainHistory()
+    arrays = _param_arrays(model, cfg.freeze_embeddings)
+    tables = tuple(name for name in EMBEDDING_KEYS if name in arrays)
+    adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    rng = np.random.default_rng(cfg.seed)
+    history = TrainHistory()
+    best_auc = best_epoch = best_model = best_arrays = None
+    grads = {k: np.zeros_like(v) for k, v in arrays.items()}
+    docs = [(doc.doc_id, model_plan(model, doc), make_pairs(doc, cfg)) for doc in corpus.documents]
+    dev_plans = [model_plan(model, doc) for doc in dev.documents]
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(docs))
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_docs):
+            for buf in grads.values():
+                buf.fill(0.0)
+            for di in order[start : start + cfg.batch_docs]:
+                loss, doc_grads = _doc_loss_and_grads(model, *docs[di], tables)
+                epoch_loss += loss
+                if doc_grads is None:
+                    continue
+                for name, buf in grads.items():
+                    if name in EMBEDDING_KEYS:
+                        rows, block = doc_grads[name]
+                        buf[rows] += block
+                    else:
+                        buf += doc_grads[name]
+            adam.step(arrays, grads)
+            _sync_scalar(model, arrays)
+        _check_finite_params(arrays)
+        dev_auc, dev_p1 = _dev_metrics(model, dev, dev_plans)
+        history.rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_auc=dev_auc, dev_p1=dev_p1))
+        if dev_auc is not None and (best_auc is None or dev_auc > best_auc):
+            best_auc, best_epoch = dev_auc, epoch
+            best_model = copy.copy(model)
+            best_arrays = {k: v.copy() for k, v in arrays.items()}
+    if best_arrays is not None:
+        for name, arr in arrays.items():
+            arr[...] = best_arrays[name]
+        model = best_model
+    model.meta.update(
+        {
+            "trained_epochs": cfg.epochs,
+            "best_epoch": best_epoch,
+            "best_dev_auc": best_auc,
+            "train_config": cfg.to_json(),
+        }
+    )
+    return model, history
 
 
 # --- LeToR ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from oracles import (
     pair_loss_reference,
     reference_lambda_search,
     row_sparse_reference,
+    train_dense_reference,
 )
 from salience import training
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
@@ -698,6 +699,99 @@ def test_train_pagerank_non_finite_dev_score_raises_naming_the_document():
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
         train(model, no_pairs, Corpus(documents=(dev_doc,)), TrainConfig(epochs=2, batch_docs=4))
     assert f"doc {dev_doc.doc_id!r}" in str(err.value)
+
+
+def reach_setup(kind="full", seed=21):
+    """A model whose tables hold the rows of 18 documents with lemma pools of their own, fitted on
+    the first 10 (the fifth has no pairs) with the last 8 as dev: dev reaches event and entity
+    rows that no fit document does, and no document reaches the unknown rows."""
+    rng = np.random.default_rng(seed)
+    docs = [
+        random_document(
+            rng,
+            doc_id=f"doc-{d:03d}",
+            n_events=6,
+            n_entities=3 if d < 10 else 6,
+            distinct_lemmas=False,
+            lemma_pool=[f"ev{(3 * d + i) % 40}" for i in range(4)],
+        )
+        for d in range(18)
+    ]
+    docs[4] = relabeled(Corpus(documents=(docs[4],)), salient=True).documents[0]
+    vocab_docs, fit, dev = Corpus(tuple(docs)), Corpus(tuple(docs[:10])), Corpus(tuple(docs[10:]))
+    evt = init_embeddings(build_vocab(vocab_docs, "event_lemma", min_count=1), dim=8, seed=seed)
+    ent = init_embeddings(build_vocab(vocab_docs, "entity_key", min_count=1), dim=8, seed=seed + 1)
+    if kind == "pagerank":
+        return PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=evt), fit, dev
+    if kind == "letor":
+        return new_letor_model(evt, ent, fit_scaler(vocab_docs, evt, ent)), fit, dev
+    return new_kce_model(default_bank(), evt, ent, fit_scaler(vocab_docs, evt, ent), variant=kind), fit, dev
+
+
+def assert_trains_as_dense_reference(model, fit, dev, cfg):
+    trained, history = train(model, fit, dev, cfg)
+    want, want_history = train_dense_reference(model, fit, dev, cfg)
+    assert trained_bytes(trained) == trained_bytes(want)
+    assert trained.meta == want.meta
+    assert [repr(row) for row in history.rows] == [repr(row) for row in want_history.rows]
+    return trained
+
+
+def test_reach_setup_leaves_rows_unreached():
+    model, fit, dev = reach_setup()
+    assert not make_pairs(fit.documents[4], TrainConfig()).size
+    for table, attr in ((model.event_table, "rows_v"), (model.entity_table, "rows_e")):
+        fit_rows = {int(r) for doc in fit.documents for r in getattr(model_plan(model, doc), attr)}
+        dev_rows = {int(r) for doc in dev.documents for r in getattr(model_plan(model, doc), attr)}
+        assert dev_rows - fit_rows
+        assert table.vocabulary.unknown_index not in fit_rows | dev_rows
+
+
+@pytest.mark.parametrize("batch_docs", [1, 3, 50])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("kind", [*KCE_VARIANTS, "pagerank"])
+def test_train_equals_the_every_row_adam_reference_bitwise(kind, epochs, batch_docs):
+    model, fit, dev = reach_setup(kind)
+    limit = 5 if batch_docs == 3 else None
+    cfg = TrainConfig(epochs=epochs, batch_docs=batch_docs, seed=3, learning_rate=0.05, max_pairs_per_doc=limit)
+    trained = assert_trains_as_dense_reference(model, fit, dev, cfg)
+    if epochs == 3 and kind in ("full", "pagerank"):
+        assert trained.meta["best_epoch"] < epochs  # the restore undid later epochs
+
+
+@pytest.mark.parametrize("kind", ["letor", "full", "pagerank"])
+def test_train_without_a_trained_table_equals_the_every_row_adam_reference_bitwise(kind):
+    model, fit, dev = reach_setup(kind)
+    cfg = TrainConfig(epochs=3, batch_docs=3, seed=3, learning_rate=0.05, freeze_embeddings=kind != "letor")
+    assert_trains_as_dense_reference(model, fit, dev, cfg)
+
+
+@pytest.mark.parametrize("kind", ["full", "letor", "pagerank"])
+def test_train_shares_the_vocabularies_and_leaves_the_input_arrays(kind):
+    model, fit, dev = reach_setup(kind)
+    before = trained_bytes(model)
+    trained, _ = train(model, fit, dev, TrainConfig(epochs=2, batch_docs=3, learning_rate=0.05))
+    tables = ("event_table",) if kind == "pagerank" else ("event_table", "entity_table")
+    for name in tables:
+        assert getattr(trained, name) is not getattr(model, name)
+        assert getattr(trained, name).vocabulary is getattr(model, name).vocabulary
+    assert trained_bytes(model) == before
+    assert trained_bytes(trained) != before
+
+
+@pytest.mark.parametrize("kind", ["full", "pagerank"])
+def test_train_numeric_error_mid_epoch_leaves_the_input_arrays(kind):
+    model, fit, dev = reach_setup(kind)
+    cfg = TrainConfig(epochs=2, batch_docs=3)
+    order = np.random.default_rng(cfg.seed).permutation(len(fit.documents))
+    first_batch = {ev.head_lemma for i in order[: cfg.batch_docs] for ev in fit.documents[i].events}
+    later = {ev.head_lemma for i in order[cfg.batch_docs :] for ev in fit.documents[i].events}
+    lemma = min(later - first_batch)  # so the first batch steps, and a later one raises
+    model.event_table.vectors[model.event_table.vocabulary.lookup(lemma)] = np.nan
+    before = trained_bytes(model)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite score while training"):
+        train(model, fit, dev, cfg)
+    assert trained_bytes(model) == before
 
 
 def test_new_letor_model_leaves_the_caller_tables_trainable(tmp_path):
