@@ -24,6 +24,9 @@ the library for 3 epochs in batches of 4 on the first half of the train
 split, with tables built from the whole split at ``min_count=1``: rows that
 no fit document reaches stay in the tables, as they do when the fit corpus
 is not the one the vocabulary was built from.
+Then come the ``build-vocab`` JSON of the train split for each field, and
+the trainable kce model's ``export-kernel-weights`` CSV and ``gradcheck``
+JSON over the first two test documents.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -215,6 +218,16 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
         _run(["rank", "--model", str(cut), "--corpus", str(test), "--out", str(ranks)])
         rows.append((f"kce (trainable), {size}-kernel bank rank JSONL", _sha256(ranks)))
     rows += _half_split_fits(corpora, root)
+    for field in ("event", "entity"):
+        vocab = root / f"{field}.vocab.json"
+        _run(["build-vocab", "--corpus", str(corpora["train"]), "--out", str(vocab), "--field", field])
+        rows.append((f"train {field} build-vocab JSON", _sha256(vocab)))
+    kernels, grads = root / "kce-trainable.kernels.csv", root / "kce-trainable.gradcheck.json"
+    _run(["export-kernel-weights", "--model", str(root / "kce-trainable.model.json"), "--out", str(kernels)])
+    rows.append(("kce (trainable) export-kernel-weights CSV", _sha256(kernels)))
+    _run(["gradcheck", "--model", str(root / "kce-trainable.model.json"), "--corpus", str(test),
+          "--max-docs", "2", "--out", str(grads)])
+    rows.append(("kce (trainable) gradcheck JSON", _sha256(grads)))
     return rows
 
 

@@ -2,55 +2,38 @@
 """Full synthetic-separation experiment: plant topical structure, hand every
 model the same degraded pretrained vectors, and compare test rankings.
 
-Writes per-model metric reports, a summary CSV, and intrusion curves for the
-kernel model into --out-dir.  With the defaults this reproduces the ordering
-the acceptance suite checks (kernel model > feature LeToR > frequency) in a
-few minutes on one core.
+Drives the ``salience`` CLI through synth, train, evaluate, sigtest and
+intrude.  Writes into --out-dir a ``<name>.report.json`` per model and
+baseline, each trained ``<name>.model.json`` with its ``.history.csv``,
+``summary.csv``, ``run.json`` and the two intrusion CSVs, beside the corpora,
+vector files, configs, ``sigtest.json`` and every command's manifest.  With
+the defaults this reproduces the ordering the acceptance suite checks (kernel
+model > feature LeToR > frequency) in a few minutes.
 """
 import argparse
-import csv
-import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
+from salience.cli import main as salience
+from salience.errors import read_json, write_csv, write_json
+from salience.metrics import DEFAULT_KS, MetricsReport
+from salience.synth import SynthConfig, build_pools, measured_cosine_gap
 
-from salience.embeddings import build_vocab, init_embeddings
-from salience.features import fit_scaler
-from salience.intrusion import IntrusionConfig, run_study
-from salience.kernels import default_bank
-from salience.metrics import evaluate, permutation_test
-from salience.models import (
-    PageRankModel,
-    frequency_scores,
-    location_scores,
-    model_scores,
-    new_kce_model,
-    new_letor_model,
-    save_model,
-)
-from salience.synth import SynthConfig, degrade_vectors, generate_corpus, measured_cosine_gap
-from salience.training import TrainConfig, train
-
-KCE_VARIANTS = ("full", "events_features", "events_only")
+# the artifact name of each trained model, and its ``salience train --model``
+MODELS = {"letor": "letor", "pagerank": "pagerank", "kce_full": "kce",
+          "kce_events_features": "kce-e", "kce_events_only": "kce-ef"}
+BASELINES = ("frequency", "location")
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="synth-experiment", help="artifact directory")
-    ap.add_argument("--train-docs", type=int, default=500)
-    ap.add_argument("--dev-docs", type=int, default=100)
-    ap.add_argument("--test-docs", type=int, default=100)
-    ap.add_argument("--dim", type=int, default=128)
+    for flag, default in (("--train-docs", 500), ("--dev-docs", 100), ("--test-docs", 100), ("--dim", 128)):
+        ap.add_argument(flag, type=int, default=default)
     ap.add_argument("--cosine-gap", type=float, default=0.4)
-    ap.add_argument(
-        "--vector-noise",
-        type=float,
-        default=0.25,
-        help="degradation of the exported pretrained vectors; frozen-embedding "
-        "models feel this directly, embedding-training models can recover",
-    )
+    ap.add_argument("--vector-noise", type=float, default=0.25,
+                    help="degradation of the exported pretrained vectors; frozen-embedding "
+                    "models feel this directly, embedding-training models can recover")
     ap.add_argument("--epochs", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--skip-intrusion", action="store_true")
@@ -59,114 +42,51 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
-    def synth(docs, seed, split):
-        return SynthConfig(
-            docs=docs, dim=args.dim, cosine_gap=args.cosine_gap, seed=seed, split=split
-        )
+    def run(*argv) -> None:
+        if (code := salience([str(a) for a in argv])) != 0:
+            raise SystemExit(code)
 
-    train_c, pools = generate_corpus(synth(args.train_docs, 1, "train"))
-    dev_c, _ = generate_corpus(synth(args.dev_docs, 2, "dev"))
-    test_c, _ = generate_corpus(synth(args.test_docs, 3, "test"))
-    gap = measured_cosine_gap(pools)
+    synth_cfg, train_cfg, test = out / "synth.json", out / "train.json", out / "test.jsonl"
+    write_json({"dim": args.dim, "cosine_gap": args.cosine_gap, "vector_noise": args.vector_noise}, synth_cfg)
+    write_json({"epochs": args.epochs, "seed": args.seed}, train_cfg)
+    events, entities = out / "events.vec", out / "entities.vec"
+    splits = (("train", args.train_docs, 1), ("dev", args.dev_docs, 2), ("test", args.test_docs, 3))
+    for split, docs, seed in splits:
+        vectors = ["--event-vectors-out", events, "--entity-vectors-out", entities] if split == "train" else []
+        run("synth", "--out", out / f"{split}.jsonl", "--config", synth_cfg, "--docs", docs, "--seed", seed,
+            "--split", split, *vectors)
+    gap = measured_cosine_gap(build_pools(SynthConfig.load(synth_cfg)))
     print(f"planted cosine gap {gap:.3f} over {args.train_docs}/{args.dev_docs}/{args.test_docs} docs")
 
-    cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
-    ev_vocab = build_vocab(train_c, "event_lemma", min_count=2)
-    en_vocab = build_vocab(train_c, "entity_key", min_count=2)
-    base = SynthConfig(dim=args.dim, cosine_gap=args.cosine_gap)
-    event_vecs = degrade_vectors(pools.event_vectors, args.vector_noise, base.pool_seed + 1)
-    entity_vecs = degrade_vectors(pools.entity_vectors, args.vector_noise, base.pool_seed + 2)
-
-    def fresh_tables():
-        evt = init_embeddings(ev_vocab, dim=args.dim, seed=cfg.seed, pretrained=event_vecs)
-        ent = init_embeddings(en_vocab, dim=args.dim, seed=cfg.seed + 1, pretrained=entity_vecs)
-        return evt, ent
-
-    reports = {}
-
-    def record(name, scorer):
-        report = evaluate([scorer(doc) for doc in test_c.documents], test_c)
-        report.save(out_dir / f"{name}.report.json")
-        reports[name] = report
-        print(
-            f"  {name:<18} AUC {report.auc:.4f}  P@1 {report.p_at[1]:.4f}  "
-            f"P@5 {report.p_at[5]:.4f}  R@10 {report.r_at[10]:.4f}"
-        )
-
-    print("baselines:")
-    record("frequency", frequency_scores)
-    record("location", location_scores)
-
-    kce_models = {}
-    for name, build in [
-        ("letor", lambda e, n, s: new_letor_model(e, n, s)),
-        ("pagerank", None),
-    ] + [
-        (f"kce_{v}", (lambda v: lambda e, n, s: new_kce_model(default_bank(), e, n, s, variant=v))(v))
-        for v in KCE_VARIANTS
-    ]:
-        started = time.time()
-        evt, ent = fresh_tables()
-        if name == "pagerank":
-            model = PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=evt)
-        else:
-            model = build(evt, ent, fit_scaler(train_c, evt, ent))
-        model, history = train(model, train_c, dev_c, cfg)
-        save_model(model, out_dir / f"{name}.model.json")
-        history.to_csv(out_dir / f"{name}.history.csv")
-        print(f"trained {name} in {time.time() - started:.1f}s (best epoch {model.meta.get('best_epoch')}):")
-        record(name, lambda doc, m=model: model_scores(m, doc))
-        if name.startswith("kce_"):
-            kce_models[name] = model
-
+    for name in BASELINES:
+        run("evaluate", "--model", name, "--corpus", test, "--out", out / f"{name}.report.json")
+    for name, flavor in MODELS.items():
+        model = out / f"{name}.model.json"
+        run("train", "--model", flavor, "--train", out / "train.jsonl", "--dev", out / "dev.jsonl",
+            "--out", model, "--config", train_cfg, "--dim", args.dim,
+            "--event-vectors", events, "--entity-vectors", entities)
+        run("evaluate", "--model", model, "--corpus", test, "--out", out / f"{name}.report.json")
     # paired significance: does the kernel model beat the feature model?
-    a = [d.auc for d in reports["kce_full"].per_doc if d.auc is not None]
-    b = [d.auc for d in reports["letor"].per_doc if d.auc is not None]
-    p = permutation_test(a, b, iterations=10000, seed=cfg.seed)
-    print(f"paired randomization test, kce_full vs letor per-doc AUC: p = {p:.5f}")
+    run("sigtest", "--a", out / "kce_full.report.json", "--b", out / "letor.report.json",
+        "--out", out / "sigtest.json", "--seed", args.seed)
 
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "auc", "p@1", "p@5", "p@10", "r@1", "r@5", "r@10"])
-        for name, rep in sorted(reports.items()):
-            writer.writerow(
-                [name, repr(rep.auc)]
-                + [repr(rep.p_at[k]) for k in (1, 5, 10)]
-                + [repr(rep.r_at[k]) for k in (1, 5, 10)]
-            )
-    (out_dir / "run.json").write_text(
-        json.dumps(
-            {
-                "args": vars(args),
-                "measured_cosine_gap": gap,
-                "sigtest_kce_vs_letor_p": p,
-                "train_config": cfg.to_json(),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    reports = {name: MetricsReport.load(out / f"{name}.report.json") for name in sorted([*BASELINES, *MODELS])}
+    write_csv(["model", "auc", *(f"{m}@{k}" for m in "pr" for k in DEFAULT_KS)],
+              ([name, repr(r.auc), *(repr(at[k]) for at in (r.p_at, r.r_at) for k in DEFAULT_KS)]
+               for name, r in reports.items()), out / "summary.csv")
+    p_value = read_json(out / "sigtest.json", "sigtest result")["p_value"]
+    train_config = read_json(out / "kce_full.model.json.manifest.json", "manifest")["args"]["train_config"]
+    write_json({"args": vars(args), "measured_cosine_gap": gap, "sigtest_kce_vs_letor_p": p_value,
+                "train_config": train_config}, out / "run.json")
 
     if not args.skip_intrusion:
-        print("intrusion curves (kce_full, features zeroed at scoring time):")
-        for kind in ("salient_only", "nonsalient_only"):
-            study = run_study(
-                test_c,
-                kce_models["kce_full"],
-                IntrusionConfig(num_pairs=200, intruder_kind=kind, seed=cfg.seed),
-            )
-            study.to_csv(out_dir / f"intrusion.{kind}.csv")
-            last = study.rows[-1]
-            print(
-                f"  {kind:<16} at fraction {last.fraction}: AUC {last.auc:.4f}, "
-                f"SA-AUC {last.sa_auc:.4f}, frequency SA-AUC {last.frequency_sa_auc:.4f}"
-            )
-
-    print(f"artifacts in {out_dir}/")
+        for kind in ("salient", "nonsalient"):
+            run("intrude", "--model", out / "kce_full.model.json", "--corpus", test, "--kind", kind,
+                "--pairs", 200, "--seed", args.seed, "--out", out / f"intrusion.{kind}_only.csv")
+    print(f"artifacts in {out}/")
     return 0
 
 

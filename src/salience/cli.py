@@ -20,7 +20,7 @@ from . import __version__
 from .annotate import FilterConfig, corpus_stats, filter_candidates, label_salience, load_filter_config
 from .corpus import Corpus, load_corpus, salience_labels, save_corpus
 from .embeddings import build_vocab, init_embeddings, save_word_vectors, vocab_to_json
-from .errors import DataError, NumericError, SalienceError, read_json, write_json, write_jsonl
+from .errors import DataError, NumericError, SalienceError, read_json, write_csv, write_json, write_jsonl
 from .features import fit_scaler
 from .intrusion import IntrusionConfig, run_study
 from .kernels import default_bank
@@ -365,13 +365,8 @@ def _cmd_gradcheck(args) -> Run | None:
 
 def _cmd_export_kernel_weights(args) -> Run:
     model = load_model(args.model, expect="kce")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mu,sigma,w_v,w_e\n")
-        for k in range(model.bank.size):
-            fh.write(
-                f"{float(model.bank.means[k])!r},{float(model.bank.sigmas[k])!r},"
-                f"{float(model.w_v[k])!r},{float(model.w_e[k])!r}\n"
-            )
+    rows = zip(model.bank.means, model.bank.sigmas, model.w_v, model.w_e)
+    write_csv(["mu", "sigma", "w_v", "w_e"], ([repr(float(x)) for x in row] for row in rows), args.out)
     print(f"wrote {model.bank.size} kernel rows")
     return Run([args.model], [args.out])
 

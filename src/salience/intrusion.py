@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
 from .embeddings import normalized_rows
-from .errors import DataError, write_csv
+from .errors import DataError, NumericError, write_csv
 from .features import DocPlan, lemma_codes, lemma_counts, make_plan
 from .metrics import auc as auc_metric
 from .models import KCE_VARIANTS, KCEModel, model_scores, plan_vocabularies
@@ -286,41 +286,35 @@ def _run_study(
         if problems:
             raise DataError(problems[0])
 
-    sums = {f: np.zeros(3) for f in cfg.fractions}
-    counts = {f: 0 for f in cfg.fractions}
+    # Every origin has salient events and every instance mixes in at least one intruder
+    # (a fraction > 0 of a non-empty pool), so each AUC sees both classes.
+    sums = np.zeros((len(cfg.fractions), 3))
     for origin, intruder in pairs:
         pair = _PairMixer(origin, intruder, cfg, model)
-        for fraction in cfg.fractions:
+        for i, fraction in enumerate(cfg.fractions):
             instance, plan = pair.mix(math.ceil(fraction * len(pair.moved)))
             scores = np.asarray(score_fn(instance, plan), dtype=np.float64)
             if scores.shape != instance.origin_flags.shape:
                 raise DataError("scorer returned a vector not matching the mixed event list")
+            finite = np.isfinite(scores)
+            if not finite.all():
+                raise NumericError(
+                    f"non-finite score for intrusion instance {origin.doc_id}+{intruder.doc_id} "
+                    f"at fraction {fraction} ({len(scores) - np.count_nonzero(finite)} of {len(scores)} scores)"
+                )
             origin_flags = instance.origin_flags
             keep = ~origin_flags | instance.salient_origin_flags  # SA-AUC: intruders and salient origins
-            aucs = (
+            sums[i] += (
                 auc_metric(scores, origin_flags),
                 auc_metric(scores[keep], origin_flags[keep]),
                 auc_metric(instance.frequency[keep], origin_flags[keep]),
             )
-            if None not in aucs:
-                sums[fraction] += aucs
-                counts[fraction] += 1
 
-    rows = []
-    for fraction in cfg.fractions:
-        c = counts[fraction]
-        if c == 0:
-            raise DataError(f"no scorable instances at fraction {fraction}")
-        mean = sums[fraction] / c
-        rows.append(
-            FractionResult(
-                fraction=fraction,
-                auc=float(mean[0]),
-                sa_auc=float(mean[1]),
-                frequency_sa_auc=float(mean[2]),
-                n_pairs=c,
-            )
-        )
+    means = sums / cfg.num_pairs
+    rows = [
+        FractionResult(fraction, float(auc), float(sa_auc), float(frequency_sa_auc), cfg.num_pairs)
+        for fraction, (auc, sa_auc, frequency_sa_auc) in zip(cfg.fractions, means)
+    ]
     return StudyResult(
         intruder_kind=cfg.intruder_kind, seed=cfg.seed, num_pairs=cfg.num_pairs, rows=rows
     )

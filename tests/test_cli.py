@@ -417,6 +417,22 @@ def test_train_on_non_finite_training_scores_exits_three(pipeline, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_whose_parameters_overflow_exits_three(pipeline, tmp_path, capsys):
+    # Adam steps of 1e300 overflow the event table in the first epoch; the check after it names the block
+    train_corpus, cfg, out = tmp_path / "train.jsonl", tmp_path / "train.json", tmp_path / "kce.json"
+    cfg.write_text(json.dumps({"learning_rate": 1e300, "batch_docs": 6}), encoding="utf-8")
+    assert main(["synth", "--out", str(train_corpus), "--config", str(pipeline["synth_cfg"]), "--docs", "12",
+                 "--seed", "1", "--split", "train"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--model", "kce", "--train", str(train_corpus), "--dev", str(pipeline["dev"]),
+                 "--out", str(out), "--config", str(cfg), "--dim", "16"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numeric failure: parameter block 'event_emb' became non-finite during training\n"
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["train", "--model", "nope"]) == 1
@@ -585,6 +601,24 @@ def test_non_finite_score_exits_three_before_the_output_is_opened(pipeline, kce_
     assert code == 3
     assert err.startswith("numeric failure: ") and f"doc {first!r}" in err and "Traceback" not in err
     assert out.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_intrude_on_non_finite_scores_exits_three_without_curves(pipeline, kce_model, tmp_path, capsys):
+    # every score is +-inf: ties would give each AUC half credit and write 0.5 rows
+    obj = json.loads(kce_model.read_text(encoding="utf-8"))
+    obj["w_v"] = [1e308] * len(obj["w_v"])
+    model = tmp_path / "overflow.model.json"
+    model.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    argv = ["intrude", "--model", str(model), "--corpus", str(pipeline["test"]), "--out", str(out),
+            "--kind", "salient", "--pairs", "5"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numeric failure: non-finite score for intrusion instance ") and "Traceback" not in err
+    assert "+" in err and "at fraction 0.1 (" in err and " scores)" in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def _baseline_reports(pipeline, tmp_path, unsalient_docs):

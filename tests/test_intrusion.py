@@ -8,7 +8,7 @@ from helpers import random_corpus, toy_table
 from oracles import build_instance_reference, feature_zeroed_scores
 from salience import intrusion
 from salience.corpus import Corpus, Document, EntityMention, EventMention, validate_document
-from salience.errors import DataError
+from salience.errors import DataError, NumericError
 from salience.features import fit_scaler
 from salience.intrusion import (
     INTRUDER_KINDS,
@@ -216,6 +216,32 @@ def test_study_deterministic():
     r1 = run_study_with_scorer(corpus, oracle_scorer, cfg)
     r2 = run_study_with_scorer(corpus, oracle_scorer, cfg)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_study_refuses_non_finite_scores_naming_the_instance(value):
+    # every score non-finite: ties would give each AUC half credit, and NaN would make them NaN
+    corpus = study_corpus()
+    cfg = IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.5, 1.0))
+    with pytest.raises(NumericError, match=r"instance doc-\d\d\+doc-\d\d at fraction 0.5 \((\d+) of \1 scores\)"):
+        run_study_with_scorer(corpus, lambda instance: np.full(len(instance.origin_flags), value), cfg)
+
+
+def test_study_refuses_a_partly_non_finite_score_vector():
+    def one_nan(instance):
+        scores = oracle_scorer(instance)
+        scores[-1] = math.nan
+        return scores
+
+    cfg = IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(1.0,))
+    with pytest.raises(NumericError, match=r"at fraction 1.0 \(1 of \d+ scores\)"):
+        run_study_with_scorer(study_corpus(), one_nan, cfg)
+
+
+def test_study_refuses_a_score_vector_of_the_wrong_length():
+    cfg = IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(1.0,))
+    with pytest.raises(DataError, match="not matching the mixed event list"):
+        run_study_with_scorer(study_corpus(), lambda instance: oracle_scorer(instance)[1:], cfg)
 
 
 def test_study_csv_format(tmp_path):

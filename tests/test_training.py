@@ -644,6 +644,35 @@ def test_train_returns_the_best_epoch_model_bitwise(kind):
     assert trained_bytes(trained) == trained_bytes(stopped)
 
 
+@pytest.mark.parametrize("kind", ["kce", "letor", "pagerank"])
+def test_train_on_an_empty_dev_corpus_keeps_the_last_epoch(monkeypatch, kind, tmp_path):
+    model, corpus = small_training_setup(seed=0, kind=kind)
+    cfg = TrainConfig(epochs=3, learning_rate=0.05, batch_docs=4)
+    empty = Corpus(documents=(), split_tag="dev")
+    trained, history = train(model, corpus, empty, cfg)
+    assert trained.meta["best_epoch"] is None and trained.meta["best_dev_auc"] is None
+    history.to_csv(tmp_path / "history.csv")
+    rows = (tmp_path / "history.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    assert all(row.endswith(",,") for row in rows)  # blank dev_auc and dev_p1
+    # a dev AUC that rises every epoch snapshots the last epoch: the same parameters
+    rising = iter(range(1, cfg.epochs + 1))
+    monkeypatch.setattr(training, "_dev_metrics", lambda model, dev, plans: (float(next(rising)), None))
+    last, _ = train(model, corpus, empty, cfg)
+    assert last.meta["best_epoch"] == cfg.epochs
+    assert trained_bytes(trained) == trained_bytes(last)
+
+
+@pytest.mark.parametrize("kind", ["kce", "letor", "pagerank"])
+def test_train_for_zero_epochs_returns_an_unchanged_copy(kind):
+    model, corpus = small_training_setup(seed=0, kind=kind)
+    trained, history = train(model, corpus, corpus, TrainConfig(epochs=0))
+    assert trained is not model
+    assert trained_bytes(trained) == trained_bytes(model)
+    assert history.rows == []
+    assert trained.meta == {}
+
+
 def relabeled(corpus, salient):
     """The corpus with every event's salient flag set to ``salient``."""
     return Corpus(
