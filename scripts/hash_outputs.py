@@ -26,7 +26,10 @@ no fit document reaches stay in the tables, as they do when the fit corpus
 is not the one the vocabulary was built from.
 Then come the ``build-vocab`` JSON of the train split for each field, and
 the trainable kce model's ``export-kernel-weights`` CSV and ``gradcheck``
-JSON over the first two test documents.
+JSON over the first two test documents.  Last of all comes the content hash of
+the half-split kce fit again, started from a bias of -0.0: the hinge sees only
+score differences, so the bias must come back with its sign bit whether or not
+training steps it.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -127,7 +130,8 @@ def _cut_bank(model_path: Path, size: int, out: Path) -> None:
 
 def _half_split_fits(corpora: dict[str, Path], root: Path) -> list[tuple[str, str]]:
     """Content hashes of kce (full) and pagerank fitted on the first half of the train split,
-    with tables built from all of it at min_count=1 as ``salience train`` builds them."""
+    with tables built from all of it at min_count=1 as ``salience train`` builds them, then of
+    the same kce fit started from a bias of -0.0."""
     whole = load_corpus(corpora["train"], split_tag="train")
     fit = Corpus(whole.documents[: len(whole.documents) // 2], split_tag="train")
     dev = load_corpus(corpora["dev"], split_tag="dev")
@@ -137,15 +141,17 @@ def _half_split_fits(corpora: dict[str, Path], root: Path) -> list[tuple[str, st
                              pretrained=str(root / "events.vec"))
     entities = init_embeddings(build_vocab(whole, "entity_key", min_count=1), dim=dim, seed=cfg.seed + 1,
                                pretrained=str(root / "entities.vec"))
+    kce = new_kce_model(default_bank(), events, entities, fit_scaler(whole, events, entities))
     fitted = {
-        "kce": new_kce_model(default_bank(), events, entities, fit_scaler(whole, events, entities)),
-        "pagerank": PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=events),
+        "kce (trainable)": kce,
+        "pagerank (trainable)": PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=events),
+        "kce (trainable) from a bias of -0.0": dataclasses.replace(kce, bias=-0.0),
     }
     rows = []
-    for name, model in fitted.items():
-        path = root / f"{name}-half-fit.model.json"
+    for k, (label, model) in enumerate(fitted.items()):
+        path = root / f"half-fit-{k}.model.json"
         save_model(train(model, fit, dev, cfg)[0], path)
-        rows.append((f"{name} (trainable), fit on half the train split, model content", _content_sha256(path)))
+        rows.append((f"{label}, fit on half the train split, model content", _content_sha256(path)))
     return rows
 
 
@@ -217,7 +223,8 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
         ranks = root / f"kce-trainable-{size}k.ranks.jsonl"
         _run(["rank", "--model", str(cut), "--corpus", str(test), "--out", str(ranks)])
         rows.append((f"kce (trainable), {size}-kernel bank rank JSONL", _sha256(ranks)))
-    rows += _half_split_fits(corpora, root)
+    *half_fits, negative_zero_bias_fit = _half_split_fits(corpora, root)
+    rows += half_fits
     for field in ("event", "entity"):
         vocab = root / f"{field}.vocab.json"
         _run(["build-vocab", "--corpus", str(corpora["train"]), "--out", str(vocab), "--field", field])
@@ -228,6 +235,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
     _run(["gradcheck", "--model", str(root / "kce-trainable.model.json"), "--corpus", str(test),
           "--max-docs", "2", "--out", str(grads)])
     rows.append(("kce (trainable) gradcheck JSON", _sha256(grads)))
+    rows.append(negative_zero_bias_fit)  # last, so the rows before it line up with older tables
     return rows
 
 

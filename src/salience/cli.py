@@ -377,16 +377,14 @@ def _cmd_synth(args) -> Run:
     overrides = {k: getattr(args, k) for k in ("docs", "seed", "split") if getattr(args, k) is not None}
     cfg = SynthConfig.from_json({**cfg.to_json(), **overrides})
     corpus, pools = generate_corpus(cfg)
+    kinds = ((args.event_vectors_out, pools.event_vectors), (args.entity_vectors_out, pools.entity_vectors))
+    # all degraded before anything is written, so a refused vector leaves no file
+    noisy = [(path, degrade_vectors(vecs, cfg.vector_noise, cfg.pool_seed + k))
+             for k, (path, vecs) in enumerate(kinds, 1) if path]
     save_corpus(corpus, args.out)
-    outputs = [args.out]
-    if args.event_vectors_out:
-        vecs = degrade_vectors(pools.event_vectors, cfg.vector_noise, cfg.pool_seed + 1)
-        save_word_vectors(vecs, args.event_vectors_out)
-        outputs.append(args.event_vectors_out)
-    if args.entity_vectors_out:
-        vecs = degrade_vectors(pools.entity_vectors, cfg.vector_noise, cfg.pool_seed + 2)
-        save_word_vectors(vecs, args.entity_vectors_out)
-        outputs.append(args.entity_vectors_out)
+    for path, vecs in noisy:
+        save_word_vectors(vecs, path)
+    outputs = [args.out, *(path for path, _ in noisy)]
     print(f"generated {cfg.docs} documents (seed {cfg.seed}, split {cfg.split})")
     return Run([args.config] if args.config else [], outputs, {"synth_config": cfg.to_json()})
 
@@ -413,7 +411,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.time()
     try:
-        run = _HANDLERS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report each failure
+            run = _HANDLERS[args.command](args)
         if run is not None:
             write_manifest(
                 args.command, args.out, {**vars(args), **run.resolved}, run.inputs, run.outputs, started

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SPLIT_TAGS, Corpus, Document, EntityMention, EventMention
-from .errors import DataError, config_from_json, is_finite_number, is_int, read_json
+from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, read_json
 
 
 @dataclass
@@ -151,7 +151,11 @@ def degrade_vectors(
     rng = np.random.default_rng(seed)
     out = {}
     for tok in sorted(vectors):
-        out[tok] = _unit(vectors[tok] + noise * rng.standard_normal(vectors[tok].shape))
+        noisy = vectors[tok] + noise * rng.standard_normal(vectors[tok].shape)
+        norm = np.linalg.norm(noisy)
+        if not np.isfinite(norm):
+            raise NumericError(f"vector noise {noise!r} gives token {tok!r} a non-finite norm")
+        out[tok] = noisy / norm
     return out
 
 

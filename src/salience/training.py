@@ -205,19 +205,17 @@ class Adam:
 
 # --- parameter blocks -------------------------------------------------------
 
-BIAS_KEY = "bias"
 TEMPERATURE_KEY = "temperature"
 EMBEDDING_KEYS = ("event_emb", "entity_emb")  # gradients come as (rows, block) pairs
 MIN_TEMPERATURE = 1e-3
 
 
 def _param_arrays(model, freeze_embeddings: bool) -> dict[str, np.ndarray]:
-    """The model's trainable parameters, decided here alone: views into its weight blocks
-    and into each table its score reads whose ``trainable`` is on, unless ``freeze_embeddings``
-    is set, and a one-element copy of its scalar (the bias or the temperature)."""
+    """The model's trainable parameters, decided here alone: views into a KCE model's weight
+    blocks or a one-element copy of PageRank's temperature, and views into each table the score
+    reads whose ``trainable`` is on, unless ``freeze_embeddings`` is set."""
     if isinstance(model, KCEModel):
         arrays = {name: getattr(model, name) for name in VARIANT_BLOCKS[model.variant]}
-        arrays[BIAS_KEY] = np.array([model.bias])
         entities = reads_entities(model.variant)
     elif isinstance(model, PageRankModel):
         arrays = {TEMPERATURE_KEY: np.array([model.temperature])}
@@ -232,12 +230,10 @@ def _param_arrays(model, freeze_embeddings: bool) -> dict[str, np.ndarray]:
 
 
 def _sync_scalar(model, arrays: dict[str, np.ndarray]) -> None:
-    """Copy the scalar's array back onto the model; the temperature is floored first."""
+    """Floor PageRank's temperature array and copy it back onto the model; KCE trains no scalar."""
     if isinstance(model, PageRankModel):
         arrays[TEMPERATURE_KEY][0] = max(float(arrays[TEMPERATURE_KEY][0]), MIN_TEMPERATURE)
         model.temperature = float(arrays[TEMPERATURE_KEY][0])
-    else:
-        model.bias = float(arrays[BIAS_KEY][0])
 
 
 # --- analytic backward passes ------------------------------------------------
@@ -291,9 +287,9 @@ def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarr
 def kce_backward(
     model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray, tables: tuple[str, ...]
 ) -> dict:
-    """Gradients of the document loss for the variant's weight blocks, the bias and
-    the trained tables: the ``EMBEDDING_KEYS`` in ``tables``, row-sparse as ``(rows,
-    block)`` pairs.  The entity cosines feed the event rows either way.
+    """Gradients of the document loss for the variant's weight blocks and the trained
+    tables: the ``EMBEDDING_KEYS`` in ``tables``, row-sparse as ``(rows, block)`` pairs.
+    The entity cosines feed the event rows either way.
     """
     n = len(plan.rows_v)
     m = len(plan.rows_e)
@@ -301,7 +297,6 @@ def kce_backward(
     blocks = VARIANT_BLOCKS[model.variant]
     inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": cache.scaled_feats}
     grads: dict[str, np.ndarray] = {name: inputs[name].T @ g for name in blocks}
-    grads[BIAS_KEY] = np.array([float(g.sum())])
     if not tables:
         return grads
 
@@ -359,7 +354,11 @@ def pagerank_backward(
     trans = cache.transitions
     inner = (trans * d_trans).sum(axis=1, keepdims=True)
     d_logits = trans * (d_trans - inner)
-    d_temp = float((d_logits * (-cache.sims / (model.temperature**2))).sum())
+    try:
+        temp_sq = model.temperature**2  # libm's square: t * t differs in the last bit for some t
+    except OverflowError:
+        raise NumericError(f"walk temperature {model.temperature!r} overflowed while training") from None
+    d_temp = float((d_logits * (-cache.sims / temp_sq)).sum())
     if "event_emb" not in tables:
         return {TEMPERATURE_KEY: np.array([d_temp])}
     grad_sims = d_logits / model.temperature
@@ -550,9 +549,9 @@ def grad_check(
     Checks every trainable weight block and a seeded sample of up to
     ``max_rows`` embedding rows actually referenced by the document.  The
     relative error is |a - n| / max(|a|, |n|, 1e-8); coordinates where both
-    values sit at or below 1e-8 are treated as agreeing zeros (the loss is
-    exactly bias-shift invariant, so e.g. the bias gradient is identically
-    zero while finite differences return pure floating-point noise).
+    values sit at or below 1e-8 are treated as agreeing zeros (a far kernel's
+    weight, say, has a gradient too small to reach the loss's bits, where
+    finite differences return 0.0 or floating-point noise).
     """
     if not isinstance(model, KCEModel) or model.variant not in KCE_VARIANTS:
         raise DataError("grad_check runs on kernel centrality models")
@@ -566,48 +565,33 @@ def grad_check(
     params = _param_arrays(model, freeze_embeddings=False)
     tables = tuple(name for name in EMBEDDING_KEYS if name in params)
     _, analytic = _doc_loss_and_grads(model, doc.doc_id, plan, pairs, tables)
-    for name in tables:
-        rows, block = analytic[name]
-        analytic[name] = np.zeros_like(params[name])
-        analytic[name][rows] = block
 
-    # (parameter, analytic gradient, coordinates to perturb): every weight block and the bias ...
-    blocks: list[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]] = [
-        (arr, analytic[name], [(k,) for k in range(len(arr))])
-        for name, arr in params.items()
-        if name not in EMBEDDING_KEYS
-    ]
-    # ... and a sample of the table rows the document references
-    referenced = {"event_emb": plan.groups[0][0], "entity_emb": plan.groups[1][0]}  # the unique rows
-    row_pool = [(name, int(r)) for name in tables for r in referenced[name]]
-    if row_pool and max_rows > 0:
-        rng = np.random.default_rng(row_seed)
-        chosen = (
-            row_pool
-            if len(row_pool) <= max_rows
-            else [row_pool[i] for i in rng.choice(len(row_pool), size=max_rows, replace=False)]
-        )
-        for name, row in chosen:
-            blocks.append((params[name], analytic[name], [(row, d) for d in range(params[name].shape[1])]))
+    # (parameter, analytic gradient) vectors to perturb coordinate by coordinate: every weight block ...
+    blocks = [(arr, analytic[name]) for name, arr in params.items() if name not in EMBEDDING_KEYS]
+    # ... and a sample of the table rows the document references, each a view of its row and its
+    # gradient's row: the row-sparse gradients list exactly those rows
+    row_pool = [(params[name][row], grad) for name in tables for row, grad in zip(*analytic[name])]
+    if len(row_pool) > max_rows:
+        chosen = np.random.default_rng(row_seed).choice(len(row_pool), size=max(max_rows, 0), replace=False)
+        row_pool = [row_pool[i] for i in chosen]
+    blocks += row_pool
 
-    def loss_with_bias_synced() -> float:
-        _sync_scalar(model, params)
+    def loss() -> float:
         return _pair_loss(kce_forward(model, plan)[0], pairs)[0]
 
     worst = 0.0
-    for param, grad, coords in blocks:
-        for coord in coords:
-            a = float(grad[coord])
-            orig = float(param[coord])
-            param[coord] = orig + step
-            loss_plus = loss_with_bias_synced()
-            param[coord] = orig - step
-            loss_minus = loss_with_bias_synced()
-            param[coord] = orig
+    for param, grad in blocks:
+        for k in range(len(param)):
+            a = float(grad[k])
+            orig = float(param[k])
+            param[k] = orig + step
+            loss_plus = loss()
+            param[k] = orig - step
+            loss_minus = loss()
+            param[k] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             if abs(a) <= GRAD_EPS and abs(numeric) <= GRAD_EPS:
                 continue
             # np.maximum keeps a NaN error, where max() would drop it
             worst = float(np.maximum(worst, abs(a - numeric) / max(abs(a), abs(numeric), GRAD_EPS)))
-    _sync_scalar(model, params)
     return worst

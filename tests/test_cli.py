@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line pipeline via ``main(argv)``."""
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -401,7 +402,7 @@ def test_train_pagerank_nan_temperature_exits_two_before_training(pipeline, tmp_
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_on_non_finite_training_scores_exits_three(pipeline, tmp_path, capsys):
     """A temperature of 1e-310 passes the model's check, but cosines over it overflow the walk to NaN."""
     out = tmp_path / "pr.json"
@@ -412,25 +413,60 @@ def test_train_on_non_finite_training_scores_exits_three(pipeline, tmp_path, cap
     err = capsys.readouterr().err
     train_ids = {doc.doc_id for doc in load_corpus(pipeline["train"]).documents}
     assert code == 3
-    assert err.startswith("numeric failure: non-finite score while training on doc ") and "Traceback" not in err
+    assert err.startswith("numeric failure: non-finite score while training on doc ") and err.count("\n") == 1
     assert err.split(" doc ", 1)[1].strip() in {repr(doc_id) for doc_id in train_ids}
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_whose_parameters_overflow_exits_three(pipeline, tmp_path, capsys):
-    # Adam steps of 1e300 overflow the event table in the first epoch; the check after it names the block
-    train_corpus, cfg, out = tmp_path / "train.jsonl", tmp_path / "train.json", tmp_path / "kce.json"
-    cfg.write_text(json.dumps({"learning_rate": 1e300, "batch_docs": 6}), encoding="utf-8")
+_BLOCK_OVERFLOW = "parameter block 'event_emb' became non-finite during training"
+_SCORE_OVERFLOW = "non-finite score while training on doc 'synth-1-00000'"
+
+
+@pytest.mark.parametrize(
+    "model, cfg, pattern",
+    [
+        # Adam steps of 1e300 overflow the event table in the first epoch; the check after it names the block
+        pytest.param("kce", {"learning_rate": 1e300}, _BLOCK_OVERFLOW, id="kce-1e300"),
+        pytest.param("kce-e", {"learning_rate": 1e300}, _BLOCK_OVERFLOW, id="kce-e-1e300"),
+        # steps of 1e308 overflow the weights, and the next document's scores with them
+        pytest.param("kce", {"learning_rate": 1e308}, _SCORE_OVERFLOW, id="kce-1e308"),
+        pytest.param("kce-e", {"learning_rate": 1e308}, _SCORE_OVERFLOW, id="kce-e-1e308"),
+        pytest.param("pagerank", {"learning_rate": 1e308}, _SCORE_OVERFLOW, id="pagerank-1e308"),
+        # with this seed Adam pushes the walk temperature to about 5.6e299, whose square overflows a float
+        pytest.param(
+            "pagerank", {"learning_rate": 1e300, "seed": 5}, r"walk temperature \S+e\+299 overflowed while training",
+            id="pagerank-1e300",
+        ),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_whose_parameters_overflow_exits_three(pipeline, tmp_path, capsys, model, cfg, pattern):
+    train_corpus, cfg_path, out = tmp_path / "train.jsonl", tmp_path / "train.json", tmp_path / "model.json"
+    cfg_path.write_text(json.dumps({**cfg, "batch_docs": 6}), encoding="utf-8")
     assert main(["synth", "--out", str(train_corpus), "--config", str(pipeline["synth_cfg"]), "--docs", "12",
                  "--seed", "1", "--split", "train"]) == 0
     capsys.readouterr()
-    code = main(["train", "--model", "kce", "--train", str(train_corpus), "--dev", str(pipeline["dev"]),
-                 "--out", str(out), "--config", str(cfg), "--dim", "16"])
+    code = main(["train", "--model", model, "--train", str(train_corpus), "--dev", str(pipeline["dev"]),
+                 "--out", str(out), "--config", str(cfg_path), "--dim", "16"])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == "numeric failure: parameter block 'event_emb' became non-finite during training\n"
+    assert re.fullmatch(f"numeric failure: {pattern}\n", err)
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("noise", [1e300, 1e308])
+def test_synth_whose_vector_noise_overflows_exits_three_without_files(tmp_path, capsys, noise):
+    # at 1e300 every norm overflows to inf, which would write zero rows; at 1e308 the rows hold nan
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"docs": 3, "vector_noise": noise}), encoding="utf-8")
+    out, events, entities = tmp_path / "c.jsonl", tmp_path / "events.vec", tmp_path / "entities.vec"
+    code = main(["synth", "--out", str(out), "--config", str(cfg),
+                 "--event-vectors-out", str(events), "--entity-vectors-out", str(entities)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"numeric failure: vector noise {noise!r} gives token 'bg_ev0' a non-finite norm\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"]
 
 
 def test_usage_errors_exit_one():
@@ -586,7 +622,7 @@ def test_rank_with_a_directory_as_model_exits_two(pipeline, tmp_path, capsys):
     _exits_two_with_one_line_error(argv, capsys)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["rank", "evaluate"])
 def test_non_finite_score_exits_three_before_the_output_is_opened(pipeline, kce_model, tmp_path, capsys, command):
     obj = json.loads(kce_model.read_text(encoding="utf-8"))
@@ -599,11 +635,11 @@ def test_non_finite_score_exits_three_before_the_output_is_opened(pipeline, kce_
     err = capsys.readouterr().err
     first = load_corpus(pipeline["test"]).documents[0].doc_id
     assert code == 3
-    assert err.startswith("numeric failure: ") and f"doc {first!r}" in err and "Traceback" not in err
+    assert err.startswith("numeric failure: ") and f"doc {first!r}" in err and err.count("\n") == 1
     assert out.read_bytes() == b"earlier output\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_intrude_on_non_finite_scores_exits_three_without_curves(pipeline, kce_model, tmp_path, capsys):
     # every score is +-inf: ties would give each AUC half credit and write 0.5 rows
     obj = json.loads(kce_model.read_text(encoding="utf-8"))
@@ -616,7 +652,7 @@ def test_intrude_on_non_finite_scores_exits_three_without_curves(pipeline, kce_m
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("numeric failure: non-finite score for intrusion instance ") and "Traceback" not in err
+    assert err.startswith("numeric failure: non-finite score for intrusion instance ") and err.count("\n") == 1
     assert "+" in err and "at fraction 0.1 (" in err and " scores)" in err
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 

@@ -98,6 +98,26 @@ def test_pair_loss_nonnegative_and_grads_sum_zero(seed):
     assert grads.sum() == pytest.approx(0.0, abs=1e-12)
 
 
+POSITIVE_ZERO = np.float64(0.0).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scores=hnp.arrays(
+        np.float64, st.integers(1, 12), elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5]) | st.floats(-1e6, 1e6)
+    ),
+    data=st.data(),
+)
+def test_pair_loss_score_gradient_sums_to_positive_zero(scores, data):
+    """A bias added to every score has this sum as its gradient: +0.0 for any scores, ties included,
+    and any subset of the pairs, so no optimizer step can move it."""
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores))), dtype=bool)
+    pairs = training._cross_pairs(labels)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    _, dscores = training._pair_loss(scores, pairs[np.array(keep, dtype=bool)])
+    assert np.float64(dscores.sum()).tobytes() == POSITIVE_ZERO
+
+
 def test_pair_loss_zero_iff_unit_margin_separation():
     labels = np.array([True, False])
     loss, _ = document_pair_loss(np.array([2.0, 1.0]), labels)
@@ -427,12 +447,13 @@ def test_kce_backward_differentiates_only_the_named_tables():
         setattr(model, name, rng.normal(0, 0.5, len(getattr(model, name))))
     # the same model without the entity kernels and the two entity-vote features
     no_entity_terms = dataclasses.replace(model, w_e=np.zeros_like(model.w_e), w_f=model.w_f * [1, 1, 1, 0, 0])
-    weights = {*VARIANT_BLOCKS["full"], training.BIAS_KEY}
+    weights = set(VARIANT_BLOCKS["full"])
     fed = 0
     for doc in docs:
         plan = model_plan(model, doc)
         scores, cache = kce_forward(model, plan)
         _, dscores = document_pair_loss(scores, salience_labels(doc))
+        assert np.float64(dscores.sum()).tobytes() == POSITIVE_ZERO  # the bias's gradient, so it does not train
         both = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
         for tables in [(), ("event_emb",), ("entity_emb",)]:
             grads = kce_backward(model, plan, cache, dscores, tables)
@@ -849,7 +870,7 @@ def test_train_letor_moves_only_linear_weights():
     assert np.array_equal(trained.event_table.vectors, before)
     assert trained.w_f.any()
     assert not trained.w_v.any() and not trained.w_e.any()  # features_only has no kernel blocks
-    assert trained.bias == 0.0  # hinge bias gradient is identically zero
+    assert trained.bias == 0.0  # the hinge cannot move the bias, so training leaves it alone
 
 
 def test_features_only_matches_letor_reference_bitwise():
@@ -882,10 +903,30 @@ def test_features_only_matches_letor_reference_bitwise():
         with_pairs += 1
         want_loss, dscores = training._pair_loss(want, pairs)
         assert loss == want_loss
-        assert grads.keys() == {"w_f", "bias"}  # frozen tables: no embedding backward
-        for name, value in letor_grads(scaled, dscores).items():
+        want = letor_grads(scaled, dscores)
+        assert want.pop("bias").tobytes() == POSITIVE_ZERO  # the reference's bias gradient: nothing to train
+        assert grads.keys() == want.keys()  # only w_f; frozen tables: no embedding backward
+        for name, value in want.items():
             assert np.array_equal(grads[name], value)
     assert with_pairs >= 6
+
+
+@pytest.mark.parametrize("variant", VARIANT_BLOCKS)
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(epochs=2, batch_docs=4, seed=3),
+        TrainConfig(epochs=2, batch_docs=5, seed=4, beta1=0.0, beta2=0.0, max_pairs_per_doc=7),
+    ],
+)
+def test_train_returns_the_bias_it_was_given_bitwise(variant, freeze, cfg):
+    model, corpus = small_training_setup(variant=variant)
+    for bias in (0.75, -0.0):
+        model.bias = bias
+        trained, _ = train(model, corpus, corpus, dataclasses.replace(cfg, freeze_embeddings=freeze))
+        assert any(getattr(trained, name).any() for name in VARIANT_BLOCKS[variant])  # the weights did train
+        assert np.float64(trained.bias).tobytes() == np.float64(bias).tobytes()
 
 
 def test_train_pagerank_tunes_lambda_and_temperature():
