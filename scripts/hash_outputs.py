@@ -29,7 +29,10 @@ the trainable kce model's ``export-kernel-weights`` CSV and ``gradcheck``
 JSON over the first two test documents.  Last of all comes the content hash of
 the half-split kce fit again, started from a bias of -0.0: the hinge sees only
 score differences, so the bias must come back with its sign bit whether or not
-training steps it.
+training steps it.  After it come two more ``intrude`` CSVs: the trainable kce
+model with salient intruders at the default fractions, where short intruder
+pools make fractions repeat their intruder counts, and the trainable kce-ef
+model, whose plans have no entity side, with the nonsalient arguments above.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -73,6 +76,7 @@ MODELS = ("kce", "kce-e", "kce-ef", "letor", "pagerank")
 BASELINES = ("frequency", "location")
 TIE_SEED = 13
 INTRUDE_ARGS = ["--kind", "nonsalient", "--pairs", "20", "--seed", "4", "--fractions", "0.5,1.0"]
+SALIENT_INTRUDE_ARGS = ["--kind", "salient", "--pairs", "20", "--seed", "4"]  # at the default fractions
 CUT_BANKS = (1, 2)
 HALF_FIT_CFG = {"epochs": 3, "batch_docs": 4, "seed": 5}
 
@@ -235,7 +239,12 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
     _run(["gradcheck", "--model", str(root / "kce-trainable.model.json"), "--corpus", str(test),
           "--max-docs", "2", "--out", str(grads)])
     rows.append(("kce (trainable) gradcheck JSON", _sha256(grads)))
-    rows.append(negative_zero_bias_fit)  # last, so the rows before it line up with older tables
+    rows.append(negative_zero_bias_fit)  # after the rows above, so they line up with older tables
+    for name, args in (("kce", SALIENT_INTRUDE_ARGS), ("kce-ef", INTRUDE_ARGS)):
+        curves = root / f"{name}-trainable.intrusion.csv"
+        _run(["intrude", "--model", str(root / f"{name}-trainable.model.json"), "--corpus", str(test),
+              "--out", str(curves)] + args)
+        rows.append((f"{name} (trainable) intrusion CSV, {' '.join(args)}", _sha256(curves)))
     return rows
 
 

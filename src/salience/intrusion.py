@@ -17,7 +17,8 @@ mixes in a prefix of the shuffled order by index selection on those arrays,
 with lemma counts from an integer ``bincount``.  The one invariant of the
 mixed document that the checked documents do not guarantee, no prefixed
 intruder id equal to an origin id, is checked for the mentions each instance
-mixes in.  The mixed ``Document`` itself is built only when a scorer reads it.
+mixes in.  An instance carries its plan, so a scorer takes the instance
+alone; the mixed ``Document`` is built only when a scorer reads it.
 """
 from __future__ import annotations
 
@@ -73,6 +74,7 @@ class IntrusionInstance:
     salient_origin_flags: np.ndarray  # True for salient origin events only
     frequency: np.ndarray  # each event's lemma count in the mixed document
     build: Callable[[], Document] = field(repr=False, compare=False)
+    plan: DocPlan | None = field(default=None, repr=False, compare=False)  # under the study's model, if any
 
     @cached_property
     def mixed(self) -> Document:
@@ -133,7 +135,6 @@ class _PairMixer:
         if model is not None:  # the rows under the model's vocabularies, normalized once under its tables
             events_vocab, entities_vocab = plan_vocabularies(model)
             entities = [*origin.entities, *self.entities] if entities_vocab is not None else []
-            self.tables = (model.event_table, model.entity_table if entities_vocab is not None else None)
             self.rows_v = events_vocab.rows([ev.head_lemma for ev in events])
             keys = [en.entity_key for en in entities]
             self.rows_e = entities_vocab.rows(keys) if entities_vocab is not None else np.zeros(0, np.intp)
@@ -145,11 +146,11 @@ class _PairMixer:
             self.sent_e[len(origin.entities) :] += self.offset
             self.used = np.arange(self.offset + intruder.num_sentences) < self.offset  # the origin's sentences
 
-    def mix(self, n_intruders: int) -> tuple[IntrusionInstance, DocPlan | None]:
+    def mix(self, n_intruders: int) -> IntrusionInstance:
         """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities.
 
-        With a model, the mixed document's plan under the model's vocabularies
-        and tables comes along; without one, None.
+        With a model, the instance carries the mixed document's plan under the
+        model's vocabularies and tables; without one, its plan is None.
         """
         n_orig, n_moved = len(self.origin.events), len(self.moved)
         if not 0 <= n_intruders <= n_moved:
@@ -161,22 +162,24 @@ class _PairMixer:
             _check_mixed(self._document(chosen))  # raises, naming the first duplicate id
         events = np.concatenate((np.arange(n_orig), n_orig + chosen))
         frequency = lemma_counts(self.codes[events])
-        instance = IntrusionInstance(
+        plan = None
+        if self.model is not None:
+            sentences, used = self.sent_v[events], self.used.copy()
+            used[sentences] = True
+            entities = np.flatnonzero(used[self.sent_e])
+            tables = (self.model.event_table, self.model.entity_table)
+            units = (*tables, *(a[events] for a in self.units_v), *(a[entities] for a in self.units_e))
+            rows_e, entity_sentences = self.rows_e[entities], self.sent_e[entities]
+            plan = make_plan(self.rows_v[events], rows_e, sentences, entity_sentences, frequency, units)
+        return IntrusionInstance(
             origin_doc_id=self.origin.doc_id,
             intruder_doc_id=self.intruder.doc_id,
             origin_flags=np.arange(n_orig + n_intruders) < n_orig,
             salient_origin_flags=np.concatenate([self.origin_salient, np.zeros(n_intruders, dtype=bool)]),
             frequency=frequency,
             build=partial(self._document, chosen),
+            plan=plan,
         )
-        if self.model is None:
-            return instance, None
-        sentences, used = self.sent_v[events], self.used.copy()
-        used[sentences] = True
-        entities = np.flatnonzero(used[self.sent_e])
-        units = (*self.tables, *(a[events] for a in self.units_v), *(a[entities] for a in self.units_e))
-        rows_e, entity_sentences = self.rows_e[entities], self.sent_e[entities]
-        return instance, make_plan(self.rows_v[events], rows_e, sentences, entity_sentences, frequency, units)
 
     def _document(self, chosen: np.ndarray) -> Document:
         origin, prefix, offset = self.origin, self.prefix, self.offset
@@ -210,7 +213,7 @@ def build_instance(
     event brings along the entities from its source sentence.  The mixed
     document is built and checked here.
     """
-    instance, _ = _PairMixer(origin, intruder, cfg).mix(n_intruders)
+    instance = _PairMixer(origin, intruder, cfg).mix(n_intruders)
     _check_mixed(instance.mixed)
     return instance
 
@@ -245,18 +248,18 @@ class StudyResult:
 def run_study_with_scorer(
     corpus: Corpus, score_fn: Callable[[IntrusionInstance], np.ndarray], cfg: IntrusionConfig
 ) -> StudyResult:
-    """Sample (origin, intruder) pairs and average AUC/SA-AUC per insertion fraction."""
-    return _run_study(corpus, lambda instance, plan: score_fn(instance), cfg)
+    """Sample (origin, intruder) pairs and average AUC/SA-AUC per insertion fraction, scoring
+    each instance alone; with no model to plan under, every instance's ``plan`` is None."""
+    return _run_study(corpus, score_fn, cfg)
 
 
 def _run_study(
     corpus: Corpus,
-    score_fn: Callable[[IntrusionInstance, DocPlan | None], np.ndarray],
+    score_fn: Callable[[IntrusionInstance], np.ndarray],
     cfg: IntrusionConfig,
     model: KCEModel | None = None,
 ) -> StudyResult:
-    """``run_study_with_scorer`` for a scorer that also reads each instance's
-    plan under ``model`` (None without a model)."""
+    """``run_study_with_scorer`` over instances that carry their plan under ``model``."""
     origins = [
         d for d in corpus.documents if sum(1 for ev in d.events if ev.salient) >= MIN_ORIGIN_SALIENT
     ]
@@ -292,8 +295,8 @@ def _run_study(
     for origin, intruder in pairs:
         pair = _PairMixer(origin, intruder, cfg, model)
         for i, fraction in enumerate(cfg.fractions):
-            instance, plan = pair.mix(math.ceil(fraction * len(pair.moved)))
-            scores = np.asarray(score_fn(instance, plan), dtype=np.float64)
+            instance = pair.mix(math.ceil(fraction * len(pair.moved)))
+            scores = np.asarray(score_fn(instance), dtype=np.float64)
             if scores.shape != instance.origin_flags.shape:
                 raise DataError("scorer returned a vector not matching the mixed event list")
             finite = np.isfinite(scores)
@@ -331,7 +334,4 @@ def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyRes
         raise DataError("intrusion studies score with a kernel centrality model")
     frequency_only = replace(model, w_f=np.concatenate([model.w_f[:1], np.zeros(len(model.w_f) - 1)]))
 
-    def score_fn(instance: IntrusionInstance, plan: DocPlan) -> np.ndarray:
-        return model_scores(frequency_only, plan)
-
-    return _run_study(corpus, score_fn, cfg, frequency_only)
+    return _run_study(corpus, lambda instance: model_scores(frequency_only, instance.plan), cfg, frequency_only)

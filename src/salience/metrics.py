@@ -212,6 +212,8 @@ def evaluate(
         raise DataError(
             f"got scores for {len(scores_per_doc)} documents, corpus has {len(corpus.documents)}"
         )
+    if tie_seed is not None and tie_seed < 0:
+        raise DataError(f"tie seed must be >= 0, got {tie_seed}")
     per_doc: list[DocMetrics] = []
     for doc_idx, (doc, scores) in enumerate(zip(corpus.documents, scores_per_doc)):
         scores = np.asarray(scores, dtype=np.float64)

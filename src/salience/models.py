@@ -130,7 +130,7 @@ def kce_forward(model: KCEModel, plan: DocPlan) -> tuple[np.ndarray, KCECache]:
     """
     n = len(plan.rows_v)
     blocks = VARIANT_BLOCKS[model.variant]
-    geo = doc_geometry(plan, model.event_table, model.entity_table if reads_entities(model.variant) else None)
+    geo = doc_geometry(plan, model.event_table, model.entity_table)
     acts_vv = acts_ve = phi_v = phi_e = None
     terms = []
     if "w_v" in blocks:

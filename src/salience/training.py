@@ -316,7 +316,7 @@ def kce_backward(
             grad_vv + grad_vv.T, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v
         )
 
-    if n and m and reads_entities(model.variant):
+    if n and m:
         grad_ve = np.zeros_like(cache.sims_ve)
         if "w_e" in blocks:
             grad_ve += g[:, None] * _kernel_cos_grad(
@@ -535,19 +535,14 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
 # --- finite-difference verification ------------------------------------------
 
 GRAD_EPS = 1e-8
+GRAD_CHECK_ROWS = 32  # the most embedding rows one check perturbs
 
 
-def grad_check(
-    model: KCEModel,
-    doc: Document,
-    step: float = 1e-4,
-    max_rows: int = 32,
-    row_seed: int = 0,
-) -> float:
+def grad_check(model: KCEModel, doc: Document, step: float = 1e-4, row_seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Checks every trainable weight block and a seeded sample of up to
-    ``max_rows`` embedding rows actually referenced by the document.  The
+    ``GRAD_CHECK_ROWS`` embedding rows actually referenced by the document.  The
     relative error is |a - n| / max(|a|, |n|, 1e-8); coordinates where both
     values sit at or below 1e-8 are treated as agreeing zeros (a far kernel's
     weight, say, has a gradient too small to reach the loss's bits, where
@@ -571,8 +566,8 @@ def grad_check(
     # ... and a sample of the table rows the document references, each a view of its row and its
     # gradient's row: the row-sparse gradients list exactly those rows
     row_pool = [(params[name][row], grad) for name in tables for row, grad in zip(*analytic[name])]
-    if len(row_pool) > max_rows:
-        chosen = np.random.default_rng(row_seed).choice(len(row_pool), size=max(max_rows, 0), replace=False)
+    if len(row_pool) > GRAD_CHECK_ROWS:
+        chosen = np.random.default_rng(row_seed).choice(len(row_pool), size=GRAD_CHECK_ROWS, replace=False)
         row_pool = [row_pool[i] for i in chosen]
     blocks += row_pool
 

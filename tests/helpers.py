@@ -181,12 +181,13 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     return True
 
 
-def gradcheck_instances(count: int, start_seed: int = 0):
-    """Yield `count` (model, doc, seed) triples suitable for finite differences."""
+def gradcheck_instances(count: int, start_seed: int = 0, **shape):
+    """Yield `count` (model, doc, seed) triples suitable for finite differences;
+    ``shape`` overrides ``_gradcheck_candidate``'s sizes."""
     seed = start_seed
     produced = 0
     while produced < count:
-        model, doc = _gradcheck_candidate(seed)
+        model, doc = _gradcheck_candidate(seed, **shape)
         seed += 1
         if not _fd_informative(model, doc):
             continue

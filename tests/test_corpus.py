@@ -122,6 +122,15 @@ def test_round_trip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_load_corpus_skips_blank_lines(tmp_path):
+    corpus = random_corpus(np.random.default_rng(5), n_docs=3)
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n" + "\n \t\n".join(lines) + "\n\n", encoding="utf-8")
+    assert load_corpus(path).documents == corpus.documents
+
+
 def test_save_is_compact_jsonl(tmp_path):
     rng = np.random.default_rng(4)
     corpus = random_corpus(rng, n_docs=2)

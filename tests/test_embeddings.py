@@ -195,6 +195,14 @@ def test_word_vector_bad_header(tmp_path):
         load_word_vectors(path)
 
 
+def test_save_word_vectors_refuses_an_empty_or_ragged_table(tmp_path):
+    with pytest.raises(DataError, match="empty vector file"):
+        save_word_vectors({}, tmp_path / "empty.txt")
+    assert not (tmp_path / "empty.txt").exists()
+    with pytest.raises(DataError, match=r"vector for 'b' has dim \(2,\), expected \(3,\)"):
+        save_word_vectors({"a": np.ones(3), "b": np.ones(2)}, tmp_path / "ragged.txt")
+
+
 def test_vocab_json_round_trip():
     rng = np.random.default_rng(2)
     corpus = random_corpus(rng, n_docs=4)

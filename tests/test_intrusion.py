@@ -285,8 +285,8 @@ def recording_study(monkeypatch):
     study = intrusion._run_study
 
     def recording(corpus, score_fn, cfg, *args):
-        def recorded(instance, plan):
-            scores = score_fn(instance, plan)
+        def recorded(instance):
+            scores = score_fn(instance)
             scored.append((instance.mixed, scores))
             return scores
 
@@ -341,6 +341,8 @@ def test_intrusion_config_validation():
         IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.5, 0.5, 1.0))
     with pytest.raises(DataError):
         IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=(0.0, 1.0))
+    with pytest.raises(DataError, match="at least one insertion fraction"):
+        IntrusionConfig(num_pairs=5, intruder_kind="salient_only", seed=0, fractions=())
 
 
 def assert_same_instance(got, want):

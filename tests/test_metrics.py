@@ -259,6 +259,16 @@ def test_evaluate_tie_seed_reproducible_and_score_independent():
     assert len(seen) > 1  # jitter actually varies with the seed
 
 
+def test_evaluate_refuses_a_negative_tie_seed_and_wraps_large_ones():
+    corpus = Corpus(documents=(labeled_doc("a", [1, 0, 0, 1, 0, 1]),))
+    tied = [np.zeros(6)]
+    with pytest.raises(DataError, match="tie seed must be >= 0, got -1"):
+        evaluate(tied, corpus, tie_seed=-1)
+    # seeds of 2**32 and above keep the streams they have always drawn: their value mod 2**32
+    wrapped, seed = evaluate(tied, corpus, tie_seed=2**32 + 7).to_json(), evaluate(tied, corpus, tie_seed=7).to_json()
+    assert wrapped["per_doc"] == seed["per_doc"] and wrapped["tie_seed"] == 2**32 + 7
+
+
 def test_evaluate_tie_seed_breaks_auc_ties_too():
     # with all scores tied, plain AUC is 0.5 by the tie convention; a tie seed
     # turns the metric into the AUC of one sampled strict order

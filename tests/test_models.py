@@ -413,6 +413,19 @@ def test_save_model_rejects_weights_the_variant_does_not_hold(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_new_kce_model_refuses_an_unknown_variant():
+    rng = np.random.default_rng(40)
+    kce = build_kce(rng, random_document(rng, n_events=3, n_entities=2))
+    with pytest.raises(DataError, match="unknown variant 'entities_only'"):
+        new_kce_model(default_bank(), kce.event_table, kce.entity_table, kce.scaler, variant="entities_only")
+
+
+def test_save_model_refuses_an_object_that_is_not_a_model(tmp_path):
+    with pytest.raises(DataError, match="cannot serialize object of type dict"):
+        save_model({"model_type": "kce"}, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_model_scores_dispatch():
     rng = np.random.default_rng(41)
     doc = random_document(rng, n_events=4, n_entities=2)

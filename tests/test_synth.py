@@ -4,7 +4,7 @@ import pytest
 from salience.corpus import validate_document
 from salience.embeddings import load_word_vectors, save_word_vectors
 from salience.errors import DataError
-from salience.synth import SynthConfig, build_pools, generate_corpus, measured_cosine_gap
+from salience.synth import SynthConfig, build_pools, degrade_vectors, generate_corpus, measured_cosine_gap
 
 SMALL = SynthConfig(docs=12, dim=32, seed=3, split="train")
 
@@ -29,6 +29,11 @@ def test_vectors_are_unit_norm():
     pools = build_pools(SynthConfig(dim=64))
     for vec in list(pools.event_vectors.values())[:50]:
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_degrade_vectors_refuses_negative_noise():
+    with pytest.raises(DataError, match="vector noise must be >= 0"):
+        degrade_vectors({"a": np.ones(3)}, -0.1, seed=0)
 
 
 def test_generated_documents_are_valid_and_sized():

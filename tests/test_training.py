@@ -41,6 +41,7 @@ from salience.models import (
 )
 from salience.training import (
     EMBEDDING_KEYS,
+    GRAD_CHECK_ROWS,
     LAMBDA_GRID,
     TEMPERATURE_KEY,
     Adam,
@@ -511,6 +512,35 @@ def test_grad_check_linear_only_small_batch():
     assert worst < 1e-7
 
 
+def test_grad_check_samples_the_rows_of_a_large_document_by_seed(monkeypatch):
+    """A document that references more table rows than ``GRAD_CHECK_ROWS`` has a seeded
+    sample of them perturbed: two row seeds perturb different rows, and both checks stay
+    under the usual tolerance."""
+    model, doc, _seed = next(gradcheck_instances(1, n_events=18, n_entities=18, dim=16))
+    plan = model_plan(model, doc)
+    assert len(np.unique(plan.rows_v)) + len(np.unique(plan.rows_e)) > GRAD_CHECK_ROWS
+    tables = {"event_emb": model.event_table.vectors, "entity_emb": model.entity_table.vectors}
+    forward = training.kce_forward
+
+    def checked_rows(row_seed):
+        originals = {name: table.copy() for name, table in tables.items()}
+        perturbed = set()
+
+        def recording(model, plan):
+            for name, table in tables.items():
+                perturbed.update((name, int(r)) for r in np.flatnonzero((table != originals[name]).any(axis=1)))
+            return forward(model, plan)
+
+        monkeypatch.setattr(training, "kce_forward", recording)
+        return grad_check(model, doc, step=1e-4, row_seed=row_seed), perturbed
+
+    worst_a, rows_a = checked_rows(0)
+    worst_b, rows_b = checked_rows(1)
+    assert len(rows_a) == len(rows_b) == GRAD_CHECK_ROWS
+    assert rows_a != rows_b
+    assert max(worst_a, worst_b) < 1e-4
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
 def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(step):
     model, doc, _seed = next(gradcheck_instances(1))
@@ -557,6 +587,12 @@ def small_training_setup(seed=0, n_docs=12, kind="kce", variant="full"):
     if kind == "letor":
         return new_letor_model(evt, ent, scaler), corpus
     return new_kce_model(default_bank(), evt, ent, scaler, variant=variant), corpus
+
+
+def test_train_refuses_an_object_that_is_not_a_model():
+    _, corpus = small_training_setup()
+    with pytest.raises(DataError, match="cannot train object of type dict"):
+        train({"w_v": [0.0]}, corpus, corpus, TrainConfig(epochs=1, batch_docs=4, seed=1))
 
 
 def test_train_returns_new_model_and_history():
