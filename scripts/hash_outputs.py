@@ -33,6 +33,13 @@ training steps it.  After it come two more ``intrude`` CSVs: the trainable kce
 model with salient intruders at the default fractions, where short intruder
 pools make fractions repeat their intruder counts, and the trainable kce-ef
 model, whose plans have no entity side, with the nonsalient arguments above.
+Then come rows for branches that nothing above reaches: the model content and
+history CSV of kce trained with ``max_pairs_per_doc`` (a document's pairs
+subsampled), the ``sigtest`` JSON of the trainable kce model against
+``frequency`` on ``p@1``, and the content of kce and pagerank trained and
+selected on splits that each gain two edge documents, one with a single event
+(a document without pairs, and a lone-event PageRank walk) and one whose events
+are all salient.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -79,6 +86,8 @@ INTRUDE_ARGS = ["--kind", "nonsalient", "--pairs", "20", "--seed", "4", "--fract
 SALIENT_INTRUDE_ARGS = ["--kind", "salient", "--pairs", "20", "--seed", "4"]  # at the default fractions
 CUT_BANKS = (1, 2)
 HALF_FIT_CFG = {"epochs": 3, "batch_docs": 4, "seed": 5}
+MAX_PAIRS = 7
+EDGE_MODELS = ("kce", "pagerank")
 
 
 def _run(argv: list[str]) -> None:
@@ -174,6 +183,51 @@ def _unlabeled_with_filter(test: Path, root: Path) -> tuple[Path, Path]:
     return unlabeled, filter_cfg
 
 
+def _with_edge_documents(corpus: Path, out: Path) -> Path:
+    """``corpus`` followed by two documents cut from its first: one keeps only its first event,
+    one only its salient events."""
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    edges = [
+        {**first, "doc_id": f"{first['doc_id']}-single-event", "events": first["events"][:1]},
+        {**first, "doc_id": f"{first['doc_id']}-all-salient",
+         "events": [ev for ev in first["events"] if ev["salient"]]},
+    ]
+    out.write_text("".join(line + "\n" for line in lines) + "".join(json.dumps(doc) + "\n" for doc in edges),
+                   encoding="utf-8")
+    return out
+
+
+def _train(name: str, corpora: dict[str, Path], root: Path, cfg: Path, out: Path) -> None:
+    _run(["train", "--model", name, "--train", str(corpora["train"]),
+          "--dev", str(corpora["dev"]), "--out", str(out), "--config", str(cfg),
+          "--dim", str(SYNTH_CFG["dim"]), "--min-count", "1",
+          "--event-vectors", str(root / "events.vec"),
+          "--entity-vectors", str(root / "entities.vec")])
+
+
+def _unreached_branches(corpora: dict[str, Path], root: Path) -> list[tuple[str, str]]:
+    """Hashes of the outputs that reach the branches the rows before them do not."""
+    rows = []
+    capped_cfg, capped = root / "train-capped.json", root / "kce-capped.model.json"
+    capped_cfg.write_text(json.dumps({**TRAIN_CFG, "max_pairs_per_doc": MAX_PAIRS}), encoding="utf-8")
+    _train("kce", corpora, root, capped_cfg, capped)
+    label = f"kce (trainable), max_pairs_per_doc {MAX_PAIRS}"
+    rows.append((f"{label} model content", _content_sha256(capped)))
+    rows.append((f"{label} history CSV", _sha256(Path(f"{capped}.history.csv"))))
+    sigtest = root / "sigtest-p1.json"
+    _run(["sigtest", "--a", str(root / "kce-trainable.report.json"), "--b", str(root / "frequency.report.json"),
+          "--metric", "p@1", "--out", str(sigtest)])
+    rows.append(("kce (trainable) vs frequency sigtest JSON, --metric p@1", _sha256(sigtest)))
+    edged = {split: _with_edge_documents(corpora[split], root / f"{split}.edged.jsonl") for split in ("train", "dev")}
+    for name in EDGE_MODELS:
+        model = root / f"{name}-edged.model.json"
+        _train(name, edged, root, root / "train-trainable.json", model)
+        rows.append((f"{name} (trainable), train and dev with two edge documents, model content",
+                     _content_sha256(model)))
+    return rows
+
+
 def hash_outputs(root: Path) -> list[tuple[str, str]]:
     synth_cfg = root / "synth.json"
     synth_cfg.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
@@ -196,11 +250,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
         train_cfg.write_text(json.dumps({**TRAIN_CFG, "freeze_embeddings": freeze}), encoding="utf-8")
         for name in MODELS:
             model = root / f"{name}-{mode}.model.json"
-            _run(["train", "--model", name, "--train", str(corpora["train"]),
-                  "--dev", str(corpora["dev"]), "--out", str(model), "--config", str(train_cfg),
-                  "--dim", str(SYNTH_CFG["dim"]), "--min-count", "1",
-                  "--event-vectors", str(root / "events.vec"),
-                  "--entity-vectors", str(root / "entities.vec")])
+            _train(name, corpora, root, train_cfg, model)
             rows.append((f"{name} ({mode}) model", _sha256(model)))
             rows.append((f"{name} ({mode}) model content", _content_sha256(model)))
             rows.append((f"{name} ({mode}) history CSV", _sha256(Path(f"{model}.history.csv"))))
@@ -245,7 +295,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
         _run(["intrude", "--model", str(root / f"{name}-trainable.model.json"), "--corpus", str(test),
               "--out", str(curves)] + args)
         rows.append((f"{name} (trainable) intrusion CSV, {' '.join(args)}", _sha256(curves)))
-    return rows
+    return rows + _unreached_branches(corpora, root)
 
 
 def run() -> int:

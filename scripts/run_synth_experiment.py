@@ -75,7 +75,7 @@ def main(argv=None) -> int:
 
     reports = {name: MetricsReport.load(out / f"{name}.report.json") for name in sorted([*BASELINES, *MODELS])}
     write_csv(["model", "auc", *(f"{m}@{k}" for m in "pr" for k in DEFAULT_KS)],
-              ([name, repr(r.auc), *(repr(at[k]) for at in (r.p_at, r.r_at) for k in DEFAULT_KS)]
+              ([name, r.auc, *(at[k] for at in (r.p_at, r.r_at) for k in DEFAULT_KS)]
                for name, r in reports.items()), out / "summary.csv")
     p_value = read_json(out / "sigtest.json", "sigtest result")["p_value"]
     train_config = read_json(out / "kce_full.model.json.manifest.json", "manifest")["args"]["train_config"]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import Corpus, Document
-from .errors import DataError, read_json
+from .errors import DataError, config_from_json, read_json
 
 # Common light verbs whose triggers carry little event content on their own.
 LIGHT_VERBS = frozenset(
@@ -39,18 +39,14 @@ class FilterConfig:
             object.__setattr__(self, name, frozenset(v.lower() for v in vals))
 
 
+_FILTER_RULES = dict.fromkeys(
+    ("event_frames", "light_verbs", "reporting_verbs"),
+    (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"),
+)
+
+
 def load_filter_config(path: str | Path) -> FilterConfig:
-    obj = read_json(path, "filter config")
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: filter config must be a JSON object")
-    kwargs = {}
-    for name in ("event_frames", "light_verbs", "reporting_verbs"):
-        if name in obj:
-            vals = obj[name]
-            if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
-                raise DataError(f"{path}: {name} must be a list of strings")
-            kwargs[name] = frozenset(vals)
-    return FilterConfig(**kwargs)
+    return config_from_json(FilterConfig(), read_json(path, "filter config"), _FILTER_RULES, "filter config")
 
 
 def filter_candidates(doc: Document, cfg: FilterConfig) -> Document:
@@ -81,7 +77,6 @@ def label_salience(doc: Document) -> Document:
 class CorpusStats:
     n_docs: int
     events_per_doc: float
-    salient_per_doc: float
     distinct_event_lemmas: int
     salience_rate: float
 
@@ -94,7 +89,6 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(
         n_docs=n_docs,
         events_per_doc=n_events / n_docs if n_docs else 0.0,
-        salient_per_doc=n_salient / n_docs if n_docs else 0.0,
         distinct_event_lemmas=len(lemmas),
         salience_rate=n_salient / n_events if n_events else 0.0,
     )

@@ -365,8 +365,7 @@ def _cmd_gradcheck(args) -> Run | None:
 
 def _cmd_export_kernel_weights(args) -> Run:
     model = load_model(args.model, expect="kce")
-    rows = zip(model.bank.means, model.bank.sigmas, model.w_v, model.w_e)
-    write_csv(["mu", "sigma", "w_v", "w_e"], ([repr(float(x)) for x in row] for row in rows), args.out)
+    write_csv(["mu", "sigma", "w_v", "w_e"], zip(model.bank.means, model.bank.sigmas, model.w_v, model.w_e), args.out)
     print(f"wrote {model.bank.size} kernel rows")
     return Run([args.model], [args.out])
 

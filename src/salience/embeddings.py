@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import base64
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Mapping
 
@@ -155,16 +155,16 @@ def load_word_vectors(path: str | Path, tokens: Container[str] | None = None) ->
 
 def save_word_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:
     """Write the text format with full float64 precision (17 significant digits)."""
-    items = list(vectors.items())
+    items = [(token, np.asarray(vec, dtype=np.float64)) for token, vec in vectors.items()]
     if not items:
         raise DataError("refusing to write an empty vector file")
-    dim = len(np.asarray(items[0][1]))
+    dim = len(items[0][1])
+    for token, vec in items:  # before the file is opened, so a ragged table leaves none
+        if vec.shape != (dim,):
+            raise DataError(f"vector for {token!r} has dim {vec.shape}, expected ({dim},)")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(items)} {dim}\n")
         for token, vec in items:
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (dim,):
-                raise DataError(f"vector for {token!r} has dim {vec.shape}, expected ({dim},)")
             fh.write(token + " " + " ".join(format(x, ".17g") for x in vec) + "\n")
 
 

@@ -1,10 +1,11 @@
 """Exception types shared across the toolkit, the readers that turn a file
 that is not UTF-8 or not valid JSON into them, the one writer of each output
-format (indented JSON, compact JSON lines, CSV), and the JSON type predicates
-that the file loaders use to raise them."""
+format (indented JSON, compact JSON lines, CSV), the one reader of config
+files, and the JSON type predicates that the file loaders use to raise them."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -65,12 +66,19 @@ def write_jsonl(rows, path: str | Path) -> None:
             fh.write("\n")
 
 
+def _csv_cell(val):
+    if val is None:
+        return ""
+    return repr(float(val)) if isinstance(val, float) else val  # float(): np.float64's own repr names its type
+
+
 def write_csv(header: list[str], rows, path: str | Path) -> None:
-    """Write ``header`` and then each of ``rows`` as UTF-8 CSV with the ``csv`` module's default dialect."""
+    """Write ``header`` and then each of ``rows`` as UTF-8 CSV with the ``csv`` module's default dialect;
+    a ``None`` cell is written blank and a float (numpy's too) as the ``repr`` of the Python float."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(_csv_cell, row) for row in rows)
 
 
 def is_int(val) -> bool:
@@ -107,7 +115,8 @@ def check_fields(obj: dict, rules: dict, prefix: str = "", error: type = DataErr
 
 
 def config_from_json(cfg, obj, rules: dict, what: str):
-    """Set each field of ``obj`` on ``cfg`` after its ``(predicate, description)`` rule passes."""
+    """A copy of the dataclass ``cfg``, frozen or not, with each field of ``obj`` replaced once every
+    field is listed in ``rules`` and passes its ``(predicate, description)`` rule."""
     if not isinstance(obj, dict):
         raise DataError(f"{what} must be a JSON object")
     for key, val in obj.items():
@@ -116,5 +125,4 @@ def config_from_json(cfg, obj, rules: dict, what: str):
         valid, expected = rules[key]
         if not valid(val):
             raise DataError(f"{what} field {key!r} must be {expected}, got {val!r}")
-        setattr(cfg, key, val)
-    return cfg
+    return dataclasses.replace(cfg, **obj)

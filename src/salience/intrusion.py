@@ -23,7 +23,7 @@ alone; the mixed ``Document`` is built only when a scorer reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
@@ -84,7 +84,7 @@ class IntrusionInstance:
 
 def eligible_intruder_events(doc: Document, intruder_kind: str) -> list[EventMention]:
     want = intruder_kind == "salient_only"
-    return [ev for ev in doc.events if ev.salient is want]
+    return [ev for ev, salient in zip(doc.events, salience_labels(doc).tolist()) if salient is want]
 
 
 def _check_mixed(doc: Document) -> None:
@@ -108,7 +108,8 @@ class _PairMixer:
     """
 
     def __init__(self, origin: Document, intruder: Document, cfg: IntrusionConfig, model=None):
-        n_salient = sum(1 for ev in origin.events if ev.salient)
+        self.origin_salient = salience_labels(origin)
+        n_salient = np.count_nonzero(self.origin_salient)
         if n_salient < MIN_ORIGIN_SALIENT:
             raise DataError(
                 f"origin doc {origin.doc_id!r} has {n_salient} salient events; need >= {MIN_ORIGIN_SALIENT}"
@@ -131,7 +132,6 @@ class _PairMixer:
         )
         events = [*origin.events, *self.moved]
         self.codes = lemma_codes(events)
-        self.origin_salient = salience_labels(origin)
         if model is not None:  # the rows under the model's vocabularies, normalized once under its tables
             events_vocab, entities_vocab = plan_vocabularies(model)
             entities = [*origin.entities, *self.entities] if entities_vocab is not None else []
@@ -229,20 +229,10 @@ class FractionResult:
 
 @dataclass
 class StudyResult:
-    intruder_kind: str
-    seed: int
-    num_pairs: int
     rows: list[FractionResult]
 
     def to_csv(self, path: str | Path) -> None:
-        write_csv(
-            ["fraction", "auc", "sa_auc", "frequency_sa_auc", "n_pairs"],
-            (
-                [row.fraction, repr(row.auc), repr(row.sa_auc), repr(row.frequency_sa_auc), row.n_pairs]
-                for row in self.rows
-            ),
-            path,
-        )
+        write_csv([f.name for f in fields(FractionResult)], map(astuple, self.rows), path)
 
 
 def run_study_with_scorer(
@@ -260,9 +250,7 @@ def _run_study(
     model: KCEModel | None = None,
 ) -> StudyResult:
     """``run_study_with_scorer`` over instances that carry their plan under ``model``."""
-    origins = [
-        d for d in corpus.documents if sum(1 for ev in d.events if ev.salient) >= MIN_ORIGIN_SALIENT
-    ]
+    origins = [d for d in corpus.documents if np.count_nonzero(salience_labels(d)) >= MIN_ORIGIN_SALIENT]
     intruders = [d for d in corpus.documents if eligible_intruder_events(d, cfg.intruder_kind)]
     if not origins:
         raise DataError(
@@ -318,9 +306,7 @@ def _run_study(
         FractionResult(fraction, float(auc), float(sa_auc), float(frequency_sa_auc), cfg.num_pairs)
         for fraction, (auc, sa_auc, frequency_sa_auc) in zip(cfg.fractions, means)
     ]
-    return StudyResult(
-        intruder_kind=cfg.intruder_kind, seed=cfg.seed, num_pairs=cfg.num_pairs, rows=rows
-    )
+    return StudyResult(rows)
 
 
 def run_study(corpus: Corpus, model: KCEModel, cfg: IntrusionConfig) -> StudyResult:

@@ -118,7 +118,7 @@ _REPORT_FIELDS = {
     "n_docs": _COUNT,
     "n_docs_pr": _COUNT,
     "n_docs_auc": _COUNT,
-    "tie_seed": (lambda v: v is None or is_int(v), "an integer or null"),
+    "tie_seed": (lambda v: v is None or (is_int(v) and v >= 0), "an integer >= 0 or null"),
     "per_doc": (lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v), "a list of objects"),
 }
 

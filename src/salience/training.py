@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +98,7 @@ class TrainHistory:
     rows: list[EpochStats] = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        write_csv(
-            ["epoch", "loss", "dev_auc", "dev_p1"],
-            (
-                [row.epoch, repr(row.loss), *("" if v is None else repr(v) for v in (row.dev_auc, row.dev_p1))]
-                for row in self.rows
-            ),
-            path,
-        )
+        write_csv([f.name for f in fields(EpochStats)], map(astuple, self.rows), path)
 
 
 def _pair_loss(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:

@@ -104,6 +104,12 @@ def test_load_filter_config_type_errors(tmp_path):
         load_filter_config(path)
 
 
+def test_load_filter_config_keeps_the_defaults_of_absent_keys(tmp_path):
+    path = tmp_path / "filters.json"
+    path.write_text(json.dumps({"reporting_verbs": ["Say"]}), encoding="utf-8")
+    assert load_filter_config(path) == FilterConfig(reporting_verbs=frozenset({"say"}))
+
+
 def test_corpus_stats_counts():
     doc_a = Document(
         doc_id="a",

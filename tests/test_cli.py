@@ -577,6 +577,15 @@ def test_sigtest_on_non_finite_report_exits_three(pipeline, tmp_path, capsys, ed
     assert not out.exists()
 
 
+def test_sigtest_on_a_report_with_a_negative_tie_seed_exits_two(pipeline, tmp_path, capsys):
+    report = _edited_report(pipeline, tmp_path, lambda o: o.__setitem__("tie_seed", -1))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["sigtest", "--a", str(report), "--b", str(pipeline["report"]), "--out", str(out / "sig.json")]
+    _exits_two_with_one_line_error(argv, capsys, str(report), "field tie_seed must be an integer >= 0 or null")
+    assert list(out.iterdir()) == []  # neither the output nor its manifest
+
+
 @pytest.mark.parametrize("tie_seed", [None, 7])
 def test_cli_written_report_round_trips_byte_for_byte(pipeline, tmp_path, tie_seed):
     report, again = tmp_path / "written.report.json", tmp_path / "again.report.json"
@@ -778,6 +787,11 @@ _REFUSED = {
         "[]",
         "filter config must be a JSON object",
     ),
+    "filter-config-with-an-unknown-key": (
+        ["annotate", "--corpus", "{test}", "--out", "{out}", "--filter-config", "{bad}"],
+        '{"light_verb": ["make"], "light_verbs": ["be"]}',
+        "unknown filter config field 'light_verb'",
+    ),
     "gradcheck-without-a-two-class-document": (
         ["gradcheck", "--model", "{model}", "--corpus", "{bad}", "--out", "{out}"],
         _corpus_text((True, True), (False,)),
@@ -813,6 +827,17 @@ _REFUSED = {
         ["intrude", "--model", "{model}", "--corpus", "{bad}", "--kind", "nonsalient", "--out", "{out}"],
         _corpus_text((True,) * 5, (True,) * 6),
         "no documents offer nonsalient_only intruder events",
+    ),
+    # evaluate refuses an unlabeled document, and so does intrude, whether some or all are unlabeled
+    "intrude-on-a-half-unlabeled-corpus": (
+        ["intrude", "--model", "{model}", "--corpus", "{bad}", "--kind", "salient", "--out", "{out}"],
+        _corpus_text(*[(True,) * 5 + (False,) * 2] * 2, *[(None,) * 7] * 2),
+        "doc 'd2' is not salience-labeled",
+    ),
+    "intrude-on-an-unlabeled-corpus": (
+        ["intrude", "--model", "{model}", "--corpus", "{bad}", "--kind", "nonsalient", "--out", "{out}"],
+        _corpus_text(*[(None,) * 7] * 4),
+        "doc 'd0' is not salience-labeled",
     ),
     "sigtest-report-not-an-object": (
         ["sigtest", "--a", "{bad}", "--b", "{report}", "--out", "{out}"],

@@ -201,6 +201,7 @@ def test_save_word_vectors_refuses_an_empty_or_ragged_table(tmp_path):
     assert not (tmp_path / "empty.txt").exists()
     with pytest.raises(DataError, match=r"vector for 'b' has dim \(2,\), expected \(3,\)"):
         save_word_vectors({"a": np.ones(3), "b": np.ones(2)}, tmp_path / "ragged.txt")
+    assert not (tmp_path / "ragged.txt").exists()
 
 
 def test_vocab_json_round_trip():

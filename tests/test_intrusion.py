@@ -210,6 +210,26 @@ def test_study_requires_enough_material():
         run_study_with_scorer(thin, oracle_scorer, cfg)
 
 
+def unlabeled(doc):
+    return replace(doc, events=tuple(replace(ev, salient=None) for ev in doc.events))
+
+
+@pytest.mark.parametrize("kind", INTRUDER_KINDS)
+def test_study_and_mixing_refuse_an_unlabeled_document(kind):
+    # an unlabeled document is neither skipped as an origin nor as an intruder, as evaluate refuses it too
+    corpus = study_corpus()
+    docs = (*corpus.documents[:3], unlabeled(corpus.documents[3]), *corpus.documents[4:])
+    cfg = IntrusionConfig(num_pairs=5, intruder_kind=kind, seed=0, fractions=(1.0,))
+    with pytest.raises(DataError, match="doc 'doc-03' is not salience-labeled"):
+        run_study_with_scorer(Corpus(docs), oracle_scorer, cfg)
+    origin, intruder = corpus.documents[:2]
+    for pair in ((unlabeled(origin), intruder), (origin, unlabeled(intruder))):
+        with pytest.raises(DataError, match="is not salience-labeled"):
+            build_instance(*pair, cfg, 1)
+    with pytest.raises(DataError, match="is not salience-labeled"):
+        eligible_intruder_events(unlabeled(intruder), kind)
+
+
 def test_study_deterministic():
     corpus = study_corpus()
     cfg = IntrusionConfig(num_pairs=25, intruder_kind="nonsalient_only", seed=11, fractions=(0.5, 1.0))

@@ -296,10 +296,11 @@ def test_report_round_trip(tmp_path):
         (("ks",), None, "missing field ks"),
         (("n_docs",), "1", "field n_docs must be an integer >= 0"),
         (("p_at",), {"one": 0.5}, "field p_at must be an object of numbers keyed by k"),
-        (("tie_seed",), 1.5, "field tie_seed must be an integer or null"),
+        (("tie_seed",), 1.5, "field tie_seed must be an integer >= 0 or null"),
         (("per_doc",), [1], "field per_doc must be a list of objects"),
         (("per_doc", 0, "auc"), "high", "field per_doc[0].auc must be a number or null"),
         (("per_doc", 0, "doc_id"), None, "missing field per_doc[0].doc_id"),
+        (("tie_seed",), -1, "field tie_seed must be an integer >= 0 or null"),
     ],
 )
 def test_report_from_json_names_the_bad_field(path, value, message):

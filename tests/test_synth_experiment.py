@@ -47,7 +47,7 @@ def test_experiment_writes_every_artifact_from_the_cli_outputs(tmp_path, capsys)
     for name, *values in rows[1:]:
         report = MetricsReport.load(out / f"{name}.report.json")
         expected_values = [report.auc, *(report.p_at[k] for k in DEFAULT_KS), *(report.r_at[k] for k in DEFAULT_KS)]
-        assert values == [repr(v) for v in expected_values]
+        assert values == ["" if v is None else repr(v) for v in expected_values]  # write_csv's cell rule
 
     run = json.loads((out / "run.json").read_text(encoding="utf-8"))
     sigtest = json.loads((out / "sigtest.json").read_text(encoding="utf-8"))
