@@ -39,7 +39,10 @@ subsampled), the ``sigtest`` JSON of the trainable kce model against
 ``frequency`` on ``p@1``, and the content of kce and pagerank trained and
 selected on splits that each gain two edge documents, one with a single event
 (a document without pairs, and a lone-event PageRank walk) and one whose events
-are all salient.
+are all salient.  The last row hashes the trainable kce model saved again
+with event tokens that JSON escapes (a quote, a backslash, a tab and a
+control character) or writes as non-ASCII UTF-8, and with nested, empty and
+int-keyed dicts added to its ``meta``: the synthetic corpora are ASCII.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -63,7 +66,7 @@ import numpy as np
 
 from salience.cli import main
 from salience.corpus import Corpus, load_corpus
-from salience.embeddings import build_vocab, init_embeddings
+from salience.embeddings import Vocabulary, build_vocab, init_embeddings
 from salience.features import fit_scaler
 from salience.kernels import KernelBank, default_bank
 from salience.models import PageRankModel, load_model, new_kce_model, save_model
@@ -88,6 +91,8 @@ CUT_BANKS = (1, 2)
 HALF_FIT_CFG = {"epochs": 3, "batch_docs": 4, "seed": 5}
 MAX_PAIRS = 7
 EDGE_MODELS = ("kce", "pagerank")
+ODD_TOKENS = ('quote"d', "back\\slash", "tab\there", "ctl\x01", "café", "→")
+ODD_META = {"nested": {"a": {"b": [1, {"c": None}]}}, "empty": {}, 7: {"int key": {}}}
 
 
 def _run(argv: list[str]) -> None:
@@ -206,6 +211,17 @@ def _train(name: str, corpora: dict[str, Path], root: Path, cfg: Path, out: Path
           "--entity-vectors", str(root / "entities.vec")])
 
 
+def _odd_tokens(model_path: Path, out: Path) -> None:
+    """The model saved again with its first event tokens replaced by ``ODD_TOKENS`` and ``ODD_META``
+    added to its meta."""
+    model = load_model(model_path)
+    table = model.event_table
+    tokens = [*ODD_TOKENS, *table.vocabulary.tokens_by_index()[len(ODD_TOKENS):]]
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, len(tokens), len(tokens) + 1)
+    save_model(dataclasses.replace(model, event_table=dataclasses.replace(table, vocabulary=vocab),
+                                   meta={**model.meta, **ODD_META}), out)
+
+
 def _unreached_branches(corpora: dict[str, Path], root: Path) -> list[tuple[str, str]]:
     """Hashes of the outputs that reach the branches the rows before them do not."""
     rows = []
@@ -225,6 +241,9 @@ def _unreached_branches(corpora: dict[str, Path], root: Path) -> list[tuple[str,
         _train(name, edged, root, root / "train-trainable.json", model)
         rows.append((f"{name} (trainable), train and dev with two edge documents, model content",
                      _content_sha256(model)))
+    odd = root / "kce-trainable-odd-tokens.model.json"
+    _odd_tokens(root / "kce-trainable.model.json", odd)
+    rows.append(("kce (trainable) model with escaped and non-ASCII event tokens", _sha256(odd)))
     return rows
 
 

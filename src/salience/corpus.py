@@ -61,9 +61,10 @@ class Corpus:
 
 def salience_labels(doc: Document) -> np.ndarray:
     """The document's salient flags as a bool array; ``DataError`` if it is unlabeled."""
-    if any(ev.salient is None for ev in doc.events):
+    labels = [ev.salient for ev in doc.events]
+    if None in labels:
         raise DataError(f"doc {doc.doc_id!r} is not salience-labeled")
-    return np.array([bool(ev.salient) for ev in doc.events], dtype=bool)  # bool also when empty
+    return np.array(labels, dtype=bool)  # bool also when empty
 
 
 def validate_document(doc: Document) -> list[str]:
@@ -269,7 +270,8 @@ def load_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
     """Read a JSONL corpus, validating every document.
 
     Raises DataError naming the file (not UTF-8), the offending line
-    (malformed JSON) or the offending doc_id and field (invariant violations).
+    (malformed JSON, or a ``\\u`` escape of an unpaired surrogate) or the
+    offending doc_id and field (invariant violations).
     """
     docs: list[Document] = []
     seen: set[str] = set()
@@ -282,6 +284,13 @@ def load_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
             raise DataError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {line_no}: expected a JSON object")
+        # only a \u escape spells a lone surrogate, which no UTF-8 output can hold; the one-character
+        # search (a memchr) spares a line without backslashes the slower two-character one
+        if "\\" in line and "\\u" in line:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode()
+            except UnicodeEncodeError:
+                raise DataError(f"{path}: line {line_no}: a string holds an unpaired surrogate escape") from None
         doc = document_from_json(obj, where=f"line {line_no}")
         if doc.doc_id in seen:
             raise DataError(f"{path}: line {line_no}: duplicate doc_id {doc.doc_id!r}")

@@ -185,13 +185,14 @@ def vocab_from_json(obj: dict) -> Vocabulary:
 
 
 def table_to_json(table: EmbeddingTable) -> dict:
-    """The vectors travel as base64 of their row-major little-endian float64 bytes."""
+    """The vectors travel as base64 of their row-major little-endian float64 bytes, kept as the
+    ``bytes`` that ``errors.write_jsonl`` copies to the file as a JSON string."""
     raw = np.ascontiguousarray(table.vectors, dtype="<f8").tobytes()
     return {
         "vocab": vocab_to_json(table.vocabulary),
         "dim": table.dim,
         "trainable": table.trainable,
-        "vectors": base64.b64encode(raw).decode("ascii"),
+        "vectors": base64.b64encode(raw),
     }
 
 

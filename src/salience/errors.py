@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit, the readers that turn a file
 that is not UTF-8 or not valid JSON into them, the one writer of each output
 format (indented JSON, compact JSON lines, CSV), the one reader of config
-files, and the JSON type predicates that the file loaders use to raise them."""
+files, and the JSON type predicates that the file loaders use to raise them.
+``write_jsonl`` copies a ``bytes`` value, the base64 of a model's tables, to
+the file as a JSON string, unscanned by ``json.dumps`` and not re-encoded."""
 from __future__ import annotations
 
 import csv
@@ -55,15 +57,50 @@ def write_json(obj, path: str | Path) -> None:
         fh.write("\n")
 
 
+_dumps = functools.partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
+
+
+def _holds_bytes(value) -> bool:
+    if isinstance(value, bytes):
+        return True
+    return isinstance(value, dict) and any(map(_holds_bytes, value.values()))
+
+
+def _json_pieces(value, out: list) -> list:
+    """Append the UTF-8 compact JSON of ``value`` to ``out`` in pieces and return ``out``.
+
+    Only a dict with a ``bytes`` value somewhere below it is split, item by
+    item; every value without ``bytes`` below it is one ``_dumps`` call.  A
+    ``bytes`` value goes between quotes unchanged, so it must be text that
+    JSON never escapes, such as base64.
+    """
+    if isinstance(value, bytes):
+        out += (b'"', value, b'"')
+    elif not _holds_bytes(value):
+        out.append(_dumps(value).encode())
+    else:
+        sep = b"{"
+        for key, val in value.items():  # a dict of one item, less its braces, converts a key as json does
+            if _holds_bytes(val):
+                out += (sep, _dumps({key: 0})[1:-2].encode())  # '"key":'
+                _json_pieces(val, out)
+            else:
+                out += (sep, _dumps({key: val})[1:-1].encode())
+            sep = b","
+        out.append(b"}")
+    return out
+
+
 def write_jsonl(rows, path: str | Path) -> None:
-    """Write each of ``rows`` as one compact UTF-8 JSON line; a first row that fails leaves no file."""
-    # one json.dumps call per row takes the C encoder; map frees a row that ``rows`` builds once encoded
-    lines = map(functools.partial(json.dumps, ensure_ascii=False, separators=(",", ":")), rows)
+    """Write each of ``rows`` as the ``_dumps`` line it gives, in UTF-8, but with each ``bytes`` value
+    as the JSON string of its ASCII text (``_json_pieces``); a first row that fails leaves no file."""
+    # map frees a row that ``rows`` builds once it is encoded
+    lines = map(lambda row: _json_pieces(row, []), rows)
     first = list(itertools.islice(lines, 1))  # encoded before the file is opened
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in itertools.chain(first, lines):
-            fh.write(line)
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        for pieces in itertools.chain(first, lines):
+            fh.writelines(pieces)
+            fh.write(b"\n")
 
 
 def _csv_cell(val):

@@ -14,12 +14,14 @@ Model files are single JSON documents, so every model is self-contained for
 scoring.  ``save_model`` writes model file version 2, one line through
 ``errors.write_jsonl``: each embedding table's ``vectors`` is a base64 string
 of its row-major little-endian float64 bytes, which round-trip exactly and
-decode in one pass, and every other field is plain JSON.  ``_FIELDS`` holds
-each record type's fields, in the order ``save_model`` writes them, with the
-rules ``load_model`` checks (``ModelFormatError`` naming the field).  One walk
-over its number fields raises ``NumericError`` naming a non-finite one, on
-the record about to be saved and on a loaded one before any range or shape
-check.  ``load_model`` reads version 2 only.
+decode in one pass, and every other field is plain JSON.  The record holds
+``vectors`` as the ``bytes`` of its base64, which ``write_jsonl`` copies to
+the file as they are, so the tables never pass through ``json.dumps``.
+``_FIELDS`` holds each record type's fields, in the order ``save_model``
+writes them, with the rules ``load_model`` checks (``ModelFormatError``
+naming the field).  One walk over its number fields raises ``NumericError``
+naming a non-finite one, on the record about to be saved and on a loaded one
+before any range or shape check.  ``load_model`` reads version 2 only.
 """
 from __future__ import annotations
 
@@ -338,7 +340,9 @@ def _model_to_json(model) -> dict:
 
 
 def save_model(model, path: str | Path) -> None:
-    # built inside write_jsonl's map: checked before the file is opened, freed before it is written
+    """Write the model file of ``model``: one JSON line, each table's base64 ``vectors`` copied
+    from their ``bytes`` and the rest encoded by ``json.dumps``; a model that fails a check leaves no file."""
+    # built inside write_jsonl's map: checked and encoded before the file is opened
     write_jsonl(map(_model_to_json, [model]), path)
 
 

@@ -14,15 +14,20 @@ stand-alone LeToR scorer with its weight gradients, the one-step PageRank
 walk, the dev search for its frequency/walk mix through one full ``evaluate``
 per grid value, AUC from average ranks, the intrusion instance built by filtering
 entities sentence by sentence, the intrusion study's scores with every
-standardized feature but frequency zeroed, and the corpus document loader
+standardized feature but frequency zeroed, the corpus document loader
 that checks one field per call and validates with a message built for every
-mention.  Nothing in the package calls them.
+mention, and the JSON lines writer that encodes each row with one
+``json.dumps`` call.  Nothing in the package calls them.
 """
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
+import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -619,3 +624,17 @@ def document_from_json_reference(obj: dict, where: str = "document") -> Document
     if problems:
         raise DataError(problems[0])
     return doc
+
+
+def write_jsonl_reference(rows, path: str | Path) -> None:
+    """The JSON lines writer with one ``json.dumps`` call per row, writing text; a ``bytes``
+    value becomes the JSON string of its ASCII text."""
+    dumps = functools.partial(
+        json.dumps, ensure_ascii=False, separators=(",", ":"), default=lambda raw: raw.decode("ascii")
+    )
+    lines = map(dumps, rows)
+    first = list(itertools.islice(lines, 1))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in itertools.chain(first, lines):
+            fh.write(line)
+            fh.write("\n")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import write_jsonl_reference
 from salience import cli
 from salience.cli import main
 from salience.corpus import Corpus, Document, EventMention, document_to_json, load_corpus, save_corpus
@@ -114,6 +115,14 @@ def test_rank_output_is_sorted_jsonl(pipeline):
         scores = [item["score"] for item in row["ranking"]]
         assert scores == sorted(scores, reverse=True)
         assert len({item["event_id"] for item in row["ranking"]}) == len(row["ranking"])
+
+
+def test_rank_output_is_the_one_dumps_lines_of_its_rows(pipeline, tmp_path):
+    """Each rank row reads back to the values it was written from, so the reference writer must
+    write the same bytes."""
+    rows = [json.loads(line) for line in pipeline["ranks"].read_text(encoding="utf-8").splitlines()]
+    write_jsonl_reference(rows, tmp_path / "ranks.jsonl")
+    assert (tmp_path / "ranks.jsonl").read_bytes() == pipeline["ranks"].read_bytes()
 
 
 def test_rank_output_is_byte_deterministic(pipeline, tmp_path):
@@ -739,6 +748,26 @@ def test_input_file_that_is_not_utf8_exits_two(pipeline, tmp_path, capsys, monke
     argv = [arg.format(**paths) for arg in _ARGV_READING[what]]
     _exits_two_with_one_line_error(argv, capsys, str(bad), f"malformed {what}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "annotate", "rank"])
+def test_corpus_with_an_unpaired_surrogate_escape_exits_two(pipeline, kce_model, tmp_path, capsys, command):
+    """A \\ud800 escape loads as a str that UTF-8 cannot encode: refused at load, before any output."""
+    lines = pipeline["train"].read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[2])
+    obj["events"][0]["head_lemma"] = "\ud800"
+    lines[2] = json.dumps(obj)
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {
+        "train": ["train", "--model", "kce", "--train", str(bad), "--dev", str(pipeline["dev"]),
+                  "--config", str(pipeline["train_cfg"]), "--dim", "8", "--min-count", "1"],
+        "annotate": ["annotate", "--corpus", str(bad)],
+        "rank": ["rank", "--model", str(kce_model), "--corpus", str(bad)],
+    }[command]
+    _exits_two_with_one_line_error(argv + ["--out", str(out)], capsys,
+                                   f"{bad}: line 3: a string holds an unpaired surrogate escape")
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 _INTRUDE = ["intrude", "--model", "{model}", "--corpus", "{test}", "--kind", "salient"]

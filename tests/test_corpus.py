@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_corpus, random_document
-from oracles import document_from_json_reference, validate_document_reference
+from oracles import document_from_json_reference, validate_document_reference, write_jsonl_reference
 from salience.corpus import (
     Corpus,
     Document,
     EntityMention,
     EventMention,
     document_from_json,
+    document_to_json,
     load_corpus,
+    salience_labels,
     save_corpus,
     validate_document,
 )
@@ -177,6 +179,59 @@ def test_unicode_survives_round_trip(tmp_path):
     assert "пройти" in path.read_text(encoding="utf-8")
     loaded = load_corpus(path)
     assert loaded.documents[0].events[0].head_lemma == "пройти"
+
+
+def test_save_corpus_writes_the_one_dumps_lines(tmp_path):
+    """Escape-needing and non-ASCII strings reach the file as one json.dumps per document writes them."""
+    odd = ('quote"d', "back\\slash", "ctl\x01", "café", "→")
+    events = tuple(
+        EventMention(id=f"e{i}", head_lemma=lemma, surface=f"{lemma}\t{i}", sentence_index=0, frame=lemma,
+                     salient=i % 2 == 0)
+        for i, lemma in enumerate(odd)
+    )
+    corpus = Corpus(documents=(make_doc(events=events, abstract_lemmas=frozenset(odd)),
+                               *random_corpus(np.random.default_rng(2), n_docs=3).documents))
+    path, reference = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    save_corpus(corpus, path)
+    write_jsonl_reference(map(document_to_json, corpus.documents), reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert load_corpus(path).documents == corpus.documents
+
+
+def _with_first_head_lemma(tmp_path, lemma: str):
+    path = tmp_path / "c.jsonl"
+    save_corpus(random_corpus(np.random.default_rng(7), n_docs=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    obj["events"][0]["head_lemma"] = lemma
+    lines[1] = json.dumps(obj)  # ensure_ascii: every non-ASCII code point becomes a \u escape
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("lemma", ["\ud800", "a\udfffb", "\ude00\ud83d"])
+def test_load_corpus_refuses_an_unpaired_surrogate_escape(tmp_path, lemma):
+    path = _with_first_head_lemma(tmp_path, lemma)
+    with pytest.raises(DataError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: line 2: a string holds an unpaired surrogate escape"
+
+
+def test_load_corpus_reads_a_paired_surrogate_escape(tmp_path):
+    path = _with_first_head_lemma(tmp_path, "\U0001f600")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    assert load_corpus(path).documents[1].events[0].head_lemma == "\U0001f600"
+
+
+def test_salience_labels():
+    doc = make_doc()
+    labels = salience_labels(doc)
+    assert labels.dtype == bool and labels.tolist() == [True, False]
+    empty = salience_labels(make_doc(events=()))
+    assert empty.dtype == bool and empty.shape == (0,)
+    unlabeled = tuple(dataclasses.replace(ev, salient=None) for ev in doc.events)
+    with pytest.raises(DataError, match="^doc 'd1' is not salience-labeled$"):
+        salience_labels(make_doc(events=unlabeled))
 
 
 def test_corpus_split_tag_checked():

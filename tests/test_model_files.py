@@ -14,12 +14,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_corpus, toy_table
+from helpers import random_corpus, toy_table, toy_vocab
+from oracles import write_jsonl_reference
 from salience.cli import main
 from salience.corpus import save_corpus
 from salience.features import fit_scaler
 from salience.kernels import default_bank
-from salience.models import PageRankModel, load_model, new_kce_model, new_letor_model, save_model
+from salience.models import PageRankModel, _model_to_json, load_model, new_kce_model, new_letor_model, save_model
 
 KCE_KINDS = {"kce": "full", "kce-e": "events_features", "kce-ef": "events_only"}
 KINDS = (*KCE_KINDS, "letor", "pagerank")
@@ -92,6 +93,40 @@ def test_model_file_loads_bitwise_and_resaves_identically(tmp_path, kind):
     assert_native_tables(loaded)
     save_model(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# event tokens that JSON escapes, and non-ASCII ones, written raw under ensure_ascii=False
+ODD_TOKENS = ['quote"d', "back\\slash", "tab\there", "ctl\x01", "café", "→"]
+ODD_META = {"note": "ü", "nested": {"a": {"b": [1, {"c": None}]}}, "empty": {}, 3: {"int": {}}}
+
+
+@pytest.mark.parametrize("frozen", (False, True), ids=("trainable", "frozen"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_file_is_the_one_dumps_line(tmp_path, kind, frozen):
+    """save_model writes the bytes that one json.dumps of the record writes, with each table's
+    base64 vectors as a string; the record's own ``vectors`` are those base64 bytes."""
+    model = build_model(kind, edge_values=True)
+    model.event_table.vocabulary = toy_vocab(ODD_TOKENS)
+    model.meta = ODD_META
+    if frozen:
+        for table in tables_of(model):
+            table.trainable = False
+    record = _model_to_json(model)
+    assert all(isinstance(record[name]["vectors"], bytes) for name in ("event_table", "entity_table")
+               if name in record)
+    path, reference = tmp_path / "m.json", tmp_path / "r.json"
+    save_model(model, path)
+    write_jsonl_reference([record], reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert load_model(path).event_table.vocabulary == model.event_table.vocabulary
+
+
+def test_model_that_cannot_be_encoded_leaves_no_file(tmp_path):
+    model = build_model("kce")
+    model.event_table.vocabulary = toy_vocab(ODD_TOKENS[:-1] + ["\ud800"])
+    with pytest.raises(UnicodeEncodeError):
+        save_model(model, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
 
 
 HEADS = {
