@@ -43,6 +43,10 @@ are all salient.  The last row hashes the trainable kce model saved again
 with event tokens that JSON escapes (a quote, a backslash, a tab and a
 control character) or writes as non-ASCII UTF-8, and with nested, empty and
 int-keyed dicts added to its ``meta``: the synthetic corpora are ASCII.
+After it comes the rank JSONL of the trainable kce model on a test split of
+documents with twice the default events and entities: each pools 4,000
+cosines in one kernel pass, several of its tile-length chunks, where a
+default-size document pools 1,000, less than one.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -93,6 +97,7 @@ MAX_PAIRS = 7
 EDGE_MODELS = ("kce", "pagerank")
 ODD_TOKENS = ('quote"d', "back\\slash", "tab\there", "ctl\x01", "café", "→")
 ODD_META = {"nested": {"a": {"b": [1, {"c": None}]}}, "empty": {}, 7: {"int key": {}}}
+LARGE_DOCS_CFG = {**SYNTH_CFG, "events_per_doc": 40, "entities_per_doc": 60}  # n * (n + m) = 4,000 cosines
 
 
 def _run(argv: list[str]) -> None:
@@ -244,6 +249,11 @@ def _unreached_branches(corpora: dict[str, Path], root: Path) -> list[tuple[str,
     odd = root / "kce-trainable-odd-tokens.model.json"
     _odd_tokens(root / "kce-trainable.model.json", odd)
     rows.append(("kce (trainable) model with escaped and non-ASCII event tokens", _sha256(odd)))
+    large_cfg, large, ranks = root / "synth-large.json", root / "test-large.jsonl", root / "kce-large.ranks.jsonl"
+    large_cfg.write_text(json.dumps(LARGE_DOCS_CFG), encoding="utf-8")
+    _run(["synth", "--out", str(large), "--config", str(large_cfg), "--docs", "8", "--seed", "3", "--split", "test"])
+    _run(["rank", "--model", str(root / "kce-trainable.model.json"), "--corpus", str(large), "--out", str(ranks)])
+    rows.append(("kce (trainable) rank JSONL, documents of 40 events and 60 entities", _sha256(ranks)))
     return rows
 
 

@@ -144,6 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_utf8(args: argparse.Namespace) -> None:
+    """Refuse an argument that UTF-8 cannot hold, such as a path of bytes that are not UTF-8, which
+    Python decodes with surrogate escapes: the manifest records every argument in UTF-8 JSON."""
+    for value in vars(args).values():
+        if isinstance(value, str):
+            try:
+                value.encode()
+            except UnicodeEncodeError:
+                raise DataError(f"argument {ascii(value)} is not valid UTF-8") from None
+
+
 def _at_least_one(value: int, flag: str) -> None:
     if value < 1:
         raise DataError(f"{flag} must be >= 1, got {value}")
@@ -410,6 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.time()
     try:
+        _check_utf8(args)
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report each failure
             run = _HANDLERS[args.command](args)
         if run is not None:

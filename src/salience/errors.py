@@ -51,10 +51,11 @@ def read_lines(path: str | Path, what: str) -> Iterator[str]:
 
 
 def write_json(obj, path: str | Path) -> None:
-    """Write ``obj`` as indented UTF-8 JSON with a trailing newline; ``str`` stands in for other types."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, default=str))
-        fh.write("\n")
+    """Write ``obj`` as indented UTF-8 JSON with a trailing newline; ``str`` stands in for other types.
+    The text is encoded before the file is opened, so text that UTF-8 cannot hold leaves no file."""
+    data = (json.dumps(obj, ensure_ascii=False, indent=2, default=str) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 _dumps = functools.partial(json.dumps, ensure_ascii=False, separators=(",", ":"))

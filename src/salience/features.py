@@ -2,8 +2,9 @@
 
 ``doc_plan`` reads what no parameter changes from a document, once: its
 mentions' vocabulary rows, the event sentences, the same-sentence mask and
-per-event lemma counts.  ``doc_geometry`` gathers and normalizes the plan's
-rows and builds the event-event and event-entity cosines.  ``geometry_features``
+per-event lemma counts.  ``doc_geometry`` gathers the plan's event and
+entity rows into one matrix, normalizes it in one pass and builds the
+event-event and event-entity cosines.  ``geometry_features``
 derives five features per event from both: lemma frequency within the
 document, sentence location, and three embedding-vote averages (against other
 events, all entities, and same-sentence entities).  A fitted scaler
@@ -119,9 +120,13 @@ def doc_geometry(
     """
     rows_v, rows_e = plan.rows_v, plan.rows_e
     entities = entities_table is not None and len(rows_e) > 0
-    if plan.units is None:
-        unit_v, norms_v = normalized_rows(events_table.vectors[rows_v])
-        unit_e, norms_e = normalized_rows(entities_table.vectors[rows_e]) if entities else (None, None)
+    if plan.units is None:  # the event rows and then the entity rows, normalized in one pass
+        gathered = events_table.vectors[rows_v]
+        if entities:
+            gathered = np.concatenate((gathered, entities_table.vectors[rows_e]))
+        unit, norms = normalized_rows(gathered)
+        n = len(rows_v)
+        unit_v, norms_v, unit_e, norms_e = unit[:n], norms[:n], unit[n:], norms[n:]
     elif plan.units[0] is events_table and plan.units[1] is entities_table:
         unit_v, norms_v, unit_e, norms_e = plan.units[2:]
     else:

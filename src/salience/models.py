@@ -134,14 +134,17 @@ def kce_forward(model: KCEModel, plan: DocPlan) -> tuple[np.ndarray, KCECache]:
     blocks = VARIANT_BLOCKS[model.variant]
     geo = doc_geometry(plan, model.event_table, model.entity_table)
     acts_vv = acts_ve = phi_v = phi_e = None
+    # one pool over the cosines of both kernel blocks; each block's activations are a view of its rows
+    pooled = [sims.ravel() for name, sims in (("w_v", geo.sims_vv), ("w_e", geo.sims_ve)) if name in blocks]
+    acts = gaussian_pool(np.concatenate(pooled), model.bank) if pooled else None
     terms = []
     if "w_v" in blocks:
-        acts_vv = gaussian_pool(geo.sims_vv, model.bank)
-        acts_vv.reshape(n * n, model.bank.size)[:: n + 1] = 0.0  # the diagonal; a size of -1 fails at n = 0
+        acts[: n * n : n + 1] = 0.0  # the diagonal pairs
+        acts_vv = acts[: n * n].reshape(n, n, model.bank.size)
         phi_v = pooled_sum(acts_vv)
         terms.append(phi_v @ model.w_v)
     if "w_e" in blocks:
-        acts_ve = gaussian_pool(geo.sims_ve, model.bank)
+        acts_ve = acts[len(acts) - geo.sims_ve.size :].reshape(geo.sims_ve.shape + (model.bank.size,))
         phi_e = pooled_sum(acts_ve)
         terms.append(phi_e @ model.w_e)
     scaled = np.zeros((n, N_FEATURES))

@@ -34,6 +34,7 @@ import numpy as np
 from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, write_csv
 from .features import DocPlan
+from .kernels import kernel_slopes
 from .metrics import auc, evaluate, mean_auc
 from .models import (
     KCE_VARIANTS,
@@ -271,8 +272,7 @@ def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarray) -> np.ndarray:
     """d(weights . phi)/d(cos) for every pooled pair; activations already cached."""
     # acts * (-(sims - mu) / (sigma sigma)) in one buffer, bit for bit (kernels module docstring)
-    slopes = sims[..., None] - bank.means
-    slopes /= -(bank.sigmas * bank.sigmas)
+    slopes = kernel_slopes(sims, bank)
     slopes *= acts
     return slopes @ weights
 

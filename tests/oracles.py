@@ -278,9 +278,14 @@ def kce_forward_reference(model: KCEModel, plan) -> tuple[np.ndarray, dict]:
     return scores, parts
 
 
+def kernel_slopes_reference(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """``-(cos - mu) / (sigma sigma)`` by broadcasting, one temporary per operation; shape (..., K)."""
+    return -(np.asarray(cos_values, dtype=np.float64)[..., None] - bank.means) / (bank.sigmas * bank.sigmas)
+
+
 def kernel_cos_grad_reference(acts: np.ndarray, sims: np.ndarray, bank: KernelBank, weights: np.ndarray) -> np.ndarray:
     """d(weights . phi)/d(cos) from cached activations, one temporary per operation."""
-    slopes = acts * (-(sims[..., None] - bank.means) / (bank.sigmas * bank.sigmas))
+    slopes = acts * kernel_slopes_reference(sims, bank)
     return slopes @ weights
 
 

@@ -873,6 +873,17 @@ _REFUSED = {
         "[]",
         "a metrics report must be a JSON object",
     ),
+    # Python decodes a path argument of non-UTF-8 bytes with surrogate escapes, which no manifest can hold
+    "synth-out-path-not-utf-8": (
+        ["synth", "--out", "{out}\udcff.jsonl", "--docs", "2"],
+        None,
+        "\\udcff.jsonl' is not valid UTF-8",
+    ),
+    "rank-corpus-path-with-a-lone-surrogate": (
+        ["rank", "--model", "{model}", "--corpus", "{test}\ud800", "--out", "{out}"],
+        None,
+        "\\ud800' is not valid UTF-8",
+    ),
 }
 
 
@@ -947,6 +958,17 @@ def test_count_flag_below_one_exits_two_naming_it_before_any_work(
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
     _exits_two_with_one_line_error(argv, capsys, f"{flag} must be >= 1, got {argv[argv.index(flag) + 1]}")
     assert not out.exists()
+
+
+def test_a_path_of_bytes_that_are_not_utf_8_exits_two_before_any_work(tmp_path):
+    out = os.fsencode(tmp_path) + b"/x\xff.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "salience.cli", "synth", "--out", out, "--docs", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: argument " + ascii(os.fsdecode(out)) + " is not valid UTF-8\n"
+    assert list(tmp_path.iterdir()) == []  # neither the corpus nor its manifest
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

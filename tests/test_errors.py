@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import write_jsonl_reference
-from salience.errors import write_csv, write_jsonl
+from salience.errors import write_csv, write_json, write_jsonl
 
 
 def test_write_csv_encodes_each_cell_by_one_rule(tmp_path):
@@ -52,6 +52,15 @@ def test_write_jsonl_first_row_that_fails_leaves_no_file(tmp_path):
         with pytest.raises((UnicodeEncodeError, TypeError)):
             write_jsonl([bad, {"fine": 1}], tmp_path / "w.jsonl")
         assert not (tmp_path / "w.jsonl").exists()
+
+
+def test_write_json_of_text_that_utf_8_cannot_hold_leaves_no_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_json({"args": {"out": "x\udcff.jsonl"}}, tmp_path / "w.json")
+    assert not (tmp_path / "w.json").exists()
+    write_json({"s": "café", "n": [1, 2.5]}, tmp_path / "w.json")
+    assert (tmp_path / "w.json").read_bytes() == json.dumps({"s": "café", "n": [1, 2.5]}, ensure_ascii=False,
+                                                           indent=2).encode() + b"\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import cosine, gaussian_pool_reference, kernel_backward, kernel_features, pool_grad_wrt_cos
+from oracles import (
+    cosine,
+    gaussian_pool_reference,
+    kernel_backward,
+    kernel_features,
+    kernel_slopes_reference,
+    pool_grad_wrt_cos,
+)
 from salience.errors import DataError
 from salience.kernels import (
+    _TILE,
     KernelBank,
     bank_from_json,
     bank_to_json,
     default_bank,
     gaussian_pool,
+    kernel_slopes,
 )
 
 
@@ -161,3 +171,46 @@ def test_gaussian_pool_equals_reference_bitwise(cos, means, sigmas):
     got = gaussian_pool(cos, bank)
     assert got.shape == want.shape == (*cos.shape, bank.size)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _cosines_with_exact_values(count: int, bank: KernelBank, rng: np.random.Generator) -> np.ndarray:
+    """``count`` cosines in [-1, 1]; the exact values -1, -0, 0, 1 and every kernel mean fill random
+    places, the last place included, whenever ``count`` leaves room for them."""
+    cos = rng.uniform(-1.0, 1.0, size=count)
+    exact = np.array([-1.0, -0.0, 0.0, 1.0, *bank.means])[:count]
+    cos[np.append(rng.choice(count - 1, size=len(exact) - 1, replace=False), count - 1)] = exact
+    return cos
+
+
+@pytest.mark.parametrize("count", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 7])
+@pytest.mark.parametrize("size", [1, 2, 11])
+def test_tiled_pass_equals_the_broadcast_across_chunk_boundaries(size, count):
+    """Cosine arrays shorter than one tile chunk, exactly one, one more, and several."""
+    bank = default_bank() if size == 11 else KernelBank(means=np.linspace(-0.6, 0.6, size), sigmas=np.full(size, 0.2))
+    rng = np.random.default_rng(10 * count + size)
+    for cos in (_cosines_with_exact_values(count, bank, rng), rng.uniform(-1.0, 1.0, size=(count, 2))):
+        for got, want in (
+            (gaussian_pool(cos, bank), gaussian_pool_reference(cos, bank)),
+            (kernel_slopes(cos, bank), kernel_slopes_reference(cos, bank)),
+        ):
+            assert got.shape == want.shape == (*cos.shape, bank.size)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_bank_tiles_are_no_part_of_its_value():
+    fresh = KernelBank(means=np.array([0.3]), sigmas=np.array([0.2]))  # one kernel: == compares its arrays
+    used = KernelBank(means=np.array([0.3]), sigmas=np.array([0.2]))
+    gaussian_pool(np.zeros(3), used)
+    assert "tiles" in vars(used) and "tiles" not in vars(fresh)
+    assert [f.name for f in dataclasses.fields(KernelBank)] == ["means", "sigmas"]
+    assert used == fresh and repr(used) == repr(fresh)
+    assert bank_to_json(used) == bank_to_json(fresh) == {"means": [0.3], "sigmas": [0.2]}
+
+
+def test_bank_tiles_are_read_only_bounded_and_shared_by_equal_banks():
+    tiles = default_bank().tiles
+    assert all(not tile.flags.writeable for tile in tiles)
+    assert [tile.shape for tile in tiles] == [(_TILE * 11,)] * 3
+    assert sum(tile.nbytes for tile in tiles) <= 264 * 1024  # the bound the kernels module states
+    assert all(a is b for a, b in zip(tiles, default_bank().tiles))
+    assert KernelBank(means=default_bank().means, sigmas=np.full(11, 0.1)).tiles[0] is not tiles[0]
