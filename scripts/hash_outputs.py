@@ -47,6 +47,9 @@ After it comes the rank JSONL of the trainable kce model on a test split of
 documents with twice the default events and entities: each pools 4,000
 cosines in one kernel pass, several of its tile-length chunks, where a
 default-size document pools 1,000, less than one.
+Then come the model content and history CSV of kce trained with ``beta1`` and
+``beta2`` of 0.0, where Adam decays the moments of the rows a batch does not
+touch to -0.0.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -98,6 +101,7 @@ EDGE_MODELS = ("kce", "pagerank")
 ODD_TOKENS = ('quote"d', "back\\slash", "tab\there", "ctl\x01", "café", "→")
 ODD_META = {"nested": {"a": {"b": [1, {"c": None}]}}, "empty": {}, 7: {"int key": {}}}
 LARGE_DOCS_CFG = {**SYNTH_CFG, "events_per_doc": 40, "entities_per_doc": 60}  # n * (n + m) = 4,000 cosines
+ZERO_BETAS = {"beta1": 0.0, "beta2": 0.0}  # the moments of rows a batch does not touch decay to -0.0
 
 
 def _run(argv: list[str]) -> None:
@@ -254,6 +258,11 @@ def _unreached_branches(corpora: dict[str, Path], root: Path) -> list[tuple[str,
     _run(["synth", "--out", str(large), "--config", str(large_cfg), "--docs", "8", "--seed", "3", "--split", "test"])
     _run(["rank", "--model", str(root / "kce-trainable.model.json"), "--corpus", str(large), "--out", str(ranks)])
     rows.append(("kce (trainable) rank JSONL, documents of 40 events and 60 entities", _sha256(ranks)))
+    zero_cfg, zero = root / "train-zero-betas.json", root / "kce-zero-betas.model.json"
+    zero_cfg.write_text(json.dumps({**TRAIN_CFG, **ZERO_BETAS}), encoding="utf-8")
+    _train("kce", corpora, root, zero_cfg, zero)
+    rows.append(("kce (trainable), beta1 and beta2 0.0, model content", _content_sha256(zero)))
+    rows.append(("kce (trainable), beta1 and beta2 0.0, history CSV", _sha256(Path(f"{zero}.history.csv"))))
     return rows
 
 

@@ -62,7 +62,7 @@ def build_vocab(corpus: Corpus, field_name: str, min_count: int = 2) -> Vocabula
     return Vocabulary(token_to_index=token_to_index, unknown_index=len(kept), size=len(kept) + 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingTable:
     vocabulary: Vocabulary
     dim: int

@@ -55,7 +55,7 @@ def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int
     return ranked[head], order[head], list(zip(repeats.tolist(), group[repeats].tolist()))
 
 
-@dataclass
+@dataclass(eq=False)
 class DocPlan:
     """What the content models read from a document of n events and m entities before any parameter."""
 
@@ -96,7 +96,7 @@ def doc_plan(doc: Document, events_vocab: Vocabulary, entities_vocab: Vocabulary
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class DocGeometry:
     """A plan's unit vectors and cosines under the current tables."""
 
@@ -173,7 +173,7 @@ def feature_matrix(
     return geometry_features(plan, doc_geometry(plan, events_table, entities_table))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureScaler:
     means: np.ndarray  # (5,)
     stds: np.ndarray  # (5,) floored at 1e-8

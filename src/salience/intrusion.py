@@ -66,15 +66,15 @@ class IntrusionConfig:
             raise DataError(f"fractions must be strictly ascending, got {list(self.fractions)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntrusionInstance:
     origin_doc_id: str
     intruder_doc_id: str
     origin_flags: np.ndarray  # True where the event came from the origin document
     salient_origin_flags: np.ndarray  # True for salient origin events only
     frequency: np.ndarray  # each event's lemma count in the mixed document
-    build: Callable[[], Document] = field(repr=False, compare=False)
-    plan: DocPlan | None = field(default=None, repr=False, compare=False)  # under the study's model, if any
+    build: Callable[[], Document] = field(repr=False)
+    plan: DocPlan | None = field(default=None, repr=False)  # under the study's model, if any
 
     @cached_property
     def mixed(self) -> Document:

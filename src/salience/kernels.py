@@ -43,7 +43,7 @@ from .errors import DataError
 _TILE = 1024  # cosines per chunk of the contiguous pass: a default-bank tile is 90 KB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBank:
     means: np.ndarray  # (K,)
     sigmas: np.ndarray  # (K,) all > 0
@@ -67,7 +67,7 @@ class KernelBank:
     @cached_property
     def tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_tiles`` of this bank's means and sigmas, cached on the instance outside the dataclass
-        fields, so no part of ``==``, ``repr`` or the JSON."""
+        fields, so no part of ``repr`` or the JSON."""
         return _tiles(self.means.tobytes(), self.sigmas.tobytes())
 
 

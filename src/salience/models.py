@@ -69,7 +69,7 @@ def reads_entities(variant: str) -> bool:
     return "w_e" in blocks or "w_f" in blocks
 
 
-@dataclass
+@dataclass(eq=False)
 class KCEModel:
     bank: KernelBank
     w_v: np.ndarray  # (K,) event-kernel weights
@@ -113,7 +113,7 @@ def new_letor_model(
     return new_kce_model(default_bank(), event_table, entity_table, scaler, variant="features_only")
 
 
-@dataclass
+@dataclass(eq=False)
 class KCECache(DocGeometry):
     """Everything the backward pass needs from a forward evaluation."""
 
@@ -186,7 +186,7 @@ class PageRankModel:
                 raise DataError(f"pagerank {name} must be {expected}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PageRankCache:
     rows: np.ndarray
     unit: np.ndarray

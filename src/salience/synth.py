@@ -78,7 +78,7 @@ _CONFIG_RULES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class TokenPools:
     topic_event_tokens: list[list[str]]
     topic_entity_tokens: list[list[str]]

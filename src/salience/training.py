@@ -8,16 +8,18 @@ differences.  Only the tables ``_param_arrays`` names get gradient work, and eac
 comes back row-sparse: the sorted unique rows the document references and an
 ``(r, d)`` block of their summed gradients.
 ``train`` plans every document and draws its pairs once per call, scatters
-the blocks into per-batch buffers in document order, and Adam steps once per
-batch; a document whose training scores are not all finite stops training
-with ``NumericError`` naming it.  For the call, each trained table is stored
-in the order in which the first epoch's batches first reach its rows, so the
-rows reached so far are a leading slice: each step zeroes and steps only that
-slice, and the vocabulary order is put back before ``train`` returns.  A row
-no batch has reached has zero moments and a zero gradient, and a dense step
-would leave it bitwise unchanged, so the trained model is the one stepping
-every row gives.  Each epoch ends in one dev pass, and the best epoch is kept
-as a shallow model copy plus copies of its arrays.
+the blocks into per-batch buffers in document order, noting the rows they
+touch, and Adam steps once per batch; a document whose training scores are
+not all finite stops training with ``NumericError`` naming it.  For the call,
+each trained table is stored in the order in which the first epoch's batches
+first reach its rows, so the rows reached so far are a leading slice: each
+step decays and updates only that slice, reads the gradient only on the rows
+the batch touched, and then zeroes just those rows of the buffers; the
+vocabulary order is put back before ``train`` returns.  A row no batch has
+reached has zero moments and a zero gradient, and a dense step would leave it
+bitwise unchanged, so the trained model is the one stepping every row gives.
+Each epoch ends in one dev pass, and the best epoch, unless it is the last,
+is kept as a shallow model copy plus copies of its arrays.
 Training is serial and fully seeded so identical configurations reproduce
 bitwise-identical models.
 """
@@ -143,12 +145,20 @@ def make_pairs(doc: Document, cfg: TrainConfig) -> np.ndarray:
 
 
 class Adam:
-    """Reference Adam with bias-corrected moment estimates.
+    """Bias-corrected Adam whose every element meets the textbook step's IEEE operations.
 
-    The update is the textbook one, operation for operation; it runs in place
-    through two scratch buffers per block so a step allocates no temporaries.
-    ``step`` may get a leading-row view of a block as its parameter: it then
-    steps the same leading rows of the gradient, the moments and the scratch.
+    ``step`` gets, per block, a parameter that may be a leading-row view of
+    the block, the whole gradient buffer, and the sorted rows of that
+    parameter the batch touched; every other row of the gradient must be
+    +0.0.  Only the touched rows are gathered into the leading rows of two
+    scratch buffers per block, where ``(1 - beta1) * g`` and
+    ``(1 - beta2) * g * g`` are formed, so a step allocates no temporaries.
+    On every other row the textbook adds +0.0: to ``m`` it is still added,
+    densely, since it turns a decayed -0.0 (say from ``beta1 = 0``) into
+    +0.0; ``v`` keeps its sign instead, since v is never below -0.0 and a
+    -0.0 in ``v`` reaches the parameter only through ``sqrt(v_hat) + eps``,
+    where both zeros give ``eps``.  The decays and the bias-corrected update
+    cover every row of the parameter.
     """
 
     def __init__(
@@ -168,26 +178,38 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(
+        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], touched: dict[str, np.ndarray]
+    ) -> None:
         self.t += 1
         m_correction = 1.0 - self.beta1**self.t
         v_correction = 1.0 - self.beta2**self.t
         for name, p in params.items():
-            rows = len(p)
-            g = grads[name][:rows]
+            rows, idx = len(p), touched[name]
+            g = grads[name]
             m = self.m[name][:rows]
             v = self.v[name][:rows]
-            a, b = (s[:rows] for s in self._scratch[name])
+            a, b = self._scratch[name]
+            # the touched rows' terms; "clip" keeps np.take from buffering ``out``, the rows are in range
+            ak, bk = a[: len(idx)], b[: len(idx)]
             # m = beta1 * m + (1 - beta1) * g
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.take(g, idx, axis=0, out=ak, mode="clip")
+            ak *= 1.0 - self.beta1
             m *= self.beta1
-            m += a
+            np.take(m, idx, axis=0, out=bk, mode="clip")
+            bk += ak
+            m += 0.0
+            m[idx] = bk
             # v = beta2 * v + (1 - beta2) * g^2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            np.take(g, idx, axis=0, out=ak, mode="clip")
+            np.multiply(ak, ak, out=bk)
+            bk *= 1.0 - self.beta2
             v *= self.beta2
-            v += a
+            np.take(v, idx, axis=0, out=ak, mode="clip")
+            ak += bk
+            v[idx] = ak
             # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            a, b = a[:rows], b[:rows]
             np.divide(v, v_correction, out=a)
             np.sqrt(a, out=a)
             a += self.eps
@@ -472,18 +494,16 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     # The buffers start at +0.0 and a sum never turns +0.0 into -0.0, so the
     # rows a document does not touch need no +0.0 added: skipping them keeps
     # the batch gradient bitwise equal to summing dense per-document tables.
+    # After each step only the rows the batch touched are zeroed again.
     grads = {k: np.zeros_like(v) for k, v in arrays.items()}
+    whole = {name: np.arange(len(arr)) for name, arr in arrays.items() if name not in EMBEDDING_KEYS}
+    marks = {name: np.zeros(len(arrays[name]), bool) for name in tables}
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1:
             order = rng.permutation(len(docs))
         epoch_loss = 0.0
         for b, start in enumerate(range(0, len(order), cfg.batch_docs)):
-            batch = order[start : start + cfg.batch_docs]
-            # the rows reached so far, a leading slice of each table; the weights step whole
-            heads = {name: counts[b if epoch == 1 else -1] for name, counts in reached.items()}
-            for name, buf in grads.items():
-                buf[: heads.get(name)].fill(0.0)
-            for di in batch:
+            for di in order[start : start + cfg.batch_docs]:
                 loss, doc_grads = _doc_loss_and_grads(model, *docs[di], tables)
                 epoch_loss += loss
                 if doc_grads is None:
@@ -492,9 +512,17 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
                     if name in EMBEDDING_KEYS:
                         rows, block = doc_grads[name]
                         buf[rows] += block
+                        marks[name][rows] = True
                     else:
                         buf += doc_grads[name]
-            adam.step({name: arr[: heads.get(name)] for name, arr in arrays.items()}, grads)
+            # the rows reached so far, a leading slice of each table; the weights step whole
+            heads = {name: counts[b if epoch == 1 else -1] for name, counts in reached.items()}
+            touched = {**whole, **{name: np.flatnonzero(mark[: heads[name]]) for name, mark in marks.items()}}
+            adam.step({name: arr[: heads.get(name)] for name, arr in arrays.items()}, grads, touched)
+            for name, rows in touched.items():
+                grads[name][rows] = 0.0
+                if name in marks:
+                    marks[name][rows] = False
             _sync_scalar(model, arrays)
         _check_finite_params(arrays)
 
@@ -503,9 +531,12 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
         if dev_auc is not None and (best_auc is None or dev_auc > best_auc):
             best_auc = dev_auc
             best_epoch = epoch
-            # the shallow copy keeps this epoch's scalars; it shares the arrays, restored below
-            best_model = copy.copy(model)
-            best_arrays = {k: v.copy() for k, v in arrays.items()}
+            # the shallow copy keeps this epoch's scalars; it shares the arrays, restored below.
+            # Training ends with the last epoch's parameters, so that one needs neither.
+            best_model = best_arrays = None
+            if epoch < cfg.epochs:
+                best_model = copy.copy(model)
+                best_arrays = {k: v.copy() for k, v in arrays.items()}
 
     if best_arrays is not None:
         for name, arr in arrays.items():

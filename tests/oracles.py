@@ -8,8 +8,9 @@ the per-document kernel pass as first written (that pool, the diagonal
 zeroed by fancy indexing, ``.sum(axis=1)`` pooling and the allocating
 kernel slope),
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
-per-row sum of mention gradients accumulated with ``np.add.at``, the training
-loop that Adam-steps every row of every table in every batch, the
+per-row sum of mention gradients accumulated with ``np.add.at``, the textbook
+Adam step over every element of a block, the training
+loop that Adam-steps every row of every table in every batch with it, the
 stand-alone LeToR scorer with its weight gradients, the one-step PageRank
 walk, the dev search for its frequency/walk mix through one full ``evaluate``
 per grid value, AUC from average ranks, the intrusion instance built by filtering
@@ -52,7 +53,6 @@ from salience.models import (
 from salience.training import (
     EMBEDDING_KEYS,
     LAMBDA_GRID,
-    Adam,
     EpochStats,
     TrainConfig,
     TrainHistory,
@@ -329,6 +329,43 @@ def row_sparse_reference(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarr
     return uniq, block
 
 
+class DenseAdam:
+    """Textbook Adam with bias-corrected moment estimates, operation for operation, over every
+    element of every block, in place through two scratch buffers per block."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float) -> None:
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        m_correction = 1.0 - self.beta1**self.t
+        v_correction = 1.0 - self.beta2**self.t
+        for name, p in params.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = self._scratch[name]
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m *= self.beta1
+            m += a
+            # v = beta2 * v + (1 - beta2) * g^2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v *= self.beta2
+            v += a
+            # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(v, v_correction, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, m_correction, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
+
+
 def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     """``train`` as first written: the model deep-copied whole, the tables in vocabulary
     order, and every row of every block zeroed and Adam-stepped once per batch."""
@@ -337,7 +374,7 @@ def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
         return model, TrainHistory()
     arrays = _param_arrays(model, cfg.freeze_embeddings)
     tables = tuple(name for name in EMBEDDING_KEYS if name in arrays)
-    adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    adam = DenseAdam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     best_auc = best_epoch = best_model = best_arrays = None

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import document_pair_loss, gradcheck_instances, random_corpus, random_document, toy_table
 from oracles import (
+    DenseAdam,
     letor_grads,
     letor_scores,
     make_pairs_reference,
@@ -277,13 +278,17 @@ def scalar_adam_reference(grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return theta
 
 
+def every_row(params):
+    return {k: np.arange(len(v)) for k, v in params.items()}
+
+
 def test_adam_matches_scalar_reference():
     rng = np.random.default_rng(0)
     grads = rng.normal(size=50)
     params = {"w": np.zeros(1)}
     opt = Adam(params, lr=1e-3)
     for g in grads:
-        opt.step(params, {"w": np.array([g])})
+        opt.step(params, {"w": np.array([g])}, every_row(params))
     want = scalar_adam_reference(grads)
     assert params["w"][0] == pytest.approx(want, abs=1e-12)
 
@@ -299,8 +304,10 @@ def test_adam_matches_textbook_expression_bitwise():
     opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
     for t in range(1, 6):
         grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-        grads["table"][rng.integers(0, 7)] = 0.0  # a row this batch did not touch
-        opt.step(params, grads)
+        untouched = rng.integers(0, 7)
+        grads["table"][untouched] = 0.0  # a row this batch did not touch
+        touched = {**every_row(grads), "table": np.setdiff1d(np.arange(7), [untouched])}
+        opt.step(params, grads, touched)
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1 - b1) * g
             v[k] = b2 * v[k] + (1 - b2) * (g * g)
@@ -313,9 +320,62 @@ def test_adam_matches_textbook_expression_bitwise():
 def test_adam_zero_grad_leaves_fresh_param_unchanged():
     params = {"a": np.zeros(2), "b": np.zeros(2)}
     opt = Adam(params, lr=0.1)
-    opt.step(params, {"a": np.ones(2), "b": np.zeros(2)})
+    opt.step(params, {"a": np.ones(2), "b": np.zeros(2)}, every_row(params))
     assert params["a"][0] != 0.0
     assert not params["b"].any()
+
+
+TABLE_ROWS = 12
+HEADS = (3, 5, 5, 8, 10, 12, 12, 12)  # the rows reached after each step: a growing leading slice
+
+
+def touched_row_steps(seed):
+    """Per step, the touched rows of a 12-row table under ``HEADS`` and a dense gradient that is +0.0
+    on every other row, as ``train`` leaves its buffers: some entries are subnormal, one touched row's
+    gradient sums to exactly 0.0, and every row decays to -0.0 under a zero beta once left untouched."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for t, head in enumerate(HEADS):
+        rows = np.sort(rng.choice(head, size=max(1, head // 2), replace=False))
+        table = np.zeros((TABLE_ROWS, 3))
+        table[rows] = rng.normal(size=(len(rows), 3))
+        table[rows[0]] = 0.75 + -0.75  # a touched row whose gradient sums to exactly +0.0
+        if len(rows) > 1:
+            table[rows[1], :2] = (-5e-324, 3e-310)  # subnormals: (1 - beta1) * g underflows to -0.0
+        weights = rng.normal(size=4)
+        weights[t % 4] = -1e-320
+        steps.append((head, rows, {"table": table, "w": weights, "scalar": rng.normal(size=1)}))
+    return steps
+
+
+@pytest.mark.parametrize("beta2", [0.999, 0.0, -0.0])
+@pytest.mark.parametrize("beta1", [0.9, 0.0, -0.0])
+def test_adam_touched_row_step_equals_the_dense_textbook_step_bitwise(beta1, beta2):
+    rng = np.random.default_rng(7)
+    start = {"table": rng.normal(size=(TABLE_ROWS, 3)), "w": rng.normal(size=4), "scalar": np.array([0.5])}
+    params = {k: v.copy() for k, v in start.items()}
+    want = {k: v.copy() for k, v in start.items()}
+    hp = dict(lr=0.05, beta1=beta1, beta2=beta2, eps=1e-8)
+    opt, dense = Adam(params, **hp), DenseAdam(want, **hp)
+    decayed_to_negative_zero = False
+    for head, rows, grads in touched_row_steps(seed=3):
+        untouched = np.setdiff1d(np.arange(head), rows)
+        decayed = dense.m["table"][untouched] * beta1
+        decayed_to_negative_zero |= bool((np.signbit(decayed) & (decayed == 0.0)).any())
+        # a -0.0 parameter in a reached row this step does not touch, on both sides
+        for side in (params, want):
+            side["table"][untouched[-1:] if len(untouched) else []] = -0.0
+        given_grads = {k: g.copy() for k, g in grads.items()}
+        opt.step({**params, "table": params["table"][:head]}, grads, {**every_row(params), "table": rows})
+        dense.step(want, grads)
+        assert all(grads[k].tobytes() == given_grads[k].tobytes() for k in grads)  # the gradients are read only
+        for k in start:
+            assert params[k].tobytes() == want[k].tobytes(), k
+            assert opt.m[k].tobytes() == dense.m[k].tobytes(), k
+            # v may keep a -0.0 where the textbook adds +0.0 to it; it reaches p only through sqrt(v) + eps
+            assert (opt.v[k] + 0.0).tobytes() == (dense.v[k] + 0.0).tobytes(), k
+    # a zero beta1 decays an untouched row's negative m to -0.0, which only the dense m += ... clears
+    assert decayed_to_negative_zero == (beta1 == 0.0)
 
 
 # --- row-sparse embedding gradients -----------------------------------------
@@ -712,12 +772,16 @@ def test_train_on_an_empty_dev_corpus_keeps_the_last_epoch(monkeypatch, kind, tm
     rows = (tmp_path / "history.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
     assert all(row.endswith(",,") for row in rows)  # blank dev_auc and dev_p1
-    # a dev AUC that rises every epoch snapshots the last epoch: the same parameters
+    # a dev AUC that rises every epoch picks the last epoch: the same parameters, and the
+    # improving epochs before it are the only ones copied
     rising = iter(range(1, cfg.epochs + 1))
     monkeypatch.setattr(training, "_dev_metrics", lambda model, dev, plans: (float(next(rising)), None))
+    copied, shallow_copy = [], copy.copy
+    monkeypatch.setattr(training.copy, "copy", lambda obj: copied.append(obj) or shallow_copy(obj))
     last, _ = train(model, corpus, empty, cfg)
     assert last.meta["best_epoch"] == cfg.epochs
     assert trained_bytes(trained) == trained_bytes(last)
+    assert len(copied) == cfg.epochs - 1
 
 
 @pytest.mark.parametrize("kind", ["kce", "letor", "pagerank"])
@@ -833,13 +897,18 @@ def test_reach_setup_leaves_rows_unreached():
         assert table.vocabulary.unknown_index not in fit_rows | dev_rows
 
 
+@pytest.mark.parametrize("betas", [(0.9, 0.999), (0.0, 0.0)], ids=["default-betas", "zero-betas"])
 @pytest.mark.parametrize("batch_docs", [1, 3, 50])
 @pytest.mark.parametrize("epochs", [1, 3])
 @pytest.mark.parametrize("kind", [*KCE_VARIANTS, "pagerank"])
-def test_train_equals_the_every_row_adam_reference_bitwise(kind, epochs, batch_docs):
+def test_train_equals_the_every_row_adam_reference_bitwise(kind, epochs, batch_docs, betas):
     model, fit, dev = reach_setup(kind)
     limit = 5 if batch_docs == 3 else None
-    cfg = TrainConfig(epochs=epochs, batch_docs=batch_docs, seed=3, learning_rate=0.05, max_pairs_per_doc=limit)
+    beta1, beta2 = betas  # zero betas decay the moments of the rows a batch does not touch to -0.0
+    cfg = TrainConfig(
+        epochs=epochs, batch_docs=batch_docs, seed=3, learning_rate=0.05, max_pairs_per_doc=limit,
+        beta1=beta1, beta2=beta2,
+    )
     trained = assert_trains_as_dense_reference(model, fit, dev, cfg)
     if epochs == 3 and kind in ("full", "pagerank"):
         assert trained.meta["best_epoch"] < epochs  # the restore undid later epochs
