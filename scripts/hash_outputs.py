@@ -50,6 +50,10 @@ default-size document pools 1,000, less than one.
 Then come the model content and history CSV of kce trained with ``beta1`` and
 ``beta2`` of 0.0, where Adam decays the moments of the rows a batch does not
 touch to -0.0.
+Last come the model content and history CSV of kce (``full``), letor and
+pagerank trained on train and dev splits whose documents are cut to
+``MIXED_SHAPES``, so that each batch trains stacks of several shapes, among
+them entity-free documents and documents without pairs.
 Each model also gets a content hash: sha256 over the
 reloaded model's fields (header values, and every array's dtype, shape and
 ``tobytes()``), which does not depend on the model file format, so checkouts
@@ -102,6 +106,11 @@ ODD_TOKENS = ('quote"d', "back\\slash", "tab\there", "ctl\x01", "café", "→")
 ODD_META = {"nested": {"a": {"b": [1, {"c": None}]}}, "empty": {}, 7: {"int key": {}}}
 LARGE_DOCS_CFG = {**SYNTH_CFG, "events_per_doc": 40, "entities_per_doc": 60}  # n * (n + m) = 4,000 cosines
 ZERO_BETAS = {"beta1": 0.0, "beta2": 0.0}  # the moments of rows a batch does not touch decay to -0.0
+# (events, entities) kept from the front of the i-th synthetic document, cycled: each batch of 8
+# mixes shapes, most shapes recur within a batch, and some documents have no entities, one event
+# (so no pair), or too few events to hold both classes
+MIXED_SHAPES = ((20, 30), (12, 30), (12, 0), (5, 8), (12, 30), (20, 0), (1, 4), (5, 8))
+MIXED_MODELS = ("kce", "letor", "pagerank")
 
 
 def _run(argv: list[str]) -> None:
@@ -266,6 +275,30 @@ def _unreached_branches(corpora: dict[str, Path], root: Path) -> list[tuple[str,
     return rows
 
 
+def _mixed_shapes(corpus: Path, out: Path) -> Path:
+    """``corpus`` with its i-th document cut to the first events and entities ``MIXED_SHAPES`` gives it."""
+    docs = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    for i, doc in enumerate(docs):
+        n_events, n_entities = MIXED_SHAPES[i % len(MIXED_SHAPES)]
+        doc["events"], doc["entities"] = doc["events"][:n_events], doc["entities"][:n_entities]
+    out.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    return out
+
+
+def _mixed_shape_fits(corpora: dict[str, Path], root: Path) -> list[tuple[str, str]]:
+    """Model content and history CSV of kce (full), letor and pagerank trained on train and dev
+    splits of mixed document shapes: batches whose documents train in stacks of several shapes."""
+    mixed = {split: _mixed_shapes(corpora[split], root / f"{split}.mixed.jsonl") for split in ("train", "dev")}
+    rows = []
+    for name in MIXED_MODELS:
+        model = root / f"{name}-mixed.model.json"
+        _train(name, mixed, root, root / "train-trainable.json", model)
+        label = f"{name} (trainable), train and dev of mixed document shapes"
+        rows.append((f"{label}, model content", _content_sha256(model)))
+        rows.append((f"{label}, history CSV", _sha256(Path(f"{model}.history.csv"))))
+    return rows
+
+
 def hash_outputs(root: Path) -> list[tuple[str, str]]:
     synth_cfg = root / "synth.json"
     synth_cfg.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
@@ -333,7 +366,7 @@ def hash_outputs(root: Path) -> list[tuple[str, str]]:
         _run(["intrude", "--model", str(root / f"{name}-trainable.model.json"), "--corpus", str(test),
               "--out", str(curves)] + args)
         rows.append((f"{name} (trainable) intrusion CSV, {' '.join(args)}", _sha256(curves)))
-    return rows + _unreached_branches(corpora, root)
+    return rows + _unreached_branches(corpora, root) + _mixed_shape_fits(corpora, root)
 
 
 def run() -> int:

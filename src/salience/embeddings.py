@@ -100,11 +100,12 @@ def init_embeddings(
     return EmbeddingTable(vocabulary=vocab, dim=dim, vectors=vectors, trainable=True)
 
 
-def normalized_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize; zero rows stay zero.  Returns (unit rows, row norms)."""
+def normalized_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalize, into ``out`` if given (``matrix`` itself, say); zero rows stay zero.
+    Returns (unit rows, row norms)."""
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = matrix / safe[:, None]
+    safe = norms + (norms == 0.0)  # 1.0 for a zero norm; adding 0.0 leaves every other norm as it is
+    unit = np.divide(matrix, safe[:, None], out=out)
     return unit, norms
 
 

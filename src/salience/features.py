@@ -2,16 +2,19 @@
 
 ``doc_plan`` reads what no parameter changes from a document, once: its
 mentions' vocabulary rows, the event sentences, the same-sentence mask and
-per-event lemma counts.  ``doc_geometry`` gathers the plan's event and
-entity rows into one matrix, normalizes it in one pass and builds the
-event-event and event-entity cosines.  ``geometry_features``
-derives five features per event from both: lemma frequency within the
-document, sentence location, and three embedding-vote averages (against other
-events, all entities, and same-sentence entities).  A fitted scaler
-standardizes features to zero mean / unit variance over a corpus.
+per-event lemma counts.  ``doc_geometry`` takes a stack of plans of one
+shape (n events, m entities; a stack of one for a single document), gathers
+their event and entity rows into one matrix, normalizes it in one pass and
+builds each plan's event-event and event-entity cosines, every array with a
+leading document axis.  ``geometry_features`` derives five features per
+event from both: lemma frequency within the document, sentence location, and
+three embedding-vote averages (against other events, all entities, and
+same-sentence entities).  A fitted scaler standardizes features to zero mean
+/ unit variance over a corpus.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,48 +99,77 @@ def doc_plan(doc: Document, events_vocab: Vocabulary, entities_vocab: Vocabulary
     )
 
 
+def stacked(stack: list, name: str) -> np.ndarray:
+    """The ``name`` arrays of a stack's equal-shape plans along a new leading axis; a stack of one's
+    is a view of its plan's."""
+    if len(stack) == 1:
+        return getattr(stack[0], name)[None]
+    return np.stack([getattr(plan, name) for plan in stack])
+
+
+def fill_diagonals(stack: np.ndarray, value: float) -> None:
+    """Set the diagonal of each (n, n) matrix of a C-contiguous (B, n, n, ...) stack, in place."""
+    n = stack.shape[1]
+    stack.reshape(len(stack), n * n, math.prod(stack.shape[3:]))[:, :: n + 1] = value
+
+
 @dataclass(eq=False)
 class DocGeometry:
-    """A plan's unit vectors and cosines under the current tables."""
+    """A stack of B equal-shape plans' unit vectors and cosines under the current tables."""
 
-    rows_v: np.ndarray  # (n,) the plan's event rows
-    unit_v: np.ndarray  # (n, d) unit event vectors (zero rows stay zero)
-    norms_v: np.ndarray  # (n,)
-    sims_vv: np.ndarray  # (n, n) cosines, diagonal zeroed (self excluded)
-    rows_e: np.ndarray  # (m,) the plan's entity rows; m = 0 without an entity table
-    unit_e: np.ndarray  # (m, d)
-    norms_e: np.ndarray  # (m,)
-    sims_ve: np.ndarray  # (n, m)
+    rows_v: np.ndarray  # (B, n) the plans' event rows
+    unit_v: np.ndarray  # (B, n, d) unit event vectors (zero rows stay zero)
+    norms_v: np.ndarray  # (B, n)
+    sims_vv: np.ndarray  # (B, n, n) cosines, diagonal zeroed (self excluded)
+    rows_e: np.ndarray  # (B, m) the plans' entity rows; m = 0 without an entity table
+    unit_e: np.ndarray  # (B, m, d)
+    norms_e: np.ndarray  # (B, m)
+    sims_ve: np.ndarray  # (B, n, m)
+    cosines: np.ndarray  # (B n n + B n m,) sims_vv's and then sims_ve's buffer
 
 
 def doc_geometry(
-    plan: DocPlan, events_table: EmbeddingTable, entities_table: EmbeddingTable | None = None
+    stack: list[DocPlan],
+    events_table: EmbeddingTable,
+    entities_table: EmbeddingTable | None = None,
+    kind: type = DocGeometry,
 ) -> DocGeometry:
-    """Gather, normalize and multiply; no entity table, no entity side.
+    """Gather, normalize and multiply a stack of plans of n events and m entities each, into a
+    ``kind``, DocGeometry or a subclass whose own fields have defaults; no entity table, no
+    entity side.
 
-    A plan that carries ``units`` skips the normalizing, and is valid only
-    for the very tables it names.
+    Plans that carry ``units`` skip the normalizing, and are valid only for
+    the very tables they name.  Each (n, d) matrix of a stack is C-contiguous,
+    as one document's is, so a stacked ``matmul`` makes the BLAS call of one
+    document once per document, and every row-wise step meets each row alone:
+    a plan's cosines do not depend on the stack it is in.
     """
-    rows_v, rows_e = plan.rows_v, plan.rows_e
-    entities = entities_table is not None and len(rows_e) > 0
-    if plan.units is None:  # the event rows and then the entity rows, normalized in one pass
-        gathered = events_table.vectors[rows_v]
-        if entities:
-            gathered = np.concatenate((gathered, entities_table.vectors[rows_e]))
-        unit, norms = normalized_rows(gathered)
-        n = len(rows_v)
-        unit_v, norms_v, unit_e, norms_e = unit[:n], norms[:n], unit[n:], norms[n:]
-    elif plan.units[0] is events_table and plan.units[1] is entities_table:
-        unit_v, norms_v, unit_e, norms_e = plan.units[2:]
+    rows_v, rows_e = stacked(stack, "rows_v"), stacked(stack, "rows_e")
+    b, n = rows_v.shape
+    m = rows_e.shape[1] if entities_table is not None else 0
+    units = [p.units for p in stack]
+    if not any(units):  # the stack's event rows and then its entity rows, normalized in one pass
+        gathered = events_table.vectors[rows_v.ravel()]
+        if m:
+            gathered = np.concatenate((gathered, entities_table.vectors[rows_e.ravel()]))
+        unit, norms = normalized_rows(gathered, out=gathered)  # the gather is a copy of its own
+        dim = unit.shape[1]
+        unit_v, norms_v = unit[: b * n].reshape(b, n, dim), norms[: b * n].reshape(b, n)
+        unit_e, norms_e = unit[b * n :].reshape(b, m, dim), norms[b * n :].reshape(b, m)
+    elif all(u is not None and u[0] is events_table and u[1] is entities_table for u in units):
+        parts = zip(*(u[2:] for u in units))
+        unit_v, norms_v, unit_e, norms_e = (part[0][None] if b == 1 else np.stack(part) for part in parts)
     else:
         raise DataError("the plan's rows were normalized under other tables")
-    sims_vv = unit_v @ unit_v.T
-    np.fill_diagonal(sims_vv, 0.0)
-    if entities:
-        sims_ve = unit_v @ unit_e.T
+    cosines = np.empty(b * n * (n + m))
+    sims_vv = np.matmul(unit_v, unit_v.transpose(0, 2, 1), out=cosines[: b * n * n].reshape(b, n, n))
+    fill_diagonals(sims_vv, 0.0)
+    sims_ve = cosines[b * n * n :].reshape(b, n, m)
+    if m:
+        np.matmul(unit_v, unit_e.transpose(0, 2, 1), out=sims_ve)
     else:  # the zero-size entity fields, built directly
-        unit_e, norms_e, sims_ve = np.zeros((0, events_table.dim)), np.zeros(0), np.zeros((len(rows_v), 0))
-    return DocGeometry(
+        unit_e, norms_e = np.zeros((b, 0, events_table.dim)), np.zeros((b, 0))
+    return kind(
         rows_v=rows_v,
         unit_v=unit_v,
         norms_v=norms_v,
@@ -146,22 +178,24 @@ def doc_geometry(
         unit_e=unit_e,
         norms_e=norms_e,
         sims_ve=sims_ve,
+        cosines=cosines,
     )
 
 
-def geometry_features(plan: DocPlan, geo: DocGeometry) -> np.ndarray:
-    """All five features for every event; votes are 0 where there is nothing to vote."""
-    n, m = geo.sims_ve.shape
-    out = np.zeros((n, N_FEATURES), dtype=np.float64)
-    out[:, 0] = plan.lemma_counts
-    out[:, 1] = plan.sentences
+def geometry_features(stack: list[DocPlan], geo: DocGeometry) -> np.ndarray:
+    """All five features for every event of the stack, shape (B, n, 5); votes are 0 where there
+    is nothing to vote."""
+    b, n, m = geo.sims_ve.shape
+    out = np.zeros((b, n, N_FEATURES), dtype=np.float64)
+    out[..., 0] = stacked(stack, "lemma_counts")
+    out[..., 1] = stacked(stack, "sentences")
     if n > 1:
-        out[:, 2] = geo.sims_vv.sum(axis=1) / (n - 1)
+        out[..., 2] = geo.sims_vv.sum(axis=2) / (n - 1)
     if m > 0:
-        out[:, 3] = geo.sims_ve.sum(axis=1) / m
-        local_sum = (geo.sims_ve * plan.local_mask).sum(axis=1)
-        nonzero = plan.local_counts > 0
-        out[nonzero, 4] = local_sum[nonzero] / plan.local_counts[nonzero]
+        out[..., 3] = geo.sims_ve.sum(axis=2) / m
+        local_counts = stacked(stack, "local_counts")
+        local_sum = (geo.sims_ve * stacked(stack, "local_mask")).sum(axis=2)
+        np.divide(local_sum, local_counts, out=out[..., 4], where=local_counts > 0)
     return out
 
 
@@ -169,8 +203,8 @@ def feature_matrix(
     doc: Document, events_table: EmbeddingTable, entities_table: EmbeddingTable
 ) -> np.ndarray:
     """All five features for every event of the document, shape (n, 5)."""
-    plan = doc_plan(doc, events_table.vocabulary, entities_table.vocabulary)
-    return geometry_features(plan, doc_geometry(plan, events_table, entities_table))
+    stack = [doc_plan(doc, events_table.vocabulary, entities_table.vocabulary)]
+    return geometry_features(stack, doc_geometry(stack, events_table, entities_table))[0]
 
 
 @dataclass(frozen=True, eq=False)

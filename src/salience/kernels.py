@@ -10,12 +10,15 @@ vector is a differentiable histogram of the similarity distribution.
 
 Outputs are bitwise stable, so the kernel pass's operation order is
 load-bearing.  ``gaussian_pool`` divides ``d * d`` (``d = cos - mu``) by
-``-(2 sigma sigma)``, as ``kernel_slopes`` divides ``d`` by
+``-(2 sigma sigma)``, as ``multiply_slopes`` divides ``d`` by
 ``-(sigma sigma)``: IEEE division is sign-symmetric, ``(-a) / b == a / (-b)``,
 so this is the textbook ``-(d * d) / (2 sigma sigma)`` with one pass fewer.
 
 Both run over contiguous 1-D operands.  ``np.repeat`` lays each cosine's K
-copies side by side, and a bank holds its means, ``-(2 sigma sigma)`` and
+copies side by side (``multiply_slopes`` repeats one tile chunk of cosines at
+a time and multiplies the activations by it in place, so the backward pass
+allocates no second buffer of the activations' size), and a bank holds its
+means, ``-(2 sigma sigma)`` and
 ``-(sigma sigma)`` tiled over ``_TILE`` cosines (264 KiB for the default
 bank, in a memory mapping of their own, built on its first pass and shared
 by equal banks).  Each step is then one elementwise ufunc over equal-length
@@ -25,10 +28,11 @@ K elements.  Each element still meets the same operands in the same IEEE
 operations (subtract, multiply, divide and exp, which numpy computes for
 each element alone), so the activations and slopes keep their bits whatever
 the chunking.
-``pooled_sum`` is ``acts.sum(axis=1)``: for K >= 2 numpy adds each (i, k)'s
-terms one after another and einsum does the same, while for K = 1 numpy sums
-the contiguous context axis pairwise and einsum does not.
-``tests/test_kernel_pass.py`` holds both to the first formulation.
+``pooled_sum`` is ``acts.sum(axis=2)`` of a stack's (B, n, m, K) activations:
+for K >= 2 numpy adds each (b, i, k)'s terms one after another, and einsum
+over the B n targets as the rows of one (B n, m, K) block does the same,
+while for K = 1 numpy sums the contiguous context axis pairwise and einsum
+does not.  ``tests/test_kernel_pass.py`` holds both to the first formulation.
 """
 from __future__ import annotations
 
@@ -95,14 +99,15 @@ def _differences(cos_values: np.ndarray, bank: KernelBank) -> tuple[np.ndarray, 
     """``cos - mu`` for every cosine and kernel in a fresh (..., K) buffer, and its contiguous chunks,
     each with the ``-(2 sigma sigma)`` and ``-(sigma sigma)`` tile slices that line up with it."""
     c = np.asarray(cos_values, dtype=np.float64)
-    flat = np.repeat(c, bank.size)
+    size = bank.size
+    flat = c.repeat(size)
     means, two_var, var = bank.tiles
     chunks = []
     for start in range(0, flat.size, means.size):
         d = flat[start : start + means.size]
         np.subtract(d, means[: d.size], out=d)
         chunks.append((d, two_var[: d.size], var[: d.size]))
-    return flat.reshape(c.shape + (bank.size,)), chunks
+    return flat.reshape(c.shape + (size,)), chunks
 
 
 def gaussian_pool(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
@@ -115,20 +120,36 @@ def gaussian_pool(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
     return acts
 
 
-def kernel_slopes(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """``-(cos - mu) / (sigma sigma)`` for an array of cosines, each activation's slope over the
-    activation itself; shape (..., K)."""
-    slopes, chunks = _differences(cos_values, bank)
-    for d, _, var in chunks:
-        np.divide(d, var, out=d)
-    return slopes
+def multiply_slopes(acts: np.ndarray, cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """Multiply the contiguous (..., K) activations of an array of cosines, in place, by their
+    slopes over the activations themselves, ``-(cos - mu) / (sigma sigma)``, and return them.
+
+    The slopes are built a tile chunk at a time, so no buffer of the activations' size is
+    allocated; each product is the activation times its slope, which IEEE multiplication
+    gives the bits of the slope times the activation.
+    """
+    c = np.asarray(cos_values, dtype=np.float64).ravel()
+    flat = acts.reshape(-1)
+    size = bank.size
+    means, _, var = bank.tiles
+    for start in range(0, c.size, _TILE):
+        d = c[start : start + _TILE].repeat(size)
+        np.subtract(d, means[: d.size], out=d)
+        np.divide(d, var[: d.size], out=d)
+        part = flat[start * size : start * size + d.size]
+        np.multiply(part, d, out=part)
+    return acts
 
 
 def pooled_sum(acts: np.ndarray) -> np.ndarray:
-    """``acts.sum(axis=1)`` of (n, m, K) activations, bit for bit: the (n, K) pooled features."""
-    if acts.shape[-1] == 1:  # numpy sums a contiguous axis pairwise, einsum does not
-        return acts.sum(axis=1)
-    return np.einsum("ijk->ik", acts)
+    """``acts.sum(axis=2)`` of a stack's contiguous (B, n, m, K) activations, bit for bit: the
+    (B, n, K) pooled features."""
+    b, n, m, size = acts.shape
+    if size == 1:  # numpy sums a contiguous axis pairwise, einsum does not
+        return acts.sum(axis=2)
+    # the stack's B * n targets as the rows of one (B n, m, K) block: the same sums, and faster
+    # than a four-index einsum
+    return np.einsum("ijk->ik", acts.reshape(b * n, m, size)).reshape(b, n, size)
 
 
 def bank_to_json(bank: KernelBank) -> dict:

@@ -10,6 +10,11 @@
                     normalized frequency distribution.
 * frequency / location baselines.
 
+``kce_forward`` and ``pagerank_forward`` score a stack: a list of plans of
+one shape (n events, m entities), every array with a leading document axis,
+as ``features.doc_geometry`` builds it.  ``model_scores`` scores one document
+as a stack of one.
+
 Model files are single JSON documents, so every model is self-contained for
 scoring.  ``save_model`` writes model file version 2, one line through
 ``errors.write_jsonl``: each embedding table's ``vectors`` is a base64 string
@@ -43,17 +48,20 @@ from .features import (
     N_FEATURES,
     doc_geometry,
     doc_plan,
+    fill_diagonals,
     geometry_features,
     lemma_codes,
     lemma_counts,
     scale_matrix,
     scaler_from_json,
     scaler_to_json,
+    stacked,
 )
 from .kernels import KernelBank, bank_from_json, bank_to_json, default_bank, gaussian_pool, pooled_sum
 
 MODEL_FILE_VERSION = 2  # the one version save_model writes and load_model reads
-# The weight blocks each variant scores with; the blocks it leaves out stay zero.
+# The weight blocks each variant scores with; the blocks it leaves out stay zero.  A variant
+# with entity kernels (w_e) has event kernels (w_v) too.
 VARIANT_BLOCKS = {
     "events_only": ("w_v",),
     "events_features": ("w_v", "w_f"),
@@ -115,54 +123,49 @@ def new_letor_model(
 
 @dataclass(eq=False)
 class KCECache(DocGeometry):
-    """Everything the backward pass needs from a forward evaluation."""
+    """Everything the backward pass needs from a forward evaluation of a stack of B plans."""
 
-    acts_vv: np.ndarray | None  # (n, n, K) kernel activations, diagonal zeroed; None without w_v
-    acts_ve: np.ndarray | None  # (n, m, K); None without w_e
-    phi_v: np.ndarray | None  # (n, K)
-    phi_e: np.ndarray | None  # (n, K)
-    scaled_feats: np.ndarray  # (n, 5) after standardization
+    acts: np.ndarray | None = None  # (c, K) activations of the first c ``cosines``, event-event diagonals zeroed
+    acts_vv: np.ndarray | None = None  # (B, n, n, K) view of ``acts``; None without w_v
+    acts_ve: np.ndarray | None = None  # (B, n, m, K) view of ``acts``; None without w_e
+    phi_v: np.ndarray | None = None  # (B, n, K)
+    phi_e: np.ndarray | None = None  # (B, n, K)
+    scaled_feats: np.ndarray | None = None  # (B, n, 5) after standardization
 
 
-def kce_forward(model: KCEModel, plan: DocPlan) -> tuple[np.ndarray, KCECache]:
-    """Scores of a document's plan plus a cache for gradient computation.
+def kce_forward(model: KCEModel, stack: list[DocPlan]) -> tuple[np.ndarray, KCECache]:
+    """Scores, shape (B, n), of a stack of B plans of n events and m entities each, plus a cache
+    for gradient computation.
 
     The score sums the variant's blocks in the order w_v, w_e, w_f, with the
     bias added to the first.
     """
-    n = len(plan.rows_v)
     blocks = VARIANT_BLOCKS[model.variant]
-    geo = doc_geometry(plan, model.event_table, model.entity_table)
-    acts_vv = acts_ve = phi_v = phi_e = None
-    # one pool over the cosines of both kernel blocks; each block's activations are a view of its rows
-    pooled = [sims.ravel() for name, sims in (("w_v", geo.sims_vv), ("w_e", geo.sims_ve)) if name in blocks]
-    acts = gaussian_pool(np.concatenate(pooled), model.bank) if pooled else None
+    cache = doc_geometry(stack, model.event_table, model.entity_table, KCECache)
+    b, n, m = cache.sims_ve.shape
+    size = model.bank.size
     terms = []
     if "w_v" in blocks:
-        acts[: n * n : n + 1] = 0.0  # the diagonal pairs
-        acts_vv = acts[: n * n].reshape(n, n, model.bank.size)
-        phi_v = pooled_sum(acts_vv)
-        terms.append(phi_v @ model.w_v)
+        # one pool over the event-event cosines, and full's event-entity ones after them;
+        # each block's activations are a view of its part
+        pooled = cache.cosines if "w_e" in blocks else cache.cosines[: cache.sims_vv.size]
+        cache.acts = gaussian_pool(pooled, model.bank)
+        cache.acts_vv = cache.acts[: b * n * n].reshape(b, n, n, size)
+        fill_diagonals(cache.acts_vv, 0.0)  # the pairs of an event with itself
+        cache.phi_v = pooled_sum(cache.acts_vv)
+        terms.append(cache.phi_v @ model.w_v)
     if "w_e" in blocks:
-        acts_ve = acts[len(acts) - geo.sims_ve.size :].reshape(geo.sims_ve.shape + (model.bank.size,))
-        phi_e = pooled_sum(acts_ve)
-        terms.append(phi_e @ model.w_e)
-    scaled = np.zeros((n, N_FEATURES))
+        cache.acts_ve = cache.acts[len(cache.acts) - b * n * m :].reshape(b, n, m, size)
+        cache.phi_e = pooled_sum(cache.acts_ve)
+        terms.append(cache.phi_e @ model.w_e)
     if "w_f" in blocks:
-        scaled = scale_matrix(geometry_features(plan, geo), model.scaler)
-        terms.append(scaled @ model.w_f)
+        cache.scaled_feats = scale_matrix(geometry_features(stack, cache), model.scaler)
+        terms.append(cache.scaled_feats @ model.w_f)
+    else:
+        cache.scaled_feats = np.zeros((b, n, N_FEATURES))
     scores = terms[0] + model.bias
     for term in terms[1:]:
         scores = scores + term
-
-    cache = KCECache(
-        **vars(geo),
-        acts_vv=acts_vv,
-        acts_ve=acts_ve,
-        phi_v=phi_v,
-        phi_e=phi_e,
-        scaled_feats=scaled,
-    )
     return scores, cache
 
 
@@ -188,13 +191,15 @@ class PageRankModel:
 
 @dataclass(eq=False)
 class PageRankCache:
-    rows: np.ndarray
-    unit: np.ndarray
-    norms: np.ndarray
-    sims: np.ndarray  # (n, n), diagonal zeroed (unused)
-    transitions: np.ndarray  # (n, n) row-stochastic, zero diagonal
-    walk: np.ndarray  # (n,) one-step visit distribution
-    norm_freq: np.ndarray  # (n,)
+    """A stack of B plans of n events each, through the walk."""
+
+    rows: np.ndarray  # (B, n)
+    unit: np.ndarray  # (B, n, d)
+    norms: np.ndarray  # (B, n)
+    sims: np.ndarray  # (B, n, n), diagonals zeroed (unused)
+    transitions: np.ndarray  # (B, n, n) row-stochastic, zero diagonals
+    walk: np.ndarray  # (B, n) one-step visit distributions
+    norm_freq: np.ndarray  # (B, n)
 
 
 def pagerank_mix(norm_freq: np.ndarray, walk: np.ndarray, lam: float) -> np.ndarray:
@@ -202,22 +207,23 @@ def pagerank_mix(norm_freq: np.ndarray, walk: np.ndarray, lam: float) -> np.ndar
     return lam * norm_freq + (1.0 - lam) * walk
 
 
-def pagerank_forward(model: PageRankModel, plan: DocPlan) -> tuple[np.ndarray, PageRankCache]:
-    n = len(plan.rows_v)
-    geo = doc_geometry(plan, model.event_table)
-    freq = plan.lemma_counts
-    norm_freq = freq / freq.sum() if n else freq
+def pagerank_forward(model: PageRankModel, stack: list[DocPlan]) -> tuple[np.ndarray, PageRankCache]:
+    """Scores, shape (B, n), of a stack of B plans of n events each, plus a cache for the backward pass."""
+    geo = doc_geometry(stack, model.event_table)
+    b, n = geo.rows_v.shape
+    freq = stacked(stack, "lemma_counts")
+    norm_freq = freq / freq.sum(axis=1, keepdims=True) if n else freq
 
     if n <= 1:
-        transitions = np.zeros((n, n))
-        walk = np.zeros(n)
+        transitions = np.zeros((b, n, n))
+        walk = np.zeros((b, n))
     else:
         logits = geo.sims_vv / model.temperature
-        np.fill_diagonal(logits, -np.inf)  # no self-loops
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        fill_diagonals(logits, -np.inf)  # no self-loops
+        shifted = logits - logits.max(axis=2, keepdims=True)
         expo = np.exp(shifted)
-        transitions = expo / expo.sum(axis=1, keepdims=True)
-        walk = transitions.T @ np.full(n, 1.0 / n)
+        transitions = expo / expo.sum(axis=2, keepdims=True)
+        walk = transitions.transpose(0, 2, 1) @ np.full(n, 1.0 / n)
 
     scores = pagerank_mix(norm_freq, walk, model.combine_lambda)
     cache = PageRankCache(
@@ -445,4 +451,4 @@ def model_scores(model, doc: Document | DocPlan) -> np.ndarray:
     if not isinstance(model, (KCEModel, PageRankModel)):
         raise DataError(f"cannot score with object of type {type(model).__name__}")
     plan = doc if isinstance(doc, DocPlan) else model_plan(model, doc)
-    return (kce_forward if isinstance(model, KCEModel) else pagerank_forward)(model, plan)[0]
+    return (kce_forward if isinstance(model, KCEModel) else pagerank_forward)(model, [plan])[0][0]

@@ -7,10 +7,16 @@ voting features); ``grad_check`` verifies them against central finite
 differences.  Only the tables ``_param_arrays`` names get gradient work, and each
 comes back row-sparse: the sorted unique rows the document references and an
 ``(r, d)`` block of their summed gradients.
-``train`` plans every document and draws its pairs once per call, scatters
-the blocks into per-batch buffers in document order, noting the rows they
-touch, and Adam steps once per batch; a document whose training scores are
-not all finite stops training with ``NumericError`` naming it.  For the call,
+The backward passes, like the forward ones, run over a stack of plans of one
+shape and return one gradient dict per document.
+``train`` plans every document and draws its pairs once per call.  Within a
+batch it groups the documents that have pairs into stacks by shape, of at
+most ``STACK_COSINES`` cosines, and runs one forward and one backward pass
+per stack; the hinge loss, the finite-score check and the scatter of the
+blocks into per-batch buffers stay per document, in batch order, noting the
+rows they touch, and Adam steps once per batch.  A document whose training
+scores are not all finite stops training with ``NumericError`` naming it,
+the first in batch order.  For the call,
 each trained table is stored in the order in which the first epoch's batches
 first reach its rows, so the rows reached so far are a leading slice: each
 step decays and updates only that slice, reads the gradient only on the rows
@@ -18,8 +24,8 @@ the batch touched, and then zeroes just those rows of the buffers; the
 vocabulary order is put back before ``train`` returns.  A row no batch has
 reached has zero moments and a zero gradient, and a dense step would leave it
 bitwise unchanged, so the trained model is the one stepping every row gives.
-Each epoch ends in one dev pass, and the best epoch, unless it is the last,
-is kept as a shallow model copy plus copies of its arrays.
+Each epoch ends in one dev pass, in stacks too, and the best epoch, unless it
+is the last, is kept as a shallow model copy plus copies of its arrays.
 Training is serial and fully seeded so identical configurations reproduce
 bitwise-identical models.
 """
@@ -35,8 +41,8 @@ import numpy as np
 
 from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, write_csv
-from .features import DocPlan
-from .kernels import kernel_slopes
+from .features import DocPlan, fill_diagonals, stacked
+from .kernels import multiply_slopes
 from .metrics import auc, evaluate, mean_auc
 from .models import (
     KCE_VARIANTS,
@@ -46,7 +52,6 @@ from .models import (
     PageRankModel,
     kce_forward,
     model_plan,
-    model_scores,
     pagerank_forward,
     pagerank_mix,
     reads_entities,
@@ -258,7 +263,7 @@ def _sync_scalar(model, arrays: dict[str, np.ndarray]) -> None:
 def _cosine_rows_backward(
     grad_sims: np.ndarray, sims: np.ndarray, unit_a: np.ndarray, norms_a: np.ndarray, unit_b: np.ndarray
 ) -> np.ndarray:
-    """Push gradients on cos(a_i, b_j) back to the row vectors a_i.
+    """Push gradients on cos(a_i, b_j) back to the row vectors a_i, for each matrix of a stack.
 
     The gradient is the tangent part of ``grad_sims @ unit_b`` divided by the
     row norm; zero-norm rows get zero gradient by definition.  For the rows b_j
@@ -266,10 +271,11 @@ def _cosine_rows_backward(
     ``grad + grad.T`` with a zero diagonal, which accumulates both sides of
     each pair.
     """
-    row_mix = (grad_sims * sims).sum(axis=1)
-    d_a = grad_sims @ unit_b - row_mix[:, None] * unit_a
+    row_mix = (grad_sims * sims).sum(axis=2)
+    d_a = grad_sims @ unit_b
+    d_a -= row_mix[..., None] * unit_a
     safe_a = np.where(norms_a == 0.0, 1.0, norms_a)
-    d_a /= safe_a[:, None]
+    d_a /= safe_a[..., None]
     d_a[norms_a == 0.0] = 0.0
     return d_a
 
@@ -291,121 +297,187 @@ def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return uniq, block
 
 
-def _kernel_cos_grad(acts: np.ndarray, sims: np.ndarray, bank, weights: np.ndarray) -> np.ndarray:
-    """d(weights . phi)/d(cos) for every pooled pair; activations already cached."""
-    # acts * (-(sims - mu) / (sigma sigma)) in one buffer, bit for bit (kernels module docstring)
-    slopes = kernel_slopes(sims, bank)
-    slopes *= acts
-    return slopes @ weights
+def _kernel_cos_grads(model: KCEModel, cache: KCECache) -> dict[str, np.ndarray]:
+    """d(w . phi)/d(cos) of each kernel block ``w`` the variant scores with, for every cosine
+    the stack pooled, from one slope pass over all of them.  The cache's activations are
+    consumed: multiplied by their slopes in place, then dropped, so a cache serves one
+    backward pass and the rest of it runs without them."""
+    if cache.acts is None:
+        return {}
+    multiply_slopes(cache.acts, cache.cosines[: len(cache.acts)], model.bank)
+    # each block's (B, n, ., K) @ (K,) is one matrix-vector product per event, as for one document
+    grads = {}
+    if cache.acts_vv is not None:
+        grads["w_v"] = cache.acts_vv @ model.w_v
+    if cache.acts_ve is not None:
+        grads["w_e"] = cache.acts_ve @ model.w_e
+    cache.acts = cache.acts_vv = cache.acts_ve = None
+    return grads
 
 
 def kce_backward(
-    model: KCEModel, plan: DocPlan, cache: KCECache, dscores: np.ndarray, tables: tuple[str, ...]
-) -> dict:
-    """Gradients of the document loss for the variant's weight blocks and the trained
-    tables: the ``EMBEDDING_KEYS`` in ``tables``, row-sparse as ``(rows, block)`` pairs.
-    The entity cosines feed the event rows either way.
+    model: KCEModel, stack: list[DocPlan], cache: KCECache, dscores: np.ndarray, tables: tuple[str, ...]
+) -> list[dict]:
+    """Each plan's gradients of its document loss, given the (B, n) ``dscores``, for the variant's
+    weight blocks and the trained tables: the ``EMBEDDING_KEYS`` in ``tables``, row-sparse as
+    ``(rows, block)`` pairs.  The entity cosines feed the event rows either way.  With tables,
+    the cache's kernel activations are consumed (``_kernel_cos_grads``).
     """
-    n = len(plan.rows_v)
-    m = len(plan.rows_e)
+    b, n, m = cache.sims_ve.shape
     g = np.asarray(dscores, dtype=np.float64)
     blocks = VARIANT_BLOCKS[model.variant]
     inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": cache.scaled_feats}
-    grads: dict[str, np.ndarray] = {name: inputs[name].T @ g for name in blocks}
+    # each plan's (n, K).T @ (n,): the matrix-vector product of one document, once per matrix
+    weights = {name: (inputs[name].transpose(0, 2, 1) @ g[..., None])[..., 0] for name in blocks}
+    grads = [{name: block[k] for name, block in weights.items()} for k in range(b)]
     if not tables:
         return grads
 
-    d_rows_v = np.zeros((n, model.event_table.dim))
-    d_rows_e = np.zeros((len(cache.rows_e), model.entity_table.dim))  # no rows unless entities are used
+    d_rows = {}  # per trained table, the (B, mentions, d) gradients of the mentions' rows
+    kernel_grads = _kernel_cos_grads(model, cache)
 
     if n and "event_emb" in tables:
         # event-event cosine gradients: kernel path plus the event-voting feature
-        grad_vv = np.zeros((n, n))
+        grad_vv = np.zeros((b, n, n))
         if "w_v" in blocks:
-            grad_vv = g[:, None] * _kernel_cos_grad(cache.acts_vv, cache.sims_vv, model.bank, model.w_v)
+            grad_vv = g[..., None] * kernel_grads["w_v"]
         if "w_f" in blocks and n > 1:
             vote = g * (model.w_f[2] / model.scaler.stds[2] / (n - 1))
-            grad_vv = grad_vv + vote[:, None]
-        np.fill_diagonal(grad_vv, 0.0)
-        d_rows_v = _cosine_rows_backward(
-            grad_vv + grad_vv.T, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v
+            grad_vv = grad_vv + vote[..., None]
+        fill_diagonals(grad_vv, 0.0)
+        d_rows["event_emb"] = _cosine_rows_backward(
+            grad_vv + grad_vv.transpose(0, 2, 1), cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v
         )
 
     if n and m:
         grad_ve = np.zeros_like(cache.sims_ve)
         if "w_e" in blocks:
-            grad_ve += g[:, None] * _kernel_cos_grad(
-                cache.acts_ve, cache.sims_ve, model.bank, model.w_e
-            )
+            grad_ve += g[..., None] * kernel_grads["w_e"]
         if "w_f" in blocks:
-            grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
-            safe_counts = np.where(plan.local_counts == 0, 1, plan.local_counts)
+            grad_ve += (g * (model.w_f[3] / model.scaler.stds[3] / m))[..., None]
+            local_counts = stacked(stack, "local_counts")
+            safe_counts = np.where(local_counts == 0, 1, local_counts)
             local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
-            local_up[plan.local_counts == 0] = 0.0
-            grad_ve += local_up[:, None] * plan.local_mask
+            local_up[local_counts == 0] = 0.0
+            grad_ve += local_up[..., None] * stacked(stack, "local_mask")
         if "event_emb" in tables:
-            d_rows_v = d_rows_v + _cosine_rows_backward(
+            d_rows["event_emb"] += _cosine_rows_backward(
                 grad_ve, cache.sims_ve, cache.unit_v, cache.norms_v, cache.unit_e
             )
         if "entity_emb" in tables:
-            d_rows_e = _cosine_rows_backward(
-                grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
-            )
+            grad_ev, sims_ev = grad_ve.transpose(0, 2, 1), cache.sims_ve.transpose(0, 2, 1)
+            d_rows["entity_emb"] = _cosine_rows_backward(grad_ev, sims_ev, cache.unit_e, cache.norms_e, cache.unit_v)
 
-    for name, groups, d_rows in zip(EMBEDDING_KEYS, plan.groups, (d_rows_v, d_rows_e)):
-        if name in tables:
-            grads[name] = _row_sparse(groups, d_rows)
+    # a table no cosine reaches (no events, or no entities) gets zero gradients on its mentions' rows
+    dims = {"event_emb": (n, model.event_table.dim), "entity_emb": (m, model.entity_table.dim)}
+    for k, (plan, doc_grads) in enumerate(zip(stack, grads)):
+        for name, groups in zip(EMBEDDING_KEYS, plan.groups):
+            if name in tables:
+                doc_rows = d_rows[name][k] if name in d_rows else np.zeros(dims[name])
+                doc_grads[name] = _row_sparse(groups, doc_rows)
     return grads
 
 
 def pagerank_backward(
-    model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray, tables: tuple[str, ...]
-) -> dict:
-    """Gradients into the walk temperature and, if ``tables`` names it, the row-sparse event table."""
-    n = len(plan.rows_v)
+    model: PageRankModel, stack: list[DocPlan], cache, dscores: np.ndarray, tables: tuple[str, ...]
+) -> list[dict]:
+    """Each plan's gradients, given the (B, n) ``dscores``, into the walk temperature and, if
+    ``tables`` names it, the row-sparse event table."""
+    b, n = cache.rows.shape
     g = np.asarray(dscores, dtype=np.float64)
     d_walk = (1.0 - model.combine_lambda) * g
-    d_trans = d_walk / n  # every row of d(loss)/d(transitions), broadcast
+    d_trans = (d_walk / n)[:, None, :]  # every row of d(loss)/d(transitions), broadcast
     trans = cache.transitions
-    inner = (trans * d_trans).sum(axis=1, keepdims=True)
+    inner = (trans * d_trans).sum(axis=2, keepdims=True)
     d_logits = trans * (d_trans - inner)
     try:
         temp_sq = model.temperature**2  # libm's square: t * t differs in the last bit for some t
     except OverflowError:
         raise NumericError(f"walk temperature {model.temperature!r} overflowed while training") from None
-    d_temp = float((d_logits * (-cache.sims / temp_sq)).sum())
+    # each plan's sum over its (n, n) terms, as one contiguous row
+    d_temp = (d_logits * (-cache.sims / temp_sq)).reshape(b, n * n).sum(axis=1)
+    grads = [{TEMPERATURE_KEY: d_temp[k : k + 1]} for k in range(b)]
     if "event_emb" not in tables:
-        return {TEMPERATURE_KEY: np.array([d_temp])}
+        return grads
     grad_sims = d_logits / model.temperature
-    np.fill_diagonal(grad_sims, 0.0)
-    d_rows = _cosine_rows_backward(grad_sims + grad_sims.T, cache.sims, cache.unit, cache.norms, cache.unit)
-    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
+    fill_diagonals(grad_sims, 0.0)
+    d_rows = _cosine_rows_backward(
+        grad_sims + grad_sims.transpose(0, 2, 1), cache.sims, cache.unit, cache.norms, cache.unit
+    )
+    for plan, doc_grads, doc_rows in zip(stack, grads, d_rows):
+        doc_grads["event_emb"] = _row_sparse(plan.groups[0], doc_rows)
+    return grads
 
 
-def _doc_loss_and_grads(model, doc_id: str, plan: DocPlan, pairs: np.ndarray, tables: tuple[str, ...]):
-    """The document's hinge loss and gradients; ``NumericError`` naming it if a score is not finite."""
-    if len(pairs) == 0:
-        return 0.0, None
+# The most cosines a stack of more than one document pools: four documents of 20 events and 30
+# entities.  Larger stacks trained more slowly, and hold more activations at once.
+STACK_COSINES = 4096
+
+
+def _shape_stacks(plans: list[DocPlan], picked) -> list[list[int]]:
+    """The ``picked`` indices of ``plans``, ascending, grouped by (events, entities) shape and cut
+    into stacks of at most ``STACK_COSINES`` cosines (or one document), in the order of their
+    first members."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k in picked:
+        groups.setdefault((len(plans[k].rows_v), len(plans[k].rows_e)), []).append(k)
+    stacks = []
+    for (n, m), group in groups.items():
+        size = max(1, STACK_COSINES // max(1, n * (n + m)))
+        stacks += [group[start : start + size] for start in range(0, len(group), size)]
+    return sorted(stacks)
+
+
+def _stack_loss_and_grads(model, batch: list[tuple], ks: list[int], later: list[list[int]], tables) -> dict:
+    """The hinge loss and gradients of the batch documents ``ks``, one stack: ``{k: (loss, grads)}``.
+    If a score is not finite, ``NumericError`` names the first such document in batch order,
+    among this stack and the ``later`` ones."""
     if isinstance(model, PageRankModel):
         forward, backward = pagerank_forward, pagerank_backward
     else:
         forward, backward = kce_forward, kce_backward
-    scores, cache = forward(model, plan)
+    stack = [batch[k][1] for k in ks]
+    scores, cache = forward(model, stack)
     if not np.isfinite(scores).all():  # a NaN margin would count as an inactive pair
-        raise NumericError(f"non-finite score while training on doc {doc_id!r}")
-    loss, dscores = _pair_loss(scores, pairs)
-    return loss, backward(model, plan, cache, dscores, tables)
+        scored = [(ks, scores)] + [(js, forward(model, [batch[j][1] for j in js])[0]) for js in later]
+        first = min(j for js, rows in scored for j, row in zip(js, rows) if not np.isfinite(row).all())
+        raise NumericError(f"non-finite score while training on doc {batch[first][0]!r}")
+    losses, dscores = [], np.empty_like(scores)
+    for i, k in enumerate(ks):
+        loss, dscores[i] = _pair_loss(scores[i], batch[k][2])
+        losses.append(loss)
+    return dict(zip(ks, zip(losses, backward(model, stack, cache, dscores, tables))))
+
+
+def _batch_loss_and_grads(model, batch: list[tuple], tables: tuple[str, ...]):
+    """Yield each ``(doc_id, plan, pairs)`` document's hinge loss and gradients, in batch order:
+    one forward and one backward pass per stack of same-shape documents with pairs, each stack
+    run when its first document is due, and ``(0.0, None)`` for a document without pairs.
+    ``NumericError`` names the first document, in batch order, whose scores are not all finite."""
+    plans = [plan for _, plan, _ in batch]
+    stacks = _shape_stacks(plans, [k for k, (_, _, pairs) in enumerate(batch) if len(pairs)])
+    done: dict[int, tuple] = {}
+    for k in range(len(batch)):
+        while stacks and stacks[0][0] <= k:
+            ks = stacks.pop(0)
+            done.update(_stack_loss_and_grads(model, batch, ks, stacks, tables))
+        yield done.pop(k, (0.0, None))
 
 
 def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None, float | None]:
-    """The epoch's one pass over dev: (AUC, P@1) from one ``evaluate``.  PageRank first moves
-    ``combine_lambda`` to the first ``LAMBDA_GRID`` value with the best dev AUC (ties keep the
-    smaller; with no AUC it stays), computing only that AUC: ``mean_auc`` of each document's ``auc``."""
+    """The epoch's one pass over dev, scored in stacks of same-shape documents: (AUC, P@1) from one
+    ``evaluate``.  PageRank first moves ``combine_lambda`` to the first ``LAMBDA_GRID`` value with
+    the best dev AUC (ties keep the smaller; with no AUC it stays), computing only that AUC:
+    ``mean_auc`` of each document's ``auc``."""
     if not dev.documents:
         return None, None
+    stacks = _shape_stacks(plans, range(len(plans)))
     if isinstance(model, PageRankModel):
-        caches = (pagerank_forward(model, plan)[1] for plan in plans)
-        parts = [(cache.norm_freq, cache.walk) for cache in caches]  # all caches at once raise peak RSS
+        parts: list = [None] * len(plans)
+        for ks in stacks:
+            cache = pagerank_forward(model, [plans[k] for k in ks])[1]  # one stack's cache at a time
+            for k, norm_freq, walk in zip(ks, cache.norm_freq, cache.walk):
+                parts[k] = (norm_freq, walk)
         labels = [salience_labels(doc) for doc in dev.documents]
         best_auc = None
         for lam in LAMBDA_GRID:
@@ -414,7 +486,10 @@ def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None
                 model.combine_lambda, best_auc = lam, lam_auc
         scores = [pagerank_mix(*part, model.combine_lambda) for part in parts]
     else:
-        scores = [model_scores(model, plan) for plan in plans]
+        scores = [None] * len(plans)
+        for ks in stacks:
+            for k, doc_scores in zip(ks, kce_forward(model, [plans[k] for k in ks])[0]):
+                scores[k] = doc_scores
     for doc, doc_scores in zip(dev.documents, scores):
         if not np.all(np.isfinite(doc_scores)):
             raise NumericError(f"non-finite score while evaluating doc {doc.doc_id!r}")
@@ -503,8 +578,8 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
             order = rng.permutation(len(docs))
         epoch_loss = 0.0
         for b, start in enumerate(range(0, len(order), cfg.batch_docs)):
-            for di in order[start : start + cfg.batch_docs]:
-                loss, doc_grads = _doc_loss_and_grads(model, *docs[di], tables)
+            batch = [docs[di] for di in order[start : start + cfg.batch_docs]]
+            for loss, doc_grads in _batch_loss_and_grads(model, batch, tables):
                 epoch_loss += loss
                 if doc_grads is None:
                     continue
@@ -583,7 +658,7 @@ def grad_check(model: KCEModel, doc: Document, step: float = 1e-4, row_seed: int
     plan = model_plan(model, doc)
     params = _param_arrays(model, freeze_embeddings=False)
     tables = tuple(name for name in EMBEDDING_KEYS if name in params)
-    _, analytic = _doc_loss_and_grads(model, doc.doc_id, plan, pairs, tables)
+    [(_, analytic)] = _batch_loss_and_grads(model, [(doc.doc_id, plan, pairs)], tables)
 
     # (parameter, analytic gradient) vectors to perturb coordinate by coordinate: every weight block ...
     blocks = [(arr, analytic[name]) for name, arr in params.items() if name not in EMBEDDING_KEYS]
@@ -596,7 +671,7 @@ def grad_check(model: KCEModel, doc: Document, step: float = 1e-4, row_seed: int
     blocks += row_pool
 
     def loss() -> float:
-        return _pair_loss(kce_forward(model, plan)[0], pairs)[0]
+        return _pair_loss(kce_forward(model, [plan])[0][0], pairs)[0]
 
     worst = 0.0
     for param, grad in blocks:

@@ -155,14 +155,15 @@ def _gradcheck_candidate(
 
 
 def _fd_informative(model: KCEModel, doc: Document) -> bool:
-    plan = model_plan(model, doc)
-    scores, cache = kce_forward(model, plan)
+    stack = [model_plan(model, doc)]
+    scores, cache = kce_forward(model, stack)
+    scores = scores[0]
     labels = salience_labels(doc)
     margins = 1.0 - scores[labels][:, None] + scores[~labels][None, :]
     if np.abs(margins).min() < MARGIN_TOL:
         return False
     n = len(doc.events)
-    off = cache.sims_vv[~np.eye(n, dtype=bool)]
+    off = cache.sims_vv[0][~np.eye(n, dtype=bool)]
     max_cos = max(
         np.abs(off).max() if off.size else 0.0,
         np.abs(cache.sims_ve).max() if cache.sims_ve.size else 0.0,
@@ -170,7 +171,7 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     if max_cos > MAX_ABS_COS:
         return False
     _, dscores = _pair_loss(scores, _cross_pairs(labels))
-    grads = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
+    [grads] = kce_backward(model, stack, cache, dscores[None], EMBEDDING_KEYS)
     lo, hi = GRAY_BAND
     for name, grad in grads.items():
         if name in EMBEDDING_KEYS:

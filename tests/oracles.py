@@ -8,7 +8,9 @@ the per-document kernel pass as first written (that pool, the diagonal
 zeroed by fancy indexing, ``.sum(axis=1)`` pooling and the allocating
 kernel slope),
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
-per-row sum of mention gradients accumulated with ``np.add.at``, the textbook
+per-row sum of mention gradients accumulated with ``np.add.at``, the forward
+and backward passes and the dev pass over one document at a time, which the
+stacked passes must equal bit for bit, the textbook
 Adam step over every element of a block, the training
 loop that Adam-steps every row of every table in every batch with it, the
 stand-alone LeToR scorer with its weight gradients, the one-step PageRank
@@ -29,38 +31,39 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels, validate_document
-from salience.embeddings import EmbeddingTable
-from salience.errors import DataError
-from salience.features import FeatureScaler, doc_geometry, feature_matrix, geometry_features, scale_matrix
+from salience.embeddings import EmbeddingTable, normalized_rows
+from salience.errors import DataError, NumericError
+from salience.features import N_FEATURES, DocPlan, FeatureScaler, feature_matrix, scale_matrix
 from salience.intrusion import MIN_ORIGIN_SALIENT, IntrusionConfig, eligible_intruder_events
-from salience.kernels import KernelBank, gaussian_pool
-from salience.metrics import evaluate
+from salience.kernels import KernelBank, gaussian_pool, multiply_slopes
+from salience.metrics import auc, evaluate, mean_auc
 from salience.models import (
     VARIANT_BLOCKS,
     KCEModel,
     PageRankModel,
-    kce_forward,
     model_plan,
-    pagerank_forward,
+    pagerank_mix,
     reads_entities,
 )
 from salience.training import (
     EMBEDDING_KEYS,
     LAMBDA_GRID,
+    TEMPERATURE_KEY,
     EpochStats,
     TrainConfig,
     TrainHistory,
     _check_finite_params,
     _derived_rng,
-    _dev_metrics,
-    _doc_loss_and_grads,
+    _pair_loss,
     _param_arrays,
+    _row_sparse,
     _sync_scalar,
     make_pairs,
 )
@@ -258,7 +261,7 @@ def kce_forward_reference(model: KCEModel, plan) -> tuple[np.ndarray, dict]:
     ``.sum(axis=1)``."""
     n = len(plan.rows_v)
     blocks = VARIANT_BLOCKS[model.variant]
-    geo = doc_geometry(plan, model.event_table, model.entity_table if reads_entities(model.variant) else None)
+    geo = geometry_per_doc(plan, model.event_table, model.entity_table if reads_entities(model.variant) else None)
     parts = dict.fromkeys(("acts_vv", "acts_ve", "phi_v", "phi_e"))
     terms = []
     if "w_v" in blocks:
@@ -271,7 +274,7 @@ def kce_forward_reference(model: KCEModel, plan) -> tuple[np.ndarray, dict]:
         parts["phi_e"] = parts["acts_ve"].sum(axis=1)
         terms.append(parts["phi_e"] @ model.w_e)
     if "w_f" in blocks:
-        terms.append(scale_matrix(geometry_features(plan, geo), model.scaler) @ model.w_f)
+        terms.append(scale_matrix(features_per_doc(plan, geo), model.scaler) @ model.w_f)
     scores = terms[0] + model.bias
     for term in terms[1:]:
         scores = scores + term
@@ -368,7 +371,8 @@ class DenseAdam:
 
 def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     """``train`` as first written: the model deep-copied whole, the tables in vocabulary
-    order, and every row of every block zeroed and Adam-stepped once per batch."""
+    order, every document scored and differentiated alone, and every row of every block
+    zeroed and Adam-stepped once per batch."""
     model = copy.deepcopy(model)
     if cfg.epochs == 0:
         return model, TrainHistory()
@@ -388,7 +392,7 @@ def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
             for buf in grads.values():
                 buf.fill(0.0)
             for di in order[start : start + cfg.batch_docs]:
-                loss, doc_grads = _doc_loss_and_grads(model, *docs[di], tables)
+                loss, doc_grads = loss_and_grads_per_doc(model, *docs[di], tables)
                 epoch_loss += loss
                 if doc_grads is None:
                     continue
@@ -401,7 +405,7 @@ def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
             adam.step(arrays, grads)
             _sync_scalar(model, arrays)
         _check_finite_params(arrays)
-        dev_auc, dev_p1 = _dev_metrics(model, dev, dev_plans)
+        dev_auc, dev_p1 = dev_metrics_per_doc(model, dev, dev_plans)
         history.rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_auc=dev_auc, dev_p1=dev_p1))
         if dev_auc is not None and (best_auc is None or dev_auc > best_auc):
             best_auc, best_epoch = dev_auc, epoch
@@ -420,6 +424,227 @@ def train_dense_reference(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
         }
     )
     return model, history
+
+
+# --- the per-document passes -------------------------------------------------------
+# The forward and backward passes over one document, as the package ran them before it
+# ran them over stacks of same-shape documents: each cache is a namespace of (n, ...)
+# arrays, each backward pass returns one gradient dict.
+
+
+def geometry_per_doc(plan: DocPlan, events_table, entities_table=None) -> SimpleNamespace:
+    """One plan's unit vectors and cosines: its event rows and then its entity rows gathered,
+    normalized in one pass and multiplied; no entity table, no entity side."""
+    rows_v, rows_e = plan.rows_v, plan.rows_e
+    entities = entities_table is not None and len(rows_e) > 0
+    if plan.units is None:
+        gathered = events_table.vectors[rows_v]
+        if entities:
+            gathered = np.concatenate((gathered, entities_table.vectors[rows_e]))
+        unit, norms = normalized_rows(gathered)
+        n = len(rows_v)
+        unit_v, norms_v, unit_e, norms_e = unit[:n], norms[:n], unit[n:], norms[n:]
+    elif plan.units[0] is events_table and plan.units[1] is entities_table:
+        unit_v, norms_v, unit_e, norms_e = plan.units[2:]
+    else:
+        raise DataError("the plan's rows were normalized under other tables")
+    sims_vv = unit_v @ unit_v.T
+    np.fill_diagonal(sims_vv, 0.0)
+    if entities:
+        sims_ve = unit_v @ unit_e.T
+    else:
+        unit_e, norms_e, sims_ve = np.zeros((0, events_table.dim)), np.zeros(0), np.zeros((len(rows_v), 0))
+    return SimpleNamespace(
+        rows_v=rows_v, unit_v=unit_v, norms_v=norms_v, sims_vv=sims_vv,
+        rows_e=rows_e, unit_e=unit_e, norms_e=norms_e, sims_ve=sims_ve,
+    )
+
+
+def features_per_doc(plan: DocPlan, geo: SimpleNamespace) -> np.ndarray:
+    """All five features for every event of one plan, shape (n, 5)."""
+    n, m = geo.sims_ve.shape
+    out = np.zeros((n, N_FEATURES), dtype=np.float64)
+    out[:, 0] = plan.lemma_counts
+    out[:, 1] = plan.sentences
+    if n > 1:
+        out[:, 2] = geo.sims_vv.sum(axis=1) / (n - 1)
+    if m > 0:
+        out[:, 3] = geo.sims_ve.sum(axis=1) / m
+        local_sum = (geo.sims_ve * plan.local_mask).sum(axis=1)
+        nonzero = plan.local_counts > 0
+        out[nonzero, 4] = local_sum[nonzero] / plan.local_counts[nonzero]
+    return out
+
+
+def kce_forward_per_doc(model: KCEModel, plan: DocPlan) -> tuple[np.ndarray, SimpleNamespace]:
+    """One plan's scores and cache: both kernel blocks pooled in one call, each pooled
+    feature summed by einsum (``.sum`` for a lone kernel)."""
+    n = len(plan.rows_v)
+    blocks = VARIANT_BLOCKS[model.variant]
+    cache = geometry_per_doc(plan, model.event_table, model.entity_table)
+    cache.acts_vv = cache.acts_ve = cache.phi_v = cache.phi_e = None
+    pooled = [sims.ravel() for name, sims in (("w_v", cache.sims_vv), ("w_e", cache.sims_ve)) if name in blocks]
+    acts = gaussian_pool(np.concatenate(pooled), model.bank) if pooled else None
+
+    def pooled_sum(block):
+        return block.sum(axis=1) if block.shape[-1] == 1 else np.einsum("ijk->ik", block)
+
+    terms = []
+    if "w_v" in blocks:
+        acts[: n * n : n + 1] = 0.0
+        cache.acts_vv = acts[: n * n].reshape(n, n, model.bank.size)
+        cache.phi_v = pooled_sum(cache.acts_vv)
+        terms.append(cache.phi_v @ model.w_v)
+    if "w_e" in blocks:
+        cache.acts_ve = acts[len(acts) - cache.sims_ve.size :].reshape(cache.sims_ve.shape + (model.bank.size,))
+        cache.phi_e = pooled_sum(cache.acts_ve)
+        terms.append(cache.phi_e @ model.w_e)
+    cache.scaled_feats = np.zeros((n, N_FEATURES))
+    if "w_f" in blocks:
+        cache.scaled_feats = scale_matrix(features_per_doc(plan, cache), model.scaler)
+        terms.append(cache.scaled_feats @ model.w_f)
+    scores = terms[0] + model.bias
+    for term in terms[1:]:
+        scores = scores + term
+    return scores, cache
+
+
+def pagerank_forward_per_doc(model: PageRankModel, plan: DocPlan) -> tuple[np.ndarray, SimpleNamespace]:
+    n = len(plan.rows_v)
+    geo = geometry_per_doc(plan, model.event_table)
+    freq = plan.lemma_counts
+    norm_freq = freq / freq.sum() if n else freq
+    if n <= 1:
+        transitions, walk = np.zeros((n, n)), np.zeros(n)
+    else:
+        logits = geo.sims_vv / model.temperature
+        np.fill_diagonal(logits, -np.inf)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expo = np.exp(shifted)
+        transitions = expo / expo.sum(axis=1, keepdims=True)
+        walk = transitions.T @ np.full(n, 1.0 / n)
+    cache = SimpleNamespace(
+        rows=geo.rows_v, unit=geo.unit_v, norms=geo.norms_v, sims=geo.sims_vv,
+        transitions=transitions, walk=walk, norm_freq=norm_freq,
+    )
+    return pagerank_mix(norm_freq, walk, model.combine_lambda), cache
+
+
+def cosine_rows_backward_per_doc(grad_sims, sims, unit_a, norms_a, unit_b) -> np.ndarray:
+    row_mix = (grad_sims * sims).sum(axis=1)
+    d_a = grad_sims @ unit_b - row_mix[:, None] * unit_a
+    safe_a = np.where(norms_a == 0.0, 1.0, norms_a)
+    d_a /= safe_a[:, None]
+    d_a[norms_a == 0.0] = 0.0
+    return d_a
+
+
+def kernel_cos_grad_per_doc(acts: np.ndarray, sims: np.ndarray, bank: KernelBank, weights: np.ndarray):
+    """d(weights . phi)/d(cos) for every pooled pair: a copy of the activations times their slopes."""
+    return multiply_slopes(acts.copy(), sims, bank) @ weights
+
+
+def kce_backward_per_doc(model: KCEModel, plan: DocPlan, cache, dscores: np.ndarray, tables: tuple) -> dict:
+    n = len(plan.rows_v)
+    m = len(plan.rows_e)
+    g = np.asarray(dscores, dtype=np.float64)
+    blocks = VARIANT_BLOCKS[model.variant]
+    inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": cache.scaled_feats}
+    grads = {name: inputs[name].T @ g for name in blocks}
+    if not tables:
+        return grads
+    d_rows_v = np.zeros((n, model.event_table.dim))
+    d_rows_e = np.zeros((len(cache.rows_e), model.entity_table.dim))
+    if n and "event_emb" in tables:
+        grad_vv = np.zeros((n, n))
+        if "w_v" in blocks:
+            grad_vv = g[:, None] * kernel_cos_grad_per_doc(cache.acts_vv, cache.sims_vv, model.bank, model.w_v)
+        if "w_f" in blocks and n > 1:
+            vote = g * (model.w_f[2] / model.scaler.stds[2] / (n - 1))
+            grad_vv = grad_vv + vote[:, None]
+        np.fill_diagonal(grad_vv, 0.0)
+        d_rows_v = cosine_rows_backward_per_doc(
+            grad_vv + grad_vv.T, cache.sims_vv, cache.unit_v, cache.norms_v, cache.unit_v
+        )
+    if n and m:
+        grad_ve = np.zeros_like(cache.sims_ve)
+        if "w_e" in blocks:
+            grad_ve += g[:, None] * kernel_cos_grad_per_doc(cache.acts_ve, cache.sims_ve, model.bank, model.w_e)
+        if "w_f" in blocks:
+            grad_ve += np.outer(g * (model.w_f[3] / model.scaler.stds[3] / m), np.ones(m))
+            safe_counts = np.where(plan.local_counts == 0, 1, plan.local_counts)
+            local_up = g * model.w_f[4] / model.scaler.stds[4] / safe_counts
+            local_up[plan.local_counts == 0] = 0.0
+            grad_ve += local_up[:, None] * plan.local_mask
+        if "event_emb" in tables:
+            d_rows_v = d_rows_v + cosine_rows_backward_per_doc(
+                grad_ve, cache.sims_ve, cache.unit_v, cache.norms_v, cache.unit_e
+            )
+        if "entity_emb" in tables:
+            d_rows_e = cosine_rows_backward_per_doc(
+                grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
+            )
+    for name, groups, d_rows in zip(EMBEDDING_KEYS, plan.groups, (d_rows_v, d_rows_e)):
+        if name in tables:
+            grads[name] = _row_sparse(groups, d_rows)
+    return grads
+
+
+def pagerank_backward_per_doc(model: PageRankModel, plan: DocPlan, cache, dscores: np.ndarray, tables: tuple):
+    n = len(plan.rows_v)
+    g = np.asarray(dscores, dtype=np.float64)
+    d_walk = (1.0 - model.combine_lambda) * g
+    d_trans = d_walk / n
+    trans = cache.transitions
+    inner = (trans * d_trans).sum(axis=1, keepdims=True)
+    d_logits = trans * (d_trans - inner)
+    temp_sq = model.temperature**2
+    d_temp = float((d_logits * (-cache.sims / temp_sq)).sum())
+    if "event_emb" not in tables:
+        return {TEMPERATURE_KEY: np.array([d_temp])}
+    grad_sims = d_logits / model.temperature
+    np.fill_diagonal(grad_sims, 0.0)
+    d_rows = cosine_rows_backward_per_doc(grad_sims + grad_sims.T, cache.sims, cache.unit, cache.norms, cache.unit)
+    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
+
+
+def loss_and_grads_per_doc(model, doc_id: str, plan: DocPlan, pairs: np.ndarray, tables: tuple):
+    """One document's hinge loss and gradients, ``(0.0, None)`` without pairs; ``NumericError``
+    naming it if a score is not finite."""
+    if len(pairs) == 0:
+        return 0.0, None
+    if isinstance(model, PageRankModel):
+        forward, backward = pagerank_forward_per_doc, pagerank_backward_per_doc
+    else:
+        forward, backward = kce_forward_per_doc, kce_backward_per_doc
+    scores, cache = forward(model, plan)
+    if not np.isfinite(scores).all():
+        raise NumericError(f"non-finite score while training on doc {doc_id!r}")
+    loss, dscores = _pair_loss(scores, pairs)
+    return loss, backward(model, plan, cache, dscores, tables)
+
+
+def dev_metrics_per_doc(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None, float | None]:
+    """The epoch's dev pass, every document scored alone: (AUC, P@1), PageRank's mix first moved to
+    the first ``LAMBDA_GRID`` value with the best mean of its documents' AUCs."""
+    if not dev.documents:
+        return None, None
+    if isinstance(model, PageRankModel):
+        parts = [(c.norm_freq, c.walk) for c in (pagerank_forward_per_doc(model, plan)[1] for plan in plans)]
+        labels = [salience_labels(doc) for doc in dev.documents]
+        best_auc = None
+        for lam in LAMBDA_GRID:
+            lam_auc = mean_auc([auc(pagerank_mix(*part, lam), y) for part, y in zip(parts, labels)])
+            if lam_auc is not None and (best_auc is None or lam_auc > best_auc):
+                model.combine_lambda, best_auc = lam, lam_auc
+        scores = [pagerank_mix(*part, model.combine_lambda) for part in parts]
+    else:
+        scores = [kce_forward_per_doc(model, plan)[0] for plan in plans]
+    for doc, doc_scores in zip(dev.documents, scores):
+        if not np.all(np.isfinite(doc_scores)):
+            raise NumericError(f"non-finite score while evaluating doc {doc.doc_id!r}")
+    report = evaluate(scores, dev)
+    return report.auc, report.p_at.get(1)
 
 
 # --- LeToR ----------------------------------------------------------------------
@@ -460,7 +685,7 @@ def reference_lambda_search(model: PageRankModel, dev: Corpus) -> float:
     """The dev search for ``combine_lambda`` as one full ``evaluate`` of the dev corpus per
     ``LAMBDA_GRID`` value, reading only its AUC: the first value with the best AUC wins, and
     with no AUC at any value the model's own lambda stays.  Returns the chosen lambda."""
-    caches = [pagerank_forward(model, model_plan(model, doc))[1] for doc in dev.documents]
+    caches = [pagerank_forward_per_doc(model, model_plan(model, doc))[1] for doc in dev.documents]
     best_lam, best_auc = model.combine_lambda, None
     for lam in LAMBDA_GRID:
         value = evaluate([lam * c.norm_freq + (1.0 - lam) * c.walk for c in caches], dev).auc
@@ -492,7 +717,7 @@ def feature_zeroed_scores(model: KCEModel, doc: Document) -> np.ndarray:
     the order w_v, w_e, w_f, the bias added to the first), so scores that zero
     the features and scores that zero their weights can be compared bit for bit.
     """
-    _, cache = kce_forward(model, model_plan(model, doc))
+    _, cache = kce_forward_per_doc(model, model_plan(model, doc))
     zeroed = cache.scaled_feats.copy()
     zeroed[:, 1:] = 0.0
     inputs = {"w_v": cache.phi_v, "w_e": cache.phi_e, "w_f": zeroed}

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import write_jsonl_reference
@@ -174,6 +175,33 @@ def test_every_command_writes_a_manifest(pipeline, kce_model, tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "write_manifest", no_manifest)
     assert main(["gradcheck", "--model", str(kce_model), "--corpus", str(pipeline["dev"]), "--max-docs", "2"]) == 0
+
+
+def test_a_manifest_names_the_numeric_build_and_the_dispatch_level_it_ran_at(pipeline, tmp_path):
+    """numpy's version, CPU baseline, enabled SIMD dispatch targets and BLAS build; a run with every
+    dispatch target switched off records none."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+    enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = None
+    argv = ["build-vocab", "--corpus", str(pipeline["train"]), "--field", "event"]
+    out, baseline_out = tmp_path / "v.json", tmp_path / "v-baseline.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}
+    argv_baseline = [sys.executable, "-m", "salience.cli", *argv, "--out", str(baseline_out)]
+    subprocess.run(argv_baseline, env=env, capture_output=True, check=True, timeout=120)
+    want = {"numpy": np.__version__, "cpu_baseline": list(__cpu_baseline__), "cpu_dispatch": enabled, "blas": blas}
+    got = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))["numeric_build"]
+    assert got == json.loads(json.dumps(want))
+    baseline = json.loads(Path(f"{baseline_out}.manifest.json").read_text(encoding="utf-8"))["numeric_build"]
+    assert baseline == {**got, "cpu_dispatch": []}
+    assert baseline_out.read_bytes() == out.read_bytes()
 
 
 def test_evaluate_supports_named_baselines(pipeline, tmp_path):

@@ -25,19 +25,19 @@ def _setup():
 
 def _kce_cache():
     corpus, model = _setup()
-    return kce_forward(model, model_plan(model, corpus.documents[0]))[1]
+    return kce_forward(model, [model_plan(model, corpus.documents[0])])[1]
 
 
 def _pagerank_cache():
     corpus, model = _setup()
     walk = PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=model.event_table)
-    return pagerank_forward(walk, model_plan(walk, corpus.documents[0]))[1]
+    return pagerank_forward(walk, [model_plan(walk, corpus.documents[0])])[1]
 
 
 def _doc_geometry():
     corpus, model = _setup()
     plan = doc_plan(corpus.documents[0], model.event_table.vocabulary, model.entity_table.vocabulary)
-    return doc_geometry(plan, model.event_table, model.entity_table)
+    return doc_geometry([plan], model.event_table, model.entity_table)
 
 
 def _intrusion_instance():

@@ -74,12 +74,12 @@ def test_empty_entity_side_has_the_shapes_and_dtypes_of_zero_entities(entity_tab
     doc = random_document(rng, n_events=5, n_entities=n_entities)
     evt, ent = tables_for(doc, rng)
     plan = doc_plan(doc, evt.vocabulary, ent.vocabulary if entity_table else None)
-    geo = doc_geometry(plan, evt, ent if entity_table else None)
+    geo = doc_geometry([plan], evt, ent if entity_table else None)
     unit_e, mask = np.zeros((0, evt.dim)), np.zeros((5, 0), dtype=bool)
     want = dict(rows_e=np.zeros(0, np.intp), unit_e=unit_e, norms_e=np.zeros(0),
-                sims_ve=geo.unit_v @ unit_e.T, local_mask=mask, local_counts=mask.sum(axis=1))
+                sims_ve=geo.unit_v[0] @ unit_e.T, local_mask=mask, local_counts=mask.sum(axis=1))
     for name, value in want.items():
-        got = getattr(plan if name.startswith("local") else geo, name)
+        got = getattr(plan, name) if name.startswith("local") else getattr(geo, name)[0]
         assert (name, got.dtype, got.shape) == (name, value.dtype, value.shape)
 
 
@@ -88,16 +88,16 @@ def test_a_plan_with_normalized_rows_scores_only_under_its_own_tables():
     doc = random_document(rng, n_events=5, n_entities=3)
     evt, ent = tables_for(doc, rng)
     plan = doc_plan(doc, evt.vocabulary, ent.vocabulary)
-    want = doc_geometry(plan, evt, ent)
-    units = (evt, ent, want.unit_v, want.norms_v, want.unit_e, want.norms_e)
+    want = doc_geometry([plan], evt, ent)
+    units = (evt, ent, want.unit_v[0], want.norms_v[0], want.unit_e[0], want.norms_e[0])
     entity_sentences = np.array([en.sentence_index for en in doc.entities])
     carried = make_plan(plan.rows_v, plan.rows_e, plan.sentences, entity_sentences, plan.lemma_counts, units)
-    got = doc_geometry(carried, evt, ent)
+    got = doc_geometry([carried], evt, ent)
     assert got.sims_vv.tobytes() == want.sims_vv.tobytes() and got.sims_ve.tobytes() == want.sims_ve.tobytes()
     other_evt, other_ent = tables_for(doc, rng)
     for tables in ((other_evt, ent), (evt, other_ent), (evt, None)):
         with pytest.raises(DataError, match="normalized under other tables"):
-            doc_geometry(carried, *tables)
+            doc_geometry([carried], *tables)
 
 
 def test_extract_features_agrees_with_matrix():

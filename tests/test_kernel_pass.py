@@ -3,7 +3,8 @@
 ``kce_forward`` pools both kernel blocks in one call, over contiguous operands
 in chunks of the bank's tiles, zeroes the event-event diagonal through a
 strided view and sums the pooled features with einsum (``.sum`` for a lone
-kernel); ``_kernel_cos_grad`` builds the kernel slope in one buffer.  Each must
+kernel); ``_kernel_cos_grads`` multiplies the activations by their kernel slopes in
+place.  Each must
 equal the formulation in ``oracles`` byte for byte, for banks of one kernel and
 up, empty and one-mention sides, cosines of exactly -1, 0, 1 and each mean,
 documents that pool less than one tile chunk and several, and one bank reused
@@ -22,7 +23,7 @@ from oracles import kce_forward_reference, kernel_cos_grad_reference
 from salience.features import FeatureScaler, make_plan
 from salience.kernels import _TILE, KernelBank, default_bank
 from salience.models import kce_forward, new_kce_model
-from salience.training import _kernel_cos_grad
+from salience.training import _kernel_cos_grads
 
 DIM = 4
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,15 +68,20 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 def _same_as_first_formulation(model, plan, where) -> None:
-    """Scores, activations, pooled features and kernel cosine gradients byte-equal to ``oracles``."""
-    scores, cache = kce_forward(model, plan)
+    """Scores, activations, pooled features and kernel cosine gradients of a stack of one
+    byte-equal to ``oracles``."""
+    scores, cache = kce_forward(model, [plan])
     want_scores, want = kce_forward_reference(model, plan)
-    assert _same(scores, want_scores), where
+    assert _same(scores[0], want_scores), where
     for name, value in want.items():
-        assert _same(getattr(cache, name), value), (name, *where)
-    for acts, sims, weights in ((cache.acts_vv, cache.sims_vv, model.w_v), (cache.acts_ve, cache.sims_ve, model.w_e)):
-        got = _kernel_cos_grad(acts, sims, model.bank, weights)
-        assert _same(got, kernel_cos_grad_reference(acts, sims, model.bank, weights)), where
+        assert _same(getattr(cache, name)[0], value), (name, *where)
+    want_grads = {
+        name: kernel_cos_grad_reference(acts[0], sims[0], model.bank, getattr(model, name))
+        for name, acts, sims in (("w_v", cache.acts_vv, cache.sims_vv), ("w_e", cache.acts_ve, cache.sims_ve))
+    }
+    got = _kernel_cos_grads(model, cache)  # multiplies the cached activations by their slopes
+    for name, want_grad in want_grads.items():
+        assert _same(got[name][0], want_grad), (name, *where)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 20, 150])
@@ -90,7 +96,7 @@ def test_kernel_pass_equals_first_formulation_bitwise(size, n):
 def test_cases_reach_the_exact_cosines():
     bank = _bank(3)
     model, plan = _case(bank, 20, 30, seed=7)
-    _, cache = kce_forward(model, plan)
+    _, cache = kce_forward(model, [plan])
     seen = set(cache.sims_ve.ravel().tolist()) | set(cache.sims_vv.ravel().tolist())
     assert {-1.0, 0.0, 1.0, *bank.means.tolist()} <= seen
 
@@ -110,12 +116,12 @@ def test_one_bank_reused_over_growing_then_shrinking_documents(size):
 
 def test_copies_of_a_model_whose_bank_holds_tiles_score_the_same():
     model, plan = _case(_bank(11), 40, 60, seed=3)
-    scores = kce_forward(model, plan)[0]
+    scores = kce_forward(model, [plan])[0]
     assert "tiles" in vars(model.bank)
     tables = {id(t): t for t in (model.event_table, model.entity_table)}  # the plan holds their normalized rows
     rebuilt = dataclasses.replace(model, bank=dataclasses.replace(model.bank))
     for copied in (copy.deepcopy(model, tables), dataclasses.replace(model), rebuilt):
-        assert _same(kce_forward(copied, plan)[0], scores)
+        assert _same(kce_forward(copied, [plan])[0], scores)
 
 
 def test_the_hash_table_large_documents_cross_a_tile_chunk():

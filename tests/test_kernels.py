@@ -23,7 +23,7 @@ from salience.kernels import (
     bank_to_json,
     default_bank,
     gaussian_pool,
-    kernel_slopes,
+    multiply_slopes,
 )
 
 
@@ -189,9 +189,11 @@ def test_tiled_pass_equals_the_broadcast_across_chunk_boundaries(size, count):
     bank = default_bank() if size == 11 else KernelBank(means=np.linspace(-0.6, 0.6, size), sigmas=np.full(size, 0.2))
     rng = np.random.default_rng(10 * count + size)
     for cos in (_cosines_with_exact_values(count, bank, rng), rng.uniform(-1.0, 1.0, size=(count, 2))):
+        acts = rng.uniform(-2.0, 2.0, size=(*cos.shape, bank.size))
         for got, want in (
             (gaussian_pool(cos, bank), gaussian_pool_reference(cos, bank)),
-            (kernel_slopes(cos, bank), kernel_slopes_reference(cos, bank)),
+            (multiply_slopes(np.ones((*cos.shape, bank.size)), cos, bank), kernel_slopes_reference(cos, bank)),
+            (multiply_slopes(acts.copy(), cos, bank), acts * kernel_slopes_reference(cos, bank)),
         ):
             assert got.shape == want.shape == (*cos.shape, bank.size)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -112,13 +112,13 @@ def test_kce_forward_features_bitwise_equal_scaler_path(seed):
         distinct_lemmas=False,
     )
     model = build_kce(rng, doc)
-    _, cache = kce_forward(model, model_plan(model, doc))
+    _, cache = kce_forward(model, [model_plan(model, doc)])
     from salience.features import feature_matrix, scale_matrix
 
     want = scale_matrix(
         feature_matrix(doc, model.event_table, model.entity_table), model.scaler
     )
-    assert np.array_equal(cache.scaled_feats, want)
+    assert np.array_equal(cache.scaled_feats[0], want)
 
 
 def small_documents(rng):
@@ -141,17 +141,17 @@ def test_kce_scores_empty_single_and_entity_free_documents(variant):
     rng = np.random.default_rng(43)
     for doc in small_documents(rng):
         model = build_kce(rng, doc, variant=variant)
-        scores, cache = kce_forward(model, model_plan(model, doc))
+        scores, cache = kce_forward(model, [model_plan(model, doc)])  # a stack of one
         n, K = len(doc.events), model.bank.size
-        assert scores.shape == (n,)
-        assert cache.sims_vv.shape == (n, n) and cache.acts_vv.shape == (n, n, K)
-        assert cache.phi_v.shape == (n, K)
+        assert scores.shape == (1, n)
+        assert cache.sims_vv.shape == (1, n, n) and cache.acts_vv.shape == (1, n, n, K)
+        assert cache.phi_v.shape == (1, n, K)
         if variant == "full":
-            assert cache.acts_ve.shape == (n, len(doc.entities), K) and cache.phi_e.shape == (n, K)
+            assert cache.acts_ve.shape == (1, n, len(doc.entities), K) and cache.phi_e.shape == (1, n, K)
         else:  # no w_e block: the entity kernels are never pooled
             assert cache.acts_ve is None and cache.phi_e is None
-        assert cache.scaled_feats.shape == (n, 5)
-        assert scores == pytest.approx(compositional_scores(model, doc), abs=1e-10)
+        assert cache.scaled_feats.shape == (1, n, 5)
+        assert scores[0] == pytest.approx(compositional_scores(model, doc), abs=1e-10)
 
 
 def test_letor_and_pagerank_score_empty_single_and_entity_free_documents():
@@ -167,9 +167,9 @@ def test_letor_and_pagerank_score_empty_single_and_entity_free_documents():
             + letor.bias
             for ev in doc.events
         ]
-        got, cache = kce_forward(letor, model_plan(letor, doc))
-        assert got.shape == (len(doc.events),)
-        assert got == pytest.approx(np.array(want), abs=1e-10)
+        got, cache = kce_forward(letor, [model_plan(letor, doc)])
+        assert got.shape == (1, len(doc.events))
+        assert got[0] == pytest.approx(np.array(want), abs=1e-10)
         assert cache.acts_vv is None and cache.acts_ve is None  # no kernel pooling
 
         pagerank = PageRankModel(temperature=0.7, combine_lambda=0.3, event_table=kce.event_table)
@@ -430,11 +430,11 @@ def test_model_scores_dispatch():
     rng = np.random.default_rng(41)
     doc = random_document(rng, n_events=4, n_entities=2)
     kce = build_kce(rng, doc)
-    assert np.array_equal(model_scores(kce, doc), kce_forward(kce, model_plan(kce, doc))[0])
+    assert np.array_equal(model_scores(kce, doc), kce_forward(kce, [model_plan(kce, doc)])[0][0])
     letor = new_letor_model(kce.event_table, kce.entity_table, kce.scaler)
     letor.w_f[:] = rng.normal(size=5)
     assert np.array_equal(model_scores(letor, doc), letor_scores(letor, doc)[0])
     pagerank = PageRankModel(temperature=0.6, combine_lambda=0.4, event_table=kce.event_table)
-    assert np.array_equal(model_scores(pagerank, doc), pagerank_forward(pagerank, model_plan(pagerank, doc))[0])
+    assert np.array_equal(model_scores(pagerank, doc), pagerank_forward(pagerank, [model_plan(pagerank, doc)])[0][0])
     with pytest.raises(DataError, match="cannot score"):
         model_scores(kce.scaler, doc)

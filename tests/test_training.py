@@ -469,9 +469,9 @@ def test_kce_backward_sparse_blocks_equal_dense_tables(monkeypatch, variant):
     for doc in docs:
         calls.clear()
         plan = model_plan(model, doc)
-        scores, cache = kce_forward(model, plan)
-        _, dscores = document_pair_loss(scores, salience_labels(doc))
-        grads = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
+        scores, cache = kce_forward(model, [plan])
+        _, dscores = document_pair_loss(scores[0], salience_labels(doc))
+        [grads] = kce_backward(model, [plan], cache, dscores[None], EMBEDDING_KEYS)
         assert_sparse_matches_dense(grads, calls, (plan.rows_v, plan.rows_e), tables, batch_dense, batch_sparse)
     for name in EMBEDDING_KEYS:
         assert batch_sparse[name].tobytes() == batch_dense[name].tobytes()
@@ -491,9 +491,9 @@ def test_pagerank_backward_sparse_block_equals_dense_table(monkeypatch):
     for doc in docs:
         calls.clear()
         plan = model_plan(model, doc)
-        scores, cache = pagerank_forward(model, plan)
-        _, dscores = document_pair_loss(scores, salience_labels(doc))
-        grads = pagerank_backward(model, plan, cache, dscores, ("event_emb",))
+        scores, cache = pagerank_forward(model, [plan])
+        _, dscores = document_pair_loss(scores[0], salience_labels(doc))
+        [grads] = pagerank_backward(model, [plan], cache, dscores[None], ("event_emb",))
         assert_sparse_matches_dense(grads, calls, (plan.rows_v,), tables, batch_dense, batch_sparse)
     assert batch_sparse["event_emb"].tobytes() == batch_dense["event_emb"].tobytes()
     assert batch_dense["event_emb"].any()
@@ -511,13 +511,17 @@ def test_kce_backward_differentiates_only_the_named_tables():
     weights = set(VARIANT_BLOCKS["full"])
     fed = 0
     for doc in docs:
-        plan = model_plan(model, doc)
-        scores, cache = kce_forward(model, plan)
-        _, dscores = document_pair_loss(scores, salience_labels(doc))
+        stack = [model_plan(model, doc)]
+        scores = kce_forward(model, stack)[0]
+        _, dscores = document_pair_loss(scores[0], salience_labels(doc))
         assert np.float64(dscores.sum()).tobytes() == POSITIVE_ZERO  # the bias's gradient, so it does not train
-        both = kce_backward(model, plan, cache, dscores, EMBEDDING_KEYS)
+
+        def backward(model, tables):  # a cache serves one backward pass
+            return kce_backward(model, stack, kce_forward(model, stack)[1], dscores[None], tables)[0]
+
+        both = backward(model, EMBEDDING_KEYS)
         for tables in [(), ("event_emb",), ("entity_emb",)]:
-            grads = kce_backward(model, plan, cache, dscores, tables)
+            grads = backward(model, tables)
             assert grads.keys() == weights | set(tables)
             for name, grad in grads.items():
                 if name in EMBEDDING_KEYS:
@@ -527,7 +531,7 @@ def test_kce_backward_differentiates_only_the_named_tables():
                 else:
                     assert grad.tobytes() == both[name].tobytes()
         # the entity cosines feed the event rows even when the entity table does not train
-        _, alone = kce_backward(no_entity_terms, plan, cache, dscores, ("event_emb",))["event_emb"]
+        _, alone = backward(no_entity_terms, ("event_emb",))["event_emb"]
         fed += not np.array_equal(both["event_emb"][1], alone)
     assert fed == len(docs)
 
@@ -542,9 +546,9 @@ def test_pagerank_backward_of_fewer_than_two_events_is_zero(n_events):
     )
     model = PageRankModel(temperature=0.4, combine_lambda=0.3, event_table=evt)
     plan = model_plan(model, Document(doc_id="small", num_sentences=1, events=events))
-    _, cache = pagerank_forward(model, plan)
+    _, cache = pagerank_forward(model, [plan])
     for dscores in (np.zeros(n_events), -np.ones(n_events), np.ones(n_events)):
-        grads = pagerank_backward(model, plan, cache, dscores, ("event_emb",))
+        [grads] = pagerank_backward(model, [plan], cache, dscores[None], ("event_emb",))
         assert grads.keys() == {TEMPERATURE_KEY, "event_emb"}
         (d_temp,) = grads[TEMPERATURE_KEY]
         assert d_temp == 0.0 and not np.signbit(d_temp)
@@ -586,10 +590,10 @@ def test_grad_check_samples_the_rows_of_a_large_document_by_seed(monkeypatch):
         originals = {name: table.copy() for name, table in tables.items()}
         perturbed = set()
 
-        def recording(model, plan):
+        def recording(model, stack):
             for name, table in tables.items():
                 perturbed.update((name, int(r)) for r in np.flatnonzero((table != originals[name]).any(axis=1)))
-            return forward(model, plan)
+            return forward(model, stack)
 
         monkeypatch.setattr(training, "kce_forward", recording)
         return grad_check(model, doc, step=1e-4, row_seed=row_seed), perturbed
@@ -878,6 +882,46 @@ def reach_setup(kind="full", seed=21):
     return new_kce_model(default_bank(), evt, ent, fit_scaler(vocab_docs, evt, ent), variant=kind), fit, dev
 
 
+# (events, entities) of mixed_setup's documents: the fit split's shapes recur, so batches of 3
+# and of 50 train stacks of several documents and of several shapes
+MIXED_FIT_SHAPES = [(6, 3), (4, 0), (6, 3), (1, 2), (3, 5), (4, 0), (6, 3), (3, 5), (4, 0), (6, 3), (1, 2), (3, 5)]
+MIXED_DEV_SHAPES = [(6, 3), (4, 0), (3, 5), (6, 3), (5, 2), (4, 0)]
+
+
+def mixed_setup(kind="full", seed=31):
+    """``reach_setup``'s models over documents of mixed shapes: entity-free ones, one-event ones (no
+    pairs), and an all-salient one (no pairs either) among same-shape documents that have pairs."""
+    rng = np.random.default_rng(seed)
+    docs = [
+        random_document(
+            rng,
+            doc_id=f"doc-{d:03d}",
+            n_events=n_events,
+            n_entities=n_entities,
+            distinct_lemmas=False,
+            lemma_pool=[f"ev{(3 * d + i) % 40}" for i in range(4)],
+        )
+        for d, (n_events, n_entities) in enumerate(MIXED_FIT_SHAPES + MIXED_DEV_SHAPES)
+    ]
+    docs[2] = relabeled(Corpus(documents=(docs[2],)), salient=True).documents[0]
+    fit, dev = Corpus(tuple(docs[: len(MIXED_FIT_SHAPES)])), Corpus(tuple(docs[len(MIXED_FIT_SHAPES) :]))
+    evt = init_embeddings(build_vocab(Corpus(tuple(docs)), "event_lemma", min_count=1), dim=8, seed=seed)
+    ent = init_embeddings(build_vocab(Corpus(tuple(docs)), "entity_key", min_count=1), dim=8, seed=seed + 1)
+    if kind == "pagerank":
+        return PageRankModel(temperature=1.0, combine_lambda=0.5, event_table=evt), fit, dev
+    return new_kce_model(default_bank(), evt, ent, fit_scaler(Corpus(tuple(docs)), evt, ent), variant=kind), fit, dev
+
+
+def test_mixed_setup_has_the_shapes_it_promises():
+    model, fit, _ = mixed_setup()
+    with_pairs = [k for k, doc in enumerate(fit.documents) if make_pairs(doc, TrainConfig()).size]
+    assert {2, 3, 10}.isdisjoint(with_pairs)  # the all-salient document and the one-event ones
+    plans = [model_plan(model, doc) for doc in fit.documents]
+    stacks = training._shape_stacks(plans, with_pairs)
+    assert sorted(len(plans[ks[0]].rows_v) for ks in stacks) == [3, 4, 6]  # one entity-free
+    assert all(len(ks) >= 2 for ks in stacks) and not len(plans[stacks[1][0]].rows_e)
+
+
 def assert_trains_as_dense_reference(model, fit, dev, cfg):
     trained, history = train(model, fit, dev, cfg)
     want, want_history = train_dense_reference(model, fit, dev, cfg)
@@ -897,12 +941,17 @@ def test_reach_setup_leaves_rows_unreached():
         assert table.vocabulary.unknown_index not in fit_rows | dev_rows
 
 
+# every model kind on reach_setup's documents of one shape, then on mixed_setup's
+REFERENCE_CASES = [(kind, setup) for setup in (reach_setup, mixed_setup) for kind in (*KCE_VARIANTS, "pagerank")]
+REFERENCE_IDS = [kind + ("-mixed-shapes" if setup is mixed_setup else "") for kind, setup in REFERENCE_CASES]
+
+
 @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.0, 0.0)], ids=["default-betas", "zero-betas"])
 @pytest.mark.parametrize("batch_docs", [1, 3, 50])
 @pytest.mark.parametrize("epochs", [1, 3])
-@pytest.mark.parametrize("kind", [*KCE_VARIANTS, "pagerank"])
-def test_train_equals_the_every_row_adam_reference_bitwise(kind, epochs, batch_docs, betas):
-    model, fit, dev = reach_setup(kind)
+@pytest.mark.parametrize("kind, setup", REFERENCE_CASES, ids=REFERENCE_IDS)
+def test_train_equals_the_every_row_adam_reference_bitwise(kind, setup, epochs, batch_docs, betas):
+    model, fit, dev = setup(kind)
     limit = 5 if batch_docs == 3 else None
     beta1, beta2 = betas  # zero betas decay the moments of the rows a batch does not touch to -0.0
     cfg = TrainConfig(
@@ -910,7 +959,7 @@ def test_train_equals_the_every_row_adam_reference_bitwise(kind, epochs, batch_d
         beta1=beta1, beta2=beta2,
     )
     trained = assert_trains_as_dense_reference(model, fit, dev, cfg)
-    if epochs == 3 and kind in ("full", "pagerank"):
+    if epochs == 3 and kind in ("full", "pagerank") and setup is reach_setup:
         assert trained.meta["best_epoch"] < epochs  # the restore undid later epochs
 
 
@@ -997,11 +1046,11 @@ def test_features_only_matches_letor_reference_bitwise():
     for doc in docs:
         want, scaled = letor_scores(model, doc)
         plan = model_plan(model, doc)
-        assert np.array_equal(kce_forward(model, plan)[0], want)
+        assert np.array_equal(kce_forward(model, [plan])[0][0], want)
         assert np.array_equal(model_scores(model, doc), want)
         pairs = make_pairs(doc, cfg)
         tables = tuple(k for k in EMBEDDING_KEYS if k in training._param_arrays(model, False))
-        loss, grads = training._doc_loss_and_grads(model, doc.doc_id, plan, pairs, tables)
+        [(loss, grads)] = training._batch_loss_and_grads(model, [(doc.doc_id, plan, pairs)], tables)
         if len(pairs) == 0:
             assert (loss, grads) == (0.0, None)
             continue
