@@ -2,7 +2,9 @@
 
 ``doc_plan`` reads what no parameter changes from a document, once: its
 mentions' vocabulary rows, the event sentences, the same-sentence mask and
-per-event lemma counts.  ``doc_geometry`` takes a stack of plans of one
+per-event lemma counts.  It holds nothing for the backward passes: those
+group a whole stack's rows themselves (``training._row_sparse``).
+``doc_geometry`` takes a stack of plans of one
 shape (n events, m entities; a stack of one for a single document), gathers
 their event and entity rows into one matrix, normalizes it in one pass and
 builds each plan's event-event and event-entity cosines, every array with a
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,19 +46,6 @@ def lemma_counts(codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes)[codes].astype(np.float64)
 
 
-def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Mentions grouped by table row: the sorted unique rows, each one's first
-    mention, and (mention, group) for every later mention in mention order."""
-    order = np.argsort(rows, kind="stable")
-    ranked = rows[order]
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    group = np.empty(len(rows), dtype=np.intp)
-    group[order] = np.cumsum(head) - 1
-    repeats = np.sort(order[~head])
-    return ranked[head], order[head], list(zip(repeats.tolist(), group[repeats].tolist()))
-
-
 @dataclass(eq=False)
 class DocPlan:
     """What the content models read from a document of n events and m entities before any parameter."""
@@ -71,14 +59,6 @@ class DocPlan:
     # (events_table, entities_table, unit_v, norms_v, unit_e, norms_e): the rows
     # already normalized under those tables, which must not change meanwhile
     units: tuple | None = None
-
-    @cached_property
-    def groups(self) -> tuple:
-        """``row_groups`` of the event rows and of the entity rows, for the row-sparse gradients.
-        An empty row array (every PageRank plan's entity side) gets its empty groups directly."""
-        return tuple(
-            row_groups(r) if len(r) else (r[:0], np.zeros(0, np.intp), []) for r in (self.rows_v, self.rows_e)
-        )
 
 
 def make_plan(rows_v, rows_e, sentences, entity_sentences, counts, units: tuple | None = None) -> DocPlan:

@@ -5,10 +5,12 @@ events.  Both read one running count of the salient events down a document's
 ranking, so ``evaluate`` counts each document's hits once for all of its ks.
 AUC follows the Mann-Whitney convention with half credit for tied scores,
 computed exactly by counting each positive's lower and tied negatives in the
-sorted negative scores.  Corpus-level numbers are macro averages over
-per-document values; documents without salient events are skipped for
-precision/recall, and AUC additionally requires at least one non-salient
-event.
+sorted negative scores.  That count is written once, in ``_sorted_auc``:
+``auc`` calls it for one score vector, and ``row_aucs`` for each row of a
+matrix of candidate scores over one document, the rows sorted in one call.
+Corpus-level numbers are macro averages over per-document values; documents
+without salient events are skipped for precision/recall, and AUC
+additionally requires at least one non-salient event.
 
 A ``MetricsReport`` is saved by ``errors.write_json`` as ``dataclasses.asdict``
 with string k-keys, and loaded from the fields that ``_REPORT_FIELDS`` and
@@ -53,6 +55,17 @@ def recall_at_k(ranked_labels: Sequence[bool], k: int) -> float:
     return _at_k(_hit_counts(ranked_labels), k)[1]
 
 
+def _sorted_auc(neg: np.ndarray, pos: np.ndarray) -> float:
+    """The AUC count of the positive scores ``pos`` against the sorted negative scores ``neg``,
+    both non-empty; NaN if any score is NaN (a sort puts NaN last)."""
+    if math.isnan(neg[-1]) or np.isnan(pos).any():
+        return float("nan")
+    below = neg.searchsorted(pos, "left")
+    ties = neg.searchsorted(pos, "right") - below
+    u = below.sum() + 0.5 * ties.sum()
+    return float(u / (len(pos) * len(neg)))
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     """Mann-Whitney AUC with 0.5 credit for ties; None when one class is empty.
 
@@ -65,18 +78,21 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have equal length")
-    n_pos = int(labels.sum())
-    n_neg = int(len(labels) - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    n_pos = np.count_nonzero(labels)
+    if n_pos == 0 or n_pos == len(labels):
         return None
-    if np.isnan(scores).any():
-        return float("nan")
-    neg = np.sort(scores[~labels])
-    pos = scores[labels]
-    below = np.searchsorted(neg, pos, "left")
-    ties = np.searchsorted(neg, pos, "right") - below
-    u = below.sum() + 0.5 * ties.sum()
-    return float(u / (n_pos * n_neg))
+    return _sorted_auc(np.sort(scores[~labels]), scores[labels])
+
+
+def row_aucs(rows: np.ndarray, labels: np.ndarray) -> list[float | None]:
+    """``auc`` of each row of an (R, n) score matrix against one document's n ``labels``, the
+    rows' negatives sorted in one call."""
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = np.count_nonzero(labels)
+    if n_pos == 0 or n_pos == len(labels):
+        return [None] * len(rows)
+    negs = np.sort(rows[:, ~labels], axis=1)
+    return [_sorted_auc(neg, pos) for neg, pos in zip(negs, rows[:, labels])]
 
 
 def mean_auc(doc_aucs: Sequence[float | None]) -> float | None:

@@ -11,10 +11,12 @@ The backward passes, like the forward ones, run over a stack of plans of one
 shape and return one gradient dict per document.
 ``train`` plans every document and draws its pairs once per call.  Within a
 batch it groups the documents that have pairs into stacks by shape, of at
-most ``STACK_COSINES`` cosines, and runs one forward and one backward pass
-per stack; the hinge loss, the finite-score check and the scatter of the
-blocks into per-batch buffers stay per document, in batch order, noting the
-rows they touch, and Adam steps once per batch.  A document whose training
+most ``STACK_COSINES`` cosines, and runs one forward pass, one hinge loss and
+one backward pass per stack, whose row-sparse sums group the whole stack in
+one sort; only the scatter of each document's blocks into per-batch buffers
+stays per document, in batch order, noting the rows they touch, since rows
+shared across documents must keep their summation order.  Adam steps once
+per batch.  A document whose training
 scores are not all finite stops training with ``NumericError`` naming it,
 the first in batch order.  For the call,
 each trained table is stored in the order in which the first epoch's batches
@@ -24,8 +26,10 @@ the batch touched, and then zeroes just those rows of the buffers; the
 vocabulary order is put back before ``train`` returns.  A row no batch has
 reached has zero moments and a zero gradient, and a dense step would leave it
 bitwise unchanged, so the trained model is the one stepping every row gives.
-Each epoch ends in one dev pass, in stacks too, and the best epoch, unless it
-is the last, is kept as a shallow model copy plus copies of its arrays.
+Each epoch ends in one dev pass, in stacks too, where PageRank takes each dev
+document's AUCs at every candidate mix from one (11, n) matrix; the best
+epoch, unless it is the last, is kept as a shallow model copy plus copies of
+its arrays.
 Training is serial and fully seeded so identical configurations reproduce
 bitwise-identical models.
 """
@@ -43,7 +47,7 @@ from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, write_csv
 from .features import DocPlan, fill_diagonals, stacked
 from .kernels import multiply_slopes
-from .metrics import auc, evaluate, mean_auc
+from .metrics import evaluate, mean_auc, row_aucs
 from .models import (
     KCE_VARIANTS,
     VARIANT_BLOCKS,
@@ -57,7 +61,8 @@ from .models import (
     reads_entities,
 )
 
-LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
+LAMBDA_GRID = np.array([round(0.1 * i, 1) for i in range(11)])
+LAMBDA_GRID.flags.writeable = False
 
 
 @dataclass
@@ -109,16 +114,30 @@ class TrainHistory:
         write_csv([f.name for f in fields(EpochStats)], map(astuple, self.rows), path)
 
 
-def _pair_loss(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Summed hinge over the (salient, non-salient) rows of a (k, 2) index array,
-    as ``make_pairs`` and ``_cross_pairs`` build it, plus d(loss)/d(scores)."""
-    pos_idx, neg_idx = pairs[:, 0], pairs[:, 1]
-    margins = 1.0 - scores[pos_idx] + scores[neg_idx]
+def _pair_loss(scores: np.ndarray, pairs: list[np.ndarray]) -> tuple[list[float], np.ndarray]:
+    """Each document's summed hinge over the (salient, non-salient) rows of its (k, 2) index
+    array, as ``make_pairs`` and ``_cross_pairs`` build it, plus d(loss)/d(scores), for a stack's
+    (B, n) ``scores`` and one pairs array per document.
+
+    The margins of every pair are formed in one pass, each document's pairs offset by its
+    ``k * n``; a document's loss sums its own active margins, the contiguous values one document
+    alone gives, so it keeps their bits.
+    """
+    b, n = scores.shape
+    sizes = [len(p) for p in pairs]
+    flat = np.concatenate(pairs)
+    flat += np.repeat(np.arange(b) * n, sizes)[:, None]
+    pos_idx, neg_idx = flat[:, 0], flat[:, 1]
+    values = scores.ravel()
+    margins = 1.0 - values[pos_idx] + values[neg_idx]
     active = margins > 0.0
     # integer counts, so the difference is exact; an unused score gets +0.0
-    n = len(scores)
-    counts = np.bincount(neg_idx[active], minlength=n) - np.bincount(pos_idx[active], minlength=n)
-    return float(margins[active].sum()), counts.astype(np.float64)
+    counts = np.bincount(neg_idx[active], minlength=b * n) - np.bincount(pos_idx[active], minlength=b * n)
+    # where each document's active margins start and end among the stack's
+    bounds = np.concatenate(([0], np.cumsum(active)))[np.cumsum([0, *sizes])]
+    kept = margins[active]
+    losses = [float(kept[start:end].sum()) for start, end in zip(bounds[:-1], bounds[1:])]
+    return losses, counts.astype(np.float64).reshape(b, n)
 
 
 def _derived_rng(seed: int, *names: str) -> np.random.Generator:
@@ -130,7 +149,10 @@ def _cross_pairs(labels: np.ndarray) -> np.ndarray:
     """Every (salient, non-salient) index pair as a (k, 2) array, in cross-product order."""
     pos = np.flatnonzero(labels)
     neg = np.flatnonzero(~labels)
-    return np.column_stack((np.repeat(pos, len(neg)), np.tile(neg, len(pos))))
+    pairs = np.empty((len(pos), len(neg), 2), np.intp)
+    pairs[..., 0] = pos[:, None]
+    pairs[..., 1] = neg
+    return pairs.reshape(-1, 2)
 
 
 def make_pairs(doc: Document, cfg: TrainConfig) -> np.ndarray:
@@ -280,21 +302,37 @@ def _cosine_rows_backward(
     return d_a
 
 
-def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-mention row gradients per table row: (sorted unique rows, (r, d) block).
+def _row_sparse(rows: np.ndarray, d_rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sum a stack's per-mention row gradients per table row: for each document of the (B, n)
+    mention ``rows`` and their (B, n, d) ``d_rows``, (sorted unique rows, (r, d) block).
 
-    ``groups`` is the plan's ``row_groups`` of the mention rows.  Each row
-    starts from its first mention plus 0.0 (which turns -0.0 into +0.0, as
-    adding into a zero table does), and the repeated mentions are added in
-    ascending mention order, so scattering the block reproduces the dense
-    ``np.add.at`` table bit for bit.
+    One stable sort of the keys ``document * span + row`` groups the whole stack.  Each group
+    starts from its first mention plus 0.0 (which turns -0.0 into +0.0, as adding into a zero
+    table does), and its later mentions are added in mention order, one round per repeat with
+    the groups unique within a round, so scattering a block reproduces the dense ``np.add.at``
+    table of its document bit for bit.
     """
-    uniq, first, repeats = groups
-    block = d_rows[first]
+    b, n, dim = d_rows.shape
+    flat_rows = rows.ravel()
+    span = int(flat_rows.max(initial=0)) + 1
+    keys = np.arange(b).repeat(n) * span + flat_rows
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(head)
+    flat_d = d_rows.reshape(b * n, dim)
+    block = flat_d[order[starts]]
     block += 0.0
-    for k, r in repeats:
-        block[r] += d_rows[k]
-    return uniq, block
+    # each later mention's group, and its rank among the group's mentions (1 for the second)
+    group = np.cumsum(head) - 1
+    repeat = np.arange(len(order)) - starts[group]
+    for r in range(1, int(repeat.max(initial=0)) + 1):
+        due = repeat == r
+        block[group[due]] += flat_d[order[due]]
+    uniq = flat_rows[order[starts]]
+    bounds = np.searchsorted(ranked[starts], np.arange(b + 1) * span).tolist()  # each document's groups
+    return [(uniq[lo:hi], block[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _kernel_cos_grads(model: KCEModel, cache: KCECache) -> dict[str, np.ndarray]:
@@ -369,12 +407,12 @@ def kce_backward(
             d_rows["entity_emb"] = _cosine_rows_backward(grad_ev, sims_ev, cache.unit_e, cache.norms_e, cache.unit_v)
 
     # a table no cosine reaches (no events, or no entities) gets zero gradients on its mentions' rows
-    dims = {"event_emb": (n, model.event_table.dim), "entity_emb": (m, model.entity_table.dim)}
-    for k, (plan, doc_grads) in enumerate(zip(stack, grads)):
-        for name, groups in zip(EMBEDDING_KEYS, plan.groups):
-            if name in tables:
-                doc_rows = d_rows[name][k] if name in d_rows else np.zeros(dims[name])
-                doc_grads[name] = _row_sparse(groups, doc_rows)
+    dims = {"event_emb": model.event_table.dim, "entity_emb": model.entity_table.dim}
+    for name, rows in zip(EMBEDDING_KEYS, (cache.rows_v, cache.rows_e)):
+        if name in tables:
+            table_rows = d_rows[name] if name in d_rows else np.zeros(rows.shape + (dims[name],))
+            for doc_grads, pair in zip(grads, _row_sparse(rows, table_rows)):
+                doc_grads[name] = pair
     return grads
 
 
@@ -404,8 +442,8 @@ def pagerank_backward(
     d_rows = _cosine_rows_backward(
         grad_sims + grad_sims.transpose(0, 2, 1), cache.sims, cache.unit, cache.norms, cache.unit
     )
-    for plan, doc_grads, doc_rows in zip(stack, grads, d_rows):
-        doc_grads["event_emb"] = _row_sparse(plan.groups[0], doc_rows)
+    for doc_grads, pair in zip(grads, _row_sparse(cache.rows, d_rows)):
+        doc_grads["event_emb"] = pair
     return grads
 
 
@@ -442,10 +480,7 @@ def _stack_loss_and_grads(model, batch: list[tuple], ks: list[int], later: list[
         scored = [(ks, scores)] + [(js, forward(model, [batch[j][1] for j in js])[0]) for js in later]
         first = min(j for js, rows in scored for j, row in zip(js, rows) if not np.isfinite(row).all())
         raise NumericError(f"non-finite score while training on doc {batch[first][0]!r}")
-    losses, dscores = [], np.empty_like(scores)
-    for i, k in enumerate(ks):
-        loss, dscores[i] = _pair_loss(scores[i], batch[k][2])
-        losses.append(loss)
+    losses, dscores = _pair_loss(scores, [batch[k][2] for k in ks])
     return dict(zip(ks, zip(losses, backward(model, stack, cache, dscores, tables))))
 
 
@@ -468,7 +503,7 @@ def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None
     """The epoch's one pass over dev, scored in stacks of same-shape documents: (AUC, P@1) from one
     ``evaluate``.  PageRank first moves ``combine_lambda`` to the first ``LAMBDA_GRID`` value with
     the best dev AUC (ties keep the smaller; with no AUC it stays), computing only that AUC:
-    ``mean_auc`` of each document's ``auc``."""
+    ``mean_auc`` of each document's ``auc``, taken for all values at once by ``row_aucs``."""
     if not dev.documents:
         return None, None
     stacks = _shape_stacks(plans, range(len(plans)))
@@ -478,10 +513,12 @@ def _dev_metrics(model, dev: Corpus, plans: list[DocPlan]) -> tuple[float | None
             cache = pagerank_forward(model, [plans[k] for k in ks])[1]  # one stack's cache at a time
             for k, norm_freq, walk in zip(ks, cache.norm_freq, cache.walk):
                 parts[k] = (norm_freq, walk)
-        labels = [salience_labels(doc) for doc in dev.documents]
+        # each document's AUC at every candidate mix, its (11, n) mixes built in one call
+        grid = LAMBDA_GRID[:, None]
+        doc_aucs = [row_aucs(pagerank_mix(*part, grid), salience_labels(d)) for part, d in zip(parts, dev.documents)]
         best_auc = None
-        for lam in LAMBDA_GRID:
-            lam_auc = mean_auc([auc(pagerank_mix(*part, lam), y) for part, y in zip(parts, labels)])
+        for lam, lam_aucs in zip(LAMBDA_GRID.tolist(), zip(*doc_aucs)):
+            lam_auc = mean_auc(lam_aucs)
             if lam_auc is not None and (best_auc is None or lam_auc > best_auc):
                 model.combine_lambda, best_auc = lam, lam_auc
         scores = [pagerank_mix(*part, model.combine_lambda) for part in parts]
@@ -671,7 +708,7 @@ def grad_check(model: KCEModel, doc: Document, step: float = 1e-4, row_seed: int
     blocks += row_pool
 
     def loss() -> float:
-        return _pair_loss(kce_forward(model, [plan])[0][0], pairs)[0]
+        return _pair_loss(kce_forward(model, [plan])[0], [pairs])[0][0]
 
     worst = 0.0
     for param, grad in blocks:

@@ -8,7 +8,9 @@ the per-document kernel pass as first written (that pool, the diagonal
 zeroed by fancy indexing, ``.sum(axis=1)`` pooling and the allocating
 kernel slope),
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
-per-row sum of mention gradients accumulated with ``np.add.at``, the forward
+per-row sum of mention gradients accumulated with ``np.add.at``, the row
+groups, row-sparse sums and hinge loss of one document at a time, which the
+stacked ones must equal bit for bit, the forward
 and backward passes and the dev pass over one document at a time, which the
 stacked passes must equal bit for bit, the textbook
 Adam step over every element of a block, the training
@@ -61,9 +63,7 @@ from salience.training import (
     TrainHistory,
     _check_finite_params,
     _derived_rng,
-    _pair_loss,
     _param_arrays,
-    _row_sparse,
     _sync_scalar,
     make_pairs,
 )
@@ -322,6 +322,42 @@ def pair_loss_reference(
     np.add.at(grad, pos_idx[active], -1.0)
     np.add.at(grad, neg_idx[active], 1.0)
     return loss, grad
+
+
+def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """One document's mentions grouped by table row: the sorted unique rows, each one's first
+    mention, and (mention, group) for every later mention in mention order."""
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(head) - 1
+    repeats = np.sort(order[~head])
+    return ranked[head], order[head], list(zip(repeats.tolist(), group[repeats].tolist()))
+
+
+def row_sparse_per_doc(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One document's per-mention row gradients summed per table row through its ``row_groups``:
+    each row starts from its first mention plus 0.0, and the later mentions are added one at a
+    time in mention order."""
+    uniq, first, repeats = row_groups(rows)
+    block = d_rows[first]
+    block += 0.0
+    for k, r in repeats:
+        block[r] += d_rows[k]
+    return uniq, block
+
+
+def pair_loss_per_doc(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """One document's summed hinge over its (k, 2) pairs and d(loss)/d(scores), from two
+    ``np.bincount``s over its active pairs."""
+    pos_idx, neg_idx = pairs[:, 0], pairs[:, 1]
+    margins = 1.0 - scores[pos_idx] + scores[neg_idx]
+    active = margins > 0.0
+    n = len(scores)
+    counts = np.bincount(neg_idx[active], minlength=n) - np.bincount(pos_idx[active], minlength=n)
+    return float(margins[active].sum()), counts.astype(np.float64)
 
 
 def row_sparse_reference(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -584,9 +620,9 @@ def kce_backward_per_doc(model: KCEModel, plan: DocPlan, cache, dscores: np.ndar
             d_rows_e = cosine_rows_backward_per_doc(
                 grad_ve.T, cache.sims_ve.T, cache.unit_e, cache.norms_e, cache.unit_v
             )
-    for name, groups, d_rows in zip(EMBEDDING_KEYS, plan.groups, (d_rows_v, d_rows_e)):
+    for name, rows, d_rows in zip(EMBEDDING_KEYS, (plan.rows_v, plan.rows_e), (d_rows_v, d_rows_e)):
         if name in tables:
-            grads[name] = _row_sparse(groups, d_rows)
+            grads[name] = row_sparse_per_doc(rows, d_rows)
     return grads
 
 
@@ -605,7 +641,7 @@ def pagerank_backward_per_doc(model: PageRankModel, plan: DocPlan, cache, dscore
     grad_sims = d_logits / model.temperature
     np.fill_diagonal(grad_sims, 0.0)
     d_rows = cosine_rows_backward_per_doc(grad_sims + grad_sims.T, cache.sims, cache.unit, cache.norms, cache.unit)
-    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": _row_sparse(plan.groups[0], d_rows)}
+    return {TEMPERATURE_KEY: np.array([d_temp]), "event_emb": row_sparse_per_doc(plan.rows_v, d_rows)}
 
 
 def loss_and_grads_per_doc(model, doc_id: str, plan: DocPlan, pairs: np.ndarray, tables: tuple):
@@ -620,7 +656,7 @@ def loss_and_grads_per_doc(model, doc_id: str, plan: DocPlan, pairs: np.ndarray,
     scores, cache = forward(model, plan)
     if not np.isfinite(scores).all():
         raise NumericError(f"non-finite score while training on doc {doc_id!r}")
-    loss, dscores = _pair_loss(scores, pairs)
+    loss, dscores = pair_loss_per_doc(scores, pairs)
     return loss, backward(model, plan, cache, dscores, tables)
 
 

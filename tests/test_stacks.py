@@ -7,13 +7,18 @@ per-document passes in ``oracles``, byte for byte: for every variant and
 PageRank, stacks of 1, 3 and 16, trainable and frozen tables, stacks of
 entity-free and of one-event documents, and tables with a zero-norm row.
 The batch and dev passes that stack documents by shape are held to the
-per-document ones too.
+per-document ones too, and so are the stacked row-sparse sums and hinge
+loss, and the dev search's AUCs of every candidate PageRank mix at once.
 """
 import copy
+import math
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import random_document, toy_table
 from oracles import (
@@ -23,19 +28,34 @@ from oracles import (
     loss_and_grads_per_doc,
     pagerank_backward_per_doc,
     pagerank_forward_per_doc,
+    pair_loss_per_doc,
+    row_sparse_per_doc,
 )
 from salience.corpus import Corpus
 from salience.errors import NumericError
 from salience.features import FeatureScaler
 from salience.kernels import default_bank
-from salience.models import VARIANT_BLOCKS, PageRankModel, kce_forward, model_plan, new_kce_model, pagerank_forward
+from salience.metrics import auc, row_aucs
+from salience.models import (
+    VARIANT_BLOCKS,
+    PageRankModel,
+    kce_forward,
+    model_plan,
+    new_kce_model,
+    pagerank_forward,
+    pagerank_mix,
+)
 from salience.training import (
     EMBEDDING_KEYS,
+    LAMBDA_GRID,
     STACK_COSINES,
     TrainConfig,
     _batch_loss_and_grads,
+    _cross_pairs,
     _dev_metrics,
+    _pair_loss,
     _param_arrays,
+    _row_sparse,
     _shape_stacks,
     kce_backward,
     make_pairs,
@@ -212,3 +232,87 @@ def test_stacks_group_by_shape_in_order_and_hold_at_most_the_cosine_budget():
     assert [k for ks in stacks for k in ks if shapes[k] == (20, 30)] == big
     assert [ks[0] for ks in stacks] == sorted(ks[0] for ks in stacks)
     assert all(len(ks) * 20 * 50 <= STACK_COSINES for ks in stacks if shapes[ks[0]] == (20, 30))
+
+
+# signed zeros, values whose sums depend on the order they are added in, and any finite float
+_GRAD_ENTRIES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1e16, -1e16, 1.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 16), n=st.integers(0, 24), dim=st.integers(1, 4), data=st.data())
+def test_stacked_row_sparse_equals_its_documents_bitwise(count, n, dim, data):
+    """Stacks of 1 to 16 documents over a few table rows, so rows repeat within a document and
+    across the stack; the last row plays a vocabulary's unknown row, and one document's leading
+    mentions, up to all of them, hit it; whole -0.0 mention rows; ``n = 0`` is an empty side."""
+    vocab = data.draw(st.integers(1, 8))
+    rows = data.draw(hnp.arrays(np.intp, (count, n), elements=st.integers(0, vocab)))
+    rows[data.draw(st.integers(0, count - 1)), : data.draw(st.integers(0, n))] = vocab
+    d_rows = data.draw(hnp.arrays(np.float64, (count, n, dim), elements=_GRAD_ENTRIES))
+    d_rows[:, data.draw(st.integers(0, max(n - 1, 0))) :: 3] = -0.0
+    given_rows, given_grads = rows.copy(), d_rows.copy()
+    got = _row_sparse(rows, d_rows)
+    assert len(got) == count
+    for (got_rows, got_block), doc_rows, doc_grads in zip(got, rows, d_rows):
+        want_rows, want_block = row_sparse_per_doc(doc_rows, doc_grads)
+        assert _bytes(got_rows) == _bytes(want_rows)
+        assert _bytes(got_block) == _bytes(want_block)
+    assert _bytes(rows) == _bytes(given_rows) and _bytes(d_rows) == _bytes(given_grads)
+
+
+# few distinct score values, so margins hit exactly 0 (inactive) as well as both signs
+_SCORES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 16), n=st.integers(0, 12), data=st.data())
+def test_stacked_pair_loss_equals_its_documents_bitwise(count, n, data):
+    """Stacks of 1 to 16 documents, each with its own labels and a subset of its pairs (none, for
+    a single-class document), some with every pair inactive."""
+    scores = data.draw(hnp.arrays(np.float64, (count, n), elements=_SCORES))
+    pairs = []
+    for k in range(count):
+        labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        every = _cross_pairs(labels)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+        pairs.append(every[np.array(keep, dtype=bool)])
+        if data.draw(st.booleans()):
+            scores[k] = np.where(labels, 2.0, 0.0)  # every margin is -1
+    losses, dscores = _pair_loss(scores, pairs)
+    assert len(losses) == count and dscores.shape == (count, n)
+    for loss, doc_dscores, doc_scores, doc_pairs in zip(losses, dscores, scores, pairs):
+        want_loss, want_dscores = pair_loss_per_doc(doc_scores, doc_pairs)
+        assert type(loss) is float and loss.hex() == want_loss.hex()
+        assert _bytes(doc_dscores) == _bytes(want_dscores)
+
+
+_AUC_SCORES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 11), n=st.integers(0, 12), data=st.data())
+def test_row_aucs_equal_auc_of_each_row(count, n, data):
+    """Ties, signed zeros, infinities and NaN rows, and one-class (or no) labels."""
+    scores = data.draw(hnp.arrays(np.float64, (count, n), elements=_AUC_SCORES))
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    got = row_aucs(scores, labels)
+    assert len(got) == count
+    for value, row in zip(got, scores):
+        want = auc(row, labels)
+        assert (value is None) == (want is None)
+        if want is not None:
+            assert type(value) is float and value.hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parts=hnp.arrays(np.float64, st.tuples(st.just(2), st.integers(0, 30)), elements=st.floats(0.0, 1.0))
+)
+def test_the_grid_of_mixes_equals_each_mix_alone_bitwise(parts):
+    """One ``pagerank_mix`` over the whole ``LAMBDA_GRID`` makes each value's scores."""
+    norm_freq, walk = parts
+    mixes = pagerank_mix(norm_freq, walk, LAMBDA_GRID[:, None])
+    assert mixes.shape == (len(LAMBDA_GRID), len(walk))
+    for row, lam in zip(mixes, LAMBDA_GRID.tolist()):
+        assert _bytes(row) == _bytes(pagerank_mix(norm_freq, walk, lam))
