@@ -2,8 +2,9 @@
 
 ``doc_plan`` reads what no parameter changes from a document, once: its
 mentions' vocabulary rows, the event sentences, the same-sentence mask and
-per-event lemma counts.  It holds nothing for the backward passes: those
-group a whole stack's rows themselves (``training._row_sparse``).
+per-event lemma counts.  For the backward passes a plan also keeps, once
+computed, each mention side's ``row_groups``: ``plan_row_groups`` computes
+the missing ones of many plans in one sort per mention count.
 ``doc_geometry`` takes a stack of plans of one
 shape (n events, m entities; a stack of one for a single document), gathers
 their event and entity rows into one matrix, normalizes it in one pass and
@@ -17,7 +18,7 @@ same-sentence entities).  A fitted scaler standardizes features to zero mean
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +60,46 @@ class DocPlan:
     # (events_table, entities_table, unit_v, norms_v, unit_e, norms_e): the rows
     # already normalized under those tables, which must not change meanwhile
     units: tuple | None = None
+    # "rows_v" / "rows_e": the ``row_groups`` of those rows, set by ``plan_row_groups``
+    groups: dict = field(default_factory=dict, repr=False)
+
+
+def row_groups(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]:
+    """The mentions of each document of a (P, n) stack of mention rows grouped by table row, from
+    one stable sort: per document, the sorted unique rows, each one's first mention, and
+    (mention, group) for every later mention in mention order."""
+    p, n = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    head = np.ones((p, n), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=head[:, 1:])
+    # each mention's group, and whether it repeats an earlier mention, in mention order
+    group = np.empty((p, n), dtype=np.intp)
+    np.put_along_axis(group, order, np.cumsum(head, axis=1) - 1, axis=1)
+    later = np.empty((p, n), dtype=bool)
+    np.put_along_axis(later, order, ~head, axis=1)
+    docs, mentions = np.nonzero(later)  # each document's, in ascending mention order
+    repeats = list(zip(mentions.tolist(), group[docs, mentions].tolist()))
+    uniq, first = ranked[head], order[head]
+    cuts = [0, *np.cumsum(head.sum(axis=1)).tolist()]
+    repeat_cuts = [0, *np.cumsum(np.bincount(docs, minlength=p)).tolist()]
+    return [
+        (uniq[lo:hi], first[lo:hi], repeats[r_lo:r_hi])
+        for lo, hi, r_lo, r_hi in zip(cuts, cuts[1:], repeat_cuts, repeat_cuts[1:])
+    ]
+
+
+def plan_row_groups(plans: list[DocPlan], attr: str) -> list[tuple]:
+    """Each plan's ``row_groups`` of its ``attr`` rows ("rows_v" or "rows_e"), kept on the plan, whose
+    rows must not change afterwards: those still missing are computed in one sort per mention count."""
+    missing: dict[int, list[DocPlan]] = {}
+    for plan in plans:
+        if attr not in plan.groups:
+            missing.setdefault(len(getattr(plan, attr)), []).append(plan)
+    for same in missing.values():
+        for plan, groups in zip(same, row_groups(np.stack([getattr(plan, attr) for plan in same]))):
+            plan.groups[attr] = groups
+    return [plan.groups[attr] for plan in plans]
 
 
 def make_plan(rows_v, rows_e, sentences, entity_sentences, counts, units: tuple | None = None) -> DocPlan:

@@ -202,8 +202,10 @@ class PageRankCache:
     norm_freq: np.ndarray  # (B, n)
 
 
-def pagerank_mix(norm_freq: np.ndarray, walk: np.ndarray, lam: float) -> np.ndarray:
-    """PageRank scores at frequency/walk mix ``lam``: the model's own, or a candidate one."""
+def pagerank_mix(norm_freq: np.ndarray, walk: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """PageRank scores at frequency/walk mix ``lam``: the model's own, or a candidate one.  A
+    column of values, shape (R, 1), gives one row of scores per value, each row the scores
+    that value alone gives."""
     return lam * norm_freq + (1.0 - lam) * walk
 
 

@@ -9,14 +9,14 @@ comes back row-sparse: the sorted unique rows the document references and an
 ``(r, d)`` block of their summed gradients.
 The backward passes, like the forward ones, run over a stack of plans of one
 shape and return one gradient dict per document.
-``train`` plans every document and draws its pairs once per call.  Within a
-batch it groups the documents that have pairs into stacks by shape, of at
-most ``STACK_COSINES`` cosines, and runs one forward pass, one hinge loss and
-one backward pass per stack, whose row-sparse sums group the whole stack in
-one sort; only the scatter of each document's blocks into per-batch buffers
-stays per document, in batch order, noting the rows they touch, since rows
-shared across documents must keep their summation order.  Adam steps once
-per batch.  A document whose training
+``train`` plans every document, draws its pairs and groups its mention rows
+by table row once per call, the groups in one sort per mention count.  Within
+a batch it groups the documents that have pairs into stacks by shape, of at
+most ``STACK_COSINES`` cosines, and runs one forward and one backward pass
+per stack; the hinge loss, the row-sparse sums over each plan's row groups
+and the scatter of the blocks into per-batch buffers stay per document, in
+batch order, noting the rows they touch, and Adam steps once per batch.  A
+document whose training
 scores are not all finite stops training with ``NumericError`` naming it,
 the first in batch order.  For the call,
 each trained table is stored in the order in which the first epoch's batches
@@ -45,7 +45,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, salience_labels
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, write_csv
-from .features import DocPlan, fill_diagonals, stacked
+from .features import DocPlan, fill_diagonals, plan_row_groups, stacked
 from .kernels import multiply_slopes
 from .metrics import evaluate, mean_auc, row_aucs
 from .models import (
@@ -114,30 +114,16 @@ class TrainHistory:
         write_csv([f.name for f in fields(EpochStats)], map(astuple, self.rows), path)
 
 
-def _pair_loss(scores: np.ndarray, pairs: list[np.ndarray]) -> tuple[list[float], np.ndarray]:
-    """Each document's summed hinge over the (salient, non-salient) rows of its (k, 2) index
-    array, as ``make_pairs`` and ``_cross_pairs`` build it, plus d(loss)/d(scores), for a stack's
-    (B, n) ``scores`` and one pairs array per document.
-
-    The margins of every pair are formed in one pass, each document's pairs offset by its
-    ``k * n``; a document's loss sums its own active margins, the contiguous values one document
-    alone gives, so it keeps their bits.
-    """
-    b, n = scores.shape
-    sizes = [len(p) for p in pairs]
-    flat = np.concatenate(pairs)
-    flat += np.repeat(np.arange(b) * n, sizes)[:, None]
-    pos_idx, neg_idx = flat[:, 0], flat[:, 1]
-    values = scores.ravel()
-    margins = 1.0 - values[pos_idx] + values[neg_idx]
+def _pair_loss(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed hinge over the (salient, non-salient) rows of a (k, 2) index array,
+    as ``make_pairs`` and ``_cross_pairs`` build it, plus d(loss)/d(scores)."""
+    pos_idx, neg_idx = pairs[:, 0], pairs[:, 1]
+    margins = 1.0 - scores[pos_idx] + scores[neg_idx]
     active = margins > 0.0
     # integer counts, so the difference is exact; an unused score gets +0.0
-    counts = np.bincount(neg_idx[active], minlength=b * n) - np.bincount(pos_idx[active], minlength=b * n)
-    # where each document's active margins start and end among the stack's
-    bounds = np.concatenate(([0], np.cumsum(active)))[np.cumsum([0, *sizes])]
-    kept = margins[active]
-    losses = [float(kept[start:end].sum()) for start, end in zip(bounds[:-1], bounds[1:])]
-    return losses, counts.astype(np.float64).reshape(b, n)
+    n = len(scores)
+    counts = np.bincount(neg_idx[active], minlength=n) - np.bincount(pos_idx[active], minlength=n)
+    return float(margins[active].sum()), counts.astype(np.float64)
 
 
 def _derived_rng(seed: int, *names: str) -> np.random.Generator:
@@ -250,6 +236,7 @@ class Adam:
 
 TEMPERATURE_KEY = "temperature"
 EMBEDDING_KEYS = ("event_emb", "entity_emb")  # gradients come as (rows, block) pairs
+ROW_ATTRS = ("rows_v", "rows_e")  # the plan rows each of them reads
 MIN_TEMPERATURE = 1e-3
 
 
@@ -302,37 +289,21 @@ def _cosine_rows_backward(
     return d_a
 
 
-def _row_sparse(rows: np.ndarray, d_rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sum a stack's per-mention row gradients per table row: for each document of the (B, n)
-    mention ``rows`` and their (B, n, d) ``d_rows``, (sorted unique rows, (r, d) block).
+def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum per-mention row gradients per table row: (sorted unique rows, (r, d) block).
 
-    One stable sort of the keys ``document * span + row`` groups the whole stack.  Each group
-    starts from its first mention plus 0.0 (which turns -0.0 into +0.0, as adding into a zero
-    table does), and its later mentions are added in mention order, one round per repeat with
-    the groups unique within a round, so scattering a block reproduces the dense ``np.add.at``
-    table of its document bit for bit.
+    ``groups`` is the plan's ``row_groups`` of the mention rows.  Each row
+    starts from its first mention plus 0.0 (which turns -0.0 into +0.0, as
+    adding into a zero table does), and the repeated mentions are added in
+    ascending mention order, so scattering the block reproduces the dense
+    ``np.add.at`` table bit for bit.
     """
-    b, n, dim = d_rows.shape
-    flat_rows = rows.ravel()
-    span = int(flat_rows.max(initial=0)) + 1
-    keys = np.arange(b).repeat(n) * span + flat_rows
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    starts = np.flatnonzero(head)
-    flat_d = d_rows.reshape(b * n, dim)
-    block = flat_d[order[starts]]
+    uniq, first, repeats = groups
+    block = d_rows[first]
     block += 0.0
-    # each later mention's group, and its rank among the group's mentions (1 for the second)
-    group = np.cumsum(head) - 1
-    repeat = np.arange(len(order)) - starts[group]
-    for r in range(1, int(repeat.max(initial=0)) + 1):
-        due = repeat == r
-        block[group[due]] += flat_d[order[due]]
-    uniq = flat_rows[order[starts]]
-    bounds = np.searchsorted(ranked[starts], np.arange(b + 1) * span).tolist()  # each document's groups
-    return [(uniq[lo:hi], block[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for k, r in repeats:
+        block[r] += d_rows[k]
+    return uniq, block
 
 
 def _kernel_cos_grads(model: KCEModel, cache: KCECache) -> dict[str, np.ndarray]:
@@ -407,12 +378,12 @@ def kce_backward(
             d_rows["entity_emb"] = _cosine_rows_backward(grad_ev, sims_ev, cache.unit_e, cache.norms_e, cache.unit_v)
 
     # a table no cosine reaches (no events, or no entities) gets zero gradients on its mentions' rows
-    dims = {"event_emb": model.event_table.dim, "entity_emb": model.entity_table.dim}
-    for name, rows in zip(EMBEDDING_KEYS, (cache.rows_v, cache.rows_e)):
+    dims = {"event_emb": (n, model.event_table.dim), "entity_emb": (m, model.entity_table.dim)}
+    for name, attr in zip(EMBEDDING_KEYS, ROW_ATTRS):
         if name in tables:
-            table_rows = d_rows[name] if name in d_rows else np.zeros(rows.shape + (dims[name],))
-            for doc_grads, pair in zip(grads, _row_sparse(rows, table_rows)):
-                doc_grads[name] = pair
+            for k, (groups, doc_grads) in enumerate(zip(plan_row_groups(stack, attr), grads)):
+                doc_rows = d_rows[name][k] if name in d_rows else np.zeros(dims[name])
+                doc_grads[name] = _row_sparse(groups, doc_rows)
     return grads
 
 
@@ -442,8 +413,8 @@ def pagerank_backward(
     d_rows = _cosine_rows_backward(
         grad_sims + grad_sims.transpose(0, 2, 1), cache.sims, cache.unit, cache.norms, cache.unit
     )
-    for doc_grads, pair in zip(grads, _row_sparse(cache.rows, d_rows)):
-        doc_grads["event_emb"] = pair
+    for groups, doc_grads, doc_rows in zip(plan_row_groups(stack, "rows_v"), grads, d_rows):
+        doc_grads["event_emb"] = _row_sparse(groups, doc_rows)
     return grads
 
 
@@ -480,7 +451,10 @@ def _stack_loss_and_grads(model, batch: list[tuple], ks: list[int], later: list[
         scored = [(ks, scores)] + [(js, forward(model, [batch[j][1] for j in js])[0]) for js in later]
         first = min(j for js, rows in scored for j, row in zip(js, rows) if not np.isfinite(row).all())
         raise NumericError(f"non-finite score while training on doc {batch[first][0]!r}")
-    losses, dscores = _pair_loss(scores, [batch[k][2] for k in ks])
+    losses, dscores = [], np.empty_like(scores)
+    for i, k in enumerate(ks):
+        loss, dscores[i] = _pair_loss(scores[i], batch[k][2])
+        losses.append(loss)
     return dict(zip(ks, zip(losses, backward(model, stack, cache, dscores, tables))))
 
 
@@ -552,7 +526,7 @@ def _order_by_reach(
     plan's rows are mapped to match.  Returns, per table, how many rows are reached once each
     batch is done, and the index that puts the vocabulary order back."""
     reached, restore = {}, {}
-    for name, attr in zip(EMBEDDING_KEYS, ("rows_v", "rows_e")):
+    for name, attr in zip(EMBEDDING_KEYS, ROW_ATTRS):
         if name not in arrays:
             continue
         doc_rows = [getattr(train_plans[di], attr) for di in order]
@@ -601,7 +575,11 @@ def train(model, corpus: Corpus, dev: Corpus, cfg: TrainConfig):
     dev_plans = [model_plan(model, doc) for doc in dev.documents]
     order = rng.permutation(len(docs))  # epoch 1's, drawn first: the tables follow its batches
     # before Adam allocates its state, so no table-sized temporary coexists with it
-    reached, restore = _order_by_reach(arrays, [plan for _, plan, _ in docs], dev_plans, order, cfg.batch_docs)
+    train_plans = [plan for _, plan, _ in docs]
+    reached, restore = _order_by_reach(arrays, train_plans, dev_plans, order, cfg.batch_docs)
+    for name, attr in zip(EMBEDDING_KEYS, ROW_ATTRS):
+        if name in tables:
+            plan_row_groups(train_plans, attr)  # once for the call, after the rows' reordering
     adam = Adam(arrays, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     # The buffers start at +0.0 and a sum never turns +0.0 into -0.0, so the
     # rows a document does not touch need no +0.0 added: skipping them keeps
@@ -708,7 +686,7 @@ def grad_check(model: KCEModel, doc: Document, step: float = 1e-4, row_seed: int
     blocks += row_pool
 
     def loss() -> float:
-        return _pair_loss(kce_forward(model, [plan])[0], [pairs])[0][0]
+        return _pair_loss(kce_forward(model, [plan])[0][0], pairs)[0]
 
     worst = 0.0
     for param, grad in blocks:

@@ -27,11 +27,8 @@ MAX_ABS_COS = 0.85
 
 
 def document_pair_loss(scores, labels) -> tuple[float, np.ndarray]:
-    """Hinge loss and d(loss)/d(scores) over every (salient, non-salient) pair of ``labels``,
-    from ``_pair_loss`` on a stack of one."""
-    pairs = _cross_pairs(np.asarray(labels, dtype=bool))
-    [loss], dscores = _pair_loss(np.asarray(scores, dtype=np.float64)[None], [pairs])
-    return loss, dscores[0]
+    """Hinge loss and d(loss)/d(scores) over every (salient, non-salient) pair of ``labels``."""
+    return _pair_loss(np.asarray(scores, dtype=np.float64), _cross_pairs(np.asarray(labels, dtype=bool)))
 
 
 def toy_vocab(tokens: list[str]) -> Vocabulary:
@@ -173,7 +170,7 @@ def _fd_informative(model: KCEModel, doc: Document) -> bool:
     )
     if max_cos > MAX_ABS_COS:
         return False
-    _, dscores = document_pair_loss(scores, labels)
+    _, dscores = _pair_loss(scores, _cross_pairs(labels))
     [grads] = kce_backward(model, stack, cache, dscores[None], EMBEDDING_KEYS)
     lo, hi = GRAY_BAND
     for name, grad in grads.items():

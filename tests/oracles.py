@@ -9,8 +9,8 @@ zeroed by fancy indexing, ``.sum(axis=1)`` pooling and the allocating
 kernel slope),
 the (salient, non-salient) pair list, the hinge gradient on the scores and the
 per-row sum of mention gradients accumulated with ``np.add.at``, the row
-groups, row-sparse sums and hinge loss of one document at a time, which the
-stacked ones must equal bit for bit, the forward
+groups and row-sparse sums of one document at a time, which the stacked
+grouping must equal bit for bit, the forward
 and backward passes and the dev pass over one document at a time, which the
 stacked passes must equal bit for bit, the textbook
 Adam step over every element of a block, the training
@@ -63,6 +63,7 @@ from salience.training import (
     TrainHistory,
     _check_finite_params,
     _derived_rng,
+    _pair_loss,
     _param_arrays,
     _sync_scalar,
     make_pairs,
@@ -347,17 +348,6 @@ def row_sparse_per_doc(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray
     for k, r in repeats:
         block[r] += d_rows[k]
     return uniq, block
-
-
-def pair_loss_per_doc(scores: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
-    """One document's summed hinge over its (k, 2) pairs and d(loss)/d(scores), from two
-    ``np.bincount``s over its active pairs."""
-    pos_idx, neg_idx = pairs[:, 0], pairs[:, 1]
-    margins = 1.0 - scores[pos_idx] + scores[neg_idx]
-    active = margins > 0.0
-    n = len(scores)
-    counts = np.bincount(neg_idx[active], minlength=n) - np.bincount(pos_idx[active], minlength=n)
-    return float(margins[active].sum()), counts.astype(np.float64)
 
 
 def row_sparse_reference(rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -656,7 +646,7 @@ def loss_and_grads_per_doc(model, doc_id: str, plan: DocPlan, pairs: np.ndarray,
     scores, cache = forward(model, plan)
     if not np.isfinite(scores).all():
         raise NumericError(f"non-finite score while training on doc {doc_id!r}")
-    loss, dscores = pair_loss_per_doc(scores, pairs)
+    loss, dscores = _pair_loss(scores, pairs)
     return loss, backward(model, plan, cache, dscores, tables)
 
 

@@ -7,8 +7,8 @@ per-document passes in ``oracles``, byte for byte: for every variant and
 PageRank, stacks of 1, 3 and 16, trainable and frozen tables, stacks of
 entity-free and of one-event documents, and tables with a zero-norm row.
 The batch and dev passes that stack documents by shape are held to the
-per-document ones too, and so are the stacked row-sparse sums and hinge
-loss, and the dev search's AUCs of every candidate PageRank mix at once.
+per-document ones too, and so are the row groups of many documents sorted
+at once, and the dev search's AUCs of every candidate PageRank mix at once.
 """
 import copy
 import math
@@ -28,12 +28,12 @@ from oracles import (
     loss_and_grads_per_doc,
     pagerank_backward_per_doc,
     pagerank_forward_per_doc,
-    pair_loss_per_doc,
     row_sparse_per_doc,
 )
+from oracles import row_groups as row_groups_per_doc
 from salience.corpus import Corpus
 from salience.errors import NumericError
-from salience.features import FeatureScaler
+from salience.features import FeatureScaler, doc_plan, plan_row_groups, row_groups
 from salience.kernels import default_bank
 from salience.metrics import auc, row_aucs
 from salience.models import (
@@ -51,9 +51,7 @@ from salience.training import (
     STACK_COSINES,
     TrainConfig,
     _batch_loss_and_grads,
-    _cross_pairs,
     _dev_metrics,
-    _pair_loss,
     _param_arrays,
     _row_sparse,
     _shape_stacks,
@@ -242,7 +240,7 @@ _GRAD_ENTRIES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1e16, -1e16, 1.0]) | 
 
 @settings(max_examples=200, deadline=None)
 @given(count=st.integers(1, 16), n=st.integers(0, 24), dim=st.integers(1, 4), data=st.data())
-def test_stacked_row_sparse_equals_its_documents_bitwise(count, n, dim, data):
+def test_stacked_row_groups_and_sums_equal_their_documents_bitwise(count, n, dim, data):
     """Stacks of 1 to 16 documents over a few table rows, so rows repeat within a document and
     across the stack; the last row plays a vocabulary's unknown row, and one document's leading
     mentions, up to all of them, hit it; whole -0.0 mention rows; ``n = 0`` is an empty side."""
@@ -252,39 +250,34 @@ def test_stacked_row_sparse_equals_its_documents_bitwise(count, n, dim, data):
     d_rows = data.draw(hnp.arrays(np.float64, (count, n, dim), elements=_GRAD_ENTRIES))
     d_rows[:, data.draw(st.integers(0, max(n - 1, 0))) :: 3] = -0.0
     given_rows, given_grads = rows.copy(), d_rows.copy()
-    got = _row_sparse(rows, d_rows)
-    assert len(got) == count
-    for (got_rows, got_block), doc_rows, doc_grads in zip(got, rows, d_rows):
+    groups = row_groups(rows)
+    assert len(groups) == count
+    for (uniq, first, repeats), doc_rows, doc_grads in zip(groups, rows, d_rows):
+        want_uniq, want_first, want_repeats = row_groups_per_doc(doc_rows)
+        assert _bytes(uniq) == _bytes(want_uniq) and _bytes(first) == _bytes(want_first)
+        assert repeats == want_repeats
+        got_rows, got_block = _row_sparse((uniq, first, repeats), doc_grads)
         want_rows, want_block = row_sparse_per_doc(doc_rows, doc_grads)
         assert _bytes(got_rows) == _bytes(want_rows)
         assert _bytes(got_block) == _bytes(want_block)
     assert _bytes(rows) == _bytes(given_rows) and _bytes(d_rows) == _bytes(given_grads)
 
 
-# few distinct score values, so margins hit exactly 0 (inactive) as well as both signs
-_SCORES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]) | st.floats(-1e6, 1e6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(count=st.integers(1, 16), n=st.integers(0, 12), data=st.data())
-def test_stacked_pair_loss_equals_its_documents_bitwise(count, n, data):
-    """Stacks of 1 to 16 documents, each with its own labels and a subset of its pairs (none, for
-    a single-class document), some with every pair inactive."""
-    scores = data.draw(hnp.arrays(np.float64, (count, n), elements=_SCORES))
-    pairs = []
-    for k in range(count):
-        labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-        every = _cross_pairs(labels)
-        keep = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
-        pairs.append(every[np.array(keep, dtype=bool)])
-        if data.draw(st.booleans()):
-            scores[k] = np.where(labels, 2.0, 0.0)  # every margin is -1
-    losses, dscores = _pair_loss(scores, pairs)
-    assert len(losses) == count and dscores.shape == (count, n)
-    for loss, doc_dscores, doc_scores, doc_pairs in zip(losses, dscores, scores, pairs):
-        want_loss, want_dscores = pair_loss_per_doc(doc_scores, doc_pairs)
-        assert type(loss) is float and loss.hex() == want_loss.hex()
-        assert _bytes(doc_dscores) == _bytes(want_dscores)
+def test_plan_row_groups_sort_each_mention_count_once_and_keep_the_groups():
+    """Plans of mixed sizes get their own documents' groups; a second call computes nothing."""
+    rng = np.random.default_rng(41)
+    vocab = toy_table([f"ev{i}" for i in range(4)], 3, rng).vocabulary
+    pool = ["ev0", "ev1", "unseen"]  # repeated rows, and the unknown row
+    docs = [random_document(rng, n_events=n, distinct_lemmas=False, lemma_pool=pool) for n in (5, 3, 5, 0, 3, 5)]
+    plans = [doc_plan(doc, vocab) for doc in docs]
+    got = plan_row_groups(plans, "rows_v")
+    for (uniq, first, repeats), plan in zip(got, plans):
+        want_uniq, want_first, want_repeats = row_groups_per_doc(plan.rows_v)
+        assert _bytes(uniq) == _bytes(want_uniq) and _bytes(first) == _bytes(want_first)
+        assert repeats == want_repeats
+    assert any(repeats for _, _, repeats in got)
+    again = plan_row_groups(plans[::-1], "rows_v")
+    assert all(a is b for a, b in zip(again, got[::-1]))
 
 
 _AUC_SCORES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]) | st.floats(-1e6, 1e6)

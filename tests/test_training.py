@@ -18,15 +18,14 @@ from oracles import (
     pair_loss_reference,
     reference_lambda_search,
     row_groups,
-    row_sparse_per_doc,
     row_sparse_reference,
     train_dense_reference,
 )
-from salience import training
+from salience import features, training
 from salience.corpus import Corpus, Document, EntityMention, EventMention, salience_labels
 from salience.embeddings import build_vocab, init_embeddings
 from salience.errors import DataError, NumericError
-from salience.features import doc_plan, fit_scaler
+from salience.features import doc_plan, fit_scaler, plan_row_groups
 from salience.kernels import default_bank
 from salience.metrics import evaluate
 from salience.models import (
@@ -118,7 +117,7 @@ def test_pair_loss_score_gradient_sums_to_positive_zero(scores, data):
     labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores))), dtype=bool)
     pairs = training._cross_pairs(labels)
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    _, dscores = training._pair_loss(scores[None], [pairs[np.array(keep, dtype=bool)]])
+    _, dscores = training._pair_loss(scores, pairs[np.array(keep, dtype=bool)])
     assert np.float64(dscores.sum()).tobytes() == POSITIVE_ZERO
 
 
@@ -206,9 +205,8 @@ def test_pairs_and_hinge_gradient_equal_references_bitwise(labels_scores, limit,
     assert got.tobytes() == want.tobytes()
 
     full = np.array(make_pairs_reference(doc, TrainConfig()), dtype=np.intp).reshape(-1, 2)
-    [stack_loss], [stack_grad] = training._pair_loss(scores[None], [got])
     for (loss, grad), (want_loss, want_grad) in (
-        ((stack_loss, stack_grad), pair_loss_reference(scores, want[:, 0], want[:, 1])),
+        (training._pair_loss(scores, got), pair_loss_reference(scores, want[:, 0], want[:, 1])),
         (document_pair_loss(scores, np.array(labels, dtype=bool)), pair_loss_reference(scores, full[:, 0], full[:, 1])),
     ):
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
@@ -245,28 +243,27 @@ def test_row_sparse_equals_add_at_reference_bitwise(n_rows, dim, data):
         d_rows[: len(rows) // 2] = -0.0  # whole -0.0 mention rows
     given_rows, given_grads = rows.copy(), d_rows.copy()
     want_rows, want_block = row_sparse_reference(rows, d_rows)
-    assert_groups_match_np_unique(row_groups(rows), rows)
-    [(got_rows, got_block)] = training._row_sparse(rows[None], d_rows[None])
+    [groups] = features.row_groups(rows[None])
+    assert_groups_match_np_unique(groups, rows)
+    got_rows, got_block = training._row_sparse(groups, d_rows)
     assert got_rows.tobytes() == want_rows.tobytes()
     assert got_block.shape == want_block.shape and got_block.tobytes() == want_block.tobytes()
     assert rows.tobytes() == given_rows.tobytes() and d_rows.tobytes() == given_grads.tobytes()
 
 
-def test_entity_free_stack_row_sparse_equals_the_oracle_of_no_rows():
+def test_entity_free_plan_groups_equal_row_groups_of_no_rows():
     """A plan without an entity vocabulary (every PageRank plan) has an empty entity side, and
-    the stacked sum gives each document of a stack the empty rows and (0, d) block that the
-    per-document sum over ``row_groups`` of no rows gives."""
+    its groups keep every field of ``row_groups``."""
     rng = np.random.default_rng(3)
     doc = random_document(rng, n_events=5, n_entities=3)
     plan = doc_plan(doc, toy_table([f"ev{i}" for i in range(5)], 3, rng).vocabulary)
     assert plan.rows_e.shape == (0,)
-    got = training._row_sparse(np.stack([plan.rows_e] * 3), np.zeros((3, 0, 4)))
-    want = row_sparse_per_doc(plan.rows_e, np.zeros((0, 4)))
-    assert len(got) == 3
-    for pair in got:
-        for g, w in zip(pair, want):
-            assert type(g) is type(w) and g.dtype == w.dtype and g.shape == w.shape
-    assert want[0].shape == (0,) and want[1].shape == (0, 4)
+    [got], want = plan_row_groups([plan], "rows_e"), row_groups(np.zeros(0, np.intp))
+    assert len(got) == len(want) == 3
+    for g, w in zip(got[:2], want[:2]):
+        assert type(g) is type(w) and g.dtype == w.dtype and g.shape == w.shape == (0,)
+    assert got[2] == want[2] == []
+    assert_groups_match_np_unique(plan_row_groups([plan], "rows_v")[0], plan.rows_v)
 
 
 # --- Adam -------------------------------------------------------------------
@@ -430,25 +427,23 @@ def repeated_row_tables(rng, dim=6):
 
 
 def spy_row_sparse(monkeypatch):
-    """Record the (mention rows, per-mention d_rows) stacks every backward pass hands to the sparse sum."""
+    """Record the (row groups, per-mention d_rows) every backward pass hands to the sparse sum."""
     calls = []
     real = training._row_sparse
 
-    def spy(rows, d_rows):
-        calls.append((rows.copy(), d_rows.copy()))
-        return real(rows, d_rows)
+    def spy(groups, d_rows):
+        calls.append((groups, d_rows.copy()))
+        return real(groups, d_rows)
 
     monkeypatch.setattr(training, "_row_sparse", spy)
     return calls
 
 
 def assert_sparse_matches_dense(doc_grads, calls, mention_rows, tables, batch_dense, batch_sparse):
-    """Scattered blocks equal the dense np.add.at tables, per document and summed; each call
-    sums a stack of one document."""
+    """Scattered blocks equal the dense np.add.at tables, per document and summed."""
     assert len(calls) == len(tables) == len(mention_rows)
-    for (stack_rows, stack_d_rows), rows, (name, table) in zip(calls, mention_rows, tables.items()):
-        [given_rows], [d_rows] = stack_rows, stack_d_rows
-        assert given_rows.tobytes() == rows.tobytes()
+    for (groups, d_rows), rows, (name, table) in zip(calls, mention_rows, tables.items()):
+        assert_groups_match_np_unique(groups, rows)
         dense = np.zeros_like(table.vectors)
         np.add.at(dense, rows, d_rows)
         got_rows, block = doc_grads[name]
@@ -623,7 +618,7 @@ def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(step):
 def test_grad_check_reports_a_nan_error(monkeypatch):
     model, doc, seed = next(gradcheck_instances(1))
     pair_loss = training._pair_loss
-    monkeypatch.setattr(training, "_pair_loss", lambda scores, pairs: ([math.nan], pair_loss(scores, pairs)[1]))
+    monkeypatch.setattr(training, "_pair_loss", lambda scores, pairs: (math.nan, pair_loss(scores, pairs)[1]))
     assert math.isnan(grad_check(model, doc, row_seed=seed))
 
 
@@ -1063,7 +1058,7 @@ def test_features_only_matches_letor_reference_bitwise():
             assert (loss, grads) == (0.0, None)
             continue
         with_pairs += 1
-        [want_loss], [dscores] = training._pair_loss(want[None], [pairs])
+        want_loss, dscores = training._pair_loss(want, pairs)
         assert loss == want_loss
         want = letor_grads(scaled, dscores)
         assert want.pop("bias").tobytes() == POSITIVE_ZERO  # the reference's bias gradient: nothing to train
