@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DataError, is_int, read_lines, write_jsonl
 
 SPLIT_TAGS = ("train", "dev", "test", "unsplit")
+# num_sentences stays below this, so every sentence index fits in int64, and so does the sum of
+# two documents' counts that an intrusion mix forms
+_MAX_SENTENCES = 2**62
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,8 @@ def document_from_json(obj: dict, where: str = "document") -> Document:
     raw_events = obj.get("events")
     if not (is_int(num_sentences) and isinstance(raw_events, list)):
         raise _field_error(obj, _DOC_FIELDS[1:3], f"doc {doc_id!r}")
+    if num_sentences >= _MAX_SENTENCES:
+        raise DataError(f"doc {doc_id!r}: num_sentences must be < 2**62, got {num_sentences}")
     new, set_field = object.__new__, object.__setattr__
     events = []
     for raw in raw_events:

@@ -144,7 +144,10 @@ class _PairMixer:
             self.sent_e = np.array([en.sentence_index for en in entities], dtype=np.intp)
             self.sent_v[len(origin.events) :] += self.offset
             self.sent_e[len(origin.entities) :] += self.offset
-            self.used = np.arange(self.offset + intruder.num_sentences) < self.offset  # the origin's sentences
+            # the mask runs over the sentences the mentions use, not over every sentence the documents declare
+            used, slots = np.unique(np.concatenate((self.sent_v, self.sent_e)), return_inverse=True)
+            self.slots_v, self.slots_e = slots[: len(events)], slots[len(events) :]
+            self.used = used < self.offset  # the origin's sentences
 
     def mix(self, n_intruders: int) -> IntrusionInstance:
         """Mix the origin with the first ``n_intruders`` intruder events and their sentences' entities.
@@ -165,8 +168,8 @@ class _PairMixer:
         plan = None
         if self.model is not None:
             sentences, used = self.sent_v[events], self.used.copy()
-            used[sentences] = True
-            entities = np.flatnonzero(used[self.sent_e])
+            used[self.slots_v[events]] = True
+            entities = np.flatnonzero(used[self.slots_e])
             tables = (self.model.event_table, self.model.entity_table)
             units = (*tables, *(a[events] for a in self.units_v), *(a[entities] for a in self.units_e))
             rows_e, entity_sentences = self.rows_e[entities], self.sent_e[entities]

@@ -15,19 +15,20 @@ load-bearing.  ``gaussian_pool`` divides ``d * d`` (``d = cos - mu``) by
 so this is the textbook ``-(d * d) / (2 sigma sigma)`` with one pass fewer.
 
 Both run over contiguous 1-D operands.  ``np.repeat`` lays each cosine's K
-copies side by side (``multiply_slopes`` repeats one tile chunk of cosines at
-a time and multiplies the activations by it in place, so the backward pass
-allocates no second buffer of the activations' size), and a bank holds its
-means, ``-(2 sigma sigma)`` and
+copies side by side, and a bank holds its means, ``-(2 sigma sigma)`` and
 ``-(sigma sigma)`` tiled over ``_TILE`` cosines (264 KiB for the default
 bank, in a memory mapping of their own, built on its first pass and shared
-by equal banks).  Each step is then one elementwise ufunc over equal-length
-buffers, worked through in chunks of ``_TILE`` cosines, where a broadcast of
-the cosines against the K means runs numpy's inner loop once per cosine over
-K elements.  Each element still meets the same operands in the same IEEE
-operations (subtract, multiply, divide and exp, which numpy computes for
-each element alone), so the activations and slopes keep their bits whatever
-the chunking.
+by equal banks).  Each runs one loop over chunks of ``_TILE`` cosines, and
+each step of a chunk is one elementwise ufunc over equal-length buffers,
+where a broadcast of the cosines against the K means runs numpy's inner
+loop once per cosine over K elements.  ``gaussian_pool`` takes each chunk of
+its repeated cosines through subtract, square, divide and exp in place
+before the next; ``multiply_slopes`` repeats one chunk of cosines at a time
+and multiplies the activations by its slopes in place, so the backward pass
+allocates no second buffer of the activations' size.  Each element still
+meets the same operands in the same IEEE operations (subtract, multiply,
+divide and exp, which numpy computes for each element alone), so the
+activations and slopes keep their bits whatever the chunking.
 ``pooled_sum`` is ``acts.sum(axis=2)`` of a stack's (B, n, m, K) activations:
 for K >= 2 numpy adds each (b, i, k)'s terms one after another, and einsum
 over the B n targets as the rows of one (B n, m, K) block does the same,
@@ -95,29 +96,18 @@ def default_bank() -> KernelBank:
     return KernelBank(means=np.array(means), sigmas=np.array(sigmas))
 
 
-def _differences(cos_values: np.ndarray, bank: KernelBank) -> tuple[np.ndarray, list[tuple]]:
-    """``cos - mu`` for every cosine and kernel in a fresh (..., K) buffer, and its contiguous chunks,
-    each with the ``-(2 sigma sigma)`` and ``-(sigma sigma)`` tile slices that line up with it."""
-    c = np.asarray(cos_values, dtype=np.float64)
-    size = bank.size
-    flat = c.repeat(size)
-    means, two_var, var = bank.tiles
-    chunks = []
-    for start in range(0, flat.size, means.size):
-        d = flat[start : start + means.size]
-        np.subtract(d, means[: d.size], out=d)
-        chunks.append((d, two_var[: d.size], var[: d.size]))
-    return flat.reshape(c.shape + (size,)), chunks
-
-
 def gaussian_pool(cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:
     """Kernel activations for an array of cosines; shape (..., K)."""
-    acts, chunks = _differences(cos_values, bank)
-    for d, two_var, _ in chunks:  # in the differences' own buffer (module docstring)
+    c = np.asarray(cos_values, dtype=np.float64)
+    flat = c.repeat(bank.size)
+    means, two_var, _ = bank.tiles
+    for start in range(0, flat.size, means.size):  # one tile chunk at a time, in place (module docstring)
+        d = flat[start : start + means.size]
+        np.subtract(d, means[: d.size], out=d)
         np.multiply(d, d, out=d)
-        np.divide(d, two_var, out=d)
+        np.divide(d, two_var[: d.size], out=d)
         np.exp(d, out=d)
-    return acts
+    return flat.reshape(c.shape + (bank.size,))
 
 
 def multiply_slopes(acts: np.ndarray, cos_values: np.ndarray, bank: KernelBank) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SPLIT_TAGS, Corpus, Document, EntityMention, EventMention
+from .corpus import _MAX_SENTENCES, SPLIT_TAGS, Corpus, Document, EntityMention, EventMention
 from .errors import DataError, NumericError, config_from_json, is_finite_number, is_int, read_json
 
 
@@ -66,9 +66,11 @@ _CONFIG_RULES = {
     **dict.fromkeys(("docs", "entities_per_doc", "confuser_events", "pool_seed", "seed"), _int_at_least(0)),
     **dict.fromkeys(
         ("events_per_doc", "dim", "entity_pool_per_topic", "background_event_pool", "background_entity_pool",
-         "salient_low", "salient_high", "salient_token_choices", "sentences_per_doc"),
+         "salient_low", "salient_high", "salient_token_choices"),
         _int_at_least(1),
     ),
+    # what load_corpus accepts
+    "sentences_per_doc": (lambda v: is_int(v) and 1 <= v < _MAX_SENTENCES, "an integer in [1, 2**62)"),
     # confusers come from a second topic, drawn two tokens at a time
     **dict.fromkeys(("n_topics", "event_pool_per_topic"), _int_at_least(2)),
     "cosine_gap": (lambda v: is_finite_number(v) and 0 < v < 1, "a number in (0, 1)"),

@@ -306,6 +306,16 @@ def _row_sparse(groups: tuple, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return uniq, block
 
 
+def _row_sparse_grads(stack: list[DocPlan], grads: list[dict], d_rows: dict[str, np.ndarray]) -> list[dict]:
+    """Set, and return, each plan's row-sparse gradient of every table in ``d_rows``: the
+    ``_row_sparse`` sums of the plan's slice of that table's (B, mentions, d) mention-row gradients."""
+    for name, attr in zip(EMBEDDING_KEYS, ROW_ATTRS):
+        if name in d_rows:
+            for groups, doc_grads, doc_rows in zip(plan_row_groups(stack, attr), grads, d_rows[name]):
+                doc_grads[name] = _row_sparse(groups, doc_rows)
+    return grads
+
+
 def _kernel_cos_grads(model: KCEModel, cache: KCECache) -> dict[str, np.ndarray]:
     """d(w . phi)/d(cos) of each kernel block ``w`` the variant scores with, for every cosine
     the stack pooled, from one slope pass over all of them.  The cache's activations are
@@ -378,13 +388,10 @@ def kce_backward(
             d_rows["entity_emb"] = _cosine_rows_backward(grad_ev, sims_ev, cache.unit_e, cache.norms_e, cache.unit_v)
 
     # a table no cosine reaches (no events, or no entities) gets zero gradients on its mentions' rows
-    dims = {"event_emb": (n, model.event_table.dim), "entity_emb": (m, model.entity_table.dim)}
-    for name, attr in zip(EMBEDDING_KEYS, ROW_ATTRS):
-        if name in tables:
-            for k, (groups, doc_grads) in enumerate(zip(plan_row_groups(stack, attr), grads)):
-                doc_rows = d_rows[name][k] if name in d_rows else np.zeros(dims[name])
-                doc_grads[name] = _row_sparse(groups, doc_rows)
-    return grads
+    for name, rows, table in zip(EMBEDDING_KEYS, (n, m), (model.event_table, model.entity_table)):
+        if name in tables and name not in d_rows:
+            d_rows[name] = np.zeros((b, rows, table.dim))
+    return _row_sparse_grads(stack, grads, d_rows)
 
 
 def pagerank_backward(
@@ -413,9 +420,7 @@ def pagerank_backward(
     d_rows = _cosine_rows_backward(
         grad_sims + grad_sims.transpose(0, 2, 1), cache.sims, cache.unit, cache.norms, cache.unit
     )
-    for groups, doc_grads, doc_rows in zip(plan_row_groups(stack, "rows_v"), grads, d_rows):
-        doc_grads["event_emb"] = _row_sparse(groups, doc_rows)
-    return grads
+    return _row_sparse_grads(stack, grads, {"event_emb": d_rows})
 
 
 # The most cosines a stack of more than one document pools: four documents of 20 events and 30
@@ -437,39 +442,32 @@ def _shape_stacks(plans: list[DocPlan], picked) -> list[list[int]]:
     return sorted(stacks)
 
 
-def _stack_loss_and_grads(model, batch: list[tuple], ks: list[int], later: list[list[int]], tables) -> dict:
-    """The hinge loss and gradients of the batch documents ``ks``, one stack: ``{k: (loss, grads)}``.
-    If a score is not finite, ``NumericError`` names the first such document in batch order,
-    among this stack and the ``later`` ones."""
-    if isinstance(model, PageRankModel):
-        forward, backward = pagerank_forward, pagerank_backward
-    else:
-        forward, backward = kce_forward, kce_backward
-    stack = [batch[k][1] for k in ks]
-    scores, cache = forward(model, stack)
-    if not np.isfinite(scores).all():  # a NaN margin would count as an inactive pair
-        scored = [(ks, scores)] + [(js, forward(model, [batch[j][1] for j in js])[0]) for js in later]
-        first = min(j for js, rows in scored for j, row in zip(js, rows) if not np.isfinite(row).all())
-        raise NumericError(f"non-finite score while training on doc {batch[first][0]!r}")
-    losses, dscores = [], np.empty_like(scores)
-    for i, k in enumerate(ks):
-        loss, dscores[i] = _pair_loss(scores[i], batch[k][2])
-        losses.append(loss)
-    return dict(zip(ks, zip(losses, backward(model, stack, cache, dscores, tables))))
-
-
 def _batch_loss_and_grads(model, batch: list[tuple], tables: tuple[str, ...]):
     """Yield each ``(doc_id, plan, pairs)`` document's hinge loss and gradients, in batch order:
     one forward and one backward pass per stack of same-shape documents with pairs, each stack
     run when its first document is due, and ``(0.0, None)`` for a document without pairs.
     ``NumericError`` names the first document, in batch order, whose scores are not all finite."""
+    if isinstance(model, PageRankModel):
+        forward, backward = pagerank_forward, pagerank_backward
+    else:
+        forward, backward = kce_forward, kce_backward
     plans = [plan for _, plan, _ in batch]
     stacks = _shape_stacks(plans, [k for k, (_, _, pairs) in enumerate(batch) if len(pairs)])
     done: dict[int, tuple] = {}
     for k in range(len(batch)):
         while stacks and stacks[0][0] <= k:
             ks = stacks.pop(0)
-            done.update(_stack_loss_and_grads(model, batch, ks, stacks, tables))
+            stack = [plans[j] for j in ks]
+            scores, cache = forward(model, stack)
+            if not np.isfinite(scores).all():  # a NaN margin would count as an inactive pair
+                scored = [(ks, scores)] + [(js, forward(model, [plans[j] for j in js])[0]) for js in stacks]
+                first = min(j for js, rows in scored for j, row in zip(js, rows) if not np.isfinite(row).all())
+                raise NumericError(f"non-finite score while training on doc {batch[first][0]!r}")
+            losses, dscores = [], np.empty_like(scores)
+            for i, j in enumerate(ks):
+                loss, dscores[i] = _pair_loss(scores[i], batch[j][2])
+                losses.append(loss)
+            done.update(zip(ks, zip(losses, backward(model, stack, cache, dscores, tables))))
         yield done.pop(k, (0.0, None))
 
 

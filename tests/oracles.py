@@ -876,8 +876,11 @@ def document_from_json_reference(obj: dict, where: str = "document") -> Document
     doc_id = _expect(obj, "doc_id", str, where)
     where = f"doc {doc_id!r}"
     num_sentences = _expect(obj, "num_sentences", int, where)
+    raw_events = _expect(obj, "events", list, where)
+    if num_sentences >= 2**62:  # so every sentence index, and the sum of two counts, fits in int64
+        raise DataError(f"{where}: num_sentences must be < 2**62, got {num_sentences}")
     events = []
-    for raw in _expect(obj, "events", list, where):
+    for raw in raw_events:
         if not isinstance(raw, dict):
             raise DataError(f"{where}: events entries must be objects")
         events.append(

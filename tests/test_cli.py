@@ -798,6 +798,54 @@ def test_corpus_with_an_unpaired_surrogate_escape_exits_two(pipeline, kce_model,
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def _sentences_raised(corpus, out, by, move_mentions, docs=None):
+    """Write ``corpus`` to ``out`` with its first ``docs`` documents (all by default) declaring ``by``
+    more sentences, and with ``move_mentions`` every mention of theirs moved ``by`` sentences later."""
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    for k, line in enumerate(lines[:docs]):
+        obj = json.loads(line)
+        obj["num_sentences"] += by
+        if move_mentions:
+            for mention in obj["events"] + obj["entities"]:
+                mention["sentence_index"] += by
+        lines[k] = json.dumps(obj)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+_PAST_INT64 = {
+    "train": ["train", "--model", "kce", "--train", "{bad}", "--dev", "{dev}", "--config", "{train_cfg}",
+              "--dim", "8"],
+    "evaluate": ["evaluate", "--model", "{model}", "--corpus", "{bad}"],
+    "rank": ["rank", "--model", "{model}", "--corpus", "{bad}"],
+    "gradcheck": ["gradcheck", "--model", "{model}", "--corpus", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_PAST_INT64))
+def test_sentence_indices_past_int64_exit_two_naming_the_document(pipeline, kce_model, tmp_path, capsys, command):
+    """The first document's sentences moved past 2**63, where no int64 holds them: refused at load."""
+    bad = _sentences_raised(pipeline["train"], tmp_path / "bad.jsonl", 2**63, move_mentions=True, docs=1)
+    doc_id = json.loads(bad.read_text(encoding="utf-8").splitlines()[0])["doc_id"]
+    paths = {"bad": bad, "dev": pipeline["dev"], "train_cfg": pipeline["train_cfg"], "model": kce_model}
+    argv = [arg.format(**paths) for arg in _PAST_INT64[command]] + ["--out", str(tmp_path / "out")]
+    _exits_two_with_one_line_error(argv, capsys, f"doc {doc_id!r}: num_sentences must be < 2**62")
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("kind", ["salient", "nonsalient"])
+def test_intrude_on_documents_declaring_2_40_more_sentences_writes_the_same_curve(pipeline, kce_model, tmp_path, kind):
+    """Intruder sentences move past the origin's declared count, but no array is sized by it."""
+    raised = _sentences_raised(pipeline["test"], tmp_path / "raised.jsonl", 2**40, move_mentions=False)
+    curves = []
+    for corpus in (pipeline["test"], raised):
+        out = tmp_path / f"{corpus.stem}.csv"
+        argv = ["intrude", "--model", str(kce_model), "--corpus", str(corpus), "--kind", kind, "--pairs", "40"]
+        assert main(argv + ["--out", str(out)]) == 0
+        curves.append(out.read_bytes())
+    assert curves[0] == curves[1]
+
+
 _INTRUDE = ["intrude", "--model", "{model}", "--corpus", "{test}", "--kind", "salient"]
 
 

@@ -351,6 +351,11 @@ def _mutations():
     yield "all-salient-unset", _with((("events", 0, "salient"), None), (("events", 1, "salient"), None))
     yield "doc_id=empty", _with((("doc_id",), ""))
     yield "num_sentences=0", _with((("num_sentences",), 0))
+    yield "num_sentences=2**62-1", _with((("num_sentences",), 2**62 - 1))
+    yield "num_sentences=2**62", _with((("num_sentences",), 2**62))
+    yield "num_sentences=2**70+events/1/sentence_index=2**64", _with(
+        (("num_sentences",), 2**70), (("events", 1, "sentence_index"), 2**64)
+    )
     yield "events/0/id=empty", _with((("events", 0, "id"), ""))
     yield "entities/0/entity_key=empty", _with((("entities", 0, "entity_key"), ""))
     yield "abstract_lemmas=non-string", _with((("abstract_lemmas",), ["elect", 3]))

@@ -124,6 +124,8 @@ def test_config_rejects_unknown_fields_and_bad_json(tmp_path):
         ("docs", "3"),
         ("docs", True),
         ("dim", 0),
+        ("sentences_per_doc", 0),
+        ("sentences_per_doc", 2**62),  # a corpus load_corpus refuses
         ("cosine_gap", 1.0),
         ("n_topics", 1),
         ("topic_entity_fraction", float("nan")),
